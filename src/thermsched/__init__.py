@@ -6,10 +6,8 @@ and a steady-state resistive-network simulator validates every session
 before it is accepted.
 """
 
-from .cli import SweepRow, SweepSpec
 from .floorplan import (
     EPSILON,
-    AdjacencyEdge,
     AdjacencyGraph,
     CoreGeometry,
     Floorplan,
@@ -35,15 +33,12 @@ from .scheduler import (
     screen_cores,
 )
 from .thermal_model import (
-    SessionThermalModel,
     ThermalParams,
     Weights,
-    build_session_model,
     equivalent_resistance,
     lateral_resistance,
     load_thermal_params,
     session_stc,
-    session_tc,
     vertical_resistance,
 )
 from .thermal_sim import (
@@ -61,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "EPSILON",
     "RESIDUAL_RTOL",
-    "AdjacencyEdge",
     "AdjacencyGraph",
     "CoreGeometry",
     "Floorplan",
@@ -72,10 +66,7 @@ __all__ = [
     "Schedule",
     "SchedulerConfig",
     "ScreeningError",
-    "SessionThermalModel",
     "SimulationResult",
-    "SweepRow",
-    "SweepSpec",
     "TestSession",
     "ThermalNetwork",
     "ThermalParams",
@@ -86,7 +77,6 @@ __all__ = [
     "build_adjacency",
     "build_network",
     "build_session",
-    "build_session_model",
     "equivalent_resistance",
     "generate_schedule",
     "lateral_resistance",
@@ -96,7 +86,6 @@ __all__ = [
     "schedule_to_document",
     "screen_cores",
     "session_stc",
-    "session_tc",
     "shared_edge_length",
     "simulate_session",
     "solve_steady_state",

@@ -28,6 +28,7 @@ from .scheduler import (
     Schedule,
     SchedulerConfig,
     ScreeningError,
+    check_tl,
     generate_schedule,
     schedule_to_document,
 )
@@ -213,21 +214,31 @@ def run_sweep(args) -> int:
         tl_values=tuple(_parse_axis(args.sweep_tl)),
         stcl_values=tuple(_parse_axis(args.sweep_stcl)),
     )
+    # validate the whole grid before the first run, so a bad point anywhere
+    # fails fast instead of discarding the rows already computed
+    for tl in spec.tl_values:
+        check_tl(tl, params)
+    grid = [
+        [
+            SchedulerConfig(
+                tl=tl,
+                stcl=stcl,
+                weight_factor=args.weight_factor,
+                core_order=args.core_order,
+            )
+            for stcl in spec.stcl_values
+        ]
+        for tl in spec.tl_values
+    ]
     lines = [SWEEP_HEADER]
     emitted = 0
-    for tl in spec.tl_values:
+    for tl, configs in zip(spec.tl_values, grid):
         try:
-            for stcl in spec.stcl_values:
-                config = SchedulerConfig(
-                    tl=tl,
-                    stcl=stcl,
-                    weight_factor=args.weight_factor,
-                    core_order=args.core_order,
-                )
+            for config in configs:
                 schedule = generate_schedule(fp, power, params, config)
                 row = SweepRow(
-                    tl=tl,
-                    stcl=stcl,
+                    tl=config.tl,
+                    stcl=config.stcl,
                     schedule_length_s=schedule.total_length,
                     simulation_effort_s=schedule.simulation_effort,
                     max_temperature_c=schedule.max_temperature,

@@ -146,7 +146,6 @@ class Floorplan:
         _check_overlaps(cores)
         self._cores = cores
         self._by_name = by_name
-        self._index = {core.name: i for i, core in enumerate(cores)}
         self._adjacency: AdjacencyGraph | None = None
 
     @property
@@ -162,10 +161,6 @@ class Floorplan:
             return self._by_name[name]
         except KeyError:
             raise KeyError(f"no core named {name!r} in floorplan") from None
-
-    def index(self, name: str) -> int:
-        """Position of a core in floorplan (file) order."""
-        return self._index[name]
 
     def adjacency(self) -> AdjacencyGraph:
         """Adjacency geometry, built once and cached (floorplans are immutable)."""

@@ -28,9 +28,10 @@ import math
 from dataclasses import dataclass
 from typing import Collection, Mapping
 
+from . import thermal_sim
 from .floorplan import Floorplan, PowerProfile
 from .thermal_model import ThermalParams, Weights, session_stc
-from .thermal_sim import RESIDUAL_RTOL, SimulationResult, simulate_session
+from .thermal_sim import RESIDUAL_RTOL, SimulationResult, ThermalNetwork, simulate_session
 
 ORDER_POWER_WEIGHT_DESC = "power_weight_desc"
 ORDER_FILE = "file"
@@ -99,9 +100,13 @@ class Schedule:
         return max(s.result.peak[1] for s in self.sessions)
 
 
-def screen_cores(
-    fp: Floorplan, power: PowerProfile, params: ThermalParams, tl: float
-) -> dict[str, float]:
+def check_tl(tl: float, params: ThermalParams) -> None:
+    """Raise ValueError unless the temperature limit lies above ambient."""
+    if not tl > params.t_ambient:
+        raise ValueError(f"temperature limit {tl} C must exceed ambient {params.t_ambient} C")
+
+
+def screen_cores(net: ThermalNetwork, power: PowerProfile, tl: float) -> dict[str, float]:
     """Simulate every core alone and return its BCMT.
 
     Raises ScreeningError listing every core whose BCMT reaches ``tl``,
@@ -109,8 +114,8 @@ def screen_cores(
     above the hottest BCMT).
     """
     report = {
-        name: simulate_session({name}, fp, power, params).peak[1]
-        for name in fp.names
+        name: simulate_session({name}, net, power).peak[1]
+        for name in net.nodes
     }
     violations = [(name, temp) for name, temp in report.items() if temp >= tl]
     if violations:
@@ -124,11 +129,11 @@ def _ordered(
     cores: Collection[str],
     power: PowerProfile,
     weights: Weights,
-    fp: Floorplan,
+    net: ThermalNetwork,
     policy: str,
 ) -> list[str]:
     if policy == ORDER_FILE:
-        return sorted(cores, key=fp.index)
+        return sorted(cores, key=net.position.__getitem__)
     # hardest cores first; rising weights push repeat offenders to the front
     return sorted(cores, key=lambda name: (-power.power(name) * weights.of(name), name))
 
@@ -137,9 +142,8 @@ def build_session(
     available: Collection[str],
     weights: Weights,
     stcl: float,
-    fp: Floorplan,
+    net: ThermalNetwork,
     power: PowerProfile,
-    params: ThermalParams,
     order: str = ORDER_POWER_WEIGHT_DESC,
 ) -> set[str]:
     """Greedily grow one session from the available cores.
@@ -152,12 +156,12 @@ def build_session(
     if not available:
         raise ValueError("no cores available to build a session from")
     session: set[str] = set()
-    for name in _ordered(available, power, weights, fp, order):
+    for name in _ordered(available, power, weights, net, order):
         if not session:
             session.add(name)
             continue
         candidate = session | {name}
-        if session_stc(candidate, power, weights, fp, params) <= stcl:
+        if session_stc(candidate, power, weights, net) <= stcl:
             session = candidate
     return session
 
@@ -170,24 +174,24 @@ def generate_schedule(
 ) -> Schedule:
     """Screen, then pack and validate sessions until every core is scheduled.
 
-    Deterministic for identical inputs.  Raises ScreeningError when some
-    core is unsafe even alone; after a successful screen the loop always
-    terminates (see module docstring).
+    The thermal network is compiled once and serves every STC evaluation
+    and every solve.  Deterministic for identical inputs.  Raises
+    ScreeningError when some core is unsafe even alone; after a successful
+    screen the loop always terminates (see module docstring).
     """
-    if not config.tl > params.t_ambient:
-        raise ValueError(
-            f"temperature limit {config.tl} C must exceed ambient {params.t_ambient} C"
-        )
-    stage1 = screen_cores(fp, power, params, config.tl)
+    check_tl(config.tl, params)
+    # looked up on the module, so a wrapper installed there sees every compile
+    net = thermal_sim.build_network(fp, params)
+    stage1 = screen_cores(net, power, config.tl)
     remaining = set(fp.names)
     weights = Weights()
     sessions: list[TestSession] = []
     effort = 0.0
     while remaining:
         members = build_session(
-            remaining, weights, config.stcl, fp, power, params, order=config.core_order
+            remaining, weights, config.stcl, net, power, order=config.core_order
         )
-        result = simulate_session(members, fp, power, params)
+        result = simulate_session(members, net, power)
         effort += result.simulated_duration
         violators = [
             name for name in sorted(members) if result.temps[name] >= config.tl

@@ -14,15 +14,22 @@ scalars that guide session packing:
 
 where ``W(i)`` are packing weights, initially 1, that the scheduler raises
 for cores caught exceeding the temperature limit.
+
+The path resistances are evaluated once per floorplan and parameter set,
+when ``thermal_sim.build_network`` compiles them into conductances;
+``equivalent_resistance`` and ``session_stc`` read that compiled network.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import IO, Collection, Iterable, Mapping
+from typing import IO, TYPE_CHECKING, Collection, Iterable, Mapping
 
 from .floorplan import Floorplan, PowerProfile
+
+if TYPE_CHECKING:
+    from .thermal_sim import ThermalNetwork
 
 
 @dataclass(frozen=True)
@@ -126,9 +133,7 @@ def vertical_resistance(name: str, fp: Floorplan, params: ThermalParams) -> floa
     return params.r_vertical_per_area / fp.core(name).area
 
 
-def equivalent_resistance(
-    name: str, session: Collection[str], fp: Floorplan, params: ThermalParams
-) -> float:
+def equivalent_resistance(name: str, session: Collection[str], net: ThermalNetwork) -> float:
     """Parallel combination of a core's usable escape paths within a session.
 
     Usable paths are the vertical one plus the laterals toward neighbors
@@ -137,72 +142,30 @@ def equivalent_resistance(
     """
     if name not in session:
         raise ValueError(f"core {name!r} is not in the session")
-    g = 1.0 / vertical_resistance(name, fp, params)
-    for neighbor in fp.adjacency().neighbors(name):
-        if neighbor in session:
+    i = net.position[name]
+    g = net.vertical[i]
+    for j, lateral in net.lateral[i]:
+        if net.nodes[j] in session:
             continue
-        g += 1.0 / lateral_resistance(name, neighbor, fp, params)
+        g += lateral
     return 1.0 / g
-
-
-def session_tc(
-    name: str,
-    session: Collection[str],
-    power: PowerProfile,
-    fp: Floorplan,
-    params: ThermalParams,
-) -> float:
-    """Core thermal characteristic: P(i) * R_eq(i), in kelvin."""
-    return power.power(name) * equivalent_resistance(name, session, fp, params)
 
 
 def session_stc(
     session: Collection[str],
     power: PowerProfile,
     weights: Weights | None,
-    fp: Floorplan,
-    params: ThermalParams,
+    net: ThermalNetwork,
 ) -> float:
     """Session thermal characteristic: max over members of TC * P * W.
 
-    The empty session has STC 0.
+    ``TC = P * R_eq`` is the member's predicted rise.  The empty session
+    has STC 0.
     """
     if weights is None:
         weights = Weights()
     stc = 0.0
     for name in session:
-        tc = session_tc(name, session, power, fp, params)
+        tc = power.power(name) * equivalent_resistance(name, session, net)
         stc = max(stc, tc * power.power(name) * weights.of(name))
     return stc
-
-
-@dataclass(frozen=True)
-class SessionThermalModel:
-    """Equivalent resistances and guiding scalars for one candidate session."""
-
-    session: frozenset[str]
-    r_eq: Mapping[str, float]
-    tc: Mapping[str, float]
-    stc: float
-
-
-def build_session_model(
-    session: Collection[str],
-    power: PowerProfile,
-    weights: Weights | None,
-    fp: Floorplan,
-    params: ThermalParams,
-) -> SessionThermalModel:
-    """Evaluate R_eq, TC for every member and the session STC in one pass."""
-    if weights is None:
-        weights = Weights()
-    members = frozenset(session)
-    r_eq: dict[str, float] = {}
-    tc: dict[str, float] = {}
-    stc = 0.0
-    for name in sorted(members, key=fp.index):
-        r = equivalent_resistance(name, members, fp, params)
-        r_eq[name] = r
-        tc[name] = power.power(name) * r
-        stc = max(stc, tc[name] * power.power(name) * weights.of(name))
-    return SessionThermalModel(session=members, r_eq=r_eq, tc=tc, stc=stc)

@@ -1,10 +1,15 @@
-"""Full-network steady-state thermal validator.
+"""Compiled thermal network and the full-network steady-state validator.
+
+``build_network`` compiles one floorplan under one parameter set into a
+``ThermalNetwork``.  It holds the vertical and lateral conductances, which
+the guiding session model reads, and the nodal conductance matrix ``G`` with
+its Cholesky factor, which the validator reads.  ``G`` does not depend on
+the test session, so it is assembled and factored once; a session only
+changes the injection vector ``P``.
 
 Unlike the guiding session model, the validator keeps every core in play:
 all adjacent pairs are coupled (active or not), every node has its own
 vertical path to ambient, and passive cores are free nodes that warm up.
-Session temperatures come from one dense symmetric positive-definite solve
-of the nodal conductance system ``G dT = P``.
 """
 
 from __future__ import annotations
@@ -28,20 +33,22 @@ class NetworkSolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class ThermalNetwork:
-    """Nodal conductance system for one test session.
+    """Conductances of one floorplan under one parameter set, and ``G``'s factor.
 
-    ``conductance`` is symmetric positive definite: off-diagonals are the
-    negated lateral conductances, and each diagonal adds the node's vertical
-    conductance to ambient on top of its lateral total.
+    Nodes are in floorplan order.  ``lateral[i]`` lists node ``i``'s
+    neighbors as ``(node index, lateral conductance)`` pairs in floorplan
+    order.  ``conductance`` is symmetric positive definite: off-diagonals are
+    the negated lateral conductances, and each diagonal adds the node's
+    vertical conductance to ambient on top of its lateral total.
     """
 
     nodes: tuple[str, ...]
-    conductance: np.ndarray   # (N, N), W/K
-    injections: np.ndarray    # (N,), W
-    ambient: float            # deg C
-
-    def index(self, name: str) -> int:
-        return self.nodes.index(name)
+    position: Mapping[str, int]                          # node name -> index
+    vertical: tuple[float, ...]                          # W/K, per node
+    lateral: tuple[tuple[tuple[int, float], ...], ...]   # W/K, per node
+    conductance: np.ndarray                              # (N, N), W/K
+    factor: tuple[np.ndarray, bool]                      # cho_factor(conductance)
+    ambient: float                                       # deg C
 
 
 @dataclass(frozen=True)
@@ -53,62 +60,60 @@ class SimulationResult:
     simulated_duration: float           # s, for effort accounting
 
 
-def build_network(
-    active: Collection[str],
-    fp: Floorplan,
-    power: PowerProfile,
-    params: ThermalParams,
-) -> ThermalNetwork:
-    """Assemble the full conductance matrix and injection vector.
+def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
+    """Compile the conductances of a floorplan, assemble ``G`` and factor it.
 
-    Node order is floorplan order.  Every adjacent pair is coupled,
-    including active-active pairs; injections are the test powers of the
-    active cores and zero elsewhere.
+    Every adjacent pair is coupled.  Raises NetworkSolveError when ``G`` is
+    not positive definite (a vertical path too weak to ground the network).
     """
-    active = frozenset(active)
-    unknown = sorted(name for name in active if name not in fp)
-    if unknown:
-        raise ValueError(f"active cores not in floorplan: {', '.join(unknown)}")
     names = fp.names
     n = len(names)
+    position = {name: i for i, name in enumerate(names)}
+    adjacency = fp.adjacency()
     g = np.zeros((n, n))
-    for a, b in fp.adjacency().pairs():
+    pair_conductance: dict[tuple[str, str], float] = {}
+    for a, b in adjacency.pairs():
         gl = 1.0 / lateral_resistance(a, b, fp, params)
-        i, j = fp.index(a), fp.index(b)
+        pair_conductance[a, b] = pair_conductance[b, a] = gl
+        i, j = position[a], position[b]
         g[i, i] += gl
         g[j, j] += gl
         g[i, j] -= gl
         g[j, i] -= gl
-    injections = np.zeros(n)
-    for i, name in enumerate(names):
-        g[i, i] += 1.0 / vertical_resistance(name, fp, params)
-        if name in active:
-            injections[i] = power.power(name)
-    return ThermalNetwork(
-        nodes=tuple(names),
-        conductance=g,
-        injections=injections,
-        ambient=params.t_ambient,
+    vertical = tuple(1.0 / vertical_resistance(name, fp, params) for name in names)
+    g[np.diag_indices(n)] += vertical
+    lateral = tuple(
+        tuple((position[other], pair_conductance[name, other])
+              for other in adjacency.neighbors(name))
+        for name in names
     )
-
-
-def solve_steady_state(net: ThermalNetwork) -> SimulationResult:
-    """Solve ``G dT = P`` by Cholesky factorization; temps = ambient + dT.
-
-    Raises NetworkSolveError when the matrix is not positive definite
-    (a node without a vertical path to ambient) or when the residual
-    exceeds RESIDUAL_RTOL * max(1, ||P||_inf).
-    """
     try:
-        factor = cho_factor(net.conductance)
+        factor = cho_factor(g)
     except np.linalg.LinAlgError as exc:
         raise NetworkSolveError(
             "conductance matrix is not positive definite; every node needs a "
             "vertical conductance to ambient"
         ) from exc
-    rise = cho_solve(factor, net.injections)
-    residual = float(np.max(np.abs(net.conductance @ rise - net.injections)))
-    tolerance = RESIDUAL_RTOL * max(1.0, float(np.max(np.abs(net.injections))))
+    return ThermalNetwork(
+        nodes=names,
+        position=position,
+        vertical=vertical,
+        lateral=lateral,
+        conductance=g,
+        factor=factor,
+        ambient=params.t_ambient,
+    )
+
+
+def solve_steady_state(net: ThermalNetwork, injections: np.ndarray) -> SimulationResult:
+    """Solve ``G dT = P`` with the compiled factor; temps = ambient + dT.
+
+    ``injections`` is ``P`` in node order, W.  Raises NetworkSolveError when
+    the residual exceeds RESIDUAL_RTOL * max(1, ||P||_inf).
+    """
+    rise = cho_solve(net.factor, injections)
+    residual = float(np.max(np.abs(net.conductance @ rise - injections)))
+    tolerance = RESIDUAL_RTOL * max(1.0, float(np.max(np.abs(injections))))
     if residual > tolerance:
         raise NetworkSolveError(
             f"solve residual {residual:.3e} exceeds tolerance {tolerance:.3e}"
@@ -120,20 +125,24 @@ def solve_steady_state(net: ThermalNetwork) -> SimulationResult:
 
 
 def simulate_session(
-    session: Collection[str],
-    fp: Floorplan,
-    power: PowerProfile,
-    params: ThermalParams,
+    session: Collection[str], net: ThermalNetwork, power: PowerProfile
 ) -> SimulationResult:
     """Simulate one test session on the full network.
 
-    The session's wall duration is the longest member test (members run
-    concurrently); it is recorded for simulation-effort accounting.
+    Injections are the test powers of the session's cores and zero
+    elsewhere.  The session's wall duration is the longest member test
+    (members run concurrently); it is recorded for simulation-effort
+    accounting.
     """
     session = frozenset(session)
     if not session:
         raise ValueError("test session is empty")
-    net = build_network(session, fp, power, params)
-    result = solve_steady_state(net)
+    unknown = sorted(name for name in session if name not in net.position)
+    if unknown:
+        raise ValueError(f"active cores not in floorplan: {', '.join(unknown)}")
+    injections = np.zeros(len(net.nodes))
+    for name in session:
+        injections[net.position[name]] = power.power(name)
+    result = solve_steady_state(net, injections)
     duration = max(power.duration(name) for name in session)
     return replace(result, simulated_duration=duration)

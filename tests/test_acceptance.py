@@ -28,7 +28,6 @@ from thermsched.thermal_sim import (
     RESIDUAL_RTOL,
     build_network,
     simulate_session,
-    solve_steady_state,
 )
 from util import grounded_rise_oracle, random_floorplan, random_profile, random_session
 
@@ -57,10 +56,11 @@ def test_criterion_1_equivalent_resistance_oracle():
         rng = np.random.default_rng(101)
         for _ in range(100):
             fp = random_floorplan(rng, int(rng.integers(5, 16)))
+            net = build_network(fp, PARAMS)
             session = random_session(rng, fp)
             for name in session:
                 expected = grounded_rise_oracle(name, session, fp, PARAMS)
-                actual = equivalent_resistance(name, session, fp, PARAMS)
+                actual = equivalent_resistance(name, session, net)
                 assert actual == pytest.approx(expected, rel=1e-9)
 
 
@@ -70,17 +70,18 @@ def test_criterion_2_solver_soundness():
         rng = np.random.default_rng(103)
         for _ in range(100):
             fp = random_floorplan(rng, int(rng.integers(5, 16)))
+            net = build_network(fp, PARAMS)
             profile = random_profile(rng, fp, p_range=(0.0, 4.0))
             active = random_session(rng, fp)
-            net = build_network(active, fp, profile, PARAMS)
-            result = solve_steady_state(net)
+            result = simulate_session(active, net, profile)
             rise = np.array([result.temps[n] for n in net.nodes]) - net.ambient
-            residual = np.max(np.abs(net.conductance @ rise - net.injections))
-            assert residual <= RESIDUAL_RTOL * max(1.0, np.max(np.abs(net.injections)))
+            injections = np.array([profile.power(n) if n in active else 0.0 for n in net.nodes])
+            residual = np.max(np.abs(net.conductance @ rise - injections))
+            assert residual <= RESIDUAL_RTOL * max(1.0, np.max(np.abs(injections)))
 
             # zero power: every node exactly at ambient
             zero = PowerProfile({n: (0.0, 1.0) for n in fp.names}, fp)
-            cold = solve_steady_state(build_network(active, fp, zero, PARAMS))
+            cold = simulate_session(active, net, zero)
             assert all(t == PARAMS.t_ambient for t in cold.temps.values())
 
             # superposition of two random injection patterns
@@ -89,9 +90,9 @@ def test_criterion_2_solver_soundness():
             both = PowerProfile(
                 {n: (p1.power(n) + p2.power(n), 1.0) for n in fp.names}, fp
             )
-            r1 = solve_steady_state(build_network(active, fp, p1, PARAMS))
-            r2 = solve_steady_state(build_network(active, fp, p2, PARAMS))
-            r12 = solve_steady_state(build_network(active, fp, both, PARAMS))
+            r1 = simulate_session(active, net, p1)
+            r2 = simulate_session(active, net, p2)
+            r12 = simulate_session(active, net, both)
             for n in fp.names:
                 lhs = r12.temps[n] - PARAMS.t_ambient
                 rhs = (r1.temps[n] - PARAMS.t_ambient) + (r2.temps[n] - PARAMS.t_ambient)
@@ -110,8 +111,9 @@ def test_criterion_3_power_density_contrast():
         density = lambda n: power.power(n) / fp.core(n).area
         ratio = min(density(n) for n in dense) / max(density(n) for n in sparse)
         assert ratio == pytest.approx(4.0, rel=1e-12)
-        peak_dense = simulate_session(dense, fp, power, PARAMS).peak[1]
-        peak_sparse = simulate_session(sparse, fp, power, PARAMS).peak[1]
+        net = build_network(fp, PARAMS)
+        peak_dense = simulate_session(dense, net, power).peak[1]
+        peak_sparse = simulate_session(sparse, net, power).peak[1]
         margin = 0.10 * (peak_sparse - PARAMS.t_ambient)
         assert peak_dense > peak_sparse + margin
 
@@ -138,8 +140,9 @@ def test_criterion_5_effort_identity():
 
         # engineered violation: a TL between the worst single-core
         # temperature and the first packed session's peak forces a discard
-        bcmts = screen_cores(fp, power, PARAMS, tl=math.inf)
-        big_session = simulate_session(set(fp.names), fp, power, PARAMS)
+        net = build_network(fp, PARAMS)
+        bcmts = screen_cores(net, power, tl=math.inf)
+        big_session = simulate_session(set(fp.names), net, power)
         assert big_session.peak[1] > max(bcmts.values()) + 10.0
         tl = (max(bcmts.values()) + big_session.peak[1]) / 2.0
         violating = generate_schedule(fp, power, PARAMS, SchedulerConfig(tl=tl, stcl=1e6))
@@ -153,8 +156,9 @@ def test_criterion_6_schedule_validity_randomized():
         for _ in range(200):
             fp = random_floorplan(rng, int(rng.integers(5, 14)))
             profile = random_profile(rng, fp)
-            bcmts = screen_cores(fp, profile, PARAMS, tl=math.inf)
-            singles = [session_stc({n}, profile, None, fp, PARAMS) for n in fp.names]
+            net = build_network(fp, PARAMS)
+            bcmts = screen_cores(net, profile, tl=math.inf)
+            singles = [session_stc({n}, profile, None, net) for n in fp.names]
             config = SchedulerConfig(
                 tl=max(bcmts.values()) + float(rng.uniform(3.0, 50.0)),
                 stcl=max(1e-9, float(np.median(singles)) * float(rng.uniform(0.4, 4.0))),
@@ -192,6 +196,7 @@ def test_criterion_8_stc_algebra():
         # quadratic scaling
         for _ in range(50):
             fp = random_floorplan(rng, int(rng.integers(3, 10)))
+            net = build_network(fp, PARAMS)
             profile = random_profile(rng, fp)
             session = random_session(rng, fp)
             alpha = float(rng.uniform(0.2, 5.0))
@@ -199,21 +204,22 @@ def test_criterion_8_stc_algebra():
                 {n: (alpha * profile.power(n), profile.duration(n)) for n in fp.names},
                 fp,
             )
-            base = session_stc(session, profile, None, fp, PARAMS)
-            assert session_stc(session, scaled, None, fp, PARAMS) == pytest.approx(
+            base = session_stc(session, profile, None, net)
+            assert session_stc(session, scaled, None, net) == pytest.approx(
                 alpha**2 * base, rel=1e-12
             )
         # growth monotonicity, 1000 random (session, extra core) cases
         checked = 0
         while checked < 1000:
             fp = random_floorplan(rng, int(rng.integers(3, 10)))
+            net = build_network(fp, PARAMS)
             profile = random_profile(rng, fp)
             session = set(random_session(rng, fp))
             outside = [n for n in fp.names if n not in session]
             if not outside:
                 continue
             extra = outside[int(rng.integers(len(outside)))]
-            before = session_stc(session, profile, None, fp, PARAMS)
-            after = session_stc(session | {extra}, profile, None, fp, PARAMS)
+            before = session_stc(session, profile, None, net)
+            after = session_stc(session | {extra}, profile, None, net)
             assert after >= before
             checked += 1

@@ -241,6 +241,30 @@ def test_sweep_all_tls_failing_exit_2(three_core_files, capsys):
     assert lines == [SWEEP_HEADER]
 
 
+@pytest.mark.parametrize(
+    "sweep_tl, sweep_stcl, message",
+    [("150,200", "40,-1", "stcl"), ("150,40", "40", "ambient")],
+)
+def test_sweep_bad_grid_point_fails_before_any_run(
+    three_core_files, tmp_path, monkeypatch, capsys, sweep_tl, sweep_stcl, message
+):
+    from thermsched import cli
+
+    runs = []
+    real = cli.generate_schedule
+    monkeypatch.setattr(cli, "generate_schedule", lambda *args: runs.append(args) or real(*args))
+    flp, power = three_core_files
+    out = tmp_path / "sweep.csv"
+    code = main(
+        ["--floorplan", str(flp), "--power", str(power),
+         "--sweep-tl", sweep_tl, "--sweep-stcl", sweep_stcl, "--out", str(out)]
+    )
+    assert code == 1
+    assert runs == []
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
 def test_sweep_deterministic_bytes(three_core_files, tmp_path):
     flp, power = three_core_files
     args = ["--floorplan", str(flp), "--power", str(power),

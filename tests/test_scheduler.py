@@ -16,7 +16,7 @@ from thermsched.scheduler import (
     screen_cores,
 )
 from thermsched.thermal_model import ThermalParams, Weights, session_stc
-from thermsched.thermal_sim import simulate_session
+from thermsched.thermal_sim import build_network, simulate_session
 from util import random_floorplan, random_profile, strip_floorplan, uniform_profile
 
 STRIP_PARAMS = ThermalParams(k_silicon=1.0, die_thickness=1.0, r_vertical_per_area=2.0)
@@ -37,14 +37,16 @@ def isolated_pair_floorplan() -> Floorplan:
 
 def test_screen_all_cores_pass():
     fp = strip_floorplan(3)
-    report = screen_cores(fp, uniform_profile(fp, power=1.0), STRIP_PARAMS, tl=100.0)
+    net = build_network(fp, STRIP_PARAMS)
+    report = screen_cores(net, uniform_profile(fp, power=1.0), tl=100.0)
     assert set(report) == {"s1", "s2", "s3"}
     assert all(temp < 100.0 for temp in report.values())
 
 
 def test_screen_zero_power_cores_sit_at_ambient():
     fp = strip_floorplan(3)
-    report = screen_cores(fp, uniform_profile(fp, power=0.0), STRIP_PARAMS, tl=50.0)
+    net = build_network(fp, STRIP_PARAMS)
+    report = screen_cores(net, uniform_profile(fp, power=0.0), tl=50.0)
     assert all(temp == STRIP_PARAMS.t_ambient for temp in report.values())
 
 
@@ -53,14 +55,15 @@ def test_screen_names_exactly_the_offender():
     # ambient + P * R_v = 45 + 30 * 2 = 105 C
     fp = isolated_pair_floorplan()
     profile = PowerProfile({"cool": (1.0, 1.0), "hot": (30.0, 1.0)}, fp)
+    net = build_network(fp, STRIP_PARAMS)
     with pytest.raises(ScreeningError) as err:
-        screen_cores(fp, profile, STRIP_PARAMS, tl=100.0)
+        screen_cores(net, profile, tl=100.0)
     assert [name for name, _ in err.value.violations] == ["hot"]
     bcmt = dict(err.value.violations)["hot"]
     assert bcmt == pytest.approx(105.0, abs=1e-9)
     # the suggested limit is just above the worst BCMT and actually passes
     assert err.value.suggested_tl > bcmt
-    screen_cores(fp, profile, STRIP_PARAMS, tl=err.value.suggested_tl)
+    screen_cores(net, profile, tl=err.value.suggested_tl)
 
 
 def test_generate_schedule_propagates_screening_failure():
@@ -76,14 +79,16 @@ def test_generate_schedule_propagates_screening_failure():
 def test_build_session_singleton_exemption():
     fp = strip_floorplan(1)
     profile = uniform_profile(fp, power=10.0)
-    session = build_session({"s1"}, Weights(), 1e-6, fp, profile, STRIP_PARAMS)
+    net = build_network(fp, STRIP_PARAMS)
+    session = build_session({"s1"}, Weights(), 1e-6, net, profile)
     assert session == {"s1"}
 
 
 def test_build_session_unbounded_limit_packs_everything():
     fp = strip_floorplan(5)
     profile = uniform_profile(fp, power=10.0)
-    session = build_session(set(fp.names), Weights(), math.inf, fp, profile, STRIP_PARAMS)
+    net = build_network(fp, STRIP_PARAMS)
+    session = build_session(set(fp.names), Weights(), math.inf, net, profile)
     assert session == set(fp.names)
 
 
@@ -92,30 +97,31 @@ def test_build_session_limit_between_singleton_and_pair():
     # admits exactly one core per session
     fp = strip_floorplan(2)
     profile = uniform_profile(fp, power=10.0)
-    single = session_stc({"s1"}, profile, None, fp, STRIP_PARAMS)
-    pair = session_stc({"s1", "s2"}, profile, None, fp, STRIP_PARAMS)
+    net = build_network(fp, STRIP_PARAMS)
+    single = session_stc({"s1"}, profile, None, net)
+    pair = session_stc({"s1", "s2"}, profile, None, net)
     assert single < pair
     stcl = (single + pair) / 2.0
-    session = build_session({"s1", "s2"}, Weights(), stcl, fp, profile, STRIP_PARAMS)
+    session = build_session({"s1", "s2"}, Weights(), stcl, net, profile)
     assert len(session) == 1
 
 
 def test_build_session_respects_file_order_policy():
     fp = strip_floorplan(3)
     profile = PowerProfile({"s1": (1.0, 1.0), "s2": (5.0, 1.0), "s3": (1.0, 1.0)}, fp)
+    net = build_network(fp, STRIP_PARAMS)
     tiny = 1e-9
-    by_power = build_session(set(fp.names), Weights(), tiny, fp, profile, STRIP_PARAMS)
-    by_file = build_session(
-        set(fp.names), Weights(), tiny, fp, profile, STRIP_PARAMS, order=ORDER_FILE
-    )
+    by_power = build_session(set(fp.names), Weights(), tiny, net, profile)
+    by_file = build_session(set(fp.names), Weights(), tiny, net, profile, order=ORDER_FILE)
     assert by_power == {"s2"}  # highest power first
     assert by_file == {"s1"}  # floorplan order first
 
 
 def test_build_session_requires_available_cores():
     fp = strip_floorplan(2)
+    net = build_network(fp, STRIP_PARAMS)
     with pytest.raises(ValueError, match="available"):
-        build_session(set(), Weights(), 10.0, fp, uniform_profile(fp), STRIP_PARAMS)
+        build_session(set(), Weights(), 10.0, net, uniform_profile(fp))
 
 
 # ── schedule generation ──────────────────────────────────────────────────
@@ -135,7 +141,7 @@ def test_no_violations_means_effort_equals_length():
     fp = strip_floorplan(4)
     profile = uniform_profile(fp, power=1.0)
     # generous TL, tight STCL: first-attempt success for every session
-    single = session_stc({"s1"}, profile, None, fp, STRIP_PARAMS)
+    single = session_stc({"s1"}, profile, None, build_network(fp, STRIP_PARAMS))
     config = SchedulerConfig(tl=200.0, stcl=single * 0.9)
     schedule = generate_schedule(fp, profile, STRIP_PARAMS, config)
     assert schedule.simulation_effort == schedule.total_length
@@ -147,12 +153,10 @@ def test_engineered_violation_grows_effort():
     # session exceeds the limit, forcing discards before a safe schedule
     fp = strip_floorplan(3)
     profile = PowerProfile({"s1": (1.0, 1.0), "s2": (8.0, 1.0), "s3": (1.0, 1.0)}, fp)
-    full_peak = simulate_session(set(fp.names), fp, profile, STRIP_PARAMS).peak[1]
-    pair_peaks = [
-        simulate_session({"s2", other}, fp, profile, STRIP_PARAMS).peak[1]
-        for other in ("s1", "s3")
-    ]
-    bcmts = screen_cores(fp, profile, STRIP_PARAMS, tl=math.inf)
+    net = build_network(fp, STRIP_PARAMS)
+    full_peak = simulate_session(set(fp.names), net, profile).peak[1]
+    pair_peaks = [simulate_session({"s2", other}, net, profile).peak[1] for other in ("s1", "s3")]
+    bcmts = screen_cores(net, profile, tl=math.inf)
     assert max(bcmts.values()) < max(pair_peaks) < full_peak
     tl = (max(pair_peaks) + full_peak) / 2.0
     config = SchedulerConfig(tl=tl, stcl=200.0)
@@ -167,7 +171,7 @@ def test_schedule_is_deterministic():
     rng = np.random.default_rng(61)
     fp = random_floorplan(rng, 10)
     profile = random_profile(rng, fp)
-    bcmts = screen_cores(fp, profile, ThermalParams(), tl=math.inf)
+    bcmts = screen_cores(build_network(fp, ThermalParams()), profile, tl=math.inf)
     config = SchedulerConfig(tl=max(bcmts.values()) + 10.0, stcl=30.0)
     a = generate_schedule(fp, profile, ThermalParams(), config)
     b = generate_schedule(fp, profile, ThermalParams(), config)
@@ -191,8 +195,9 @@ def test_random_schedules_partition_and_stay_safe():
         fp = random_floorplan(rng, int(rng.integers(4, 10)))
         profile = random_profile(rng, fp)
         params = ThermalParams()
-        bcmts = screen_cores(fp, profile, params, tl=math.inf)
-        singles = [session_stc({n}, profile, None, fp, params) for n in fp.names]
+        net = build_network(fp, params)
+        bcmts = screen_cores(net, profile, tl=math.inf)
+        singles = [session_stc({n}, profile, None, net) for n in fp.names]
         config = SchedulerConfig(
             tl=max(bcmts.values()) + float(rng.uniform(3.0, 40.0)),
             stcl=float(np.median(singles)) * float(rng.uniform(0.5, 4.0)),

@@ -9,14 +9,13 @@ from thermsched.floorplan import CoreGeometry, Floorplan, PowerProfile, parse_fl
 from thermsched.thermal_model import (
     ThermalParams,
     Weights,
-    build_session_model,
     equivalent_resistance,
     lateral_resistance,
     load_thermal_params,
     session_stc,
-    session_tc,
     vertical_resistance,
 )
+from thermsched.thermal_sim import build_network
 from util import (
     grounded_rise_oracle,
     random_floorplan,
@@ -146,11 +145,12 @@ def test_equivalent_resistance_no_passive_neighbors_is_vertical():
     fp = strip_floorplan(1)
     params = ThermalParams()
     r_v = vertical_resistance("s1", fp, params)
-    assert equivalent_resistance("s1", {"s1"}, fp, params) == pytest.approx(r_v)
+    assert equivalent_resistance("s1", {"s1"}, build_network(fp, params)) == pytest.approx(r_v)
     # all neighbors active: same thing
     fp3 = strip_floorplan(3)
     r_v2 = vertical_resistance("s2", fp3, params)
-    assert equivalent_resistance("s2", {"s1", "s2", "s3"}, fp3, params) == pytest.approx(r_v2)
+    net3 = build_network(fp3, params)
+    assert equivalent_resistance("s2", {"s1", "s2", "s3"}, net3) == pytest.approx(r_v2)
 
 
 def test_equivalent_resistance_equal_parallel_pair():
@@ -159,7 +159,7 @@ def test_equivalent_resistance_equal_parallel_pair():
     params = ThermalParams(k_silicon=1.0, die_thickness=0.5, r_vertical_per_area=2.0)
     assert lateral_resistance("s1", "s2", fp, params) == pytest.approx(2.0)
     assert vertical_resistance("s1", fp, params) == pytest.approx(2.0)
-    assert equivalent_resistance("s1", {"s1"}, fp, params) == pytest.approx(1.0)
+    assert equivalent_resistance("s1", {"s1"}, build_network(fp, params)) == pytest.approx(1.0)
 
 
 def test_equivalent_resistance_matches_oracle_on_strip():
@@ -167,7 +167,7 @@ def test_equivalent_resistance_matches_oracle_on_strip():
     params = ThermalParams(k_silicon=1.0, die_thickness=1.0, r_vertical_per_area=2.0)
     session = {"s2"}
     expected = grounded_rise_oracle("s2", session, fp, params)
-    assert equivalent_resistance("s2", session, fp, params) == pytest.approx(
+    assert equivalent_resistance("s2", session, build_network(fp, params)) == pytest.approx(
         expected, rel=1e-12
     )
 
@@ -175,7 +175,7 @@ def test_equivalent_resistance_matches_oracle_on_strip():
 def test_equivalent_resistance_requires_membership():
     fp = strip_floorplan(2)
     with pytest.raises(ValueError, match="not in the session"):
-        equivalent_resistance("s1", {"s2"}, fp, ThermalParams())
+        equivalent_resistance("s1", {"s2"}, build_network(fp, ThermalParams()))
 
 
 def test_equivalent_resistance_bounded_by_paths():
@@ -184,9 +184,10 @@ def test_equivalent_resistance_bounded_by_paths():
     for _ in range(20):
         fp = random_floorplan(rng, int(rng.integers(4, 12)))
         session = random_session(rng, fp)
+        net = build_network(fp, params)
         adj = fp.adjacency()
         for name in session:
-            r_eq = equivalent_resistance(name, session, fp, params)
+            r_eq = equivalent_resistance(name, session, net)
             assert r_eq <= vertical_resistance(name, fp, params) * (1 + 1e-12)
             for other in adj.neighbors(name):
                 if other not in session:
@@ -197,17 +198,20 @@ def test_equivalent_resistance_bounded_by_paths():
 
 
 def test_tc_zero_power():
+    # TC = P * R_eq = 0, so STC = TC * P * W = 0 whatever the weight
     fp = strip_floorplan(2)
     profile = uniform_profile(fp, power=0.0)
-    assert session_tc("s1", {"s1"}, profile, fp, ThermalParams()) == 0.0
+    net = build_network(fp, ThermalParams())
+    assert session_stc({"s1"}, profile, Weights({"s1": 2.0}), net) == 0.0
 
 
 def test_tc_simple_product():
-    # P = 10 W, R_eq = 0.5 K/W -> TC = 5 K
+    # P = 10 W, R_eq = 0.5 K/W -> TC = 5 K, and STC = TC * P for W = 1
     fp = strip_floorplan(1)
     params = ThermalParams(r_vertical_per_area=0.5)
     profile = uniform_profile(fp, power=10.0)
-    assert session_tc("s1", {"s1"}, profile, fp, params) == pytest.approx(5.0)
+    tc = session_stc({"s1"}, profile, None, build_network(fp, params)) / 10.0
+    assert tc == pytest.approx(5.0)
 
 
 def test_tc_from_oracle_on_strip():
@@ -215,20 +219,22 @@ def test_tc_from_oracle_on_strip():
     params = ThermalParams(k_silicon=1.0, die_thickness=1.0, r_vertical_per_area=2.0)
     profile = uniform_profile(fp, power=10.0)
     expected = 10.0 * grounded_rise_oracle("s2", {"s2"}, fp, params)
-    assert session_tc("s2", {"s2"}, profile, fp, params) == pytest.approx(expected, rel=1e-12)
+    tc = session_stc({"s2"}, profile, None, build_network(fp, params)) / 10.0
+    assert tc == pytest.approx(expected, rel=1e-12)
 
 
 def test_stc_empty_session_is_zero():
     fp = strip_floorplan(2)
-    assert session_stc(frozenset(), uniform_profile(fp), None, fp, ThermalParams()) == 0.0
+    net = build_network(fp, ThermalParams())
+    assert session_stc(frozenset(), uniform_profile(fp), None, net) == 0.0
 
 
 def test_stc_singleton_value():
     # TC = 5, P = 10, W = 1 -> STC = 50
     fp = strip_floorplan(1)
-    params = ThermalParams(r_vertical_per_area=0.5)
+    net = build_network(fp, ThermalParams(r_vertical_per_area=0.5))
     profile = uniform_profile(fp, power=10.0)
-    assert session_stc({"s1"}, profile, None, fp, params) == pytest.approx(50.0)
+    assert session_stc({"s1"}, profile, None, net) == pytest.approx(50.0)
 
 
 def test_stc_growth_on_strip():
@@ -236,10 +242,11 @@ def test_stc_growth_on_strip():
     # strictly exceeds both singleton STCs
     fp = strip_floorplan(3)
     params = ThermalParams(k_silicon=1.0, die_thickness=1.0, r_vertical_per_area=2.0)
+    net = build_network(fp, params)
     profile = uniform_profile(fp, power=10.0)
-    single_1 = session_stc({"s1"}, profile, None, fp, params)
-    single_2 = session_stc({"s2"}, profile, None, fp, params)
-    pair = session_stc({"s1", "s2"}, profile, None, fp, params)
+    single_1 = session_stc({"s1"}, profile, None, net)
+    single_2 = session_stc({"s2"}, profile, None, net)
+    pair = session_stc({"s1", "s2"}, profile, None, net)
     assert pair > single_1
     assert pair > single_2
 
@@ -249,25 +256,26 @@ def test_stc_power_scaling_is_quadratic():
     params = ThermalParams()
     for _ in range(10):
         fp = random_floorplan(rng, int(rng.integers(3, 10)))
+        net = build_network(fp, params)
         profile = random_profile(rng, fp)
         session = random_session(rng, fp)
         alpha = float(rng.uniform(0.25, 4.0))
         scaled = PowerProfile(
             {n: (alpha * profile.power(n), profile.duration(n)) for n in fp.names}, fp
         )
-        base = session_stc(session, profile, None, fp, params)
-        assert session_stc(session, scaled, None, fp, params) == pytest.approx(
+        base = session_stc(session, profile, None, net)
+        assert session_stc(session, scaled, None, net) == pytest.approx(
             alpha**2 * base, rel=1e-12
         )
 
 
 def test_stc_weight_scaling_on_singleton():
     fp = strip_floorplan(1)
-    params = ThermalParams(r_vertical_per_area=0.5)
+    net = build_network(fp, ThermalParams(r_vertical_per_area=0.5))
     profile = uniform_profile(fp, power=10.0)
     beta = 1.1**4
     weighted = Weights({"s1": beta})
-    assert session_stc({"s1"}, profile, weighted, fp, params) == pytest.approx(
+    assert session_stc({"s1"}, profile, weighted, net) == pytest.approx(
         beta * 50.0, rel=1e-12
     )
 
@@ -277,45 +285,16 @@ def test_stc_monotone_in_session_growth():
     params = ThermalParams()
     for _ in range(50):
         fp = random_floorplan(rng, int(rng.integers(3, 10)))
+        net = build_network(fp, params)
         profile = random_profile(rng, fp)
         session = set(random_session(rng, fp))
         outside = [n for n in fp.names if n not in session]
         if not outside:
             continue
         extra = outside[int(rng.integers(len(outside)))]
-        before = session_stc(session, profile, None, fp, params)
-        after = session_stc(session | {extra}, profile, None, fp, params)
+        before = session_stc(session, profile, None, net)
+        after = session_stc(session | {extra}, profile, None, net)
         assert after >= before
-
-
-# ── session model bundle ─────────────────────────────────────────────────
-
-
-def test_build_session_model_consistency():
-    rng = np.random.default_rng(37)
-    fp = random_floorplan(rng, 8)
-    profile = random_profile(rng, fp)
-    params = ThermalParams()
-    session = random_session(rng, fp)
-    model = build_session_model(session, profile, None, fp, params)
-    assert model.session == frozenset(session)
-    for name in session:
-        assert model.r_eq[name] == pytest.approx(
-            equivalent_resistance(name, session, fp, params), rel=1e-15
-        )
-        assert model.tc[name] == pytest.approx(
-            profile.power(name) * model.r_eq[name], rel=1e-15
-        )
-    assert model.stc == pytest.approx(
-        session_stc(session, profile, None, fp, params), rel=1e-15
-    )
-
-
-def test_empty_session_model():
-    fp = strip_floorplan(2)
-    model = build_session_model(frozenset(), uniform_profile(fp), None, fp, ThermalParams())
-    assert model.stc == 0.0
-    assert model.r_eq == {}
 
 
 # ── weights ──────────────────────────────────────────────────────────────

@@ -1,14 +1,20 @@
-"""Full-network steady-state simulator tests."""
+"""Compiled thermal network and full-network steady-state simulator tests."""
+
+import math
 
 import numpy as np
 import pytest
 
-from thermsched.floorplan import CoreGeometry, Floorplan, PowerProfile
-from thermsched.thermal_model import ThermalParams, session_tc
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from thermsched import thermal_model, thermal_sim
+from thermsched.floorplan import AdjacencyGraph, CoreGeometry, Floorplan, PowerProfile
+from thermsched.scheduler import SchedulerConfig, build_session, generate_schedule, screen_cores
+from thermsched.thermal_model import ThermalParams, equivalent_resistance, session_stc
 from thermsched.thermal_sim import (
     RESIDUAL_RTOL,
     NetworkSolveError,
-    ThermalNetwork,
     build_network,
     simulate_session,
     solve_steady_state,
@@ -16,24 +22,25 @@ from thermsched.thermal_sim import (
 from util import random_floorplan, random_profile, random_session, strip_floorplan, uniform_profile
 
 
-# ── network assembly ─────────────────────────────────────────────────────
+def injection_vector(net, session, profile) -> np.ndarray:
+    """``P`` in node order: member test powers, zero elsewhere."""
+    return np.array([profile.power(n) if n in session else 0.0 for n in net.nodes])
+
+
+# ── network compilation ──────────────────────────────────────────────────
 
 
 def test_single_core_network():
     fp = strip_floorplan(1)
     params = ThermalParams(r_vertical_per_area=1.0)  # R_v = 1 for the unit square
-    profile = uniform_profile(fp, power=50.0)
-    net = build_network({"s1"}, fp, profile, params)
+    net = build_network(fp, params)
     assert net.nodes == ("s1",)
+    assert net.position == {"s1": 0}
+    assert net.vertical == (1.0,)
+    assert net.lateral == ((),)
     assert net.conductance.shape == (1, 1)
     assert net.conductance[0, 0] == pytest.approx(1.0)
-    assert net.injections[0] == 50.0
-
-
-def test_all_passive_means_zero_injections():
-    fp = strip_floorplan(3)
-    net = build_network(set(), fp, uniform_profile(fp), ThermalParams())
-    assert np.all(net.injections == 0.0)
+    assert net.ambient == params.t_ambient
 
 
 def test_strip_network_hand_stamped():
@@ -41,8 +48,7 @@ def test_strip_network_hand_stamped():
     # r_v_per_area = 2 -> vertical conductance 0.5 per core
     fp = strip_floorplan(3)
     params = ThermalParams(k_silicon=1.0, die_thickness=1.0, r_vertical_per_area=2.0)
-    profile = uniform_profile(fp, power=10.0)
-    net = build_network({"s2"}, fp, profile, params)
+    net = build_network(fp, params)
     expected = np.array(
         [
             [1.5, -1.0, 0.0],
@@ -51,15 +57,15 @@ def test_strip_network_hand_stamped():
         ]
     )
     assert np.allclose(net.conductance, expected, rtol=0, atol=1e-15)
-    assert list(net.injections) == [0.0, 10.0, 0.0]
+    assert net.vertical == (0.5, 0.5, 0.5)
+    assert net.lateral == (((1, 1.0),), ((0, 1.0), (2, 1.0)), ((1, 1.0),))
 
 
 def test_network_invariants_random():
     rng = np.random.default_rng(41)
     for _ in range(10):
         fp = random_floorplan(rng, int(rng.integers(3, 12)))
-        profile = random_profile(rng, fp)
-        net = build_network(random_session(rng, fp), fp, profile, ThermalParams())
+        net = build_network(fp, ThermalParams())
         g = net.conductance
         assert np.array_equal(g, g.T)
         off = g - np.diag(np.diag(g))
@@ -67,13 +73,71 @@ def test_network_invariants_random():
         # diagonal = vertical conductance + sum of |off-diagonals|
         vertical = np.diag(g) - np.sum(-off, axis=1)
         assert np.all(vertical > 0.0)
+        assert np.allclose(vertical, net.vertical, rtol=1e-12, atol=0)
         assert np.all(np.linalg.eigvalsh(g) > 0.0)
+        # the neighbor lists carry exactly the off-diagonal couplings
+        for i, row in enumerate(net.lateral):
+            assert sorted(j for j, _ in row) == [j for j, _ in row]
+            assert {j: gl for j, gl in row} == {
+                j: -g[i, j] for j in range(len(fp)) if g[i, j] != 0.0 and j != i
+            }
 
 
 def test_unknown_active_core_rejected():
     fp = strip_floorplan(2)
+    net = build_network(fp, ThermalParams())
     with pytest.raises(ValueError, match="nope"):
-        build_network({"nope"}, fp, uniform_profile(fp), ThermalParams())
+        simulate_session({"nope"}, net, uniform_profile(fp))
+
+
+def test_non_positive_definite_raises():
+    # a vertical conductance 300 orders of magnitude below the lateral one
+    # vanishes from the diagonal in floating point: the network floats, and
+    # G is singular
+    fp = strip_floorplan(2)
+    params = ThermalParams(k_silicon=1.0, die_thickness=1.0, r_vertical_per_area=1e300)
+    with pytest.raises(NetworkSolveError, match="positive definite"):
+        build_network(fp, params)
+
+
+def test_factor_once_per_schedule(monkeypatch):
+    calls = []
+    real = thermal_sim.cho_factor
+    monkeypatch.setattr(thermal_sim, "cho_factor", lambda g: calls.append(1) or real(g))
+    rng = np.random.default_rng(59)
+    fp = random_floorplan(rng, 10)
+    profile = random_profile(rng, fp)
+    bcmts = screen_cores(build_network(fp, ThermalParams()), profile, tl=math.inf)
+    calls.clear()
+    config = SchedulerConfig(tl=max(bcmts.values()) + 5.0, stcl=1e3)
+    schedule = generate_schedule(fp, profile, ThermalParams(), config)
+    assert schedule.simulation_effort > schedule.total_length  # discards were solved too
+    assert len(calls) == 1
+
+
+def test_compiled_paths_never_reach_the_adjacency_graph(monkeypatch):
+    rng = np.random.default_rng(71)
+    fp = random_floorplan(rng, 10)
+    profile = random_profile(rng, fp)
+    net = build_network(fp, ThermalParams())
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-session code read the floorplan geometry")
+
+    for name in ("neighbors", "has_edge", "shared_edge", "center_distance", "pairs"):
+        monkeypatch.setattr(AdjacencyGraph, name, forbidden)
+    for module in (thermal_model, thermal_sim):
+        for name in ("lateral_resistance", "vertical_resistance"):
+            monkeypatch.setattr(module, name, forbidden)
+    session = random_session(rng, fp)
+    session_stc(session, profile, None, net)
+    for name in session:
+        equivalent_resistance(name, session, net)
+    simulate_session(session, net, profile)
+    screen_cores(net, profile, tl=math.inf)
+    build_session(set(fp.names), thermal_model.Weights(), 10.0, net, profile)
+    with pytest.raises(AssertionError, match="geometry"):
+        build_network(fp, ThermalParams())  # the compile step does read them
 
 
 # ── solving ──────────────────────────────────────────────────────────────
@@ -83,14 +147,15 @@ def test_single_node_ohms_law():
     # R_v = 1 K/W, P = 50 W, ambient 45 C -> 95 C
     fp = strip_floorplan(1)
     params = ThermalParams(r_vertical_per_area=1.0)
-    result = solve_steady_state(build_network({"s1"}, fp, uniform_profile(fp, 50.0), params))
+    result = simulate_session({"s1"}, build_network(fp, params), uniform_profile(fp, 50.0))
     assert result.temps["s1"] == pytest.approx(95.0, abs=1e-9)
     assert result.peak == ("s1", pytest.approx(95.0))
 
 
 def test_zero_injection_gives_ambient_exactly():
     fp = strip_floorplan(4)
-    result = solve_steady_state(build_network(set(), fp, uniform_profile(fp), ThermalParams()))
+    net = build_network(fp, ThermalParams())
+    result = solve_steady_state(net, np.zeros(len(fp)))
     for temp in result.temps.values():
         assert temp == 45.0
 
@@ -101,7 +166,7 @@ def test_two_node_hand_solution():
     fp = strip_floorplan(2)
     params = ThermalParams(k_silicon=1.0, die_thickness=1.0, r_vertical_per_area=2.0)
     profile = PowerProfile({"s1": (10.0, 1.0), "s2": (0.0, 1.0)}, fp)
-    result = solve_steady_state(build_network({"s1", "s2"}, fp, profile, params))
+    result = simulate_session({"s1", "s2"}, build_network(fp, params), profile)
     assert result.temps["s1"] == pytest.approx(57.0, abs=1e-9)
     assert result.temps["s2"] == pytest.approx(53.0, abs=1e-9)
     # independent cross-check with a generic solver
@@ -116,26 +181,25 @@ def test_residual_bound_on_random_networks():
     for _ in range(30):
         fp = random_floorplan(rng, int(rng.integers(3, 14)))
         profile = random_profile(rng, fp, p_range=(0.0, 5.0))
-        net = build_network(random_session(rng, fp), fp, profile, ThermalParams())
-        result = solve_steady_state(net)
+        net = build_network(fp, ThermalParams())
+        session = random_session(rng, fp)
+        result = simulate_session(session, net, profile)
         rise = np.array([result.temps[n] for n in net.nodes]) - net.ambient
-        residual = np.max(np.abs(net.conductance @ rise - net.injections))
-        assert residual <= RESIDUAL_RTOL * max(1.0, np.max(np.abs(net.injections)))
+        injections = injection_vector(net, session, profile)
+        residual = np.max(np.abs(net.conductance @ rise - injections))
+        assert residual <= RESIDUAL_RTOL * max(1.0, np.max(np.abs(injections)))
 
 
 def test_superposition():
     rng = np.random.default_rng(47)
     fp = random_floorplan(rng, 9)
     params = ThermalParams()
-    p1 = random_profile(rng, fp, p_range=(0.0, 2.0))
-    p2 = random_profile(rng, fp, p_range=(0.0, 2.0))
-    combined = PowerProfile(
-        {n: (p1.power(n) + p2.power(n), 1.0) for n in fp.names}, fp
-    )
-    active = set(fp.names)
-    r1 = solve_steady_state(build_network(active, fp, p1, params))
-    r2 = solve_steady_state(build_network(active, fp, p2, params))
-    r12 = solve_steady_state(build_network(active, fp, combined, params))
+    net = build_network(fp, params)
+    p1 = rng.uniform(0.0, 2.0, size=len(fp))
+    p2 = rng.uniform(0.0, 2.0, size=len(fp))
+    r1 = solve_steady_state(net, p1)
+    r2 = solve_steady_state(net, p2)
+    r12 = solve_steady_state(net, p1 + p2)
     for name in fp.names:
         lhs = r12.temps[name] - params.t_ambient
         rhs = (r1.temps[name] - params.t_ambient) + (r2.temps[name] - params.t_ambient)
@@ -148,6 +212,7 @@ def test_monotone_in_injections():
     params = ThermalParams()
     for _ in range(5):
         fp = random_floorplan(rng, 8)
+        net = build_network(fp, params)
         profile = random_profile(rng, fp)
         hot = fp.names[int(rng.integers(len(fp)))]
         raised = PowerProfile(
@@ -157,22 +222,44 @@ def test_monotone_in_injections():
             },
             fp,
         )
-        base = solve_steady_state(build_network(set(fp.names), fp, profile, params))
-        more = solve_steady_state(build_network(set(fp.names), fp, raised, params))
+        base = simulate_session(set(fp.names), net, profile)
+        more = simulate_session(set(fp.names), net, raised)
         for name in fp.names:
             assert more.temps[name] >= base.temps[name] - 1e-9
 
 
-def test_non_positive_definite_raises():
-    # two nodes with no vertical path: floating network, singular matrix
-    net = ThermalNetwork(
-        nodes=("a", "b"),
-        conductance=np.array([[1.0, -1.0], [-1.0, 1.0]]),
-        injections=np.array([1.0, 0.0]),
-        ambient=45.0,
-    )
-    with pytest.raises(NetworkSolveError, match="positive definite"):
-        solve_steady_state(net)
+@st.composite
+def dies(draw):
+    """A random guillotine die with powers and a random non-empty session."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fp = random_floorplan(rng, draw(st.integers(1, 16)))
+    return fp, random_profile(rng, fp, p_range=(0.0, 4.0)), random_session(rng, fp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dies())
+def test_factor_once_solve_matches_fresh_dense_solve(die):
+    fp, profile, session = die
+    net = build_network(fp, ThermalParams())
+    injections = injection_vector(net, session, profile)
+    expected = np.linalg.solve(net.conductance.copy(), injections)
+    result = simulate_session(session, net, profile)
+    for i, name in enumerate(net.nodes):
+        assert result.temps[name] - net.ambient == pytest.approx(expected[i], rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dies(), st.integers(0, 2**32 - 1))
+def test_temperatures_never_fall_when_a_core_joins(die, pick):
+    fp, profile, session = die
+    outside = [n for n in fp.names if n not in session]
+    if not outside:
+        return
+    net = build_network(fp, ThermalParams())
+    before = simulate_session(session, net, profile)
+    after = simulate_session(session | {outside[pick % len(outside)]}, net, profile)
+    for name in fp.names:
+        assert after.temps[name] >= before.temps[name] - 1e-9  # rounding only
 
 
 # ── sessions ─────────────────────────────────────────────────────────────
@@ -181,7 +268,7 @@ def test_non_positive_definite_raises():
 def test_empty_session_rejected():
     fp = strip_floorplan(2)
     with pytest.raises(ValueError, match="empty"):
-        simulate_session(set(), fp, uniform_profile(fp), ThermalParams())
+        simulate_session(set(), build_network(fp, ThermalParams()), uniform_profile(fp))
 
 
 def test_session_duration_is_longest_member_test():
@@ -189,7 +276,7 @@ def test_session_duration_is_longest_member_test():
     profile = PowerProfile(
         {"s1": (1.0, 0.5), "s2": (1.0, 2.5), "s3": (1.0, 1.0)}, fp
     )
-    result = simulate_session({"s1", "s2"}, fp, profile, ThermalParams())
+    result = simulate_session({"s1", "s2"}, build_network(fp, ThermalParams()), profile)
     assert result.simulated_duration == 2.5
 
 
@@ -204,11 +291,11 @@ def test_far_apart_cores_decouple():
             CoreGeometry("e2", 0.001, 0.001, 0.006, 0.0),
         ]
     )
-    params = ThermalParams()
+    net = build_network(fp, ThermalParams())
     profile = uniform_profile(fp, power=0.8)
-    joint = simulate_session({"w1", "e1"}, fp, profile, params)
-    solo_w = simulate_session({"w1"}, fp, profile, params)
-    solo_e = simulate_session({"e1"}, fp, profile, params)
+    joint = simulate_session({"w1", "e1"}, net, profile)
+    solo_w = simulate_session({"w1"}, net, profile)
+    solo_e = simulate_session({"e1"}, net, profile)
     assert joint.temps["w1"] == pytest.approx(solo_w.temps["w1"], rel=1e-9)
     assert joint.temps["e1"] == pytest.approx(solo_e.temps["e1"], rel=1e-9)
 
@@ -216,7 +303,8 @@ def test_far_apart_cores_decouple():
 def test_peak_reported_for_hot_session():
     fp = strip_floorplan(3)
     profile = PowerProfile({"s1": (0.0, 1.0), "s2": (20.0, 1.0), "s3": (0.0, 1.0)}, fp)
-    result = simulate_session({"s2"}, fp, profile, ThermalParams(k_silicon=1.0, die_thickness=1.0))
+    net = build_network(fp, ThermalParams(k_silicon=1.0, die_thickness=1.0))
+    result = simulate_session({"s2"}, net, profile)
     assert result.peak[0] == "s2"
     assert result.peak[1] == max(result.temps.values())
 
@@ -225,16 +313,17 @@ def test_guiding_model_vs_full_network():
     params = ThermalParams(k_silicon=1.0, die_thickness=1.0, r_vertical_per_area=2.0)
     # isolated single core: no passive neighbors exist, so the cheap model
     # and the full network agree exactly
-    solo = strip_floorplan(1)
-    profile1 = uniform_profile(solo, power=10.0)
-    predicted = params.t_ambient + session_tc("s1", {"s1"}, profile1, solo, params)
-    simulated = simulate_session({"s1"}, solo, profile1, params).temps["s1"]
+    solo = build_network(strip_floorplan(1), params)
+    profile1 = uniform_profile(strip_floorplan(1), power=10.0)
+    predicted = params.t_ambient + 10.0 * equivalent_resistance("s1", {"s1"}, solo)
+    simulated = simulate_session({"s1"}, solo, profile1).temps["s1"]
     assert simulated == pytest.approx(predicted, rel=1e-12)
     # with passive neighbors the grounding assumption is optimistic: the
     # two values differ but both stay finite
     fp = strip_floorplan(3)
+    net = build_network(fp, params)
     profile3 = uniform_profile(fp, power=10.0)
-    predicted = params.t_ambient + session_tc("s2", {"s2"}, profile3, fp, params)
-    simulated = simulate_session({"s2"}, fp, profile3, params).temps["s2"]
+    predicted = params.t_ambient + 10.0 * equivalent_resistance("s2", {"s2"}, net)
+    simulated = simulate_session({"s2"}, net, profile3).temps["s2"]
     assert np.isfinite(predicted) and np.isfinite(simulated)
     assert simulated != pytest.approx(predicted, rel=1e-6)
