@@ -3,9 +3,8 @@
 Each case runs ``python -m thermsched`` in a fresh process and compares its
 standard output with a file under ``tests/golden/``.  The N=400 documents
 are about 3 MB, so only their SHA-256 digests are stored (``*.sha256``).
-The goldens were produced before the compiled thermal network replaced the
-per-session assembly and must never be regenerated to make a change pass: a
-change that alters them alters the schedules, and has to say why.
+Never regenerate the goldens to make a change pass: a change that alters
+them alters the schedules, and has to say why.
 
 The last bits of the N=400 temperatures depend on the BLAS thread count
 (the Cholesky factor is blocked differently), so every case runs with one
