@@ -17,20 +17,20 @@ from .floorplan import (
     build_adjacency,
     parse_floorplan,
     parse_power_profile,
-    shared_edge_length,
 )
 from .scheduler import (
     CORE_ORDERINGS,
     ORDER_FILE,
     ORDER_POWER_WEIGHT_DESC,
+    CompiledDie,
     Schedule,
     SchedulerConfig,
     ScreeningError,
     TestSession,
     build_session,
+    compile_die,
     generate_schedule,
     schedule_to_document,
-    screen_cores,
 )
 from .thermal_model import (
     ThermalParams,
@@ -57,6 +57,7 @@ __all__ = [
     "EPSILON",
     "RESIDUAL_RTOL",
     "AdjacencyGraph",
+    "CompiledDie",
     "CoreGeometry",
     "Floorplan",
     "FloorplanError",
@@ -77,6 +78,7 @@ __all__ = [
     "build_adjacency",
     "build_network",
     "build_session",
+    "compile_die",
     "equivalent_resistance",
     "generate_schedule",
     "lateral_resistance",
@@ -84,9 +86,7 @@ __all__ = [
     "parse_floorplan",
     "parse_power_profile",
     "schedule_to_document",
-    "screen_cores",
     "session_stc",
-    "shared_edge_length",
     "simulate_session",
     "solve_steady_state",
     "vertical_resistance",

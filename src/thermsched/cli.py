@@ -9,7 +9,11 @@ Sweep (writes one CSV row per grid point, row-major over TL then STCL):
     thermsched --floorplan die.flp --power tests.csv \\
                --sweep-tl 145:185:5 --sweep-stcl 20:100:10
 
-Exit codes: 0 success, 1 input error, 2 screening failure.
+A sweep compiles the die and screens its cores once, then schedules every
+grid point on that compiled die; each distinct session is solved once.
+
+Exit codes: 0 success, 1 input error or unsolvable thermal network,
+2 screening failure.
 """
 
 from __future__ import annotations
@@ -29,10 +33,12 @@ from .scheduler import (
     SchedulerConfig,
     ScreeningError,
     check_tl,
+    compile_die,
     generate_schedule,
     schedule_to_document,
 )
 from .thermal_model import ThermalParams, load_thermal_params
+from .thermal_sim import NetworkSolveError
 
 SWEEP_HEADER = "tl_C,stcl,schedule_length_s,simulation_effort_s,max_temperature_C"
 
@@ -198,7 +204,8 @@ def run_single(args) -> int:
         weight_factor=args.weight_factor,
         core_order=args.core_order,
     )
-    schedule = generate_schedule(fp, power, params, config)
+    check_tl(config.tl, params.t_ambient)
+    schedule = generate_schedule(compile_die(fp, power, params), config)
     if args.format == "json":
         payload = json.dumps(schedule_to_document(schedule, config, params), indent=2)
         payload += "\n"
@@ -217,7 +224,7 @@ def run_sweep(args) -> int:
     # validate the whole grid before the first run, so a bad point anywhere
     # fails fast instead of discarding the rows already computed
     for tl in spec.tl_values:
-        check_tl(tl, params)
+        check_tl(tl, params.t_ambient)
     grid = [
         [
             SchedulerConfig(
@@ -230,12 +237,13 @@ def run_sweep(args) -> int:
         ]
         for tl in spec.tl_values
     ]
+    die = compile_die(fp, power, params)
     lines = [SWEEP_HEADER]
     emitted = 0
     for tl, configs in zip(spec.tl_values, grid):
         try:
             for config in configs:
-                schedule = generate_schedule(fp, power, params, config)
+                schedule = generate_schedule(die, config)
                 row = SweepRow(
                     tl=config.tl,
                     stcl=config.stcl,
@@ -271,7 +279,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ScreeningError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (_UsageError, OSError, ValueError) as exc:
+    except (_UsageError, OSError, ValueError, NetworkSolveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

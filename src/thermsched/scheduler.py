@@ -1,12 +1,14 @@
 """Greedy thermal-safe schedule generation with feedback weights.
 
-Two stages:
+Work that no limit changes is done once per die by ``compile_die``: the
+thermal network is compiled, and every core is simulated alone; its steady
+peak is its BCMT (baseline single-core max temperature).  Each schedule
+run then has two stages:
 
-1. Screening: every core is simulated alone; its steady peak is its BCMT
-   (baseline single-core max temperature).  A BCMT at or above the limit TL
-   makes scheduling impossible -- adding concurrent tests only raises
-   temperatures -- so screening fails with a diagnostic naming the offenders
-   and the smallest TL that would pass.
+1. Screening: a BCMT at or above the limit TL makes scheduling impossible
+   -- adding concurrent tests only raises temperatures -- so screening
+   fails with a diagnostic naming the offenders and the smallest TL that
+   would pass.
 2. Session packing: cores are packed greedily into a session while the
    session thermal characteristic stays within STCL, then the session is
    validated by full simulation.  Members whose simulated peak reaches TL
@@ -14,6 +16,11 @@ Two stages:
    and rebuilt from the remaining pool, which steers repeat offenders
    toward emptier sessions.  All simulated session time, discarded sessions
    included, counts as simulation effort; screening time does not.
+
+With the floorplan, parameters and powers fixed, a session's simulated
+temperatures depend only on its member set, so a compiled die remembers
+every validation it has solved, and a TL x STCL sweep solves each distinct
+session once.
 
 The first core entering a session is exempt from the STCL test: screening
 already proved every single-core session safe, and without the exemption a
@@ -25,7 +32,7 @@ repeat offender is forced into a singleton session.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Collection, Mapping
 
 from . import thermal_sim
@@ -100,29 +107,47 @@ class Schedule:
         return max(s.result.peak[1] for s in self.sessions)
 
 
-def check_tl(tl: float, params: ThermalParams) -> None:
-    """Raise ValueError unless the temperature limit lies above ambient."""
-    if not tl > params.t_ambient:
-        raise ValueError(f"temperature limit {tl} C must exceed ambient {params.t_ambient} C")
+@dataclass(frozen=True)
+class CompiledDie:
+    """One floorplan, parameter set and power profile, compiled for scheduling.
 
-
-def screen_cores(net: ThermalNetwork, power: PowerProfile, tl: float) -> dict[str, float]:
-    """Simulate every core alone and return its BCMT.
-
-    Raises ScreeningError listing every core whose BCMT reaches ``tl``,
-    together with the smallest limit that would pass (one solver tolerance
-    above the hottest BCMT).
+    Holds what every schedule run on the die reads and no limit changes:
+    the compiled network, the test powers and every core's BCMT.  The
+    private memo maps each validated member set to its simulation result,
+    so runs that share a die solve each distinct session once.
     """
-    report = {
+
+    net: ThermalNetwork
+    power: PowerProfile
+    bcmt: Mapping[str, float]  # core -> BCMT, deg C
+    _validated: dict[frozenset[str], SimulationResult] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+
+def check_tl(tl: float, ambient: float) -> None:
+    """Raise ValueError unless the temperature limit lies above ambient."""
+    if not tl > ambient:
+        raise ValueError(f"temperature limit {tl} C must exceed ambient {ambient} C")
+
+
+def screen_cores(net: ThermalNetwork, power: PowerProfile) -> dict[str, float]:
+    """Simulate every core alone and return its BCMT, in node order."""
+    return {
         name: simulate_session({name}, net, power).peak[1]
         for name in net.nodes
     }
-    violations = [(name, temp) for name, temp in report.items() if temp >= tl]
-    if violations:
-        worst = max(temp for _, temp in violations)
-        suggested = worst + RESIDUAL_RTOL * max(1.0, abs(worst))
-        raise ScreeningError(violations, suggested)
-    return report
+
+
+def compile_die(fp: Floorplan, power: PowerProfile, params: ThermalParams) -> CompiledDie:
+    """Compile the thermal network and screen every core, once per die.
+
+    Raises NetworkSolveError when the network cannot be factored or a
+    screening solve misses its tolerance.
+    """
+    # looked up on the module, so a wrapper installed there sees every compile
+    net = thermal_sim.build_network(fp, params)
+    return CompiledDie(net=net, power=power, bcmt=screen_cores(net, power))
 
 
 def _ordered(
@@ -166,32 +191,33 @@ def build_session(
     return session
 
 
-def generate_schedule(
-    fp: Floorplan,
-    power: PowerProfile,
-    params: ThermalParams,
-    config: SchedulerConfig,
-) -> Schedule:
+def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
     """Screen, then pack and validate sessions until every core is scheduled.
 
-    The thermal network is compiled once and serves every STC evaluation
-    and every solve.  Deterministic for identical inputs.  Raises
-    ScreeningError when some core is unsafe even alone; after a successful
-    screen the loop always terminates (see module docstring).
+    Deterministic for identical inputs; a validation already solved on
+    ``die`` is reused, not solved again.  Raises ScreeningError listing
+    every core whose BCMT reaches TL, together with the smallest limit that
+    would pass (one solver tolerance above the hottest BCMT); after a
+    successful screen the loop always terminates (see module docstring).
     """
-    check_tl(config.tl, params)
-    # looked up on the module, so a wrapper installed there sees every compile
-    net = thermal_sim.build_network(fp, params)
-    stage1 = screen_cores(net, power, config.tl)
-    remaining = set(fp.names)
+    net, power = die.net, die.power
+    check_tl(config.tl, net.ambient)
+    violations = [(name, temp) for name, temp in die.bcmt.items() if temp >= config.tl]
+    if violations:
+        worst = max(temp for _, temp in violations)
+        suggested = worst + RESIDUAL_RTOL * max(1.0, abs(worst))
+        raise ScreeningError(violations, suggested)
+    remaining = set(net.nodes)
     weights = Weights()
     sessions: list[TestSession] = []
     effort = 0.0
     while remaining:
-        members = build_session(
+        members = frozenset(build_session(
             remaining, weights, config.stcl, net, power, order=config.core_order
-        )
-        result = simulate_session(members, net, power)
+        ))
+        result = die._validated.get(members)
+        if result is None:
+            result = die._validated[members] = simulate_session(members, net, power)
         effort += result.simulated_duration
         violators = [
             name for name in sorted(members) if result.temps[name] >= config.tl
@@ -200,16 +226,14 @@ def generate_schedule(
             # session discarded; its simulated time still counts as effort
             weights = weights.bumped(violators, config.weight_factor)
             continue
-        sessions.append(
-            TestSession(frozenset(members), result.simulated_duration, result)
-        )
+        sessions.append(TestSession(members, result.simulated_duration, result))
         remaining -= members
     total_length = sum(s.duration for s in sessions)
     return Schedule(
         sessions=tuple(sessions),
         total_length=total_length,
         simulation_effort=effort,
-        stage1_report=dict(stage1),
+        stage1_report=dict(die.bcmt),
     )
 
 

@@ -7,7 +7,6 @@ anywhere: the bundled inputs are synthetic, so acceptance is property-based
 plus qualitative trend reproduction on the bundled demo data.
 """
 
-import math
 import time
 from contextlib import contextmanager
 
@@ -22,7 +21,7 @@ from thermsched.assets import (
 )
 from thermsched.cli import main
 from thermsched.floorplan import PowerProfile
-from thermsched.scheduler import SchedulerConfig, generate_schedule, screen_cores
+from thermsched.scheduler import SchedulerConfig, compile_die, generate_schedule
 from thermsched.thermal_model import ThermalParams, equivalent_resistance, session_stc
 from thermsched.thermal_sim import (
     RESIDUAL_RTOL,
@@ -122,10 +121,11 @@ def test_criterion_4_stcl_tradeoff_trend():
     """Tight STCL: longer schedule, less simulation; loose STCL: the reverse."""
     with criterion(4, "STCL trade-off trend", budget_s=60.0):
         fp, power = load_demo15()
+        die = compile_die(fp, power, PARAMS)
         stcl_lo, stcl_hi = 20.0, 100.0
         for tl in (145.0, 165.0, 185.0):
-            tight = generate_schedule(fp, power, PARAMS, SchedulerConfig(tl=tl, stcl=stcl_lo))
-            loose = generate_schedule(fp, power, PARAMS, SchedulerConfig(tl=tl, stcl=stcl_hi))
+            tight = generate_schedule(die, SchedulerConfig(tl=tl, stcl=stcl_lo))
+            loose = generate_schedule(die, SchedulerConfig(tl=tl, stcl=stcl_hi))
             assert tight.total_length >= loose.total_length
             assert loose.simulation_effort >= tight.simulation_effort
 
@@ -134,18 +134,18 @@ def test_criterion_5_effort_identity():
     """No discarded session <=> simulation effort equals schedule length."""
     with criterion(5, "effort identity", budget_s=10.0):
         fp, power = load_demo15()
+        die = compile_die(fp, power, PARAMS)
         # tight STCL and generous TL: every session passes on first try
-        clean = generate_schedule(fp, power, PARAMS, SchedulerConfig(tl=260.0, stcl=20.0))
+        clean = generate_schedule(die, SchedulerConfig(tl=260.0, stcl=20.0))
         assert clean.simulation_effort == clean.total_length
 
         # engineered violation: a TL between the worst single-core
         # temperature and the first packed session's peak forces a discard
-        net = build_network(fp, PARAMS)
-        bcmts = screen_cores(net, power, tl=math.inf)
-        big_session = simulate_session(set(fp.names), net, power)
+        bcmts = die.bcmt
+        big_session = simulate_session(set(fp.names), die.net, power)
         assert big_session.peak[1] > max(bcmts.values()) + 10.0
         tl = (max(bcmts.values()) + big_session.peak[1]) / 2.0
-        violating = generate_schedule(fp, power, PARAMS, SchedulerConfig(tl=tl, stcl=1e6))
+        violating = generate_schedule(die, SchedulerConfig(tl=tl, stcl=1e6))
         assert violating.simulation_effort > violating.total_length
 
 
@@ -156,14 +156,14 @@ def test_criterion_6_schedule_validity_randomized():
         for _ in range(200):
             fp = random_floorplan(rng, int(rng.integers(5, 14)))
             profile = random_profile(rng, fp)
-            net = build_network(fp, PARAMS)
-            bcmts = screen_cores(net, profile, tl=math.inf)
-            singles = [session_stc({n}, profile, None, net) for n in fp.names]
+            die = compile_die(fp, profile, PARAMS)
+            bcmts = die.bcmt
+            singles = [session_stc({n}, profile, None, die.net) for n in fp.names]
             config = SchedulerConfig(
                 tl=max(bcmts.values()) + float(rng.uniform(3.0, 50.0)),
                 stcl=max(1e-9, float(np.median(singles)) * float(rng.uniform(0.4, 4.0))),
             )
-            schedule = generate_schedule(fp, profile, PARAMS, config)
+            schedule = generate_schedule(die, config)
             covered = sorted(n for s in schedule.sessions for n in s.cores)
             assert covered == sorted(fp.names)
             for s in schedule.sessions:

@@ -1,11 +1,22 @@
 """Command-line interface tests."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thermsched.assets import demo15_floorplan_path, demo15_power_path
-from thermsched.cli import SWEEP_HEADER, _parse_axis, main
+from thermsched import cli, scheduler, thermal_sim
+from thermsched.assets import demo15_floorplan_path, demo15_power_path, load_demo15
+from thermsched.cli import SWEEP_HEADER, SweepRow, _parse_axis, main
+from thermsched.scheduler import SchedulerConfig, ScreeningError, compile_die, generate_schedule
+from thermsched.thermal_model import ThermalParams, session_stc
+from util import random_floorplan, random_profile
 
 
 FLP_3 = """\
@@ -120,6 +131,21 @@ def test_single_run_screening_failure_exit_2(three_core_files, capsys):
     assert "screening failed" in err
     assert "b:" in err  # the hottest core is named with its temperature
     assert "raise the temperature limit" in err
+
+
+def test_unsolvable_network_exit_1(capsys):
+    # a vertical resistance this large vanishes from G's diagonal, so the
+    # first screening solve misses its residual tolerance
+    code = main(
+        ["--floorplan", str(demo15_floorplan_path()), "--power", str(demo15_power_path()),
+         "--tl", "165", "--stcl", "60", "--r-vertical", "1e300"]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: solve residual")
 
 
 def test_missing_floorplan_exit_1(capsys):
@@ -248,8 +274,6 @@ def test_sweep_all_tls_failing_exit_2(three_core_files, capsys):
 def test_sweep_bad_grid_point_fails_before_any_run(
     three_core_files, tmp_path, monkeypatch, capsys, sweep_tl, sweep_stcl, message
 ):
-    from thermsched import cli
-
     runs = []
     real = cli.generate_schedule
     monkeypatch.setattr(cli, "generate_schedule", lambda *args: runs.append(args) or real(*args))
@@ -289,3 +313,98 @@ def test_sweep_on_bundled_demo_assets(tmp_path):
     tl, stcl, length, effort, max_temp = (float(x) for x in row.split(","))
     assert (tl, stcl) == (165.0, 30.0)
     assert max_temp < 165.0
+
+
+# ── sweep engine ─────────────────────────────────────────────────────────
+
+
+@st.composite
+def sweep_cases(draw):
+    """A small random die and a TL x STCL grid on it with one TL that fails
+    screening, placed anywhere in the TL axis."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fp = random_floorplan(rng, draw(st.integers(2, 8)))
+    profile = random_profile(rng, fp)
+    die = compile_die(fp, profile, ThermalParams())
+    hottest = max(die.bcmt.values())
+    failing = die.net.ambient + draw(st.floats(0.05, 1.0)) * (hottest - die.net.ambient)
+    passing = [hottest + d for d in draw(st.lists(st.floats(0.5, 40.0), min_size=1, max_size=3))]
+    tls = draw(st.permutations(passing + [failing]))
+    median = float(np.median([session_stc({n}, profile, None, die.net) for n in fp.names]))
+    stcls = [median * f for f in draw(st.lists(st.floats(0.4, 4.0), min_size=1, max_size=3))]
+    return fp, profile, tls, stcls
+
+
+@settings(max_examples=25, deadline=None)
+@given(sweep_cases())
+def test_sweep_matches_fresh_runs_at_every_point(case):
+    fp, profile, tls, stcls = case
+    expected_rows, expected_err = [SWEEP_HEADER], []
+    for tl in tls:
+        try:
+            for stcl in stcls:
+                die = compile_die(fp, profile, ThermalParams())
+                schedule = generate_schedule(die, SchedulerConfig(tl=tl, stcl=stcl))
+                expected_rows.append(SweepRow(
+                    tl, stcl, schedule.total_length, schedule.simulation_effort,
+                    schedule.max_temperature,
+                ).csv_line())
+        except ScreeningError as exc:
+            expected_err.append(f"skipping TL={tl:g}: {exc}")
+    with tempfile.TemporaryDirectory() as tmp:
+        flp, power, out = Path(tmp) / "die.flp", Path(tmp) / "power.csv", Path(tmp) / "sweep.csv"
+        flp.write_text(fp.to_text())
+        power.write_text("".join(
+            f"{n},{profile.power(n)!r},{profile.duration(n)!r}\n" for n in fp.names
+        ))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(
+                ["--floorplan", str(flp), "--power", str(power),
+                 "--sweep-tl", ",".join(map(repr, tls)),
+                 "--sweep-stcl", ",".join(map(repr, stcls)), "--out", str(out)]
+            )
+        assert code == 0
+        assert out.read_bytes() == ("\n".join(expected_rows) + "\n").encode()
+    assert err.getvalue().splitlines() == expected_err
+
+
+def test_sweep_compiles_screens_and_validates_each_session_once(tmp_path, monkeypatch):
+    factors, solved, built, solved_at_compile = [], [], [], []
+    real_factor = thermal_sim.cho_factor
+    real_simulate = scheduler.simulate_session
+    real_build = scheduler.build_session
+    real_compile = cli.compile_die
+
+    def simulate(members, *args):
+        solved.append(frozenset(members))
+        return real_simulate(members, *args)
+
+    def build(*args, **kwargs):
+        session = real_build(*args, **kwargs)
+        built.append(frozenset(session))
+        return session
+
+    def compile_die_(*args):
+        die = real_compile(*args)
+        solved_at_compile.append(len(solved))
+        return die
+
+    monkeypatch.setattr(thermal_sim, "cho_factor", lambda g: factors.append(g) or real_factor(g))
+    monkeypatch.setattr(scheduler, "simulate_session", simulate)
+    monkeypatch.setattr(scheduler, "build_session", build)
+    monkeypatch.setattr(cli, "compile_die", compile_die_)
+    code = main(
+        ["--floorplan", str(demo15_floorplan_path()), "--power", str(demo15_power_path()),
+         "--sweep-tl", "145:185:5", "--sweep-stcl", "20:100:10",
+         "--out", str(tmp_path / "sweep.csv")]
+    )
+    assert code == 0
+    assert len(factors) == 1
+    assert len(solved_at_compile) == 1
+    screening, validations = solved[:solved_at_compile[0]], solved[solved_at_compile[0]:]
+    fp, _ = load_demo15()
+    assert screening == [frozenset({name}) for name in fp.names]
+    # every packed session is validated exactly once, however often it recurs
+    assert sorted(validations, key=sorted) == sorted(set(built), key=sorted)
+    assert len(built) > len(validations)

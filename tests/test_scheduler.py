@@ -11,6 +11,7 @@ from thermsched.scheduler import (
     SchedulerConfig,
     ScreeningError,
     build_session,
+    compile_die,
     generate_schedule,
     schedule_to_document,
     screen_cores,
@@ -38,7 +39,7 @@ def isolated_pair_floorplan() -> Floorplan:
 def test_screen_all_cores_pass():
     fp = strip_floorplan(3)
     net = build_network(fp, STRIP_PARAMS)
-    report = screen_cores(net, uniform_profile(fp, power=1.0), tl=100.0)
+    report = screen_cores(net, uniform_profile(fp, power=1.0))
     assert set(report) == {"s1", "s2", "s3"}
     assert all(temp < 100.0 for temp in report.values())
 
@@ -46,7 +47,7 @@ def test_screen_all_cores_pass():
 def test_screen_zero_power_cores_sit_at_ambient():
     fp = strip_floorplan(3)
     net = build_network(fp, STRIP_PARAMS)
-    report = screen_cores(net, uniform_profile(fp, power=0.0), tl=50.0)
+    report = screen_cores(net, uniform_profile(fp, power=0.0))
     assert all(temp == STRIP_PARAMS.t_ambient for temp in report.values())
 
 
@@ -55,22 +56,24 @@ def test_screen_names_exactly_the_offender():
     # ambient + P * R_v = 45 + 30 * 2 = 105 C
     fp = isolated_pair_floorplan()
     profile = PowerProfile({"cool": (1.0, 1.0), "hot": (30.0, 1.0)}, fp)
-    net = build_network(fp, STRIP_PARAMS)
+    die = compile_die(fp, profile, STRIP_PARAMS)
     with pytest.raises(ScreeningError) as err:
-        screen_cores(net, profile, tl=100.0)
+        generate_schedule(die, SchedulerConfig(tl=100.0, stcl=10.0))
     assert [name for name, _ in err.value.violations] == ["hot"]
     bcmt = dict(err.value.violations)["hot"]
     assert bcmt == pytest.approx(105.0, abs=1e-9)
     # the suggested limit is just above the worst BCMT and actually passes
     assert err.value.suggested_tl > bcmt
-    screen_cores(net, profile, tl=err.value.suggested_tl)
+    generate_schedule(die, SchedulerConfig(tl=err.value.suggested_tl, stcl=10.0))
 
 
 def test_generate_schedule_propagates_screening_failure():
     fp = isolated_pair_floorplan()
     profile = PowerProfile({"cool": (1.0, 1.0), "hot": (30.0, 1.0)}, fp)
     with pytest.raises(ScreeningError):
-        generate_schedule(fp, profile, STRIP_PARAMS, SchedulerConfig(tl=100.0, stcl=10.0))
+        generate_schedule(
+            compile_die(fp, profile, STRIP_PARAMS), SchedulerConfig(tl=100.0, stcl=10.0)
+        )
 
 
 # ── session packing ──────────────────────────────────────────────────────
@@ -130,7 +133,8 @@ def test_build_session_requires_available_cores():
 def test_single_core_schedule():
     fp = strip_floorplan(1)
     profile = uniform_profile(fp, power=1.0, duration=2.5)
-    schedule = generate_schedule(fp, profile, STRIP_PARAMS, SchedulerConfig(tl=60.0, stcl=50.0))
+    config = SchedulerConfig(tl=60.0, stcl=50.0)
+    schedule = generate_schedule(compile_die(fp, profile, STRIP_PARAMS), config)
     assert len(schedule.sessions) == 1
     assert schedule.sessions[0].cores == frozenset({"s1"})
     assert schedule.total_length == 2.5
@@ -143,7 +147,7 @@ def test_no_violations_means_effort_equals_length():
     # generous TL, tight STCL: first-attempt success for every session
     single = session_stc({"s1"}, profile, None, build_network(fp, STRIP_PARAMS))
     config = SchedulerConfig(tl=200.0, stcl=single * 0.9)
-    schedule = generate_schedule(fp, profile, STRIP_PARAMS, config)
+    schedule = generate_schedule(compile_die(fp, profile, STRIP_PARAMS), config)
     assert schedule.simulation_effort == schedule.total_length
     assert len(schedule.sessions) == 4  # singletons
 
@@ -153,14 +157,15 @@ def test_engineered_violation_grows_effort():
     # session exceeds the limit, forcing discards before a safe schedule
     fp = strip_floorplan(3)
     profile = PowerProfile({"s1": (1.0, 1.0), "s2": (8.0, 1.0), "s3": (1.0, 1.0)}, fp)
-    net = build_network(fp, STRIP_PARAMS)
-    full_peak = simulate_session(set(fp.names), net, profile).peak[1]
-    pair_peaks = [simulate_session({"s2", other}, net, profile).peak[1] for other in ("s1", "s3")]
-    bcmts = screen_cores(net, profile, tl=math.inf)
-    assert max(bcmts.values()) < max(pair_peaks) < full_peak
+    die = compile_die(fp, profile, STRIP_PARAMS)
+    full_peak = simulate_session(set(fp.names), die.net, profile).peak[1]
+    pair_peaks = [
+        simulate_session({"s2", other}, die.net, profile).peak[1] for other in ("s1", "s3")
+    ]
+    assert max(die.bcmt.values()) < max(pair_peaks) < full_peak
     tl = (max(pair_peaks) + full_peak) / 2.0
     config = SchedulerConfig(tl=tl, stcl=200.0)
-    schedule = generate_schedule(fp, profile, STRIP_PARAMS, config)
+    schedule = generate_schedule(die, config)
     assert schedule.simulation_effort > schedule.total_length
     assert schedule.max_temperature < tl
     covered = sorted(name for s in schedule.sessions for name in s.cores)
@@ -171,10 +176,10 @@ def test_schedule_is_deterministic():
     rng = np.random.default_rng(61)
     fp = random_floorplan(rng, 10)
     profile = random_profile(rng, fp)
-    bcmts = screen_cores(build_network(fp, ThermalParams()), profile, tl=math.inf)
+    bcmts = screen_cores(build_network(fp, ThermalParams()), profile)
     config = SchedulerConfig(tl=max(bcmts.values()) + 10.0, stcl=30.0)
-    a = generate_schedule(fp, profile, ThermalParams(), config)
-    b = generate_schedule(fp, profile, ThermalParams(), config)
+    a = generate_schedule(compile_die(fp, profile, ThermalParams()), config)
+    b = generate_schedule(compile_die(fp, profile, ThermalParams()), config)
     assert [s.cores for s in a.sessions] == [s.cores for s in b.sessions]
     assert a.total_length == b.total_length
     assert a.simulation_effort == b.simulation_effort
@@ -185,7 +190,7 @@ def test_uniform_durations_make_length_count_sessions():
     fp = strip_floorplan(4)
     profile = uniform_profile(fp, power=1.0, duration=1.0)
     config = SchedulerConfig(tl=200.0, stcl=5.0)
-    schedule = generate_schedule(fp, profile, STRIP_PARAMS, config)
+    schedule = generate_schedule(compile_die(fp, profile, STRIP_PARAMS), config)
     assert schedule.total_length == len(schedule.sessions)
 
 
@@ -194,15 +199,13 @@ def test_random_schedules_partition_and_stay_safe():
     for _ in range(15):
         fp = random_floorplan(rng, int(rng.integers(4, 10)))
         profile = random_profile(rng, fp)
-        params = ThermalParams()
-        net = build_network(fp, params)
-        bcmts = screen_cores(net, profile, tl=math.inf)
-        singles = [session_stc({n}, profile, None, net) for n in fp.names]
+        die = compile_die(fp, profile, ThermalParams())
+        singles = [session_stc({n}, profile, None, die.net) for n in fp.names]
         config = SchedulerConfig(
-            tl=max(bcmts.values()) + float(rng.uniform(3.0, 40.0)),
+            tl=max(die.bcmt.values()) + float(rng.uniform(3.0, 40.0)),
             stcl=float(np.median(singles)) * float(rng.uniform(0.5, 4.0)),
         )
-        schedule = generate_schedule(fp, profile, params, config)
+        schedule = generate_schedule(die, config)
         covered = sorted(name for s in schedule.sessions for name in s.cores)
         assert covered == sorted(fp.names)
         for s in schedule.sessions:
@@ -230,7 +233,7 @@ def test_generate_rejects_tl_below_ambient():
     fp = strip_floorplan(2)
     with pytest.raises(ValueError, match="ambient"):
         generate_schedule(
-            fp, uniform_profile(fp), STRIP_PARAMS, SchedulerConfig(tl=40.0, stcl=10.0)
+            compile_die(fp, uniform_profile(fp), STRIP_PARAMS), SchedulerConfig(tl=40.0, stcl=10.0)
         )
 
 
@@ -243,7 +246,7 @@ def test_schedule_document_is_json_ready():
     fp = strip_floorplan(3)
     profile = uniform_profile(fp, power=1.0)
     config = SchedulerConfig(tl=150.0, stcl=10.0)
-    schedule = generate_schedule(fp, profile, STRIP_PARAMS, config)
+    schedule = generate_schedule(compile_die(fp, profile, STRIP_PARAMS), config)
     doc = schedule_to_document(schedule, config, STRIP_PARAMS)
     text = json.dumps(doc)  # must not raise
     parsed = json.loads(text)

@@ -1,7 +1,5 @@
 """Compiled thermal network and full-network steady-state simulator tests."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,13 @@ from hypothesis import strategies as st
 
 from thermsched import thermal_model, thermal_sim
 from thermsched.floorplan import AdjacencyGraph, CoreGeometry, Floorplan, PowerProfile
-from thermsched.scheduler import SchedulerConfig, build_session, generate_schedule, screen_cores
+from thermsched.scheduler import (
+    SchedulerConfig,
+    build_session,
+    compile_die,
+    generate_schedule,
+    screen_cores,
+)
 from thermsched.thermal_model import ThermalParams, equivalent_resistance, session_stc
 from thermsched.thermal_sim import (
     RESIDUAL_RTOL,
@@ -107,10 +111,10 @@ def test_factor_once_per_schedule(monkeypatch):
     rng = np.random.default_rng(59)
     fp = random_floorplan(rng, 10)
     profile = random_profile(rng, fp)
-    bcmts = screen_cores(build_network(fp, ThermalParams()), profile, tl=math.inf)
+    bcmts = screen_cores(build_network(fp, ThermalParams()), profile)
     calls.clear()
     config = SchedulerConfig(tl=max(bcmts.values()) + 5.0, stcl=1e3)
-    schedule = generate_schedule(fp, profile, ThermalParams(), config)
+    schedule = generate_schedule(compile_die(fp, profile, ThermalParams()), config)
     assert schedule.simulation_effort > schedule.total_length  # discards were solved too
     assert len(calls) == 1
 
@@ -134,7 +138,7 @@ def test_compiled_paths_never_reach_the_adjacency_graph(monkeypatch):
     for name in session:
         equivalent_resistance(name, session, net)
     simulate_session(session, net, profile)
-    screen_cores(net, profile, tl=math.inf)
+    screen_cores(net, profile)
     build_session(set(fp.names), thermal_model.Weights(), 10.0, net, profile)
     with pytest.raises(AssertionError, match="geometry"):
         build_network(fp, ThermalParams())  # the compile step does read them
