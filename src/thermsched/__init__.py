@@ -7,14 +7,11 @@ before it is accepted.
 """
 
 from .floorplan import (
-    EPSILON,
-    AdjacencyGraph,
     CoreGeometry,
     Floorplan,
     FloorplanError,
     PowerProfile,
     PowerProfileError,
-    build_adjacency,
     parse_floorplan,
     parse_power_profile,
 )
@@ -36,10 +33,8 @@ from .thermal_model import (
     ThermalParams,
     Weights,
     equivalent_resistance,
-    lateral_resistance,
     load_thermal_params,
     session_stc,
-    vertical_resistance,
 )
 from .thermal_sim import (
     RESIDUAL_RTOL,
@@ -54,9 +49,7 @@ from .thermal_sim import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EPSILON",
     "RESIDUAL_RTOL",
-    "AdjacencyGraph",
     "CompiledDie",
     "CoreGeometry",
     "Floorplan",
@@ -75,13 +68,11 @@ __all__ = [
     "CORE_ORDERINGS",
     "ORDER_FILE",
     "ORDER_POWER_WEIGHT_DESC",
-    "build_adjacency",
     "build_network",
     "build_session",
     "compile_die",
     "equivalent_resistance",
     "generate_schedule",
-    "lateral_resistance",
     "load_thermal_params",
     "parse_floorplan",
     "parse_power_profile",
@@ -89,5 +80,4 @@ __all__ = [
     "session_stc",
     "simulate_session",
     "solve_steady_state",
-    "vertical_resistance",
 ]

@@ -44,18 +44,6 @@ SWEEP_HEADER = "tl_C,stcl,schedule_length_s,simulation_effort_s,max_temperature_
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """Grid of (TL, STCL) points to evaluate, in row-major order over TL."""
-
-    tl_values: tuple[float, ...]
-    stcl_values: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.tl_values or not self.stcl_values:
-            raise ValueError("sweep grid needs at least one TL and one STCL value")
-
-
-@dataclass(frozen=True)
 class SweepRow:
     """One evaluated sweep grid point, matching SWEEP_HEADER column for column."""
 
@@ -217,13 +205,11 @@ def run_single(args) -> int:
 
 def run_sweep(args) -> int:
     fp, power, params = _load_inputs(args)
-    spec = SweepSpec(
-        tl_values=tuple(_parse_axis(args.sweep_tl)),
-        stcl_values=tuple(_parse_axis(args.sweep_stcl)),
-    )
+    tl_values = tuple(_parse_axis(args.sweep_tl))
+    stcl_values = tuple(_parse_axis(args.sweep_stcl))
     # validate the whole grid before the first run, so a bad point anywhere
     # fails fast instead of discarding the rows already computed
-    for tl in spec.tl_values:
+    for tl in tl_values:
         check_tl(tl, params.t_ambient)
     grid = [
         [
@@ -233,14 +219,14 @@ def run_sweep(args) -> int:
                 weight_factor=args.weight_factor,
                 core_order=args.core_order,
             )
-            for stcl in spec.stcl_values
+            for stcl in stcl_values
         ]
-        for tl in spec.tl_values
+        for tl in tl_values
     ]
     die = compile_die(fp, power, params)
     lines = [SWEEP_HEADER]
     emitted = 0
-    for tl, configs in zip(spec.tl_values, grid):
+    for tl, configs in zip(tl_values, grid):
         try:
             for config in configs:
                 schedule = generate_schedule(die, config)

@@ -40,6 +40,16 @@ class CoreGeometry:
     left_x: float
     bottom_y: float
 
+    def __post_init__(self):
+        values = (self.width, self.height, self.left_x, self.bottom_y)
+        if not all(math.isfinite(v) for v in values):
+            raise FloorplanError(f"core {self.name!r} has non-finite geometry")
+        if not (self.width > 0 and self.height > 0):
+            raise FloorplanError(
+                f"core {self.name!r} has non-positive dimensions "
+                f"({self.width} x {self.height})"
+            )
+
     @property
     def right_x(self) -> float:
         return self.left_x + self.width
@@ -74,53 +84,19 @@ def shared_edge_length(a: CoreGeometry, b: CoreGeometry) -> float:
     return 0.0
 
 
-@dataclass(frozen=True)
-class AdjacencyEdge:
-    """Geometry of one adjacent core pair."""
-
-    shared_edge: float
-    center_distance: float
-
-
 class AdjacencyGraph:
-    """Symmetric adjacency geometry derived from a floorplan.
+    """Adjacent core pairs of a floorplan and the geometry of each contact.
 
-    Stores, for every pair of cores sharing more than EPSILON of edge, the
-    shared edge length and the Euclidean distance between core centers.
+    ``pairs()`` yields ``(a, b, shared_edge, center_distance)`` once for
+    every pair of cores sharing more than EPSILON of edge, in floorplan
+    order: by the index of ``a``, then of ``b``, with ``a`` before ``b``.
     """
 
-    def __init__(
-        self,
-        edges: Mapping[tuple[str, str], AdjacencyEdge],
-        neighbors: Mapping[str, tuple[str, ...]],
-        ordered_pairs: tuple[tuple[str, str], ...],
-    ):
-        self._edges = dict(edges)
-        self._neighbors = dict(neighbors)
-        self._ordered_pairs = ordered_pairs
+    def __init__(self, pairs: Iterable[tuple[str, str, float, float]]):
+        self._pairs = tuple(pairs)
 
-    def neighbors(self, name: str) -> tuple[str, ...]:
-        """Cores adjacent to ``name``, in floorplan order."""
-        return self._neighbors[name]
-
-    def has_edge(self, a: str, b: str) -> bool:
-        return (a, b) in self._edges
-
-    def _edge(self, a: str, b: str) -> AdjacencyEdge:
-        try:
-            return self._edges[(a, b)]
-        except KeyError:
-            raise ValueError(f"cores {a!r} and {b!r} are not adjacent") from None
-
-    def shared_edge(self, a: str, b: str) -> float:
-        return self._edge(a, b).shared_edge
-
-    def center_distance(self, a: str, b: str) -> float:
-        return self._edge(a, b).center_distance
-
-    def pairs(self) -> Iterator[tuple[str, str]]:
-        """Each adjacent pair once, in deterministic floorplan order."""
-        return iter(self._ordered_pairs)
+    def pairs(self) -> Iterator[tuple[str, str, float, float]]:
+        return iter(self._pairs)
 
 
 class Floorplan:
@@ -132,14 +108,6 @@ class Floorplan:
             raise FloorplanError("floorplan has no cores")
         by_name: dict[str, CoreGeometry] = {}
         for core in cores:
-            values = (core.width, core.height, core.left_x, core.bottom_y)
-            if not all(math.isfinite(v) for v in values):
-                raise FloorplanError(f"core {core.name!r} has non-finite geometry")
-            if not (core.width > 0 and core.height > 0):
-                raise FloorplanError(
-                    f"core {core.name!r} has non-positive dimensions "
-                    f"({core.width} x {core.height})"
-                )
             if core.name in by_name:
                 raise FloorplanError(f"duplicate core id {core.name!r}")
             by_name[core.name] = core
@@ -212,12 +180,12 @@ def _check_overlaps(cores: tuple[CoreGeometry, ...]) -> None:
 def parse_floorplan(source: str | IO[str]) -> Floorplan:
     """Parse floorplan text: ``name width height left_x bottom_y`` per record.
 
-    Raises FloorplanError with a line number for malformed records, and for
-    duplicate ids, non-positive dimensions, or overlapping rectangles.
+    Raises FloorplanError with a line number for malformed records and
+    invalid core geometry, and without one for duplicate ids or overlapping
+    rectangles, which only the whole floorplan can show.
     """
     text = source.read() if hasattr(source, "read") else source
     cores: list[CoreGeometry] = []
-    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -228,22 +196,28 @@ def parse_floorplan(source: str | IO[str]) -> Floorplan:
                 f"line {lineno}: expected 'name width height left_x bottom_y', "
                 f"got {raw!r}"
             )
-        name = fields[0]
         try:
             width, height, left_x, bottom_y = (float(v) for v in fields[1:])
         except ValueError:
             raise FloorplanError(f"line {lineno}: non-numeric field in {raw!r}") from None
-        if name in seen:
-            raise FloorplanError(f"line {lineno}: duplicate core id {name!r}")
-        if not all(math.isfinite(v) for v in (width, height, left_x, bottom_y)):
-            raise FloorplanError(f"line {lineno}: core {name!r} has non-finite geometry")
-        if not (width > 0 and height > 0):
-            raise FloorplanError(
-                f"line {lineno}: core {name!r} has non-positive dimensions"
-            )
-        seen.add(name)
-        cores.append(CoreGeometry(name, width, height, left_x, bottom_y))
+        try:
+            cores.append(CoreGeometry(fields[0], width, height, left_x, bottom_y))
+        except FloorplanError as exc:
+            raise FloorplanError(f"line {lineno}: {exc}") from None
     return Floorplan(cores)
+
+
+def _check_test_values(name: str, power: float, duration: float) -> None:
+    """Reject a test power that is not finite and >= 0, or a duration that is
+    not finite and > 0."""
+    if not (math.isfinite(power) and power >= 0):
+        raise PowerProfileError(
+            f"core {name!r} has invalid test power {power}; need a finite value >= 0"
+        )
+    if not (math.isfinite(duration) and duration > 0):
+        raise PowerProfileError(
+            f"core {name!r} has invalid test duration {duration}; need a finite value > 0"
+        )
 
 
 class PowerProfile:
@@ -257,23 +231,12 @@ class PowerProfile:
         if missing:
             raise PowerProfileError(f"no power entry for core(s): {', '.join(missing)}")
         for name, (power, duration) in entries.items():
-            if not (math.isfinite(power) and power >= 0):
-                raise PowerProfileError(
-                    f"core {name!r} has invalid test power {power}; need a finite value >= 0"
-                )
-            if not (math.isfinite(duration) and duration > 0):
-                raise PowerProfileError(
-                    f"core {name!r} has invalid test duration {duration}; need a finite value > 0"
-                )
+            _check_test_values(name, power, duration)
         # store in floorplan order for deterministic iteration
         self._entries = {
             name: (float(entries[name][0]), float(entries[name][1]))
             for name in floorplan.names
         }
-
-    @property
-    def entries(self) -> Mapping[str, tuple[float, float]]:
-        return dict(self._entries)
 
     def power(self, name: str) -> float:
         try:
@@ -323,14 +286,10 @@ def parse_power_profile(source: str | IO[str], floorplan: Floorplan) -> PowerPro
             raise PowerProfileError(
                 f"line {lineno}: non-numeric field in {raw!r}"
             ) from None
-        if not (math.isfinite(power) and power >= 0):
-            raise PowerProfileError(
-                f"line {lineno}: core {name!r} has invalid test power {power}"
-            )
-        if not (math.isfinite(duration) and duration > 0):
-            raise PowerProfileError(
-                f"line {lineno}: core {name!r} has invalid test duration {duration}"
-            )
+        try:
+            _check_test_values(name, power, duration)
+        except PowerProfileError as exc:
+            raise PowerProfileError(f"line {lineno}: {exc}") from None
         entries[name] = (power, duration)
     return PowerProfile(entries, floorplan)
 
@@ -338,30 +297,15 @@ def parse_power_profile(source: str | IO[str], floorplan: Floorplan) -> PowerPro
 def build_adjacency(floorplan: Floorplan) -> AdjacencyGraph:
     """Derive the adjacency graph: pairs sharing more than EPSILON of edge.
 
-    Corner contact is not adjacency.  Edges carry the shared edge length and
-    the center-to-center distance; both are symmetric.
+    Corner contact is not adjacency.  Each pair carries its shared edge
+    length and the distance between the two core centers.
     """
-    edges: dict[tuple[str, str], AdjacencyEdge] = {}
-    neighbors: dict[str, list[str]] = {core.name: [] for core in floorplan}
-    ordered_pairs: list[tuple[str, str]] = []
+    pairs: list[tuple[str, str, float, float]] = []
     cores = floorplan.cores
     for i in range(len(cores)):
         for j in range(i + 1, len(cores)):
             a, b = cores[i], cores[j]
             length = shared_edge_length(a, b)
-            if length <= EPSILON:
-                continue
-            edge = AdjacencyEdge(
-                shared_edge=length,
-                center_distance=math.dist(a.center, b.center),
-            )
-            edges[(a.name, b.name)] = edge
-            edges[(b.name, a.name)] = edge
-            neighbors[a.name].append(b.name)
-            neighbors[b.name].append(a.name)
-            ordered_pairs.append((a.name, b.name))
-    return AdjacencyGraph(
-        edges,
-        {k: tuple(v) for k, v in neighbors.items()},
-        tuple(ordered_pairs),
-    )
+            if length > EPSILON:
+                pairs.append((a.name, b.name, length, math.dist(a.center, b.center)))
+    return AdjacencyGraph(pairs)

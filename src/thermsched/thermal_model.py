@@ -15,9 +15,10 @@ scalars that guide session packing:
 where ``W(i)`` are packing weights, initially 1, that the scheduler raises
 for cores caught exceeding the temperature limit.
 
-The path resistances are evaluated once per floorplan and parameter set,
-when ``thermal_sim.build_network`` compiles them into conductances;
-``equivalent_resistance`` and ``session_stc`` read that compiled network.
+The path resistances exist only as conductances: ``thermal_sim.build_network``
+derives them from the floorplan geometry once per floorplan and parameter
+set, and ``equivalent_resistance`` and ``session_stc`` read that compiled
+network.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import IO, TYPE_CHECKING, Collection, Iterable, Mapping
 
-from .floorplan import Floorplan, PowerProfile
+from .floorplan import PowerProfile
 
 if TYPE_CHECKING:
     from .thermal_sim import ThermalNetwork
@@ -108,29 +109,8 @@ class Weights:
             values[name] = values.get(name, 1.0) * factor
         return Weights(values)
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(self._values)
-
     def __repr__(self) -> str:
         return f"Weights({self._values!r})"
-
-
-def lateral_resistance(a: str, b: str, fp: Floorplan, params: ThermalParams) -> float:
-    """In-die conduction resistance between two adjacent cores, K/W.
-
-    1-D approximation: center distance over (conductivity * die thickness *
-    shared edge length).  Symmetric in the pair; raises ValueError for
-    non-adjacent cores.
-    """
-    adj = fp.adjacency()
-    return adj.center_distance(a, b) / (
-        params.k_silicon * params.die_thickness * adj.shared_edge(a, b)
-    )
-
-
-def vertical_resistance(name: str, fp: Floorplan, params: ThermalParams) -> float:
-    """Resistance of the die-to-ambient path above one core, K/W."""
-    return params.r_vertical_per_area / fp.core(name).area
 
 
 def equivalent_resistance(name: str, session: Collection[str], net: ThermalNetwork) -> float:

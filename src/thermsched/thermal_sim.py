@@ -1,11 +1,12 @@
 """Compiled thermal network and the full-network steady-state validator.
 
 ``build_network`` compiles one floorplan under one parameter set into a
-``ThermalNetwork``.  It holds the vertical and lateral conductances, which
-the guiding session model reads, and the nodal conductance matrix ``G`` with
-its Cholesky factor, which the validator reads.  ``G`` does not depend on
-the test session, so it is assembled and factored once; a session only
-changes the injection vector ``P``.
+``ThermalNetwork``; it is the only code that turns geometry into
+conductances.  The network holds the vertical and lateral conductances,
+which the guiding session model reads, and the nodal conductance matrix
+``G`` with its Cholesky factor, which the validator reads.  ``G`` does not
+depend on the test session, so it is assembled and factored once; a session
+only changes the injection vector ``P``.
 
 Unlike the guiding session model, the validator keeps every core in play:
 all adjacent pairs are coupled (active or not), every node has its own
@@ -21,7 +22,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .floorplan import Floorplan, PowerProfile
-from .thermal_model import ThermalParams, lateral_resistance, vertical_resistance
+from .thermal_model import ThermalParams
 
 RESIDUAL_RTOL = 1e-8
 """Required solve accuracy: inf-norm residual per unit inf-norm of injections."""
@@ -35,11 +36,13 @@ class NetworkSolveError(RuntimeError):
 class ThermalNetwork:
     """Conductances of one floorplan under one parameter set, and ``G``'s factor.
 
-    Nodes are in floorplan order.  ``lateral[i]`` lists node ``i``'s
-    neighbors as ``(node index, lateral conductance)`` pairs in floorplan
-    order.  ``conductance`` is symmetric positive definite: off-diagonals are
-    the negated lateral conductances, and each diagonal adds the node's
-    vertical conductance to ambient on top of its lateral total.
+    Nodes are in floorplan order.  ``vertical[i]`` is the conductance of
+    node ``i``'s path to ambient, and ``lateral[i]`` lists its neighbors as
+    ``(node index, lateral conductance)`` pairs in floorplan order; both are
+    derived by ``build_network``.  ``conductance`` is symmetric positive
+    definite: off-diagonals are the negated lateral conductances, and each
+    diagonal adds the node's vertical conductance to ambient on top of its
+    lateral total.
     """
 
     nodes: tuple[str, ...]
@@ -63,30 +66,33 @@ class SimulationResult:
 def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
     """Compile the conductances of a floorplan, assemble ``G`` and factor it.
 
-    Every adjacent pair is coupled.  Raises NetworkSolveError when ``G`` is
-    not positive definite (a vertical path too weak to ground the network).
+    A core's vertical path lumps the package stack above it into
+    ``r_vertical_per_area`` over its area.  Every adjacent pair is coupled by
+    1-D in-die conduction: center distance over (conductivity * die
+    thickness * shared edge length).  Each conductance is the reciprocal of
+    its path resistance.  Raises NetworkSolveError when ``G`` is not
+    positive definite (a vertical path too weak to ground the network).
     """
     names = fp.names
     n = len(names)
     position = {name: i for i, name in enumerate(names)}
-    adjacency = fp.adjacency()
     g = np.zeros((n, n))
-    pair_conductance: dict[tuple[str, str], float] = {}
-    for a, b in adjacency.pairs():
-        gl = 1.0 / lateral_resistance(a, b, fp, params)
-        pair_conductance[a, b] = pair_conductance[b, a] = gl
+    lateral: list[list[tuple[int, float]]] = [[] for _ in names]
+    # pairs arrive sorted by (i, j), so every neighbor list stays in floorplan
+    # order, the order in which equivalent_resistance sums it
+    for a, b, shared_edge, center_distance in fp.adjacency().pairs():
+        gl = 1.0 / (
+            center_distance / (params.k_silicon * params.die_thickness * shared_edge)
+        )
         i, j = position[a], position[b]
         g[i, i] += gl
         g[j, j] += gl
         g[i, j] -= gl
         g[j, i] -= gl
-    vertical = tuple(1.0 / vertical_resistance(name, fp, params) for name in names)
+        lateral[i].append((j, gl))
+        lateral[j].append((i, gl))
+    vertical = tuple(1.0 / (params.r_vertical_per_area / core.area) for core in fp.cores)
     g[np.diag_indices(n)] += vertical
-    lateral = tuple(
-        tuple((position[other], pair_conductance[name, other])
-              for other in adjacency.neighbors(name))
-        for name in names
-    )
     try:
         factor = cho_factor(g)
     except np.linalg.LinAlgError as exc:
@@ -98,7 +104,7 @@ def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
         nodes=names,
         position=position,
         vertical=vertical,
-        lateral=lateral,
+        lateral=tuple(map(tuple, lateral)),
         conductance=g,
         factor=factor,
         ambient=params.t_ambient,

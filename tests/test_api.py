@@ -1,0 +1,47 @@
+"""The package's public surface: every exported name, listed on purpose."""
+
+import thermsched
+
+PUBLIC_NAMES = [
+    "CORE_ORDERINGS",
+    "CompiledDie",
+    "CoreGeometry",
+    "Floorplan",
+    "FloorplanError",
+    "NetworkSolveError",
+    "ORDER_FILE",
+    "ORDER_POWER_WEIGHT_DESC",
+    "PowerProfile",
+    "PowerProfileError",
+    "RESIDUAL_RTOL",
+    "Schedule",
+    "SchedulerConfig",
+    "ScreeningError",
+    "SimulationResult",
+    "TestSession",
+    "ThermalNetwork",
+    "ThermalParams",
+    "Weights",
+    "build_network",
+    "build_session",
+    "compile_die",
+    "equivalent_resistance",
+    "generate_schedule",
+    "load_thermal_params",
+    "parse_floorplan",
+    "parse_power_profile",
+    "schedule_to_document",
+    "session_stc",
+    "simulate_session",
+    "solve_steady_state",
+]
+
+
+def test_public_names_are_pinned():
+    # growing the public surface must be a deliberate edit of this list
+    assert sorted(thermsched.__all__) == PUBLIC_NAMES
+
+
+def test_every_public_name_resolves():
+    for name in thermsched.__all__:
+        assert getattr(thermsched, name) is not None, name

@@ -67,15 +67,11 @@ def test_parse_axis_errors():
         _parse_axis("a,b")
     with pytest.raises(_UsageError):
         _parse_axis("1:2:3:4")
+    with pytest.raises(_UsageError, match="empty"):
+        _parse_axis(" , ")  # an empty axis never reaches the sweep
 
 
 def test_sweep_spec_and_row_types():
-    from thermsched.cli import SweepRow, SweepSpec
-
-    spec = SweepSpec(tl_values=(145.0,), stcl_values=(20.0, 30.0))
-    assert spec.stcl_values == (20.0, 30.0)
-    with pytest.raises(ValueError):
-        SweepSpec(tl_values=(), stcl_values=(20.0,))
     row = SweepRow(145.0, 20.0, 7.0, 8.0, 144.29)
     assert row.csv_line() == "145,20,7,8,144.2900"
     assert len(row.csv_line().split(",")) == len(SWEEP_HEADER.split(","))

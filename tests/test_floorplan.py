@@ -223,18 +223,15 @@ def test_shared_edge_tolerates_seam_error():
 def test_strip_adjacency():
     fp = strip_floorplan(3)
     adj = build_adjacency(fp)
-    assert adj.neighbors("s1") == ("s2",)
-    assert adj.neighbors("s2") == ("s1", "s3")
-    assert adj.neighbors("s3") == ("s2",)
-    assert adj.shared_edge("s1", "s2") == 1.0
-    assert adj.center_distance("s2", "s3") == pytest.approx(1.0)
-    assert not adj.has_edge("s1", "s3")
+    pairs = list(adj.pairs())
+    assert [(a, b) for a, b, _, _ in pairs] == [("s1", "s2"), ("s2", "s3")]
+    assert pairs[0][2] == 1.0  # shared edge of s1 and s2
+    assert pairs[1][3] == pytest.approx(1.0)  # center distance of s2 and s3
 
 
 def test_single_core_graph_is_empty():
     fp = parse_floorplan("c1 1 1 0 0")
     adj = build_adjacency(fp)
-    assert adj.neighbors("c1") == ()
     assert list(adj.pairs()) == []
 
 
@@ -248,19 +245,13 @@ def test_grid_2x2_has_four_edges_no_diagonals():
         ]
     )
     adj = build_adjacency(fp)
-    pairs = {frozenset(p) for p in adj.pairs()}
+    pairs = {frozenset((a, b)) for a, b, _, _ in adj.pairs()}
     assert pairs == {
         frozenset({"sw", "se"}),
         frozenset({"sw", "nw"}),
         frozenset({"se", "ne"}),
         frozenset({"nw", "ne"}),
     }
-
-
-def test_non_adjacent_lookup_raises():
-    adj = build_adjacency(strip_floorplan(3))
-    with pytest.raises(ValueError, match="not adjacent"):
-        adj.shared_edge("s1", "s3")
 
 
 def test_translation_invariance():
@@ -272,26 +263,18 @@ def test_translation_invariance():
             for c in fp
         ]
     )
-    adj, adj_moved = build_adjacency(fp), build_adjacency(moved)
-    assert list(adj.pairs()) == list(adj_moved.pairs())
-    for a, b in adj.pairs():
-        assert adj.shared_edge(a, b) == pytest.approx(adj_moved.shared_edge(a, b), rel=1e-12)
-        assert adj.center_distance(a, b) == pytest.approx(
-            adj_moved.center_distance(a, b), rel=1e-12
-        )
-
-
-def test_adjacency_symmetric_accessors():
-    adj = build_adjacency(strip_floorplan(2))
-    assert adj.shared_edge("s1", "s2") == adj.shared_edge("s2", "s1")
-    assert adj.center_distance("s1", "s2") == adj.center_distance("s2", "s1")
+    pairs = list(build_adjacency(fp).pairs())
+    moved_pairs = list(build_adjacency(moved).pairs())
+    assert [p[:2] for p in pairs] == [p[:2] for p in moved_pairs]
+    for (_, _, edge, dist), (_, _, moved_edge, moved_dist) in zip(pairs, moved_pairs):
+        assert edge == pytest.approx(moved_edge, rel=1e-12)
+        assert dist == pytest.approx(moved_dist, rel=1e-12)
 
 
 def test_random_floorplans_have_positive_center_distances():
     rng = np.random.default_rng(23)
     for _ in range(5):
         fp = random_floorplan(rng, 10)
-        adj = build_adjacency(fp)
-        for a, b in adj.pairs():
-            assert adj.center_distance(a, b) > 0
-            assert adj.shared_edge(a, b) > 0
+        for _, _, shared_edge, center_distance in build_adjacency(fp).pairs():
+            assert center_distance > 0
+            assert shared_edge > 0

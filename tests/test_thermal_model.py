@@ -10,10 +10,8 @@ from thermsched.thermal_model import (
     ThermalParams,
     Weights,
     equivalent_resistance,
-    lateral_resistance,
     load_thermal_params,
     session_stc,
-    vertical_resistance,
 )
 from thermsched.thermal_sim import build_network
 from util import (
@@ -72,6 +70,19 @@ def test_load_params_rejects_duplicates_and_garbage():
 # ── lateral resistance ───────────────────────────────────────────────────
 
 
+def lateral_resistance(a, b, fp, params):
+    """1 / the compiled lateral conductance between cores ``a`` and ``b``."""
+    net = build_network(fp, params)
+    lateral = dict(net.lateral[net.position[a]])
+    return 1.0 / lateral[net.position[b]]
+
+
+def vertical_resistance(name, fp, params):
+    """1 / the compiled vertical conductance of core ``name``."""
+    net = build_network(fp, params)
+    return 1.0 / net.vertical[net.position[name]]
+
+
 def test_lateral_resistance_all_ones():
     fp = strip_floorplan(2)
     params = ThermalParams(k_silicon=1.0, die_thickness=1.0)
@@ -103,14 +114,18 @@ def test_lateral_resistance_hand_value():
 def test_lateral_resistance_symmetric():
     rng = np.random.default_rng(5)
     fp = random_floorplan(rng, 10)
-    params = ThermalParams()
-    for a, b in fp.adjacency().pairs():
-        assert lateral_resistance(a, b, fp, params) == lateral_resistance(b, a, fp, params)
+    net = build_network(fp, ThermalParams())
+    for i, neighbors in enumerate(net.lateral):
+        # neighbor lists are in floorplan order, the order R_eq sums in
+        assert [j for j, _ in neighbors] == sorted(j for j, _ in neighbors)
+        for j, g in neighbors:
+            assert 1.0 / g == 1.0 / dict(net.lateral[j])[i]
 
 
 def test_lateral_resistance_non_adjacent_raises():
+    # s1 and s3 share no edge, so the compiled network has no path between them
     fp = strip_floorplan(3)
-    with pytest.raises(ValueError, match="not adjacent"):
+    with pytest.raises(KeyError):
         lateral_resistance("s1", "s3", fp, ThermalParams())
 
 
@@ -185,13 +200,13 @@ def test_equivalent_resistance_bounded_by_paths():
         fp = random_floorplan(rng, int(rng.integers(4, 12)))
         session = random_session(rng, fp)
         net = build_network(fp, params)
-        adj = fp.adjacency()
         for name in session:
+            i = net.position[name]
             r_eq = equivalent_resistance(name, session, net)
-            assert r_eq <= vertical_resistance(name, fp, params) * (1 + 1e-12)
-            for other in adj.neighbors(name):
-                if other not in session:
-                    assert r_eq <= lateral_resistance(name, other, fp, params) * (1 + 1e-12)
+            assert r_eq <= 1.0 / net.vertical[i] * (1 + 1e-12)
+            for j, g in net.lateral[i]:
+                if net.nodes[j] not in session:
+                    assert r_eq <= 1.0 / g * (1 + 1e-12)
 
 
 # ── TC and STC ───────────────────────────────────────────────────────────

@@ -128,11 +128,8 @@ def test_compiled_paths_never_reach_the_adjacency_graph(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("per-session code read the floorplan geometry")
 
-    for name in ("neighbors", "has_edge", "shared_edge", "center_distance", "pairs"):
-        monkeypatch.setattr(AdjacencyGraph, name, forbidden)
-    for module in (thermal_model, thermal_sim):
-        for name in ("lateral_resistance", "vertical_resistance"):
-            monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(AdjacencyGraph, "pairs", forbidden)
+    monkeypatch.setattr(Floorplan, "adjacency", forbidden)
     session = random_session(rng, fp)
     session_stc(session, profile, None, net)
     for name in session:

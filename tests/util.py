@@ -3,9 +3,17 @@ grounded-network nodal oracle used to cross-check equivalent resistances."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from thermsched.floorplan import CoreGeometry, Floorplan, PowerProfile, build_adjacency
+from thermsched.floorplan import (
+    EPSILON,
+    CoreGeometry,
+    Floorplan,
+    PowerProfile,
+    shared_edge_length,
+)
 from thermsched.thermal_model import ThermalParams
 
 
@@ -68,7 +76,6 @@ def grounded_rise_oracle(core: str, session, fp: Floorplan, params: ThermalParam
     dense solver; the temperature rise at ``core`` is its equivalent
     resistance.
     """
-    adj = build_adjacency(fp)
     names = fp.names
     index = {name: i for i, name in enumerate(names)}
     a = np.zeros((len(names), len(names)))
@@ -77,18 +84,22 @@ def grounded_rise_oracle(core: str, session, fp: Floorplan, params: ThermalParam
         if name not in session:
             a[i, i] = 1.0  # rise pinned to zero: core sits at ambient
             continue
-        a[i, i] = fp.core(name).area / params.r_vertical_per_area
-        for other in adj.neighbors(name):
-            if other in session:
-                continue  # active-active paths removed
+        here = fp.core(name)
+        a[i, i] = here.area / params.r_vertical_per_area
+        for other in fp:
+            if other.name in session:
+                continue  # active-active paths removed (and the core itself)
+            shared = shared_edge_length(here, other)
+            if shared <= EPSILON:
+                continue  # not adjacent
             g = (
                 params.k_silicon
                 * params.die_thickness
-                * adj.shared_edge(name, other)
-                / adj.center_distance(name, other)
+                * shared
+                / math.dist(here.center, other.center)
             )
             a[i, i] += g
-            a[i, index[other]] -= g
+            a[i, index[other.name]] -= g
         if name == core:
             b[i] = 1.0
     rise = np.linalg.solve(a, b)
