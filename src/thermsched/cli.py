@@ -116,6 +116,10 @@ def _parse_axis(text: str) -> list[float]:
             if len(parts) != 3:
                 raise _UsageError(f"bad range {text!r}: expected start:stop:step")
             start, stop, step = (float(p) for p in parts)
+            if not all(math.isfinite(v) for v in (start, stop, step)):
+                raise _UsageError(
+                    f"bad range {text!r}: start, stop and step must be finite"
+                )
             if step <= 0:
                 raise _UsageError(f"bad range {text!r}: step must be positive")
             if stop < start:

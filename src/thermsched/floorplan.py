@@ -4,6 +4,9 @@ A floorplan is an ordered collection of named, axis-aligned rectangles on a
 die, positioned by their lower-left corner, in meters.  Cores must not
 overlap; abutment is legal.  Two cores are thermally adjacent when they
 share an edge segment longer than EPSILON; corner contact never counts.
+The overlap check and the adjacency scan only test pairs of cores that lie
+near each other on a uniform grid (``_near_pairs``), so both take about
+linear time in the number of cores instead of testing every pair.
 
 File formats (UTF-8, '#' starts a comment, blank lines ignored):
 
@@ -14,6 +17,7 @@ File formats (UTF-8, '#' starts a comment, blank lines ignored):
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping
 
@@ -162,19 +166,62 @@ class Floorplan:
         return f"Floorplan({len(self._cores)} cores)"
 
 
+def _near_pairs(cores: tuple[CoreGeometry, ...]) -> list[tuple[int, int]]:
+    """Sorted ``(i, j)`` index pairs, ``i < j``, of cores whose rectangles,
+    each grown by a slack, share a cell of a uniform grid.
+
+    Every pair that can overlap, or touch within EPSILON, is among them: the
+    slack exceeds EPSILON plus the rounding of the cell arithmetic, and the
+    floor of a rounded difference over a positive side is monotone, so
+    grown rectangles that meet also share a cell.  The cell side is the die
+    extent over isqrt(N), so a tiling puts O(1) cores in a cell; it is never
+    below the slack, which bounds the cells a core can cover.  A die whose
+    grid overflows the floats falls back to one cell, i.e. to all pairs.
+    """
+    n = len(cores)
+    left = min(c.left_x for c in cores)
+    bottom = min(c.bottom_y for c in cores)
+    right = max(c.right_x for c in cores)
+    top = max(c.top_y for c in cores)
+    slack = 2 * EPSILON + 4 * math.ulp(max(-left, -bottom, right, top, 0.0))
+    x0, y0 = left - slack, bottom - slack
+    side = max(max(right - left, top - bottom) / math.isqrt(n), slack)
+
+    def cells(low: float, high: float, origin: float) -> range:
+        return range(
+            math.floor((low - slack - origin) / side),
+            math.floor((high + slack - origin) / side) + 1,
+        )
+
+    reach = ((right + slack - x0) / side, (top + slack - y0) / side)
+    if not all(math.isfinite(v) for v in (x0, y0, *reach)):
+        return [(i, j) for i in range(n) for j in range(i + 1, n)]
+    buckets: dict[tuple[int, int], list[int]] = defaultdict(list)
+    for i, c in enumerate(cores):
+        for gx in cells(c.left_x, c.right_x, x0):
+            for gy in cells(c.bottom_y, c.top_y, y0):
+                buckets[gx, gy].append(i)
+    # each bucket lists its cores in index order, so every pair has i < j
+    return sorted({
+        (i, j)
+        for members in buckets.values()
+        for k, i in enumerate(members)
+        for j in members[k + 1:]
+    })
+
+
 def _check_overlaps(cores: tuple[CoreGeometry, ...]) -> None:
     # Overlap means the intersection is wider AND taller than the seam
     # tolerance; mere abutment (or a floating-point seam) is legal.
-    for i in range(len(cores)):
-        for j in range(i + 1, len(cores)):
-            a, b = cores[i], cores[j]
-            w = min(a.right_x, b.right_x) - max(a.left_x, b.left_x)
-            h = min(a.top_y, b.top_y) - max(a.bottom_y, b.bottom_y)
-            if w > EPSILON and h > EPSILON:
-                raise FloorplanError(
-                    f"cores {a.name!r} and {b.name!r} overlap "
-                    f"(intersection {w:.3e} m x {h:.3e} m)"
-                )
+    for i, j in _near_pairs(cores):
+        a, b = cores[i], cores[j]
+        w = min(a.right_x, b.right_x) - max(a.left_x, b.left_x)
+        h = min(a.top_y, b.top_y) - max(a.bottom_y, b.bottom_y)
+        if w > EPSILON and h > EPSILON:
+            raise FloorplanError(
+                f"cores {a.name!r} and {b.name!r} overlap "
+                f"(intersection {w:.3e} m x {h:.3e} m)"
+            )
 
 
 def parse_floorplan(source: str | IO[str]) -> Floorplan:
@@ -298,14 +345,14 @@ def build_adjacency(floorplan: Floorplan) -> AdjacencyGraph:
     """Derive the adjacency graph: pairs sharing more than EPSILON of edge.
 
     Corner contact is not adjacency.  Each pair carries its shared edge
-    length and the distance between the two core centers.
+    length and the distance between the two core centers.  Only the pairs
+    ``_near_pairs`` finds are tested; every adjacent pair is among them.
     """
     pairs: list[tuple[str, str, float, float]] = []
     cores = floorplan.cores
-    for i in range(len(cores)):
-        for j in range(i + 1, len(cores)):
-            a, b = cores[i], cores[j]
-            length = shared_edge_length(a, b)
-            if length > EPSILON:
-                pairs.append((a.name, b.name, length, math.dist(a.center, b.center)))
+    for i, j in _near_pairs(cores):
+        a, b = cores[i], cores[j]
+        length = shared_edge_length(a, b)
+        if length > EPSILON:
+            pairs.append((a.name, b.name, length, math.dist(a.center, b.center)))
     return AdjacencyGraph(pairs)

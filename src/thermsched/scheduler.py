@@ -174,20 +174,36 @@ def build_session(
     """Greedily grow one session from the available cores.
 
     Cores are tried in policy order; each is kept only if the enlarged
-    session's STC stays within ``stcl`` (every member's R_eq changes when a
-    core joins, so the STC is recomputed on the enlarged set).  The first
-    core is always admitted -- see the module docstring.
+    session's STC stays within ``stcl``.  The first core is always
+    admitted -- see the module docstring.
+
+    The STC is kept incrementally.  A joining core ``c`` only removes
+    passive escape paths: it drops one lateral term from the conductance
+    sum of each neighbor already in the session and adds none.  Dropping a
+    non-negative term from a float sum of non-negative terms, kept in the
+    same order, cannot raise any partial sum, since rounding is monotone;
+    so no member's R_eq can fall and no ``TC * P * W`` term can shrink.
+    Members not adjacent to ``c`` keep bit-identical terms.  The enlarged
+    session's STC is therefore exactly the max of the current STC and the
+    terms of ``c`` and of its neighbors in the session, each recomputed
+    from scratch within the enlarged session, and every ``<= stcl``
+    decision matches a full recompute.
     """
     if not available:
         raise ValueError("no cores available to build a session from")
     session: set[str] = set()
+    stc = 0.0
     for name in _ordered(available, power, weights, net, order):
-        if not session:
-            session.add(name)
-            continue
-        candidate = session | {name}
-        if session_stc(candidate, power, weights, net) <= stcl:
-            session = candidate
+        touched = [name] + [
+            net.nodes[j] for j, _ in net.lateral[net.position[name]]
+            if net.nodes[j] in session
+        ]
+        session.add(name)
+        enlarged = max(stc, session_stc(touched, power, weights, net, session))
+        if len(session) == 1 or enlarged <= stcl:
+            stc = enlarged
+        else:
+            session.remove(name)
     return session
 
 

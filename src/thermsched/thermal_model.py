@@ -18,7 +18,9 @@ for cores caught exceeding the temperature limit.
 The path resistances exist only as conductances: ``thermal_sim.build_network``
 derives them from the floorplan geometry once per floorplan and parameter
 set, and ``equivalent_resistance`` and ``session_stc`` read that compiled
-network.
+network.  A core's R_eq depends only on which of its own neighbors are in
+the session, so ``session_stc`` can evaluate just the members whose terms a
+change touched; packing uses this to price each candidate in O(degree).
 """
 
 from __future__ import annotations
@@ -132,20 +134,25 @@ def equivalent_resistance(name: str, session: Collection[str], net: ThermalNetwo
 
 
 def session_stc(
-    session: Collection[str],
+    members: Collection[str],
     power: PowerProfile,
     weights: Weights | None,
     net: ThermalNetwork,
+    session: Collection[str] | None = None,
 ) -> float:
-    """Session thermal characteristic: max over members of TC * P * W.
+    """Max over ``members`` of TC * P * W, each R_eq taken within ``session``.
 
-    ``TC = P * R_eq`` is the member's predicted rise.  The empty session
-    has STC 0.
+    ``TC = P * R_eq`` is a member's predicted rise.  ``session`` defaults to
+    ``members``, which makes the value the session thermal characteristic
+    (STC) of ``members``; naming a larger ``session`` evaluates only some of
+    its members' terms.  No members give 0.
     """
     if weights is None:
         weights = Weights()
+    if session is None:
+        session = members
     stc = 0.0
-    for name in session:
+    for name in members:
         tc = power.power(name) * equivalent_resistance(name, session, net)
         stc = max(stc, tc * power.power(name) * weights.of(name))
     return stc

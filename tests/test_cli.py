@@ -69,6 +69,9 @@ def test_parse_axis_errors():
         _parse_axis("1:2:3:4")
     with pytest.raises(_UsageError, match="empty"):
         _parse_axis(" , ")  # an empty axis never reaches the sweep
+    for text in ("145:inf:1", "145:150:nan", "-inf:150:1", "145:150:inf"):
+        with pytest.raises(_UsageError, match="start, stop and step must be finite"):
+            _parse_axis(text)
 
 
 def test_sweep_spec_and_row_types():
@@ -265,7 +268,12 @@ def test_sweep_all_tls_failing_exit_2(three_core_files, capsys):
 
 @pytest.mark.parametrize(
     "sweep_tl, sweep_stcl, message",
-    [("150,200", "40,-1", "stcl"), ("150,40", "40", "ambient")],
+    [
+        ("150,200", "40,-1", "stcl"),
+        ("150,40", "40", "ambient"),
+        ("145:inf:1", "40", "error: bad range '145:inf:1': start, stop and step"),
+        ("145:150:nan", "40", "error: bad range '145:150:nan': start, stop and step"),
+    ],
 )
 def test_sweep_bad_grid_point_fails_before_any_run(
     three_core_files, tmp_path, monkeypatch, capsys, sweep_tl, sweep_stcl, message

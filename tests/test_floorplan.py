@@ -1,11 +1,17 @@
 """Floorplan parsing, geometry, and adjacency tests."""
 
+import heapq
 import io
+import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermsched.floorplan import (
+    EPSILON,
     CoreGeometry,
     Floorplan,
     FloorplanError,
@@ -278,3 +284,153 @@ def test_random_floorplans_have_positive_center_distances():
         for _, _, shared_edge, center_distance in build_adjacency(fp).pairs():
             assert center_distance > 0
             assert shared_edge > 0
+
+
+# ── bucketed scans against the all-pairs scan ────────────────────────────
+
+
+def brute_force_scan(cores):
+    """Reference O(N^2) scan: the overlap error the first overlapping pair
+    raises, or the adjacent pairs in floorplan order."""
+    for i in range(len(cores)):
+        for j in range(i + 1, len(cores)):
+            a, b = cores[i], cores[j]
+            w = min(a.right_x, b.right_x) - max(a.left_x, b.left_x)
+            h = min(a.top_y, b.top_y) - max(a.bottom_y, b.bottom_y)
+            if w > EPSILON and h > EPSILON:
+                return (
+                    f"cores {a.name!r} and {b.name!r} overlap "
+                    f"(intersection {w:.3e} m x {h:.3e} m)"
+                )
+    pairs = []
+    for i in range(len(cores)):
+        for j in range(i + 1, len(cores)):
+            a, b = cores[i], cores[j]
+            length = shared_edge_length(a, b)
+            if length > EPSILON:
+                pairs.append((a.name, b.name, length, math.dist(a.center, b.center)))
+    return pairs
+
+
+def bucketed_scan(cores):
+    try:
+        return list(build_adjacency(Floorplan(cores)).pairs())
+    except FloorplanError as exc:
+        return str(exc)
+
+
+@st.composite
+def perturbed_dies(draw):
+    """A shuffled random guillotine die, moved by an offset, some of whose
+    edges are nudged by +-EPSILON and by a few ulps, optionally with one core
+    grown or added so that it overlaps others."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fp = random_floorplan(rng, draw(st.integers(2, 40)))
+    # at 1e7 m one ulp is about 2 * EPSILON
+    offset = draw(st.sampled_from([0.0, -0.5, 3.0, 1e6, -1e7]))
+    epsilon_rate = draw(st.sampled_from([0.0, 0.02, 0.1]))
+    ulp_rate = draw(st.sampled_from([0.0, 0.3]))
+
+    def nudged(v):
+        if rng.random() < epsilon_rate:
+            v += EPSILON if rng.random() < 0.5 else -EPSILON
+        if rng.random() < ulp_rate:
+            v += int(rng.integers(-3, 4)) * math.ulp(v)
+        return v
+
+    cores = []
+    for c in fp:
+        left, bottom = nudged(c.left_x + offset), nudged(c.bottom_y + offset)
+        right, top = nudged(c.right_x + offset), nudged(c.top_y + offset)
+        cores.append(CoreGeometry(c.name, right - left, top - bottom, left, bottom))
+    overlap = draw(st.sampled_from([None, None, "grow", "add"]))
+    if overlap is not None:
+        k = int(rng.integers(len(cores)))
+        c = cores[k]
+        if overlap == "grow":
+            cores[k] = CoreGeometry(c.name, c.width * 1.3, c.height * 1.2, c.left_x, c.bottom_y)
+        else:
+            cores.append(CoreGeometry(
+                "extra", c.width, c.height, c.left_x + 0.3 * c.width, c.bottom_y + 0.4 * c.height
+            ))
+    rng.shuffle(cores)
+    return cores
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_dies())
+def test_bucketed_scans_match_all_pairs_scan(cores):
+    assert bucketed_scan(cores) == brute_force_scan(cores)
+
+
+def test_bucketed_scans_on_hand_built_dies():
+    # a seam just under EPSILON wide still touches; one just over does not
+    for gap, touching in ((0.9 * EPSILON, True), (1.1 * EPSILON, False)):
+        cores = [CoreGeometry("a", 1.0, 1.0, 0.0, 0.0), CoreGeometry("b", 1.0, 1.0, 1.0 + gap, 0.0)]
+        assert bucketed_scan(cores) == brute_force_scan(cores)
+        assert bool(bucketed_scan(cores)) == touching
+    # 2 x 2 cores with seam gaps under EPSILON, sized so that the grid's one
+    # inner line in each axis (extent / isqrt(4) from the die's corner) falls
+    # exactly at the far side of the gap; dyadic values keep it exact
+    for unit in (1.0, 2.0**-10):
+        gap = 2.0**-30
+        big = unit + gap
+        cores = [
+            CoreGeometry("sw", unit, unit, 0.0, 0.0),
+            CoreGeometry("se", big, unit, big, 0.0),
+            CoreGeometry("nw", unit, big, 0.0, big),
+            CoreGeometry("ne", big, big, big, big),
+        ]
+        assert len(bucketed_scan(cores)) == 4
+        assert bucketed_scan(cores) == brute_force_scan(cores)
+    # a right edge that overflows to inf leaves no finite grid: all pairs
+    # are scanned; huge finite coordinates still get one
+    for cores in (
+        [CoreGeometry("a", 1e307, 1.0, 1.7e308, 0.0), CoreGeometry("b", 1e307, 1.0, 1.6e308, 0.0),
+         CoreGeometry("c", 1.0, 1.0, 0.0, 0.0)],
+        [CoreGeometry("a", 1e300, 1.0, 1e300, 0.0), CoreGeometry("b", 1e300, 1.0, 0.0, 0.0),
+         CoreGeometry("c", 1e300, 1.0, -1e300, 0.0)],
+    ):
+        assert bucketed_scan(cores) == brute_force_scan(cores) != []
+    rng = np.random.default_rng(41)
+    cores = list(random_floorplan(rng, 30))
+    c = cores[7]
+    cores.insert(3, CoreGeometry("intruder", c.width / 2, c.height / 2, c.left_x, c.bottom_y))
+    message = brute_force_scan(cores)
+    assert "'intruder'" in message
+    assert bucketed_scan(cores) == message
+
+
+def heap_guillotine_text(rng, n_cores, die=0.008):
+    """Floorplan text of a random guillotine tiling with ``n_cores`` cores:
+    the largest rectangle is split next, found by a heap in O(log N)."""
+    heap = [(-die * die, 0, 0.0, 0.0, die, die)]
+    made = 1
+    while len(heap) < n_cores:
+        _, _, x, y, w, h = heapq.heappop(heap)
+        frac = rng.uniform(0.35, 0.65)
+        if w >= h:
+            cut = x + frac * w
+            halves = ((x, y, cut - x, h), (cut, y, x + w - cut, h))
+        else:
+            cut = y + frac * h
+            halves = ((x, y, w, cut - y), (x, cut, w, y + h - cut))
+        for hx, hy, hw, hh in halves:
+            heapq.heappush(heap, (-hw * hh, made, hx, hy, hw, hh))
+            made += 1
+    return "".join(
+        f"c{k} {w!r} {h!r} {x!r} {y!r}\n" for k, (_, _, x, y, w, h) in enumerate(heap)
+    )
+
+
+def test_ten_thousand_core_die_parses_and_scans_quickly():
+    text = heap_guillotine_text(np.random.default_rng(43), 10_000)
+    start = time.perf_counter()
+    fp = parse_floorplan(text)
+    pairs = list(fp.adjacency().pairs())
+    elapsed = time.perf_counter() - start
+    assert len(fp) == 10_000
+    # a guillotine tiling is planar: at least N - 1 and fewer than 3N contacts
+    assert len(fp) - 1 <= len(pairs) < 3 * len(fp)
+    # about 0.7 s on 2 vCPUs; all-pairs scans took 4.2 s already at N = 1600
+    assert elapsed < 10.0

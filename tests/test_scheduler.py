@@ -1,12 +1,23 @@
 """Scheduler tests: screening, session packing, and the feedback loop."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thermsched.floorplan import CoreGeometry, Floorplan, PowerProfile
+from thermsched import scheduler
+from thermsched.floorplan import (
+    CoreGeometry,
+    Floorplan,
+    PowerProfile,
+    parse_floorplan,
+    parse_power_profile,
+)
 from thermsched.scheduler import (
+    CORE_ORDERINGS,
     ORDER_FILE,
     SchedulerConfig,
     ScreeningError,
@@ -125,6 +136,89 @@ def test_build_session_requires_available_cores():
     net = build_network(fp, STRIP_PARAMS)
     with pytest.raises(ValueError, match="available"):
         build_session(set(), Weights(), 10.0, net, uniform_profile(fp))
+
+
+def full_recompute_session(available, weights, stcl, net, power, order):
+    """Reference packing loop: every candidate's STC is recomputed over the
+    whole enlarged session.  Returns the session and every STC it compared
+    with ``stcl``."""
+    if order == ORDER_FILE:
+        ordered = sorted(available, key=net.position.__getitem__)
+    else:
+        ordered = sorted(available, key=lambda n: (-power.power(n) * weights.of(n), n))
+    session, compared = set(), []
+    for name in ordered:
+        if not session:
+            session.add(name)
+            continue
+        candidate = session | {name}
+        compared.append(session_stc(candidate, power, weights, net))
+        if compared[-1] <= stcl:
+            session = candidate
+    return session, compared
+
+
+@st.composite
+def packing_cases(draw):
+    """A random guillotine die, pool, weights, STCL and core order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fp = random_floorplan(rng, draw(st.integers(1, 24)))
+    profile = random_profile(rng, fp, p_range=(0.0, 4.0))
+    net = build_network(fp, ThermalParams())
+    available = {n for n in fp.names if rng.random() < 0.8} or {fp.names[0]}
+    weights = Weights({n: 1.1 ** int(rng.integers(0, 6)) for n in fp.names if rng.random() < 0.5})
+    singles = [session_stc({n}, profile, weights, net) for n in fp.names]
+    stcl = max(float(np.median(singles)), 1e-12) * draw(st.floats(0.3, 30.0))
+    return net, profile, available, weights, stcl, draw(st.sampled_from(CORE_ORDERINGS))
+
+
+@settings(max_examples=80, deadline=None)
+@given(packing_cases(), st.integers(0, 2**32 - 1))
+def test_incremental_stc_packs_like_full_recompute(case, pick):
+    net, profile, available, weights, stcl, order = case
+    expected, compared = full_recompute_session(available, weights, stcl, net, profile, order)
+    assert build_session(available, weights, stcl, net, profile, order) == expected
+    if compared:
+        # a limit equal to one of the compared STCs puts a decision on the boundary
+        stcl = compared[pick % len(compared)]
+        expected, _ = full_recompute_session(available, weights, stcl, net, profile, order)
+        assert build_session(available, weights, stcl, net, profile, order) == expected
+
+
+def test_packing_evaluates_each_candidate_and_its_session_neighbours_only(monkeypatch):
+    golden = Path(__file__).resolve().parent / "golden"
+    fp = parse_floorplan((golden / "synth400.flp").read_text())
+    profile = parse_power_profile((golden / "synth400.csv").read_text(), fp)
+    die = compile_die(fp, profile, ThermalParams())
+    attempts, calls = [], []
+    real_build, real_stc = scheduler.build_session, scheduler.session_stc
+
+    def build(available, *args, **kwargs):
+        attempts.append((len(available), len(calls)))
+        return real_build(available, *args, **kwargs)
+
+    def stc(members, *args, **kwargs):
+        calls.append(list(members))
+        return real_stc(members, *args, **kwargs)
+
+    monkeypatch.setattr(scheduler, "build_session", build)
+    monkeypatch.setattr(scheduler, "session_stc", stc)
+    # the loose limits of the golden N=400 case: large sessions, many discards
+    generate_schedule(die, SchedulerConfig(tl=185.218, stcl=212.251))
+    assert len(attempts) > 1
+    for members in calls:
+        candidate = die.net.position[members[0]]
+        neighbours = {die.net.nodes[j] for j, _ in die.net.lateral[candidate]}
+        assert set(members[1:]) <= neighbours
+        assert len(members) <= 1 + len(die.net.lateral[candidate])
+    # one call per core tried: the full-recompute loop's calls, which skip
+    # each attempt's first core, plus that core's singleton STC
+    ends = [start for _, start in attempts[1:]] + [len(calls)]
+    assert [end - start for (_, start), end in zip(attempts, ends)] == [
+        size for size, _ in attempts
+    ]
+    full_recompute_calls = sum(size - 1 for size, _ in attempts)
+    assert len(calls) == full_recompute_calls + len(attempts)
 
 
 # ── schedule generation ──────────────────────────────────────────────────

@@ -312,6 +312,30 @@ def test_stc_monotone_in_session_growth():
         assert after >= before
 
 
+def test_stc_of_some_members_within_a_larger_session():
+    rng = np.random.default_rng(37)
+    for _ in range(30):
+        fp = random_floorplan(rng, int(rng.integers(2, 12)))
+        net = build_network(fp, ThermalParams())
+        profile = random_profile(rng, fp)
+        weights = Weights({n: float(rng.uniform(1.0, 3.0)) for n in fp.names})
+        session = random_session(rng, fp)
+        members = [n for n in session if rng.random() < 0.5]
+        expected = max(
+            (
+                profile.power(n) * equivalent_resistance(n, session, net)
+                * profile.power(n) * weights.of(n)
+                for n in members
+            ),
+            default=0.0,
+        )
+        assert session_stc(members, profile, weights, net, session) == expected
+        # every member named: the session's own STC
+        assert session_stc(session, profile, weights, net, session) == session_stc(
+            session, profile, weights, net
+        )
+
+
 # ── weights ──────────────────────────────────────────────────────────────
 
 
