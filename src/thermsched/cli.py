@@ -41,6 +41,13 @@ from .thermal_model import ThermalParams, load_thermal_params
 from .thermal_sim import NetworkSolveError
 
 SWEEP_HEADER = "tl_C,stcl,schedule_length_s,simulation_effort_s,max_temperature_C"
+# A sweep holds one config and one CSV row per grid point until it writes
+# its output: about 250 bytes a point, measured on a one-core die, where a
+# point also runs fastest, about 20 us on a 2-vCPU host.  A grid at this
+# cap would hold some 2.5 TB and run for over two days, so no sweep that
+# can finish is refused, while a range with a tiny step is counted and
+# refused instead of built.
+MAX_SWEEP_POINTS = 10_000_000_000
 
 
 @dataclass(frozen=True)
@@ -124,7 +131,15 @@ def _parse_axis(text: str) -> list[float]:
                 raise _UsageError(f"bad range {text!r}: step must be positive")
             if stop < start:
                 raise _UsageError(f"bad range {text!r}: stop is below start")
-            count = int(math.floor((stop - start) / step + 1e-9)) + 1
+            # steps from start to stop, counted before any value is built;
+            # inf when the quotient overflows
+            steps = (stop - start) / step + 1e-9
+            count = math.floor(steps) + 1 if math.isfinite(steps) else math.inf
+            if count > MAX_SWEEP_POINTS:
+                raise _UsageError(
+                    f"bad range {text!r}: {count} points; a sweep holds "
+                    f"at most {MAX_SWEEP_POINTS}"
+                )
             return [start + k * step for k in range(count)]
         values = [float(p) for p in text.split(",") if p.strip()]
         if not values:
@@ -211,6 +226,11 @@ def run_sweep(args) -> int:
     fp, power, params = _load_inputs(args)
     tl_values = tuple(_parse_axis(args.sweep_tl))
     stcl_values = tuple(_parse_axis(args.sweep_stcl))
+    points = len(tl_values) * len(stcl_values)
+    if points > MAX_SWEEP_POINTS:
+        raise _UsageError(
+            f"sweep grid has {points} points; a sweep holds at most {MAX_SWEEP_POINTS}"
+        )
     # validate the whole grid before the first run, so a bad point anywhere
     # fails fast instead of discarding the rows already computed
     for tl in tl_values:

@@ -33,11 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Collection, Mapping
+from collections.abc import Set
+from typing import Collection, Mapping, Sequence
 
 from . import thermal_sim
 from .floorplan import Floorplan, PowerProfile
-from .thermal_model import ThermalParams, Weights, session_stc
+from .thermal_model import ThermalParams, Weights, session_stc, stc_term
 from .thermal_sim import RESIDUAL_RTOL, SimulationResult, ThermalNetwork, simulate_session
 
 ORDER_POWER_WEIGHT_DESC = "power_weight_desc"
@@ -164,18 +165,19 @@ def _ordered(
 
 
 def build_session(
-    available: Collection[str],
+    candidates: Sequence[str],
     weights: Weights,
     stcl: float,
     net: ThermalNetwork,
     power: PowerProfile,
-    order: str = ORDER_POWER_WEIGHT_DESC,
 ) -> set[str]:
-    """Greedily grow one session from the available cores.
+    """Greedily grow one session from candidates given in policy order.
 
-    Cores are tried in policy order; each is kept only if the enlarged
-    session's STC stays within ``stcl``.  The first core is always
-    admitted -- see the module docstring.
+    Candidates are tried in the order given; ``generate_schedule`` sorts
+    them once per weight set.  A set has no fixed order, so passing one
+    raises ``TypeError`` rather than packing in hash order.  Each candidate
+    is kept only if the enlarged session's STC stays within ``stcl``.  The
+    first candidate is always admitted -- see the module docstring.
 
     The STC is kept incrementally.  A joining core ``c`` only removes
     passive escape paths: it drops one lateral term from the conductance
@@ -188,20 +190,43 @@ def build_session(
     terms of ``c`` and of its neighbors in the session, each recomputed
     from scratch within the enlarged session, and every ``<= stcl``
     decision matches a full recompute.
+
+    Two shortcuts keep those decisions exact and skip most evaluations:
+
+    * A candidate with no neighbor in the session keeps all its laterals,
+      so its R_eq is the compiled ``net.singleton_resistance``, summed in
+      ``equivalent_resistance``'s order, and its term comes from
+      ``stc_term``, which ``session_stc`` prices every member with: bit for
+      bit the value a ``session_stc`` call would return.  Only candidates
+      that touch the session call ``session_stc``.
+    * The STC never falls, and only the exempt first core can take it past
+      ``stcl``.  Once it has, every later candidate's enlarged STC is above
+      ``stcl`` too, so the singleton is returned at once.
     """
-    if not available:
+    if isinstance(candidates, Set):
+        raise TypeError(
+            "build_session tries candidates in the order given; pass a sequence "
+            "in policy order, not a set"
+        )
+    if not candidates:
         raise ValueError("no cores available to build a session from")
     session: set[str] = set()
     stc = 0.0
-    for name in _ordered(available, power, weights, net, order):
-        touched = [name] + [
-            net.nodes[j] for j, _ in net.lateral[net.position[name]]
-            if net.nodes[j] in session
+    for name in candidates:
+        i = net.position[name]
+        touched = [
+            net.nodes[j] for j, _ in net.lateral[i] if net.nodes[j] in session
         ]
         session.add(name)
-        enlarged = max(stc, session_stc(touched, power, weights, net, session))
+        if touched:
+            term = session_stc([name] + touched, power, weights, net, session)
+        else:
+            term = stc_term(name, net.singleton_resistance[i], power, weights)
+        enlarged = max(stc, term)
         if len(session) == 1 or enlarged <= stcl:
             stc = enlarged
+            if stc > stcl:  # the exempt first core: nothing else can join
+                break
         else:
             session.remove(name)
     return session
@@ -223,14 +248,14 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
         worst = max(temp for _, temp in violations)
         suggested = worst + RESIDUAL_RTOL * max(1.0, abs(worst))
         raise ScreeningError(violations, suggested)
-    remaining = set(net.nodes)
     weights = Weights()
+    # the policy order changes only with the weights: sort once per weight
+    # set and drop scheduled cores from it
+    remaining = _ordered(net.nodes, power, weights, net, config.core_order)
     sessions: list[TestSession] = []
     effort = 0.0
     while remaining:
-        members = frozenset(build_session(
-            remaining, weights, config.stcl, net, power, order=config.core_order
-        ))
+        members = frozenset(build_session(remaining, weights, config.stcl, net, power))
         result = die._validated.get(members)
         if result is None:
             result = die._validated[members] = simulate_session(members, net, power)
@@ -241,9 +266,10 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
         if violators:
             # session discarded; its simulated time still counts as effort
             weights = weights.bumped(violators, config.weight_factor)
+            remaining = _ordered(remaining, power, weights, net, config.core_order)
             continue
         sessions.append(TestSession(members, result.simulated_duration, result))
-        remaining -= members
+        remaining = [name for name in remaining if name not in members]
     total_length = sum(s.duration for s in sessions)
     return Schedule(
         sessions=tuple(sessions),

@@ -20,7 +20,9 @@ derives them from the floorplan geometry once per floorplan and parameter
 set, and ``equivalent_resistance`` and ``session_stc`` read that compiled
 network.  A core's R_eq depends only on which of its own neighbors are in
 the session, so ``session_stc`` can evaluate just the members whose terms a
-change touched; packing uses this to price each candidate in O(degree).
+change touched; packing uses this to price a candidate that touches the
+session in O(degree).  A core with no neighbor in the session has the R_eq
+the network compiles once per node, ``singleton_resistance``.
 """
 
 from __future__ import annotations
@@ -133,6 +135,16 @@ def equivalent_resistance(name: str, session: Collection[str], net: ThermalNetwo
     return 1.0 / g
 
 
+def stc_term(name: str, r_eq: float, power: PowerProfile, weights: Weights) -> float:
+    """One member's STC term TC * P * W, with ``TC = P * r_eq``.
+
+    Evaluated left to right, so every caller that prices a member through
+    here gets the same bits for the same R_eq.
+    """
+    p = power.power(name)
+    return p * r_eq * p * weights.of(name)
+
+
 def session_stc(
     members: Collection[str],
     power: PowerProfile,
@@ -153,6 +165,6 @@ def session_stc(
         session = members
     stc = 0.0
     for name in members:
-        tc = power.power(name) * equivalent_resistance(name, session, net)
-        stc = max(stc, tc * power.power(name) * weights.of(name))
+        r_eq = equivalent_resistance(name, session, net)
+        stc = max(stc, stc_term(name, r_eq, power, weights))
     return stc

@@ -39,7 +39,11 @@ class ThermalNetwork:
     Nodes are in floorplan order.  ``vertical[i]`` is the conductance of
     node ``i``'s path to ambient, and ``lateral[i]`` lists its neighbors as
     ``(node index, lateral conductance)`` pairs in floorplan order; both are
-    derived by ``build_network``.  ``conductance`` is symmetric positive
+    derived by ``build_network``.  ``singleton_resistance[i]`` is node
+    ``i``'s R_eq when none of its neighbors is active: one over its vertical
+    conductance plus every lateral, summed in the order in which
+    ``thermal_model.equivalent_resistance`` sums them, so the two agree bit
+    for bit.  ``conductance`` is symmetric positive
     definite: off-diagonals are the negated lateral conductances, and each
     diagonal adds the node's vertical conductance to ambient on top of its
     lateral total.
@@ -49,6 +53,7 @@ class ThermalNetwork:
     position: Mapping[str, int]                          # node name -> index
     vertical: tuple[float, ...]                          # W/K, per node
     lateral: tuple[tuple[tuple[int, float], ...], ...]   # W/K, per node
+    singleton_resistance: tuple[float, ...]              # K/W, per node
     conductance: np.ndarray                              # (N, N), W/K
     factor: tuple[np.ndarray, bool]                      # cho_factor(conductance)
     ambient: float                                       # deg C
@@ -93,6 +98,12 @@ def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
         lateral[j].append((i, gl))
     vertical = tuple(1.0 / (params.r_vertical_per_area / core.area) for core in fp.cores)
     g[np.diag_indices(n)] += vertical
+    singleton_resistance = []
+    for total, neighbors in zip(vertical, lateral):
+        # a plain loop: sum() of floats may use compensated summation
+        for _, gl in neighbors:
+            total += gl
+        singleton_resistance.append(1.0 / total)
     try:
         factor = cho_factor(g)
     except np.linalg.LinAlgError as exc:
@@ -105,6 +116,7 @@ def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
         position=position,
         vertical=vertical,
         lateral=tuple(map(tuple, lateral)),
+        singleton_resistance=tuple(singleton_resistance),
         conductance=g,
         factor=factor,
         ambient=params.t_ambient,

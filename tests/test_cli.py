@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from thermsched import cli, scheduler, thermal_sim
 from thermsched.assets import demo15_floorplan_path, demo15_power_path, load_demo15
-from thermsched.cli import SWEEP_HEADER, SweepRow, _parse_axis, main
+from thermsched.cli import MAX_SWEEP_POINTS, SWEEP_HEADER, SweepRow, _parse_axis, main
 from thermsched.scheduler import SchedulerConfig, ScreeningError, compile_die, generate_schedule
 from thermsched.thermal_model import ThermalParams, session_stc
 from util import random_floorplan, random_profile
@@ -72,6 +72,29 @@ def test_parse_axis_errors():
     for text in ("145:inf:1", "145:150:nan", "-inf:150:1", "145:150:inf"):
         with pytest.raises(_UsageError, match="start, stop and step must be finite"):
             _parse_axis(text)
+
+
+def test_parse_axis_counts_a_range_before_building_it(monkeypatch):
+    from thermsched.cli import _UsageError
+
+    # a range at the limit holds far too many values to build in a test, so
+    # the values are not built: the count handed to range() is recorded
+    counts = []
+    monkeypatch.setattr(
+        cli, "range", lambda n: counts.append(n) or range(0), raising=False
+    )
+    assert _parse_axis("0:2.5:1") == [] and counts == [3]
+    # at the limit, also when stop is not a whole number of steps from start
+    for text in (f"0:{MAX_SWEEP_POINTS - 1}:1", f"0.5:{MAX_SWEEP_POINTS}:1"):
+        counts.clear()
+        _parse_axis(text)
+        assert counts == [MAX_SWEEP_POINTS], text
+    # one past it: the exact count, in full digits
+    for text in (f"0:{MAX_SWEEP_POINTS}:1", f"0:{MAX_SWEEP_POINTS}.5:1"):
+        counts.clear()
+        with pytest.raises(_UsageError, match=f": {MAX_SWEEP_POINTS + 1} points;"):
+            _parse_axis(text)
+        assert counts == [], text
 
 
 def test_sweep_spec_and_row_types():
@@ -291,6 +314,40 @@ def test_sweep_bad_grid_point_fails_before_any_run(
     assert runs == []
     assert not out.exists()
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sweep_tl, sweep_stcl, message",
+    [
+        # the quotient overflows to inf
+        ("0:1e300:1e-300", "40", "error: bad range '0:1e300:1e-300': inf points"),
+        ("145:1e12:1e-3", "40",
+         "error: bad range '145:1e12:1e-3': 999999999855001 points"),
+        # each axis fits, their product does not
+        ("145:100145:1", "20:100019:1", "error: sweep grid has 10000100000 points"),
+    ],
+)
+def test_sweep_grid_is_bounded_by_its_count_before_it_is_built(
+    three_core_files, monkeypatch, capsys, sweep_tl, sweep_stcl, message
+):
+    def bounded_range(n):
+        assert n <= MAX_SWEEP_POINTS, f"built an axis of {n} values"
+        return range(n)
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("built the sweep grid")
+
+    monkeypatch.setattr(cli, "range", bounded_range, raising=False)
+    monkeypatch.setattr(cli, "SchedulerConfig", no_grid)
+    flp, power = three_core_files
+    code = main(
+        ["--floorplan", str(flp), "--power", str(power),
+         "--sweep-tl", sweep_tl, "--sweep-stcl", sweep_stcl]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{message}; a sweep holds at most {MAX_SWEEP_POINTS}\n"
 
 
 def test_sweep_deterministic_bytes(three_core_files, tmp_path):

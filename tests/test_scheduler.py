@@ -19,6 +19,7 @@ from thermsched.floorplan import (
 from thermsched.scheduler import (
     CORE_ORDERINGS,
     ORDER_FILE,
+    ORDER_POWER_WEIGHT_DESC,
     SchedulerConfig,
     ScreeningError,
     build_session,
@@ -32,6 +33,17 @@ from thermsched.thermal_sim import build_network, simulate_session
 from util import random_floorplan, random_profile, strip_floorplan, uniform_profile
 
 STRIP_PARAMS = ThermalParams(k_silicon=1.0, die_thickness=1.0, r_vertical_per_area=2.0)
+# the golden N=400 case's limits: ~200 sessions of about one core each, and
+# large sessions with many discards
+SYNTH400_TIGHT = SchedulerConfig(tl=120.218, stcl=13.2657)
+SYNTH400_LOOSE = SchedulerConfig(tl=185.218, stcl=212.251)
+
+
+def golden_synth400_die():
+    golden = Path(__file__).resolve().parent / "golden"
+    fp = parse_floorplan((golden / "synth400.flp").read_text())
+    profile = parse_power_profile((golden / "synth400.csv").read_text(), fp)
+    return compile_die(fp, profile, ThermalParams())
 
 
 def isolated_pair_floorplan() -> Floorplan:
@@ -94,7 +106,7 @@ def test_build_session_singleton_exemption():
     fp = strip_floorplan(1)
     profile = uniform_profile(fp, power=10.0)
     net = build_network(fp, STRIP_PARAMS)
-    session = build_session({"s1"}, Weights(), 1e-6, net, profile)
+    session = build_session(["s1"], Weights(), 1e-6, net, profile)
     assert session == {"s1"}
 
 
@@ -102,7 +114,7 @@ def test_build_session_unbounded_limit_packs_everything():
     fp = strip_floorplan(5)
     profile = uniform_profile(fp, power=10.0)
     net = build_network(fp, STRIP_PARAMS)
-    session = build_session(set(fp.names), Weights(), math.inf, net, profile)
+    session = build_session(fp.names, Weights(), math.inf, net, profile)
     assert session == set(fp.names)
 
 
@@ -116,7 +128,7 @@ def test_build_session_limit_between_singleton_and_pair():
     pair = session_stc({"s1", "s2"}, profile, None, net)
     assert single < pair
     stcl = (single + pair) / 2.0
-    session = build_session({"s1", "s2"}, Weights(), stcl, net, profile)
+    session = build_session(["s1", "s2"], Weights(), stcl, net, profile)
     assert len(session) == 1
 
 
@@ -125,17 +137,28 @@ def test_build_session_respects_file_order_policy():
     profile = PowerProfile({"s1": (1.0, 1.0), "s2": (5.0, 1.0), "s3": (1.0, 1.0)}, fp)
     net = build_network(fp, STRIP_PARAMS)
     tiny = 1e-9
-    by_power = build_session(set(fp.names), Weights(), tiny, net, profile)
-    by_file = build_session(set(fp.names), Weights(), tiny, net, profile, order=ORDER_FILE)
-    assert by_power == {"s2"}  # highest power first
-    assert by_file == {"s1"}  # floorplan order first
+    by_power = scheduler._ordered(fp.names, profile, Weights(), net, ORDER_POWER_WEIGHT_DESC)
+    by_file = scheduler._ordered(fp.names, profile, Weights(), net, ORDER_FILE)
+    assert by_power == ["s2", "s1", "s3"]  # highest power first, ties by name
+    assert by_file == ["s1", "s2", "s3"]  # floorplan order
+    # candidates are tried in the order given
+    assert build_session(by_power, Weights(), tiny, net, profile) == {"s2"}
+    assert build_session(by_file, Weights(), tiny, net, profile) == {"s1"}
 
 
 def test_build_session_requires_available_cores():
     fp = strip_floorplan(2)
     net = build_network(fp, STRIP_PARAMS)
     with pytest.raises(ValueError, match="available"):
-        build_session(set(), Weights(), 10.0, net, uniform_profile(fp))
+        build_session([], Weights(), 10.0, net, uniform_profile(fp))
+
+
+def test_build_session_rejects_unordered_candidates():
+    fp = strip_floorplan(2)
+    net = build_network(fp, STRIP_PARAMS)
+    for candidates in (set(fp.names), frozenset(fp.names)):
+        with pytest.raises(TypeError, match="order"):
+            build_session(candidates, Weights(), 10.0, net, uniform_profile(fp))
 
 
 def full_recompute_session(available, weights, stcl, net, power, order):
@@ -176,49 +199,105 @@ def packing_cases(draw):
 @given(packing_cases(), st.integers(0, 2**32 - 1))
 def test_incremental_stc_packs_like_full_recompute(case, pick):
     net, profile, available, weights, stcl, order = case
+    # as generate_schedule does: the whole die sorted once, scheduled cores dropped
+    candidates = [
+        n for n in scheduler._ordered(net.nodes, profile, weights, net, order) if n in available
+    ]
     expected, compared = full_recompute_session(available, weights, stcl, net, profile, order)
-    assert build_session(available, weights, stcl, net, profile, order) == expected
+    assert build_session(candidates, weights, stcl, net, profile) == expected
+    # a limit equal to the first core's singleton STC, or to one of the compared
+    # STCs, puts a decision on the boundary
+    boundaries = [session_stc(candidates[:1], profile, weights, net)]
     if compared:
-        # a limit equal to one of the compared STCs puts a decision on the boundary
-        stcl = compared[pick % len(compared)]
+        boundaries.append(compared[pick % len(compared)])
+    for stcl in boundaries:
         expected, _ = full_recompute_session(available, weights, stcl, net, profile, order)
-        assert build_session(available, weights, stcl, net, profile, order) == expected
+        assert build_session(candidates, weights, stcl, net, profile) == expected
 
 
-def test_packing_evaluates_each_candidate_and_its_session_neighbours_only(monkeypatch):
-    golden = Path(__file__).resolve().parent / "golden"
-    fp = parse_floorplan((golden / "synth400.flp").read_text())
-    profile = parse_power_profile((golden / "synth400.csv").read_text(), fp)
-    die = compile_die(fp, profile, ThermalParams())
-    attempts, calls = [], []
-    real_build, real_stc = scheduler.build_session, scheduler.session_stc
+def record_packing(monkeypatch):
+    """Wrap the packing names generate_schedule looks up; returns the list
+    that collects each attempt's (candidates, weights, stcl, session, the
+    session_stc member lists it evaluated) and the list of policy sorts."""
+    attempts, calls, sorts = [], [], []
+    real_build, real_stc, real_ordered = (
+        scheduler.build_session, scheduler.session_stc, scheduler._ordered
+    )
 
-    def build(available, *args, **kwargs):
-        attempts.append((len(available), len(calls)))
-        return real_build(available, *args, **kwargs)
+    def build(candidates, weights, stcl, *args):
+        start = len(calls)
+        session = real_build(candidates, weights, stcl, *args)
+        attempts.append((list(candidates), weights, stcl, session, calls[start:]))
+        return session
 
-    def stc(members, *args, **kwargs):
+    def stc(members, *args):
         calls.append(list(members))
-        return real_stc(members, *args, **kwargs)
+        return real_stc(members, *args)
+
+    def ordered(cores, *args):
+        sorts.append(len(cores))
+        return real_ordered(cores, *args)
 
     monkeypatch.setattr(scheduler, "build_session", build)
     monkeypatch.setattr(scheduler, "session_stc", stc)
-    # the loose limits of the golden N=400 case: large sessions, many discards
-    generate_schedule(die, SchedulerConfig(tl=185.218, stcl=212.251))
+    monkeypatch.setattr(scheduler, "_ordered", ordered)
+    return attempts, sorts
+
+
+def test_packing_evaluates_each_candidate_and_its_session_neighbours_only(monkeypatch):
+    die = golden_synth400_die()
+    net = die.net
+    attempts, _ = record_packing(monkeypatch)
+    generate_schedule(die, SYNTH400_LOOSE)
     assert len(attempts) > 1
-    for members in calls:
-        candidate = die.net.position[members[0]]
-        neighbours = {die.net.nodes[j] for j, _ in die.net.lateral[candidate]}
-        assert set(members[1:]) <= neighbours
-        assert len(members) <= 1 + len(die.net.lateral[candidate])
-    # one call per core tried: the full-recompute loop's calls, which skip
-    # each attempt's first core, plus that core's singleton STC
-    ends = [start for _, start in attempts[1:]] + [len(calls)]
-    assert [end - start for (_, start), end in zip(attempts, ends)] == [
-        size for size, _ in attempts
-    ]
-    full_recompute_calls = sum(size - 1 for size, _ in attempts)
-    assert len(calls) == full_recompute_calls + len(attempts)
+    calls = 0
+    for candidates, weights, stcl, session, made in attempts:
+        for members in made:
+            candidate = net.position[members[0]]
+            neighbours = {net.nodes[j] for j, _ in net.lateral[candidate]}
+            assert set(members[1:]) <= neighbours
+            assert len(members) <= 1 + len(net.lateral[candidate])
+        # exactly one call per candidate that touches the cores admitted before
+        # it, naming those neighbours; a candidate that touches none is priced
+        # from its compiled singleton term, and an attempt whose first core is
+        # over the limit stops at once
+        expected, admitted = [], {candidates[0]}
+        if session_stc(candidates[:1], die.power, weights, net) <= stcl:
+            for name in candidates[1:]:
+                touched = {
+                    net.nodes[j] for j, _ in net.lateral[net.position[name]]
+                    if net.nodes[j] in admitted
+                }
+                if touched:
+                    expected.append((name, touched))
+                if name in session:
+                    admitted.add(name)
+        assert admitted == session
+        assert [(members[0], set(members[1:])) for members in made] == expected
+        calls += len(made)
+    assert (len(attempts), calls) == (19, 5420)
+
+
+def test_policy_sorts_once_per_weight_set_and_early_exits_make_no_stc_call(monkeypatch):
+    die = golden_synth400_die()
+    attempts, sorts = record_packing(monkeypatch)
+    schedule = generate_schedule(die, SYNTH400_LOOSE)
+    discards = len(attempts) - len(schedule.sessions)
+    assert discards == 15
+    assert len(sorts) == 1 + discards
+    assert sorts[0] == len(die.net.nodes)
+
+    attempts.clear()
+    sorts.clear()
+    schedule = generate_schedule(die, SYNTH400_TIGHT)
+    assert len(sorts) == 1 + len(attempts) - len(schedule.sessions)
+    early_exits = 0
+    for candidates, weights, stcl, session, made in attempts:
+        if session_stc(candidates[:1], die.power, weights, die.net) > stcl:
+            early_exits += 1
+            assert session == {candidates[0]}
+            assert made == []
+    assert (len(attempts), early_exits) == (203, 200)
 
 
 # ── schedule generation ──────────────────────────────────────────────────

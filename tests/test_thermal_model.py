@@ -12,6 +12,7 @@ from thermsched.thermal_model import (
     equivalent_resistance,
     load_thermal_params,
     session_stc,
+    stc_term,
 )
 from thermsched.thermal_sim import build_network
 from util import (
@@ -207,6 +208,23 @@ def test_equivalent_resistance_bounded_by_paths():
             for j, g in net.lateral[i]:
                 if net.nodes[j] not in session:
                     assert r_eq <= 1.0 / g * (1 + 1e-12)
+
+
+def test_singleton_resistance_is_the_lone_core_r_eq_bit_for_bit():
+    # packing prices a candidate with no active neighbour from the compiled
+    # value through stc_term, so both must match a session_stc call exactly
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        fp = random_floorplan(rng, int(rng.integers(1, 30)))
+        profile = random_profile(rng, fp, p_range=(0.0, 4.0))
+        net = build_network(fp, ThermalParams())
+        weights = Weights({n: 1.1 ** int(rng.integers(0, 6)) for n in fp.names})
+        for i, name in enumerate(net.nodes):
+            r = net.singleton_resistance[i]
+            assert r == equivalent_resistance(name, {name}, net)
+            assert stc_term(name, r, profile, weights) == session_stc(
+                {name}, profile, weights, net
+            )
 
 
 # ── TC and STC ───────────────────────────────────────────────────────────

@@ -136,7 +136,7 @@ def test_compiled_paths_never_reach_the_adjacency_graph(monkeypatch):
         equivalent_resistance(name, session, net)
     simulate_session(session, net, profile)
     screen_cores(net, profile)
-    build_session(set(fp.names), thermal_model.Weights(), 10.0, net, profile)
+    build_session(fp.names, thermal_model.Weights(), 10.0, net, profile)
     with pytest.raises(AssertionError, match="geometry"):
         build_network(fp, ThermalParams())  # the compile step does read them
 
