@@ -27,7 +27,7 @@ from .scheduler import (
     build_session,
     compile_die,
     generate_schedule,
-    schedule_to_document,
+    schedule_to_json,
 )
 from .thermal_model import (
     ThermalParams,
@@ -76,7 +76,7 @@ __all__ = [
     "load_thermal_params",
     "parse_floorplan",
     "parse_power_profile",
-    "schedule_to_document",
+    "schedule_to_json",
     "session_stc",
     "simulate_session",
     "solve_steady_state",

@@ -19,7 +19,6 @@ Exit codes: 0 success, 1 input error or unsolvable thermal network,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -35,7 +34,7 @@ from .scheduler import (
     check_tl,
     compile_die,
     generate_schedule,
-    schedule_to_document,
+    schedule_to_json,
 )
 from .thermal_model import ThermalParams, load_thermal_params
 from .thermal_sim import NetworkSolveError
@@ -214,8 +213,7 @@ def run_single(args) -> int:
     check_tl(config.tl, params.t_ambient)
     schedule = generate_schedule(compile_die(fp, power, params), config)
     if args.format == "json":
-        payload = json.dumps(schedule_to_document(schedule, config, params), indent=2)
-        payload += "\n"
+        payload = schedule_to_json(schedule, config, params)
     else:
         payload = _format_text(schedule, config)
     _write(payload, args.out)

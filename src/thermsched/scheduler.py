@@ -1,9 +1,9 @@
 """Greedy thermal-safe schedule generation with feedback weights.
 
 Work that no limit changes is done once per die by ``compile_die``: the
-thermal network is compiled, and every core is simulated alone; its steady
-peak is its BCMT (baseline single-core max temperature).  Each schedule
-run then has two stages:
+thermal network is compiled, and every core is simulated alone, all cores
+in one batched solve; a core's steady peak alone is its BCMT (baseline
+single-core max temperature).  Each schedule run then has two stages:
 
 1. Screening: a BCMT at or above the limit TL makes scheduling impossible
    -- adding concurrent tests only raises temperatures -- so screening
@@ -31,10 +31,13 @@ repeat offender is forced into a singleton session.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from collections.abc import Set
 from typing import Collection, Mapping, Sequence
+
+import numpy as np
 
 from . import thermal_sim
 from .floorplan import Floorplan, PowerProfile
@@ -133,11 +136,14 @@ def check_tl(tl: float, ambient: float) -> None:
 
 
 def screen_cores(net: ThermalNetwork, power: PowerProfile) -> dict[str, float]:
-    """Simulate every core alone and return its BCMT, in node order."""
-    return {
-        name: simulate_session({name}, net, power).peak[1]
-        for name in net.nodes
-    }
+    """Simulate every core alone and return its BCMT, in node order.
+
+    One solve covers all cores: column ``c`` of ``P`` injects core ``c``'s
+    test power alone, so column ``c`` of the solution is the rise of that
+    core's singleton session, and the BCMT is ambient plus its maximum.
+    """
+    rise = thermal_sim.solve_rise(net, np.diag([power.power(name) for name in net.nodes]))
+    return dict(zip(net.nodes, (net.ambient + rise.max(axis=0)).tolist()))
 
 
 def compile_die(fp: Floorplan, power: PowerProfile, params: ThermalParams) -> CompiledDie:
@@ -260,8 +266,10 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
         if result is None:
             result = die._validated[members] = simulate_session(members, net, power)
         effort += result.simulated_duration
+        temperatures = result.temperatures
         violators = [
-            name for name in sorted(members) if result.temps[name] >= config.tl
+            name for name in sorted(members)
+            if temperatures[net.position[name]] >= config.tl
         ]
         if violators:
             # session discarded; its simulated time still counts as effort
@@ -279,34 +287,72 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
     )
 
 
-def schedule_to_document(
+def schedule_to_json(
     schedule: Schedule, config: SchedulerConfig, params: ThermalParams
-) -> dict:
-    """JSON-ready view of a schedule, with config and params echoed."""
-    return {
-        "config": {
-            "tl_c": config.tl,
-            "stcl": config.stcl,
-            "weight_factor": config.weight_factor,
-            "core_order": config.core_order,
+) -> str:
+    """The schedule as an indented JSON document, with config and params echoed.
+
+    The text is exactly ``json.dumps(document, indent=2) + "\n"`` of the
+    document it describes, written directly: ``json`` falls back to its
+    pure-Python encoder whenever ``indent`` is set, and an N-core die gives
+    N temperatures per session.  Each node's indented, escaped key is built
+    once per document, and every temperature is written with
+    ``float.__repr__``, as ``json`` writes a finite float; the solver
+    rejects non-finite temperatures.  The small header and scalars go
+    through ``json.dumps``.
+    """
+    header = json.dumps(
+        {
+            "config": {
+                "tl_c": config.tl,
+                "stcl": config.stcl,
+                "weight_factor": config.weight_factor,
+                "core_order": config.core_order,
+            },
+            "thermal_params": {
+                "k_silicon": params.k_silicon,
+                "die_thickness": params.die_thickness,
+                "r_vertical_per_area": params.r_vertical_per_area,
+                "t_ambient": params.t_ambient,
+            },
         },
-        "thermal_params": {
-            "k_silicon": params.k_silicon,
-            "die_thickness": params.die_thickness,
-            "r_vertical_per_area": params.r_vertical_per_area,
-            "t_ambient": params.t_ambient,
-        },
-        "stage1_bcmt_c": dict(schedule.stage1_report),
-        "sessions": [
-            {
-                "cores": sorted(s.cores),
-                "duration_s": s.duration,
-                "temps_c": dict(s.result.temps),
-                "peak": {"core": s.result.peak[0], "temperature_c": s.result.peak[1]},
-            }
-            for s in schedule.sessions
-        ],
-        "total_length_s": schedule.total_length,
-        "simulation_effort_s": schedule.simulation_effort,
-        "max_temperature_c": schedule.max_temperature,
-    }
+        indent=2,
+    )
+    temps_keys: dict[tuple[str, ...], list[str]] = {}
+    sessions = []
+    for s in schedule.sessions:
+        nodes = s.result.nodes
+        keys = temps_keys.get(nodes)
+        if keys is None:
+            keys = temps_keys[nodes] = [f"        {json.dumps(n)}: " for n in nodes]
+        cores = ",\n".join(f"        {json.dumps(n)}" for n in sorted(s.cores))
+        temps = map(float.__repr__, s.result.temperatures.tolist())
+        peak_core, peak_temp = s.result.peak
+        sessions.append(
+            f'    {{\n      "cores": [\n{cores}\n      ],\n'
+            f'      "duration_s": {json.dumps(s.duration)},\n'
+            f'      "temps_c": {_json_object(map(str.__add__, keys, temps), "      ")},\n'
+            f'      "peak": {{\n        "core": {json.dumps(peak_core)},\n'
+            f'        "temperature_c": {json.dumps(peak_temp)}\n      }}\n    }}'
+        )
+    bcmt = (
+        f"    {json.dumps(name)}: {float.__repr__(temp)}"
+        for name, temp in schedule.stage1_report.items()
+    )
+    sessions_list = ",\n".join(sessions)
+    return (
+        f"{header[:-2]},\n"  # reopen the header object: drop its closing "\n}"
+        f'  "stage1_bcmt_c": {_json_object(bcmt, "  ")},\n'
+        f'  "sessions": [\n{sessions_list}\n  ],\n'
+        f'  "total_length_s": {json.dumps(schedule.total_length)},\n'
+        f'  "simulation_effort_s": {json.dumps(schedule.simulation_effort)},\n'
+        f'  "max_temperature_c": {json.dumps(schedule.max_temperature)}\n'
+        "}\n"
+    )
+
+
+def _json_object(members, indent: str) -> str:
+    """A JSON object from its indented ``"key": value`` member lines;
+    ``indent`` is the indentation of the closing brace."""
+    body = ",\n".join(members)
+    return f"{{\n{body}\n{indent}}}" if body else "{}"

@@ -15,7 +15,9 @@ vertical path to ambient, and passive cores are free nodes that warm up.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Collection, Mapping
 
 import numpy as np
@@ -26,6 +28,8 @@ from .thermal_model import ThermalParams
 
 RESIDUAL_RTOL = 1e-8
 """Required solve accuracy: inf-norm residual per unit inf-norm of injections."""
+
+_RESIDUAL_BLOCK = 64  # columns per residual product in solve_rise
 
 
 class NetworkSolveError(RuntimeError):
@@ -59,13 +63,41 @@ class ThermalNetwork:
     ambient: float                                       # deg C
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationResult:
-    """Steady-state temperatures of one solve, plus the session wall time."""
+    """Steady-state temperatures of one solve, plus the session wall time.
 
-    temps: Mapping[str, float]          # deg C per core
+    ``temperatures[i]`` is the temperature of ``nodes[i]``; the array is
+    read-only.  ``temps`` is the same data as a name -> deg C mapping, built
+    on first read; the scheduler and the JSON writer read the array.
+    """
+
+    nodes: tuple[str, ...]
+    temperatures: np.ndarray            # (N,), deg C per node
     peak: tuple[str, float]             # hottest core and its temperature
     simulated_duration: float           # s, for effort accounting
+
+    @cached_property
+    def temps(self) -> Mapping[str, float]:
+        return dict(zip(self.nodes, self.temperatures.tolist()))
+
+
+def _conductance(numerator: float, denominator: float, path: str, knobs: str) -> float:
+    """``1 / (numerator / denominator)``: the reciprocal of a path resistance.
+
+    Positive, finite parameters can still underflow or overflow either
+    division, so raises NetworkSolveError naming the path and the
+    parameters behind it unless the conductance is positive and finite.
+    """
+    try:
+        conductance = 1.0 / (numerator / denominator)
+    except ZeroDivisionError:
+        conductance = math.nan
+    if not 0.0 < conductance < math.inf:
+        raise NetworkSolveError(
+            f"{path} is zero or not finite in double precision; check {knobs}"
+        )
+    return conductance
 
 
 def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
@@ -75,29 +107,45 @@ def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
     ``r_vertical_per_area`` over its area.  Every adjacent pair is coupled by
     1-D in-die conduction: center distance over (conductivity * die
     thickness * shared edge length).  Each conductance is the reciprocal of
-    its path resistance.  Raises NetworkSolveError when ``G`` is not
+    its path resistance.  Raises NetworkSolveError when a conductance or a
+    node's conductance total is zero or not finite, or when ``G`` is not
     positive definite (a vertical path too weak to ground the network).
     """
     names = fp.names
     n = len(names)
     position = {name: i for i, name in enumerate(names)}
     g = np.zeros((n, n))
+    # G's diagonal is summed in Python floats, which overflow to inf quietly
+    diagonal = [0.0] * n
     lateral: list[list[tuple[int, float]]] = [[] for _ in names]
     # pairs arrive sorted by (i, j), so every neighbor list stays in floorplan
     # order, the order in which equivalent_resistance sums it
     for a, b, shared_edge, center_distance in fp.adjacency().pairs():
-        gl = 1.0 / (
-            center_distance / (params.k_silicon * params.die_thickness * shared_edge)
+        gl = _conductance(
+            center_distance,
+            params.k_silicon * params.die_thickness * shared_edge,
+            f"lateral conductance between {a!r} and {b!r}",
+            "k_silicon and die_thickness",
         )
         i, j = position[a], position[b]
-        g[i, i] += gl
-        g[j, j] += gl
-        g[i, j] -= gl
-        g[j, i] -= gl
+        diagonal[i] += gl
+        diagonal[j] += gl
+        g[i, j] = g[j, i] = -gl
         lateral[i].append((j, gl))
         lateral[j].append((i, gl))
-    vertical = tuple(1.0 / (params.r_vertical_per_area / core.area) for core in fp.cores)
-    g[np.diag_indices(n)] += vertical
+    vertical = tuple(
+        _conductance(params.r_vertical_per_area, core.area,
+                     f"vertical conductance of {core.name!r}", "r_vertical_per_area")
+        for core in fp.cores
+    )
+    for i, gv in enumerate(vertical):
+        diagonal[i] += gv
+        if diagonal[i] == math.inf:
+            raise NetworkSolveError(
+                f"total conductance of {names[i]!r} is not finite in double "
+                "precision; check k_silicon, die_thickness and r_vertical_per_area"
+            )
+    g[np.diag_indices(n)] = diagonal
     singleton_resistance = []
     for total, neighbors in zip(vertical, lateral):
         # a plain loop: sum() of floats may use compensated summation
@@ -123,23 +171,57 @@ def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
     )
 
 
+def solve_rise(net: ThermalNetwork, injections: np.ndarray) -> np.ndarray:
+    """Solve ``G dT = P`` with the compiled factor and return ``dT``.
+
+    ``injections`` is ``P`` in node order, W: shape ``(N,)`` for one
+    injection vector or ``(N, k)`` for ``k`` of them, one per column; ``dT``
+    has the same shape.  Raises NetworkSolveError unless every column's
+    inf-norm residual is within RESIDUAL_RTOL * max(1, ||P_col||_inf); a NaN
+    residual fails too.
+    """
+    injections = np.asarray(injections, dtype=float)
+    p = injections.reshape(len(net.nodes), -1)  # views: one column per vector
+    tolerance = RESIDUAL_RTOL * np.maximum(1.0, np.abs(p).max(axis=0))
+    rise = cho_solve(net.factor, injections)
+    x = rise.reshape(p.shape)
+    # G @ dT - P a block of columns at a time: screening solves N columns at
+    # once, and a whole residual would hold a third N x N array
+    error = np.concatenate([
+        np.abs(net.conductance @ x[:, j:j + _RESIDUAL_BLOCK] - p[:, j:j + _RESIDUAL_BLOCK])
+        .max(axis=0)
+        for j in range(0, p.shape[1], _RESIDUAL_BLOCK)
+    ])
+    failed = np.flatnonzero(~(error <= tolerance))
+    if failed.size:
+        k = failed[0]
+        column = f" in column {k}" if injections.ndim == 2 else ""
+        raise NetworkSolveError(
+            f"solve residual {error[k]:.3e}{column} is not within "
+            f"tolerance {tolerance[k]:.3e}"
+        )
+    return rise
+
+
 def solve_steady_state(net: ThermalNetwork, injections: np.ndarray) -> SimulationResult:
     """Solve ``G dT = P`` with the compiled factor; temps = ambient + dT.
 
-    ``injections`` is ``P`` in node order, W.  Raises NetworkSolveError when
-    the residual exceeds RESIDUAL_RTOL * max(1, ||P||_inf).
+    ``injections`` is ``P`` in node order, W, shape ``(N,)``; any other
+    shape raises ValueError.  Raises NetworkSolveError as ``solve_rise``
+    does.
     """
-    rise = cho_solve(net.factor, injections)
-    residual = float(np.max(np.abs(net.conductance @ rise - injections)))
-    tolerance = RESIDUAL_RTOL * max(1.0, float(np.max(np.abs(injections))))
-    if residual > tolerance:
-        raise NetworkSolveError(
-            f"solve residual {residual:.3e} exceeds tolerance {tolerance:.3e}"
+    if np.shape(injections) != (len(net.nodes),):
+        raise ValueError(
+            f"injections must have shape ({len(net.nodes)},), got {np.shape(injections)}"
         )
-    temps = {name: net.ambient + float(rise[i]) for i, name in enumerate(net.nodes)}
+    rise = solve_rise(net, injections)
+    temperatures = net.ambient + rise
+    temperatures.flags.writeable = False
     peak_i = int(np.argmax(rise))  # ties resolve to the first node
-    peak = (net.nodes[peak_i], net.ambient + float(rise[peak_i]))
-    return SimulationResult(temps=temps, peak=peak, simulated_duration=0.0)
+    peak = (net.nodes[peak_i], float(temperatures[peak_i]))
+    return SimulationResult(
+        nodes=net.nodes, temperatures=temperatures, peak=peak, simulated_duration=0.0
+    )
 
 
 def simulate_session(

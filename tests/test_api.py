@@ -30,7 +30,7 @@ PUBLIC_NAMES = [
     "load_thermal_params",
     "parse_floorplan",
     "parse_power_profile",
-    "schedule_to_document",
+    "schedule_to_json",
     "session_stc",
     "simulate_session",
     "solve_steady_state",

@@ -170,6 +170,53 @@ def test_unsolvable_network_exit_1(capsys):
     assert lines[0].startswith("error: solve residual")
 
 
+def test_nan_residual_exit_1(tmp_path, capsys):
+    # powers this large overflow every screening solve to NaN; a NaN
+    # residual compares false with its tolerance and must still fail
+    fp, _ = load_demo15()
+    power = tmp_path / "huge.csv"
+    power.write_text("".join(f"{name},1e308,1.0\n" for name in fp.names))
+    code = main(
+        ["--floorplan", str(demo15_floorplan_path()), "--power", str(power),
+         "--tl", "165", "--stcl", "60"]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: solve residual nan in column 0 is not within tolerance 1.000e+300"
+    ]
+
+
+@pytest.mark.parametrize("overrides, message", [
+    # k * t * edge underflows to zero
+    (["--k-silicon", "1e-320"],
+     "lateral conductance between 'c01' and 'c02' is zero or not finite in double "
+     "precision; check k_silicon and die_thickness"),
+    # k * t overflows, so the lateral resistance is zero
+    (["--k-silicon", "1e308", "--die-thickness", "1e308"],
+     "lateral conductance between 'c01' and 'c02' is zero or not finite in double "
+     "precision; check k_silicon and die_thickness"),
+    # the vertical resistance is subnormal and its reciprocal overflows
+    (["--r-vertical", "1e-320"],
+     "vertical conductance of 'c01' is zero or not finite in double precision; "
+     "check r_vertical_per_area"),
+    # every conductance is finite, but a node's total is not
+    (["--k-silicon", "1e300", "--die-thickness", "1e8"],
+     "total conductance of 'c01' is not finite in double precision; check "
+     "k_silicon, die_thickness and r_vertical_per_area"),
+])
+def test_degenerate_conductance_exit_1(overrides, message, capsys):
+    code = main(
+        ["--floorplan", str(demo15_floorplan_path()), "--power", str(demo15_power_path()),
+         "--tl", "165", "--stcl", "60", *overrides]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
 def test_missing_floorplan_exit_1(capsys):
     code = main(
         ["--floorplan", "no/such/file.flp", "--power", "also_missing.csv",
@@ -431,14 +478,19 @@ def test_sweep_matches_fresh_runs_at_every_point(case):
 
 
 def test_sweep_compiles_screens_and_validates_each_session_once(tmp_path, monkeypatch):
-    factors, solved, built, solved_at_compile = [], [], [], []
+    factors, solves, validated, built, solves_at_compile = [], [], [], [], []
     real_factor = thermal_sim.cho_factor
+    real_solve = thermal_sim.cho_solve
     real_simulate = scheduler.simulate_session
     real_build = scheduler.build_session
     real_compile = cli.compile_die
 
+    def solve(factor, injections):
+        solves.append(np.shape(injections))
+        return real_solve(factor, injections)
+
     def simulate(members, *args):
-        solved.append(frozenset(members))
+        validated.append(frozenset(members))
         return real_simulate(members, *args)
 
     def build(*args, **kwargs):
@@ -448,10 +500,11 @@ def test_sweep_compiles_screens_and_validates_each_session_once(tmp_path, monkey
 
     def compile_die_(*args):
         die = real_compile(*args)
-        solved_at_compile.append(len(solved))
+        solves_at_compile.append(len(solves))
         return die
 
     monkeypatch.setattr(thermal_sim, "cho_factor", lambda g: factors.append(g) or real_factor(g))
+    monkeypatch.setattr(thermal_sim, "cho_solve", solve)
     monkeypatch.setattr(scheduler, "simulate_session", simulate)
     monkeypatch.setattr(scheduler, "build_session", build)
     monkeypatch.setattr(cli, "compile_die", compile_die_)
@@ -462,10 +515,11 @@ def test_sweep_compiles_screens_and_validates_each_session_once(tmp_path, monkey
     )
     assert code == 0
     assert len(factors) == 1
-    assert len(solved_at_compile) == 1
-    screening, validations = solved[:solved_at_compile[0]], solved[solved_at_compile[0]:]
-    fp, _ = load_demo15()
-    assert screening == [frozenset({name}) for name in fp.names]
-    # every packed session is validated exactly once, however often it recurs
-    assert sorted(validations, key=sorted) == sorted(set(built), key=sorted)
-    assert len(built) > len(validations)
+    # compiling screens all 15 cores in one batched solve, one column per core
+    assert solves_at_compile == [1]
+    assert solves[0] == (15, 15)
+    # then every packed session is validated exactly once, however often it
+    # recurs, each by one single-vector solve
+    assert sorted(validated, key=sorted) == sorted(set(built), key=sorted)
+    assert solves[1:] == [(15,)] * len(validated)
+    assert len(built) > len(validated)

@@ -1,7 +1,7 @@
 """Scheduler tests: screening, session packing, and the feedback loop."""
 
+import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,13 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermsched import scheduler
-from thermsched.floorplan import (
-    CoreGeometry,
-    Floorplan,
-    PowerProfile,
-    parse_floorplan,
-    parse_power_profile,
-)
+from thermsched.floorplan import CoreGeometry, Floorplan, PowerProfile
 from thermsched.scheduler import (
     CORE_ORDERINGS,
     ORDER_FILE,
@@ -25,12 +19,18 @@ from thermsched.scheduler import (
     build_session,
     compile_die,
     generate_schedule,
-    schedule_to_document,
+    schedule_to_json,
     screen_cores,
 )
 from thermsched.thermal_model import ThermalParams, Weights, session_stc
 from thermsched.thermal_sim import build_network, simulate_session
-from util import random_floorplan, random_profile, strip_floorplan, uniform_profile
+from util import (
+    load_synth400,
+    random_floorplan,
+    random_profile,
+    strip_floorplan,
+    uniform_profile,
+)
 
 STRIP_PARAMS = ThermalParams(k_silicon=1.0, die_thickness=1.0, r_vertical_per_area=2.0)
 # the golden N=400 case's limits: ~200 sessions of about one core each, and
@@ -40,10 +40,7 @@ SYNTH400_LOOSE = SchedulerConfig(tl=185.218, stcl=212.251)
 
 
 def golden_synth400_die():
-    golden = Path(__file__).resolve().parent / "golden"
-    fp = parse_floorplan((golden / "synth400.flp").read_text())
-    profile = parse_power_profile((golden / "synth400.csv").read_text(), fp)
-    return compile_die(fp, profile, ThermalParams())
+    return compile_die(*load_synth400(), ThermalParams())
 
 
 def isolated_pair_floorplan() -> Floorplan:
@@ -414,15 +411,11 @@ def test_generate_rejects_tl_below_ambient():
 
 
 def test_schedule_document_is_json_ready():
-    import json
-
     fp = strip_floorplan(3)
     profile = uniform_profile(fp, power=1.0)
     config = SchedulerConfig(tl=150.0, stcl=10.0)
     schedule = generate_schedule(compile_die(fp, profile, STRIP_PARAMS), config)
-    doc = schedule_to_document(schedule, config, STRIP_PARAMS)
-    text = json.dumps(doc)  # must not raise
-    parsed = json.loads(text)
+    parsed = json.loads(schedule_to_json(schedule, config, STRIP_PARAMS))
     assert parsed["config"]["tl_c"] == 150.0
     assert parsed["config"]["stcl"] == 10.0
     assert parsed["thermal_params"]["t_ambient"] == STRIP_PARAMS.t_ambient
@@ -434,3 +427,67 @@ def test_schedule_document_is_json_ready():
     for s in parsed["sessions"]:
         assert s["cores"] == sorted(s["cores"])
         assert s["peak"]["temperature_c"] < 150.0
+
+
+# names that json must escape: quotes, backslashes, control characters,
+# and characters outside ASCII, including one beyond the BMP
+NAME_CHARS = st.sampled_from(['"', "\\", "\n", "\t", "\x1f", "/", "a", " ", "é", "Ω", "€", "\U0001d11e"])
+
+
+@st.composite
+def written_schedules(draw):
+    """A small random die with awkward core names, scheduled in one of three
+    regimes: everything in one session, a discarded first attempt, or
+    limits drawn near the hottest BCMT and the median singleton STC."""
+    regime = draw(st.sampled_from(["one-session", "discarding", "drawn"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = random_floorplan(rng, draw(st.integers(2 if regime == "discarding" else 1, 7)))
+    # every name holds a quote, a backslash and a non-ASCII character
+    names = [draw(st.text(NAME_CHARS, max_size=4)) + f'"\\é{i}' for i in range(len(base))]
+    fp = Floorplan([
+        CoreGeometry(name, c.width, c.height, c.left_x, c.bottom_y)
+        for name, c in zip(names, base)
+    ])
+    profile = random_profile(rng, fp)
+    params = ThermalParams()
+    die = compile_die(fp, profile, params)
+    hottest = max(die.bcmt.values())
+    everything = simulate_session(fp.names, die.net, profile).peak[1]
+    if regime == "one-session":
+        config = SchedulerConfig(tl=everything + 1.0, stcl=1e300)
+    elif regime == "discarding":
+        config = SchedulerConfig(tl=(hottest + everything) / 2, stcl=1e300)
+    else:
+        median = float(np.median([session_stc({n}, profile, None, die.net) for n in fp.names]))
+        config = SchedulerConfig(
+            tl=hottest + draw(st.floats(0.5, 20.0)),
+            stcl=median * draw(st.floats(0.3, 5.0)),
+            weight_factor=draw(st.floats(1.01, 2.0)),
+            core_order=draw(st.sampled_from(CORE_ORDERINGS)),
+        )
+    schedule = generate_schedule(die, config)
+    if regime == "one-session":
+        assert len(schedule.sessions) == 1
+    if regime == "discarding":
+        assert schedule.simulation_effort > schedule.total_length
+    return schedule, config, params
+
+
+@settings(max_examples=60, deadline=None)
+@given(written_schedules())
+def test_json_writer_matches_the_json_module(case):
+    schedule, config, params = case
+    text = schedule_to_json(schedule, config, params)
+    # the writer's bytes are exactly json's own indented rendering
+    assert json.dumps(json.loads(text), indent=2) + "\n" == text
+    doc = json.loads(text)
+    assert list(doc["stage1_bcmt_c"].items()) == list(schedule.stage1_report.items())
+    assert len(doc["sessions"]) == len(schedule.sessions)
+    for written, session in zip(doc["sessions"], schedule.sessions):
+        assert written["cores"] == sorted(session.cores)
+        assert written["duration_s"] == session.duration
+        assert list(written["temps_c"].items()) == list(session.result.temps.items())
+        assert written["peak"] == {
+            "core": session.result.peak[0], "temperature_c": session.result.peak[1]
+        }
+    assert doc["max_temperature_c"] == schedule.max_temperature

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermsched import thermal_model, thermal_sim
+from thermsched.assets import load_demo15, load_density_contrast
 from thermsched.floorplan import AdjacencyGraph, CoreGeometry, Floorplan, PowerProfile
 from thermsched.scheduler import (
     SchedulerConfig,
@@ -23,7 +24,14 @@ from thermsched.thermal_sim import (
     simulate_session,
     solve_steady_state,
 )
-from util import random_floorplan, random_profile, random_session, strip_floorplan, uniform_profile
+from util import (
+    load_synth400,
+    random_floorplan,
+    random_profile,
+    random_session,
+    strip_floorplan,
+    uniform_profile,
+)
 
 
 def injection_vector(net, session, profile) -> np.ndarray:
@@ -328,3 +336,60 @@ def test_guiding_model_vs_full_network():
     simulated = simulate_session({"s2"}, net, profile3).temps["s2"]
     assert np.isfinite(predicted) and np.isfinite(simulated)
     assert simulated != pytest.approx(predicted, rel=1e-6)
+
+
+# ── batched screening and array-backed results ──────────────────────────
+
+
+@pytest.mark.parametrize("load", [load_demo15, load_density_contrast, load_synth400])
+def test_batched_screening_equals_per_core_solves(load):
+    fp, profile = load()
+    net = build_network(fp, ThermalParams())
+    bcmt = screen_cores(net, profile)
+    assert list(bcmt) == list(fp.names)
+    for name in fp.names:
+        # bit for bit: the goldens depend on it
+        assert bcmt[name] == simulate_session({name}, net, profile).peak[1], name
+
+
+def test_solve_rise_checks_every_column():
+    fp, profile = load_demo15()
+    net = build_network(fp, ThermalParams())
+    injections = np.diag([profile.power(name) for name in fp.names])
+    good = thermal_sim.solve_rise(net, injections)
+    for k in range(len(fp)):
+        assert np.array_equal(good[:, k], thermal_sim.solve_rise(net, injections[:, k]))
+    # a column of enormous powers overflows its solve: its residual is NaN,
+    # which compares false with any tolerance and must still fail
+    forged = injections.copy()
+    forged[:, 5] = 1e308
+    with pytest.raises(NetworkSolveError, match="residual nan in column 5"):
+        thermal_sim.solve_rise(net, forged)
+    with pytest.raises(NetworkSolveError, match="residual nan is not within"):
+        thermal_sim.solve_rise(net, forged[:, 5])
+
+
+def test_steady_state_takes_one_injection_vector():
+    fp = strip_floorplan(3)
+    net = build_network(fp, ThermalParams())
+    for shape in [(3, 2), (2,), (4,)]:
+        with pytest.raises(ValueError, match=r"shape \(3,\)"):
+            solve_steady_state(net, np.ones(shape))
+
+
+def test_lazy_temps_match_the_temperature_vector():
+    rng = np.random.default_rng(83)
+    fp = random_floorplan(rng, 9)
+    profile = random_profile(rng, fp)
+    net = build_network(fp, ThermalParams())
+    result = simulate_session(random_session(rng, fp), net, profile)
+    assert result.nodes == net.nodes
+    assert not result.temperatures.flags.writeable
+    assert "temps" not in vars(result)  # built on first read only
+    assert list(result.temps) == list(net.nodes)
+    for i, name in enumerate(net.nodes):
+        assert result.temps[name] == result.temperatures[i]
+        assert type(result.temps[name]) is float
+    assert result.temps is result.temps
+    assert result.peak == (net.nodes[int(np.argmax(result.temperatures))],
+                           float(result.temperatures.max()))

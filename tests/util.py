@@ -4,6 +4,7 @@ grounded-network nodal oracle used to cross-check equivalent resistances."""
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -12,6 +13,8 @@ from thermsched.floorplan import (
     CoreGeometry,
     Floorplan,
     PowerProfile,
+    parse_floorplan,
+    parse_power_profile,
     shared_edge_length,
 )
 from thermsched.thermal_model import ThermalParams
@@ -22,6 +25,13 @@ def strip_floorplan(n: int = 3, size: float = 1.0) -> Floorplan:
     return Floorplan(
         [CoreGeometry(f"s{i + 1}", size, size, i * size, 0.0) for i in range(n)]
     )
+
+
+def load_synth400() -> tuple[Floorplan, PowerProfile]:
+    """The N=400 die of the golden tests and its power profile."""
+    golden = Path(__file__).resolve().parent / "golden"
+    fp = parse_floorplan((golden / "synth400.flp").read_text(encoding="utf-8"))
+    return fp, parse_power_profile((golden / "synth400.csv").read_text(encoding="utf-8"), fp)
 
 
 def uniform_profile(fp: Floorplan, power: float = 10.0, duration: float = 1.0) -> PowerProfile:
