@@ -31,15 +31,18 @@ def _inputs(floorplan: Path, power: Path) -> list[str]:
 DEMO15 = _inputs(DATA / "demo15.flp", DATA / "demo15.csv")
 SYNTH400 = _inputs(GOLDEN / "synth400.flp", GOLDEN / "synth400.csv")
 
+DENSITY = _inputs(DATA / "density_contrast.flp", DATA / "density_contrast.csv")
+
 # golden file -> CLI arguments.  The single runs discard sessions, so the
 # weight feedback is pinned too; the N=400 limits are perfbench/synth.py's
-# tight and loose limits for its canonical die.
+# tight and loose limits for its canonical die.  The density_contrast sweep
+# steps both limits by 1, so most of its points repeat an earlier point's
+# decisions.
 CASES = {
     "demo15_sweep.csv": DEMO15 + ["--sweep-tl", "145:185:5", "--sweep-stcl", "20:100:10"],
     "demo15_tl165_stcl100.json": DEMO15 + ["--tl", "165", "--stcl", "100"],
-    "density_contrast_tl90_stcl100.json": _inputs(
-        DATA / "density_contrast.flp", DATA / "density_contrast.csv"
-    ) + ["--tl", "90", "--stcl", "100"],
+    "density_contrast_sweep.csv": DENSITY + ["--sweep-tl", "72:112:1", "--sweep-stcl", "5:60:1"],
+    "density_contrast_tl90_stcl100.json": DENSITY + ["--tl", "90", "--stcl", "100"],
     "synth400_tight.json.sha256": SYNTH400 + ["--tl", "120.218", "--stcl", "13.2657"],
     "synth400_loose.json.sha256": SYNTH400 + ["--tl", "185.218", "--stcl", "212.251"],
 }
