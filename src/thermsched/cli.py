@@ -9,11 +9,18 @@ Sweep (writes one CSV row per grid point, row-major over TL then STCL):
     thermsched --floorplan die.flp --power tests.csv \\
                --sweep-tl 145:185:5 --sweep-stcl 20:100:10
 
-A sweep compiles the die and screens its cores once, then schedules every
-grid point on that compiled die; each distinct session is solved once.
+A sweep compiles the die and screens its cores once, then schedules the
+grid points on that compiled die; each distinct session is solved once.
+Each run reports the rectangle of limits over which it makes the same
+decisions (``Schedule.covers``), so a point inside the rectangle of the
+run behind the previous point in its TL row, or behind the point at the
+same STCL in the previous TL row, gets that run's row with its own limits
+instead of a run of its own.
 
 Exit codes: 0 success, 1 input error or unsolvable thermal network,
-2 screening failure.
+2 screening failure, 3 a run used up its attempt budget,
+``scheduler.ATTEMPTS_PER_CORE`` packing attempts per core (a weight factor
+just above 1 can need millions).
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from typing import Sequence
 from .floorplan import Floorplan, PowerProfile, parse_floorplan, parse_power_profile
 from .scheduler import (
     CORE_ORDERINGS,
+    AttemptBudgetError,
     ORDER_POWER_WEIGHT_DESC,
     Schedule,
     SchedulerConfig,
@@ -248,10 +256,20 @@ def run_sweep(args) -> int:
     die = compile_die(fp, power, params)
     lines = [SWEEP_HEADER]
     emitted = 0
+    # the run behind each point of the previous TL row; None where it failed
+    above: list[Schedule | None] = [None] * len(stcl_values)
     for tl, configs in zip(tl_values, grid):
+        row_runs: list[Schedule | None] = [None] * len(configs)
+        left = None
         try:
-            for config in configs:
-                schedule = generate_schedule(die, config)
+            for j, config in enumerate(configs):
+                if left is not None and left.covers(tl, config.stcl):
+                    schedule = left
+                elif above[j] is not None and above[j].covers(tl, config.stcl):
+                    schedule = above[j]
+                else:
+                    schedule = generate_schedule(die, config)
+                row_runs[j] = left = schedule
                 row = SweepRow(
                     tl=config.tl,
                     stcl=config.stcl,
@@ -264,6 +282,7 @@ def run_sweep(args) -> int:
         except ScreeningError as exc:
             # this TL cannot host any schedule; its grid rows are skipped
             print(f"skipping TL={tl:g}: {exc}", file=sys.stderr)
+        above = row_runs
     _write("\n".join(lines) + "\n", args.out)
     return 0 if emitted else 2
 
@@ -287,6 +306,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ScreeningError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AttemptBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (_UsageError, OSError, ValueError, NetworkSolveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

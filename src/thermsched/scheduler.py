@@ -26,7 +26,14 @@ The first core entering a session is exempt from the STCL test: screening
 already proved every single-core session safe, and without the exemption a
 core whose singleton STC exceeds STCL could never be scheduled at all.
 The exemption also guarantees termination, since weights grow until every
-repeat offender is forced into a singleton session.
+repeat offender is forced into a singleton session.  How many discards
+that takes grows as the weight factor nears 1, so a run stops after
+``ATTEMPTS_PER_CORE`` packing attempts per core.
+
+A run compares TL and STCL with values only: BCMTs and member temperatures
+with TL, STCs with STCL.  Every limit pair for which each of those
+comparisons comes out the same way gives the same run, so a schedule
+records the rectangle of limits it holds for (``Schedule.covers``).
 """
 
 from __future__ import annotations
@@ -42,7 +49,25 @@ import numpy as np
 from . import thermal_sim
 from .floorplan import Floorplan, PowerProfile
 from .thermal_model import ThermalParams, Weights, session_stc, stc_term
-from .thermal_sim import RESIDUAL_RTOL, SimulationResult, ThermalNetwork, simulate_session
+from .thermal_sim import (
+    RESIDUAL_RTOL,
+    NetworkSolveError,
+    SimulationResult,
+    ThermalNetwork,
+    simulate_session,
+)
+
+# Packing attempts a run may make per core before it gives up.  A discard
+# multiplies its violators' weights by the weight factor, and a weight
+# steers packing once it lifts a core's STC term past STCL, so the attempts
+# a run needs grow with log(STCL / term) / log(weight factor).  The bundled,
+# golden, test and benchmark cases need at most about 100 per core (a weight
+# factor of 1.01 on a die of a few cores), the demo15 sweep at most 1 (15
+# attempts at its densest point), so the cap sits ten times above them.
+# On demo15 at TL 146 and STCL 100, weight factor 1.0001 still finishes in
+# 10,456 attempts, while 1.000001, which would need millions, stops at the
+# cap in under two seconds on a 2-vCPU host.
+ATTEMPTS_PER_CORE = 1000
 
 ORDER_POWER_WEIGHT_DESC = "power_weight_desc"
 ORDER_FILE = "file"
@@ -87,6 +112,21 @@ class ScreeningError(RuntimeError):
         )
 
 
+class AttemptBudgetError(RuntimeError):
+    """A run used up its packing attempts without scheduling every core."""
+
+    def __init__(self, config: SchedulerConfig, budget: int):
+        self.config = config
+        self.budget = budget
+        super().__init__(
+            f"no thermal-safe schedule within {budget} packing attempts "
+            f"({ATTEMPTS_PER_CORE} per core) at TL {config.tl!r} C, STCL "
+            f"{config.stcl!r} and weight factor {config.weight_factor!r}; a "
+            "discard multiplies its violators' weights by the weight factor until "
+            "their STC terms pass STCL, so raise the weight factor or lower STCL"
+        )
+
+
 @dataclass(frozen=True)
 class TestSession:
     """One validated set of concurrently tested cores."""
@@ -104,11 +144,29 @@ class Schedule:
     total_length: float        # s, sum of session durations
     simulation_effort: float   # s, all simulated session time incl. discards
     stage1_report: Mapping[str, float]  # core -> BCMT, deg C
+    tl_range: tuple[float, float]      # deg C, (lo, hi]: see covers()
+    stcl_range: tuple[float, float]    # K*W, [lo, hi): see covers()
 
     @property
     def max_temperature(self) -> float:
         """Peak simulated temperature over all sessions in the schedule."""
         return max(s.result.peak[1] for s in self.sessions)
+
+    def covers(self, tl: float, stcl: float) -> bool:
+        """Whether a run at ``tl`` and ``stcl`` gives exactly this schedule.
+
+        Holds for a run on the same compiled die with the same weight factor
+        and core order.  ``tl_range`` runs from the largest value the run
+        found below TL (the hottest BCMT, or a member temperature) to the
+        smallest member temperature at or above TL; ``stcl_range`` from the
+        largest STC admitted within STCL to the smallest STC found above
+        it.  Inside both, every ``>= TL`` and ``<= STCL`` comparison the run
+        made comes out the same way, so it builds the same sessions and
+        discards, weights and effort.
+        """
+        lo_tl, hi_tl = self.tl_range
+        lo_stcl, hi_stcl = self.stcl_range
+        return lo_tl < tl <= hi_tl and lo_stcl <= stcl < hi_stcl
 
 
 @dataclass(frozen=True)
@@ -141,8 +199,19 @@ def screen_cores(net: ThermalNetwork, power: PowerProfile) -> dict[str, float]:
     One solve covers all cores: column ``c`` of ``P`` injects core ``c``'s
     test power alone, so column ``c`` of the solution is the rise of that
     core's singleton session, and the BCMT is ambient plus its maximum.
+    A column that misses its residual tolerance raises NetworkSolveError
+    naming its core.
     """
-    rise = thermal_sim.solve_rise(net, np.diag([power.power(name) for name in net.nodes]))
+    try:
+        rise = thermal_sim.solve_rise(
+            net, np.diag([power.power(name) for name in net.nodes])
+        )
+    except NetworkSolveError as exc:
+        if exc.column is None:
+            raise
+        raise NetworkSolveError(
+            f"{exc} (screening core {net.nodes[exc.column]!r} alone)"
+        ) from exc
     return dict(zip(net.nodes, (net.ambient + rise.max(axis=0)).tolist()))
 
 
@@ -176,6 +245,7 @@ def build_session(
     stcl: float,
     net: ThermalNetwork,
     power: PowerProfile,
+    margins: list[float] | None = None,
 ) -> set[str]:
     """Greedily grow one session from candidates given in policy order.
 
@@ -208,6 +278,13 @@ def build_session(
     * The STC never falls, and only the exempt first core can take it past
       ``stcl``.  Once it has, every later candidate's enlarged STC is above
       ``stcl`` too, so the singleton is returned at once.
+
+    ``margins``, if given, is a list ``[admitted, rejected]`` that every
+    comparison with ``stcl`` narrows: ``admitted`` rises to the largest STC
+    found within ``stcl`` and ``rejected`` falls to the smallest found
+    above it, the early exit's included.  The admitted STCs are the
+    session's STC after each admission, which never falls, so the largest
+    is the final one.
     """
     if isinstance(candidates, Set):
         raise TypeError(
@@ -218,6 +295,7 @@ def build_session(
         raise ValueError("no cores available to build a session from")
     session: set[str] = set()
     stc = 0.0
+    rejected = math.inf
     for name in candidates:
         i = net.position[name]
         touched = [
@@ -235,6 +313,14 @@ def build_session(
                 break
         else:
             session.remove(name)
+            if enlarged < rejected:
+                rejected = enlarged
+    if margins is not None:
+        if stc <= stcl:
+            margins[0] = max(margins[0], stc)
+        else:  # the early exit
+            rejected = min(rejected, stc)
+        margins[1] = min(margins[1], rejected)
     return session
 
 
@@ -245,7 +331,9 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
     ``die`` is reused, not solved again.  Raises ScreeningError listing
     every core whose BCMT reaches TL, together with the smallest limit that
     would pass (one solver tolerance above the hottest BCMT); after a
-    successful screen the loop always terminates (see module docstring).
+    successful screen the loop always terminates (see module docstring),
+    or raises AttemptBudgetError after ``ATTEMPTS_PER_CORE`` attempts per
+    core.
     """
     net, power = die.net, die.power
     check_tl(config.tl, net.ambient)
@@ -260,17 +348,32 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
     remaining = _ordered(net.nodes, power, weights, net, config.core_order)
     sessions: list[TestSession] = []
     effort = 0.0
+    budget = attempts_left = ATTEMPTS_PER_CORE * len(net.nodes)
+    # the values compared with TL closest to it on each side, and the
+    # STCs closest to STCL, which build_session narrows
+    below_tl, above_tl = max(die.bcmt.values()), math.inf
+    stcl_margins = [-math.inf, math.inf]
     while remaining:
-        members = frozenset(build_session(remaining, weights, config.stcl, net, power))
+        if not attempts_left:
+            raise AttemptBudgetError(config, budget)
+        attempts_left -= 1
+        members = frozenset(
+            build_session(remaining, weights, config.stcl, net, power, stcl_margins)
+        )
         result = die._validated.get(members)
         if result is None:
             result = die._validated[members] = simulate_session(members, net, power)
         effort += result.simulated_duration
         temperatures = result.temperatures
-        violators = [
-            name for name in sorted(members)
-            if temperatures[net.position[name]] >= config.tl
-        ]
+        violators = []
+        for name in sorted(members):
+            temp = temperatures[net.position[name]]
+            if temp >= config.tl:
+                violators.append(name)
+                if temp < above_tl:
+                    above_tl = temp
+            elif temp > below_tl:
+                below_tl = temp
         if violators:
             # session discarded; its simulated time still counts as effort
             weights = weights.bumped(violators, config.weight_factor)
@@ -284,6 +387,8 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
         total_length=total_length,
         simulation_effort=effort,
         stage1_report=dict(die.bcmt),
+        tl_range=(float(below_tl), float(above_tl)),
+        stcl_range=(stcl_margins[0], stcl_margins[1]),
     )
 
 

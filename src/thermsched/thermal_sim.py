@@ -33,7 +33,15 @@ _RESIDUAL_BLOCK = 64  # columns per residual product in solve_rise
 
 
 class NetworkSolveError(RuntimeError):
-    """Conductance system is not positive definite or the solve missed tolerance."""
+    """Conductance system is not positive definite or the solve missed tolerance.
+
+    ``column`` is the injection column whose residual missed tolerance in a
+    solve of several columns, else None.
+    """
+
+    def __init__(self, message: str, column: int | None = None):
+        super().__init__(message)
+        self.column = column
 
 
 @dataclass(frozen=True)
@@ -198,7 +206,8 @@ def solve_rise(net: ThermalNetwork, injections: np.ndarray) -> np.ndarray:
         column = f" in column {k}" if injections.ndim == 2 else ""
         raise NetworkSolveError(
             f"solve residual {error[k]:.3e}{column} is not within "
-            f"tolerance {tolerance[k]:.3e}"
+            f"tolerance {tolerance[k]:.3e}",
+            int(k) if injections.ndim == 2 else None,
         )
     return rise
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -184,7 +185,8 @@ def test_nan_residual_exit_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: solve residual nan in column 0 is not within tolerance 1.000e+300"
+        "error: solve residual nan in column 0 is not within tolerance 1.000e+300 "
+        "(screening core 'c01' alone)"
     ]
 
 
@@ -428,25 +430,49 @@ def test_sweep_on_bundled_demo_assets(tmp_path):
 
 @st.composite
 def sweep_cases(draw):
-    """A small random die and a TL x STCL grid on it with one TL that fails
-    screening, placed anywhere in the TL axis."""
+    """A small random die and a TL x STCL grid on it, as the two axis texts.
+
+    A scattered grid lists a few values, with one TL that fails screening
+    placed anywhere in the TL axis.  A dense grid steps from a failing TL
+    past the hottest BCMT, and across STCLs around the median singleton STC,
+    so most points fall inside an earlier run's decision box; it is given as
+    ascending ranges, as reversed lists, or as lists that repeat values."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     fp = random_floorplan(rng, draw(st.integers(2, 8)))
     profile = random_profile(rng, fp)
     die = compile_die(fp, profile, ThermalParams())
     hottest = max(die.bcmt.values())
     failing = die.net.ambient + draw(st.floats(0.05, 1.0)) * (hottest - die.net.ambient)
-    passing = [hottest + d for d in draw(st.lists(st.floats(0.5, 40.0), min_size=1, max_size=3))]
-    tls = draw(st.permutations(passing + [failing]))
     median = float(np.median([session_stc({n}, profile, None, die.net) for n in fp.names]))
-    stcls = [median * f for f in draw(st.lists(st.floats(0.4, 4.0), min_size=1, max_size=3))]
-    return fp, profile, tls, stcls
+    layout = draw(st.sampled_from(["scattered", "ascending", "reversed", "repeated"]))
+    if layout == "scattered":
+        passing = [hottest + d for d in draw(st.lists(st.floats(0.5, 40.0), min_size=1, max_size=3))]
+        tls = draw(st.permutations(passing + [failing]))
+        stcls = [median * f for f in draw(st.lists(st.floats(0.4, 4.0), min_size=1, max_size=3))]
+        return fp, profile, ",".join(map(repr, tls)), ",".join(map(repr, stcls))
+    top = hottest + draw(st.floats(1.0, 30.0))
+    tl_step = (top - failing) / draw(st.integers(3, 6))
+    stcl_start = median * draw(st.floats(0.2, 1.0))
+    stcl_step = median * draw(st.floats(0.05, 0.6))
+    tl_axis = f"{failing!r}:{top!r}:{tl_step!r}"
+    stcl_axis = f"{stcl_start!r}:{stcl_start + 5 * stcl_step!r}:{stcl_step!r}"
+    if layout == "ascending":
+        return fp, profile, tl_axis, stcl_axis
+    tls, stcls = _parse_axis(tl_axis), _parse_axis(stcl_axis)
+    if layout == "reversed":
+        tls, stcls = tls[::-1], stcls[::-1]
+    else:
+        # each value once or twice in a row, and the first again at the end
+        tls = [v for v in tls for _ in range(draw(st.integers(1, 2)))] + tls[:1]
+        stcls = [v for v in stcls for _ in range(draw(st.integers(1, 2)))] + stcls[:1]
+    return fp, profile, ",".join(map(repr, tls)), ",".join(map(repr, stcls))
 
 
 @settings(max_examples=25, deadline=None)
 @given(sweep_cases())
 def test_sweep_matches_fresh_runs_at_every_point(case):
-    fp, profile, tls, stcls = case
+    fp, profile, tl_axis, stcl_axis = case
+    tls, stcls = _parse_axis(tl_axis), _parse_axis(stcl_axis)
     expected_rows, expected_err = [SWEEP_HEADER], []
     for tl in tls:
         try:
@@ -459,22 +485,89 @@ def test_sweep_matches_fresh_runs_at_every_point(case):
                 ).csv_line())
         except ScreeningError as exc:
             expected_err.append(f"skipping TL={tl:g}: {exc}")
-    with tempfile.TemporaryDirectory() as tmp:
-        flp, power, out = Path(tmp) / "die.flp", Path(tmp) / "power.csv", Path(tmp) / "sweep.csv"
-        flp.write_text(fp.to_text())
-        power.write_text("".join(
-            f"{n},{profile.power(n)!r},{profile.duration(n)!r}\n" for n in fp.names
-        ))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main(
-                ["--floorplan", str(flp), "--power", str(power),
-                 "--sweep-tl", ",".join(map(repr, tls)),
-                 "--sweep-stcl", ",".join(map(repr, stcls)), "--out", str(out)]
-            )
-        assert code == 0
-        assert out.read_bytes() == ("\n".join(expected_rows) + "\n").encode()
+    runs = []
+    real = cli.generate_schedule
+    cli.generate_schedule = lambda *args: runs.append(args) or real(*args)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            flp, power, out = Path(tmp) / "die.flp", Path(tmp) / "power.csv", Path(tmp) / "sweep.csv"
+            flp.write_text(fp.to_text())
+            power.write_text("".join(
+                f"{n},{profile.power(n)!r},{profile.duration(n)!r}\n" for n in fp.names
+            ))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(
+                    ["--floorplan", str(flp), "--power", str(power),
+                     "--sweep-tl", tl_axis, "--sweep-stcl", stcl_axis, "--out", str(out)]
+                )
+            assert code == 0
+            assert out.read_bytes() == ("\n".join(expected_rows) + "\n").encode()
+    finally:
+        cli.generate_schedule = real
     assert err.getvalue().splitlines() == expected_err
+    # a failing TL row stops at its first run; a point that repeats the
+    # point before it lies in that point's box
+    most = len(expected_rows) - 1 + len(expected_err)
+    assert len(runs) <= most
+    if any(a == b for a, b in zip(stcls, stcls[1:])) and len(expected_rows) > 1:
+        assert len(runs) < most
+
+
+def test_dense_demo_sweep_runs_once_per_decision_box(tmp_path, monkeypatch):
+    # the benchmark's demo-sweep grid: 1681 points, 553 decision boxes
+    runs, attempts = [], []
+    real_generate, real_build = cli.generate_schedule, scheduler.build_session
+
+    def generate(*args):
+        start = len(attempts)
+        schedule = real_generate(*args)
+        runs.append(len(attempts) - start)
+        return schedule
+
+    monkeypatch.setattr(cli, "generate_schedule", generate)
+    monkeypatch.setattr(scheduler, "build_session", lambda *a: attempts.append(1) or real_build(*a))
+    out = tmp_path / "sweep.csv"
+    code = main(
+        ["--floorplan", str(demo15_floorplan_path()), "--power", str(demo15_power_path()),
+         "--sweep-tl", "145:185:1", "--sweep-stcl", "20:100:2", "--out", str(out)]
+    )
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 1 + 41 * 41
+    assert (len(runs), len(attempts)) == (553, 4616)
+    # the busiest run makes one attempt per core, far below the budget
+    assert max(runs) == 15 <= scheduler.ATTEMPTS_PER_CORE * 15 // 10
+
+
+@pytest.mark.parametrize("limits", [["--tl", "{tl}", "--stcl", "{stcl}"],
+                                    ["--sweep-tl", "{tl}", "--sweep-stcl", "{stcl}"]])
+def test_weight_factor_near_one_exits_3_at_the_attempt_budget(
+    three_core_files, tmp_path, capsys, limits
+):
+    flp, power = three_core_files
+    fp = cli.parse_floorplan(FLP_3)
+    profile = cli.parse_power_profile(POWER_3, fp)
+    die = compile_die(fp, profile, ThermalParams())
+    # everything packs into the first session, and every session of two or
+    # more cores runs too hot: weights rising by a millionth per discard
+    # would take far more attempts than the budget to split them all
+    tl = repr(math.nextafter(max(die.bcmt.values()), math.inf))
+    stcl = repr(session_stc(fp.names, profile, None, die.net))
+    out = tmp_path / "out"
+    code = main(
+        ["--floorplan", str(flp), "--power", str(power), "--weight-factor", "1.000001",
+         "--out", str(out), *(arg.format(tl=tl, stcl=stcl) for arg in limits)]
+    )
+    assert code == 3
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: no thermal-safe schedule within 3000 packing attempts (1000 per core) "
+        f"at TL {tl} C, STCL {stcl} and weight factor 1.000001; a discard multiplies "
+        "its violators' weights by the weight factor until their STC terms pass STCL, "
+        "so raise the weight factor or lower STCL"
+    ]
 
 
 def test_sweep_compiles_screens_and_validates_each_session_once(tmp_path, monkeypatch):

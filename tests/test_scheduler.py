@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,11 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermsched import scheduler
+from thermsched.assets import load_demo15
 from thermsched.floorplan import CoreGeometry, Floorplan, PowerProfile
 from thermsched.scheduler import (
+    ATTEMPTS_PER_CORE,
     CORE_ORDERINGS,
     ORDER_FILE,
     ORDER_POWER_WEIGHT_DESC,
+    AttemptBudgetError,
     SchedulerConfig,
     ScreeningError,
     build_session,
@@ -23,7 +27,7 @@ from thermsched.scheduler import (
     screen_cores,
 )
 from thermsched.thermal_model import ThermalParams, Weights, session_stc
-from thermsched.thermal_sim import build_network, simulate_session
+from thermsched.thermal_sim import NetworkSolveError, build_network, simulate_session
 from util import (
     load_synth400,
     random_floorplan,
@@ -200,16 +204,29 @@ def test_incremental_stc_packs_like_full_recompute(case, pick):
     candidates = [
         n for n in scheduler._ordered(net.nodes, profile, weights, net, order) if n in available
     ]
+    first = session_stc(candidates[:1], profile, weights, net)
     expected, compared = full_recompute_session(available, weights, stcl, net, profile, order)
     assert build_session(candidates, weights, stcl, net, profile) == expected
     # a limit equal to the first core's singleton STC, or to one of the compared
     # STCs, puts a decision on the boundary
-    boundaries = [session_stc(candidates[:1], profile, weights, net)]
+    boundaries = [first]
     if compared:
         boundaries.append(compared[pick % len(compared)])
-    for stcl in boundaries:
-        expected, _ = full_recompute_session(available, weights, stcl, net, profile, order)
-        assert build_session(candidates, weights, stcl, net, profile) == expected
+    for limit in [stcl] + boundaries:
+        expected, compared = full_recompute_session(
+            available, weights, limit, net, profile, order
+        )
+        margins = [-math.inf, math.inf]
+        assert build_session(candidates, weights, limit, net, profile, margins) == expected
+        # the margins are the compared STCs closest to the limit on each side;
+        # over the limit, the first core's STC ends the attempt at once
+        if first > limit:
+            assert margins == [-math.inf, first]
+        else:
+            assert margins == [
+                max([first] + [c for c in compared if c <= limit]),
+                min([c for c in compared if c > limit], default=math.inf),
+            ]
 
 
 def record_packing(monkeypatch):
@@ -383,6 +400,113 @@ def test_random_schedules_partition_and_stay_safe():
         assert schedule.simulation_effort >= schedule.total_length
 
 
+# ── decision boxes ───────────────────────────────────────────────────────
+
+
+def _decisions(schedule):
+    return (
+        [s.cores for s in schedule.sessions],
+        schedule.total_length,
+        schedule.simulation_effort,
+        schedule.tl_range,
+        schedule.stcl_range,
+    )
+
+
+def _fresh_run(fp, profile, config):
+    """The run at ``config`` on a freshly compiled die, or None where it
+    fails screening."""
+    try:
+        return generate_schedule(compile_die(fp, profile, ThermalParams()), config)
+    except ScreeningError:
+        return None
+
+
+@st.composite
+def box_cases(draw):
+    """A small random die and limits near its hottest BCMT and median
+    singleton STC, with a weight factor and core order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fp = random_floorplan(rng, draw(st.integers(1, 8)))
+    profile = random_profile(rng, fp)
+    die = compile_die(fp, profile, ThermalParams())
+    median = float(np.median([session_stc({n}, profile, None, die.net) for n in fp.names]))
+    config = SchedulerConfig(
+        tl=max(die.bcmt.values()) + draw(st.floats(0.1, 30.0)),
+        stcl=median * draw(st.floats(0.2, 6.0)),
+        weight_factor=draw(st.sampled_from([1.05, 1.1, 1.5])),
+        core_order=draw(st.sampled_from(CORE_ORDERINGS)),
+    )
+    return fp, profile, config
+
+
+@settings(max_examples=40, deadline=None)
+@given(box_cases())
+def test_decision_box_edges_give_the_same_run_and_are_tight(case):
+    fp, profile, config = case
+    schedule = _fresh_run(fp, profile, config)
+    (lo_tl, hi_tl), (lo_stcl, hi_stcl) = schedule.tl_range, schedule.stcl_range
+    assert schedule.covers(config.tl, config.stcl)
+    # the ends inside the box: TL's lower end is open, its upper end closed;
+    # STCL's lower end is closed, its upper end open.  An infinite end has no
+    # edge to test, and a lower STCL end of -inf leaves the run's own STCL
+    tls = [math.nextafter(lo_tl, math.inf)] + [hi_tl] * math.isfinite(hi_tl)
+    stcls = [lo_stcl if lo_stcl > 0 else config.stcl]
+    stcls += [math.nextafter(hi_stcl, -math.inf)] * math.isfinite(hi_stcl)
+    for tl in tls:
+        for stcl in stcls:
+            assert schedule.covers(tl, stcl)
+            inside = _fresh_run(fp, profile, replace(config, tl=tl, stcl=stcl))
+            assert _decisions(inside) == _decisions(schedule), (tl, stcl)
+    # one step past any finite end, some comparison flips: that run fails
+    # screening, or its own box leaves out the original limits
+    outside = [replace(config, tl=lo_tl)]
+    if math.isfinite(hi_tl):
+        outside.append(replace(config, tl=math.nextafter(hi_tl, math.inf)))
+    if math.isfinite(hi_stcl):
+        outside.append(replace(config, stcl=hi_stcl))
+    if math.nextafter(lo_stcl, -math.inf) > 0:
+        outside.append(replace(config, stcl=math.nextafter(lo_stcl, -math.inf)))
+    for other in outside:
+        assert not schedule.covers(other.tl, other.stcl)
+        run = _fresh_run(fp, profile, other)
+        assert run is None or not run.covers(config.tl, config.stcl), other
+
+
+def test_attempt_budget_stops_a_weight_factor_near_one():
+    # the all-in session runs too hot, and weights rising by a millionth per
+    # discard would take millions of attempts to split it
+    fp = strip_floorplan(3)
+    profile = PowerProfile({"s1": (1.0, 1.0), "s2": (8.0, 1.0), "s3": (1.0, 1.0)}, fp)
+    die = compile_die(fp, profile, STRIP_PARAMS)
+    full_peak = simulate_session(set(fp.names), die.net, profile).peak[1]
+    stcl = session_stc(fp.names, profile, None, die.net)
+    config = SchedulerConfig(tl=full_peak - 1.0, stcl=stcl, weight_factor=1.000001)
+    attempts = []
+    real_build = scheduler.build_session
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scheduler, "build_session", lambda *a: attempts.append(1) or real_build(*a))
+        with pytest.raises(AttemptBudgetError) as err:
+            generate_schedule(die, config)
+    assert len(attempts) == err.value.budget == 3 * ATTEMPTS_PER_CORE
+    assert err.value.config == config
+    # a factor of 1.1 splits the same session within a few attempts
+    generate_schedule(die, replace(config, weight_factor=1.1))
+
+
+def test_screening_solve_failure_names_the_core():
+    fp, profile = load_demo15()
+    name = fp.names[5]
+    huge = PowerProfile(
+        {n: (1e308 if n == name else profile.power(n), profile.duration(n)) for n in fp.names},
+        fp,
+    )
+    with pytest.raises(NetworkSolveError) as err:
+        compile_die(fp, huge, ThermalParams())
+    assert str(err.value).startswith("solve residual nan in column 5 ")
+    assert str(err.value).endswith(f" (screening core {name!r} alone)")
+
+
 # ── config validation ────────────────────────────────────────────────────
 
 
@@ -456,7 +580,11 @@ def written_schedules(draw):
     if regime == "one-session":
         config = SchedulerConfig(tl=everything + 1.0, stcl=1e300)
     elif regime == "discarding":
-        config = SchedulerConfig(tl=(hottest + everything) / 2, stcl=1e300)
+        # the whole die's STC packs every core into the first attempt; an
+        # STCL far above it would leave the violators' weights thousands of
+        # discards to climb before they steer packing
+        stcl = session_stc(fp.names, profile, None, die.net)
+        config = SchedulerConfig(tl=(hottest + everything) / 2, stcl=stcl)
     else:
         median = float(np.median([session_stc({n}, profile, None, die.net) for n in fp.names]))
         config = SchedulerConfig(
