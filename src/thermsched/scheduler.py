@@ -60,14 +60,16 @@ from .thermal_sim import (
 # Packing attempts a run may make per core before it gives up.  A discard
 # multiplies its violators' weights by the weight factor, and a weight
 # steers packing once it lifts a core's STC term past STCL, so the attempts
-# a run needs grow with log(STCL / term) / log(weight factor).  The bundled,
-# golden, test and benchmark cases need at most about 100 per core (a weight
-# factor of 1.01 on a die of a few cores), the demo15 sweep at most 1 (15
-# attempts at its densest point), so the cap sits ten times above them.
-# On demo15 at TL 146 and STCL 100, weight factor 1.0001 still finishes in
-# 10,456 attempts, while 1.000001, which would need millions, stops at the
-# cap in under two seconds on a 2-vCPU host.
-ATTEMPTS_PER_CORE = 1000
+# a run needs grow with log(STCL / term) / log(weight factor).  The costliest
+# case the tests run is STCL 1e300, a stand-in for no limit, with discards
+# at weight factor 1.1: a violator's weight climbs about 1e300-fold, some
+# 7,200 attempts, which is 3,620 per core on a two-core die.  The cap sits
+# ten times above that; the demo15 sweep needs at most 1 per core (15
+# attempts at its densest point).  On demo15 at TL 146 and STCL 100, weight
+# factor 1.0001 finishes in 10,456 attempts, while 1.000001, which would
+# need about a million, stops at the cap of 600,000 after about 50 s on a
+# 2-vCPU host.
+ATTEMPTS_PER_CORE = 40_000
 
 ORDER_POWER_WEIGHT_DESC = "power_weight_desc"
 ORDER_FILE = "file"

@@ -542,8 +542,10 @@ def test_dense_demo_sweep_runs_once_per_decision_box(tmp_path, monkeypatch):
 @pytest.mark.parametrize("limits", [["--tl", "{tl}", "--stcl", "{stcl}"],
                                     ["--sweep-tl", "{tl}", "--sweep-stcl", "{stcl}"]])
 def test_weight_factor_near_one_exits_3_at_the_attempt_budget(
-    three_core_files, tmp_path, capsys, limits
+    three_core_files, tmp_path, capsys, monkeypatch, limits
 ):
+    # the real budget takes 120,000 attempts here; a smaller one exits the same way
+    monkeypatch.setattr(scheduler, "ATTEMPTS_PER_CORE", 1000)
     flp, power = three_core_files
     fp = cli.parse_floorplan(FLP_3)
     profile = cli.parse_power_profile(POWER_3, fp)

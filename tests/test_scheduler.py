@@ -473,25 +473,51 @@ def test_decision_box_edges_give_the_same_run_and_are_tight(case):
         assert run is None or not run.covers(config.tl, config.stcl), other
 
 
+def _counting_attempts(mp):
+    attempts = []
+    real_build = scheduler.build_session
+    mp.setattr(scheduler, "build_session", lambda *a: attempts.append(1) or real_build(*a))
+    return attempts
+
+
 def test_attempt_budget_stops_a_weight_factor_near_one():
     # the all-in session runs too hot, and weights rising by a millionth per
-    # discard would take millions of attempts to split it
+    # discard would take millions of attempts to split it.  The real budget
+    # takes 120,000 attempts here; a smaller one tests the same loop
     fp = strip_floorplan(3)
     profile = PowerProfile({"s1": (1.0, 1.0), "s2": (8.0, 1.0), "s3": (1.0, 1.0)}, fp)
     die = compile_die(fp, profile, STRIP_PARAMS)
     full_peak = simulate_session(set(fp.names), die.net, profile).peak[1]
     stcl = session_stc(fp.names, profile, None, die.net)
     config = SchedulerConfig(tl=full_peak - 1.0, stcl=stcl, weight_factor=1.000001)
-    attempts = []
-    real_build = scheduler.build_session
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scheduler, "build_session", lambda *a: attempts.append(1) or real_build(*a))
+        mp.setattr(scheduler, "ATTEMPTS_PER_CORE", 1000)
+        attempts = _counting_attempts(mp)
         with pytest.raises(AttemptBudgetError) as err:
             generate_schedule(die, config)
-    assert len(attempts) == err.value.budget == 3 * ATTEMPTS_PER_CORE
+    assert len(attempts) == err.value.budget == 3000
     assert err.value.config == config
     # a factor of 1.1 splits the same session within a few attempts
     generate_schedule(die, replace(config, weight_factor=1.1))
+
+
+def test_a_huge_stcl_with_discards_stays_ten_times_below_the_budget():
+    # STCL 1e300 stands in for no limit: a violator's weight must climb from
+    # its STC term to 1e300 by the weight factor 1.1 before packing splits
+    # the first session, about 7,200 attempts on any die (7,195 to 7,238
+    # over 200 random two-core dies), the most per core that any case of
+    # this suite needs
+    rng = np.random.default_rng(79)
+    fp = random_floorplan(rng, 2)
+    profile = random_profile(rng, fp)
+    die = compile_die(fp, profile, ThermalParams())
+    everything = simulate_session(fp.names, die.net, profile).peak[1]
+    config = SchedulerConfig(tl=(max(die.bcmt.values()) + everything) / 2, stcl=1e300)
+    with pytest.MonkeyPatch.context() as mp:
+        attempts = _counting_attempts(mp)
+        schedule = generate_schedule(die, config)
+    assert len(schedule.sessions) == 2
+    assert 7000 < len(attempts) <= 2 * ATTEMPTS_PER_CORE // 10
 
 
 def test_screening_solve_failure_names_the_core():
@@ -580,11 +606,7 @@ def written_schedules(draw):
     if regime == "one-session":
         config = SchedulerConfig(tl=everything + 1.0, stcl=1e300)
     elif regime == "discarding":
-        # the whole die's STC packs every core into the first attempt; an
-        # STCL far above it would leave the violators' weights thousands of
-        # discards to climb before they steer packing
-        stcl = session_stc(fp.names, profile, None, die.net)
-        config = SchedulerConfig(tl=(hottest + everything) / 2, stcl=stcl)
+        config = SchedulerConfig(tl=(hottest + everything) / 2, stcl=1e300)
     else:
         median = float(np.median([session_stc({n}, profile, None, die.net) for n in fp.names]))
         config = SchedulerConfig(
