@@ -24,15 +24,12 @@ from .scheduler import (
     SchedulerConfig,
     ScreeningError,
     TestSession,
-    build_session,
     compile_die,
     generate_schedule,
     schedule_to_json,
 )
 from .thermal_model import (
     ThermalParams,
-    Weights,
-    equivalent_resistance,
     load_thermal_params,
     session_stc,
 )
@@ -43,7 +40,6 @@ from .thermal_sim import (
     ThermalNetwork,
     build_network,
     simulate_session,
-    solve_steady_state,
 )
 
 __version__ = "0.1.0"
@@ -64,14 +60,11 @@ __all__ = [
     "TestSession",
     "ThermalNetwork",
     "ThermalParams",
-    "Weights",
     "CORE_ORDERINGS",
     "ORDER_FILE",
     "ORDER_POWER_WEIGHT_DESC",
     "build_network",
-    "build_session",
     "compile_die",
-    "equivalent_resistance",
     "generate_schedule",
     "load_thermal_params",
     "parse_floorplan",
@@ -79,5 +72,4 @@ __all__ = [
     "schedule_to_json",
     "session_stc",
     "simulate_session",
-    "solve_steady_state",
 ]

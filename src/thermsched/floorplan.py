@@ -224,6 +224,17 @@ def _check_overlaps(cores: tuple[CoreGeometry, ...]) -> None:
             )
 
 
+def _records(source: str | IO[str]) -> Iterator[tuple[int, str, str]]:
+    """Yield ``(lineno, raw, line)`` for each record of text or a text stream:
+    ``line`` is ``raw`` without its '#' comment and surrounding whitespace,
+    and lines that leaves empty are skipped."""
+    text = source.read() if hasattr(source, "read") else source
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, raw, line
+
+
 def parse_floorplan(source: str | IO[str]) -> Floorplan:
     """Parse floorplan text: ``name width height left_x bottom_y`` per record.
 
@@ -231,12 +242,8 @@ def parse_floorplan(source: str | IO[str]) -> Floorplan:
     invalid core geometry, and without one for duplicate ids or overlapping
     rectangles, which only the whole floorplan can show.
     """
-    text = source.read() if hasattr(source, "read") else source
     cores: list[CoreGeometry] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, raw, line in _records(source):
         fields = line.split()
         if len(fields) != 5:
             raise FloorplanError(
@@ -311,12 +318,8 @@ def parse_power_profile(source: str | IO[str], floorplan: Floorplan) -> PowerPro
 
     Every floorplan core must appear exactly once.
     """
-    text = source.read() if hasattr(source, "read") else source
     entries: dict[str, tuple[float, float]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, raw, line in _records(source):
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != 3:
             raise PowerProfileError(

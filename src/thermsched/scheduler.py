@@ -92,8 +92,10 @@ class SchedulerConfig:
         # weights steer packing only through the STC <= STCL test
         if not (math.isfinite(self.stcl) and self.stcl > 0):
             raise ValueError(f"stcl must be positive and finite, got {self.stcl}")
-        if not self.weight_factor > 1:
-            raise ValueError(f"weight_factor must exceed 1, got {self.weight_factor}")
+        if not (math.isfinite(self.weight_factor) and self.weight_factor > 1):
+            raise ValueError(
+                f"weight_factor must be finite and exceed 1, got {self.weight_factor}"
+            )
         if self.core_order not in CORE_ORDERINGS:
             raise ValueError(
                 f"unknown core order {self.core_order!r}; choose from {CORE_ORDERINGS}"
@@ -131,10 +133,13 @@ class AttemptBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class TestSession:
-    """One validated set of concurrently tested cores."""
+    """One validated set of concurrently tested cores.
+
+    Members run concurrently, so ``duration`` is the longest member test.
+    """
 
     cores: frozenset[str]
-    duration: float
+    duration: float            # s
     result: SimulationResult
 
 
@@ -177,14 +182,14 @@ class CompiledDie:
 
     Holds what every schedule run on the die reads and no limit changes:
     the compiled network, the test powers and every core's BCMT.  The
-    private memo maps each validated member set to its simulation result,
-    so runs that share a die solve each distinct session once.
+    private memo maps each validated member set to its ``TestSession``, so
+    runs that share a die solve each distinct session once.
     """
 
     net: ThermalNetwork
     power: PowerProfile
     bcmt: Mapping[str, float]  # core -> BCMT, deg C
-    _validated: dict[frozenset[str], SimulationResult] = field(
+    _validated: dict[frozenset[str], TestSession] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -362,11 +367,15 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
         members = frozenset(
             build_session(remaining, weights, config.stcl, net, power, stcl_margins)
         )
-        result = die._validated.get(members)
-        if result is None:
-            result = die._validated[members] = simulate_session(members, net, power)
-        effort += result.simulated_duration
-        temperatures = result.temperatures
+        session = die._validated.get(members)
+        if session is None:
+            session = die._validated[members] = TestSession(
+                members,
+                max(power.duration(name) for name in members),
+                simulate_session(members, net, power),
+            )
+        effort += session.duration
+        temperatures = session.result.temperatures
         violators = []
         for name in sorted(members):
             temp = temperatures[net.position[name]]
@@ -381,7 +390,7 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
             weights = weights.bumped(violators, config.weight_factor)
             remaining = _ordered(remaining, power, weights, net, config.core_order)
             continue
-        sessions.append(TestSession(members, result.simulated_duration, result))
+        sessions.append(session)
         remaining = [name for name in remaining if name not in members]
     total_length = sum(s.duration for s in sessions)
     return Schedule(

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import IO, TYPE_CHECKING, Collection, Iterable, Mapping
 
-from .floorplan import PowerProfile
+from .floorplan import PowerProfile, _records
 
 if TYPE_CHECKING:
     from .thermal_sim import ThermalNetwork
@@ -68,12 +68,8 @@ def load_thermal_params(source: str | IO[str]) -> ThermalParams:
     Recognized keys: k_silicon, die_thickness, r_vertical_per_area,
     t_ambient.  '#' comments and blank lines are ignored.
     """
-    text = source.read() if hasattr(source, "read") else source
     values: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, raw, line in _records(source):
         key, sep, value = line.partition("=")
         key = key.strip()
         if not sep:

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .floorplan import Floorplan, PowerProfile
-from .thermal_model import ThermalParams
+from .thermal_model import ThermalParams, equivalent_resistance
 
 RESIDUAL_RTOL = 1e-8
 """Required solve accuracy: inf-norm residual per unit inf-norm of injections."""
@@ -52,13 +52,11 @@ class ThermalNetwork:
     node ``i``'s path to ambient, and ``lateral[i]`` lists its neighbors as
     ``(node index, lateral conductance)`` pairs in floorplan order; both are
     derived by ``build_network``.  ``singleton_resistance[i]`` is node
-    ``i``'s R_eq when none of its neighbors is active: one over its vertical
-    conductance plus every lateral, summed in the order in which
-    ``thermal_model.equivalent_resistance`` sums them, so the two agree bit
-    for bit.  ``conductance`` is symmetric positive
-    definite: off-diagonals are the negated lateral conductances, and each
-    diagonal adds the node's vertical conductance to ambient on top of its
-    lateral total.
+    ``i``'s R_eq when none of its neighbors is active, as
+    ``thermal_model.equivalent_resistance`` computes it.  ``conductance`` is
+    symmetric positive definite: off-diagonals are the negated lateral
+    conductances, and each diagonal adds the node's vertical conductance to
+    ambient on top of its lateral total.
     """
 
     nodes: tuple[str, ...]
@@ -73,7 +71,7 @@ class ThermalNetwork:
 
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
-    """Steady-state temperatures of one solve, plus the session wall time.
+    """Steady-state temperatures of one solve.
 
     ``temperatures[i]`` is the temperature of ``nodes[i]``; the array is
     read-only.  ``temps`` is the same data as a name -> deg C mapping, built
@@ -83,7 +81,6 @@ class SimulationResult:
     nodes: tuple[str, ...]
     temperatures: np.ndarray            # (N,), deg C per node
     peak: tuple[str, float]             # hottest core and its temperature
-    simulated_duration: float           # s, for effort accounting
 
     @cached_property
     def temps(self) -> Mapping[str, float]:
@@ -154,12 +151,6 @@ def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
                 "precision; check k_silicon, die_thickness and r_vertical_per_area"
             )
     g[np.diag_indices(n)] = diagonal
-    singleton_resistance = []
-    for total, neighbors in zip(vertical, lateral):
-        # a plain loop: sum() of floats may use compensated summation
-        for _, gl in neighbors:
-            total += gl
-        singleton_resistance.append(1.0 / total)
     try:
         factor = cho_factor(g)
     except np.linalg.LinAlgError as exc:
@@ -167,16 +158,19 @@ def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
             "conductance matrix is not positive definite; every node needs a "
             "vertical conductance to ambient"
         ) from exc
-    return ThermalNetwork(
+    net = ThermalNetwork(
         nodes=names,
         position=position,
         vertical=vertical,
         lateral=tuple(map(tuple, lateral)),
-        singleton_resistance=tuple(singleton_resistance),
+        singleton_resistance=(),
         conductance=g,
         factor=factor,
         ambient=params.t_ambient,
     )
+    return replace(net, singleton_resistance=tuple(
+        equivalent_resistance(name, (name,), net) for name in names
+    ))
 
 
 def solve_rise(net: ThermalNetwork, injections: np.ndarray) -> np.ndarray:
@@ -228,9 +222,7 @@ def solve_steady_state(net: ThermalNetwork, injections: np.ndarray) -> Simulatio
     temperatures.flags.writeable = False
     peak_i = int(np.argmax(rise))  # ties resolve to the first node
     peak = (net.nodes[peak_i], float(temperatures[peak_i]))
-    return SimulationResult(
-        nodes=net.nodes, temperatures=temperatures, peak=peak, simulated_duration=0.0
-    )
+    return SimulationResult(nodes=net.nodes, temperatures=temperatures, peak=peak)
 
 
 def simulate_session(
@@ -239,9 +231,7 @@ def simulate_session(
     """Simulate one test session on the full network.
 
     Injections are the test powers of the session's cores and zero
-    elsewhere.  The session's wall duration is the longest member test
-    (members run concurrently); it is recorded for simulation-effort
-    accounting.
+    elsewhere.
     """
     session = frozenset(session)
     if not session:
@@ -252,6 +242,4 @@ def simulate_session(
     injections = np.zeros(len(net.nodes))
     for name in session:
         injections[net.position[name]] = power.power(name)
-    result = solve_steady_state(net, injections)
-    duration = max(power.duration(name) for name in session)
-    return replace(result, simulated_duration=duration)
+    return solve_steady_state(net, injections)

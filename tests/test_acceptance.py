@@ -13,12 +13,6 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from thermsched.assets import (
-    demo15_floorplan_path,
-    demo15_power_path,
-    load_demo15,
-    load_density_contrast,
-)
 from thermsched.cli import main
 from thermsched.floorplan import PowerProfile
 from thermsched.scheduler import SchedulerConfig, compile_die, generate_schedule
@@ -28,7 +22,14 @@ from thermsched.thermal_sim import (
     build_network,
     simulate_session,
 )
-from util import grounded_rise_oracle, random_floorplan, random_profile, random_session
+from util import (
+    DATA,
+    grounded_rise_oracle,
+    load_inputs,
+    random_floorplan,
+    random_profile,
+    random_session,
+)
 
 PARAMS = ThermalParams()
 
@@ -101,7 +102,7 @@ def test_criterion_2_solver_soundness():
 def test_criterion_3_power_density_contrast():
     """Equal session power, 4x power density => clearly hotter session."""
     with criterion(3, "power-density contrast", budget_s=1.0):
-        fp, power = load_density_contrast()
+        fp, power = load_inputs("density_contrast")
         dense = {n for n in fp.names if n.startswith("a")}
         sparse = {n for n in fp.names if n.startswith("b")}
         assert sum(power.power(n) for n in dense) == pytest.approx(
@@ -120,7 +121,7 @@ def test_criterion_3_power_density_contrast():
 def test_criterion_4_stcl_tradeoff_trend():
     """Tight STCL: longer schedule, less simulation; loose STCL: the reverse."""
     with criterion(4, "STCL trade-off trend", budget_s=60.0):
-        fp, power = load_demo15()
+        fp, power = load_inputs("demo15")
         die = compile_die(fp, power, PARAMS)
         stcl_lo, stcl_hi = 20.0, 100.0
         for tl in (145.0, 165.0, 185.0):
@@ -133,7 +134,7 @@ def test_criterion_4_stcl_tradeoff_trend():
 def test_criterion_5_effort_identity():
     """No discarded session <=> simulation effort equals schedule length."""
     with criterion(5, "effort identity", budget_s=10.0):
-        fp, power = load_demo15()
+        fp, power = load_inputs("demo15")
         die = compile_die(fp, power, PARAMS)
         # tight STCL and generous TL: every session passes on first try
         clean = generate_schedule(die, SchedulerConfig(tl=260.0, stcl=20.0))
@@ -175,8 +176,8 @@ def test_criterion_7_sweep_determinism(tmp_path):
     """Two identical full sweep runs emit byte-identical CSV."""
     with criterion(7, "sweep determinism"):
         args = [
-            "--floorplan", str(demo15_floorplan_path()),
-            "--power", str(demo15_power_path()),
+            "--floorplan", str(DATA / "demo15.flp"),
+            "--power", str(DATA / "demo15.csv"),
             "--sweep-tl", "145:185:5",
             "--sweep-stcl", "20:100:10",
         ]

@@ -21,11 +21,8 @@ PUBLIC_NAMES = [
     "TestSession",
     "ThermalNetwork",
     "ThermalParams",
-    "Weights",
     "build_network",
-    "build_session",
     "compile_die",
-    "equivalent_resistance",
     "generate_schedule",
     "load_thermal_params",
     "parse_floorplan",
@@ -33,7 +30,6 @@ PUBLIC_NAMES = [
     "schedule_to_json",
     "session_stc",
     "simulate_session",
-    "solve_steady_state",
 ]
 
 

@@ -13,11 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermsched import cli, scheduler, thermal_sim
-from thermsched.assets import demo15_floorplan_path, demo15_power_path, load_demo15
 from thermsched.cli import MAX_SWEEP_POINTS, SWEEP_HEADER, SweepRow, _parse_axis, main
 from thermsched.scheduler import SchedulerConfig, ScreeningError, compile_die, generate_schedule
 from thermsched.thermal_model import ThermalParams, session_stc
-from util import random_floorplan, random_profile
+from util import DATA, load_inputs, random_floorplan, random_profile
 
 
 FLP_3 = """\
@@ -160,7 +159,7 @@ def test_unsolvable_network_exit_1(capsys):
     # a vertical resistance this large vanishes from G's diagonal, so the
     # first screening solve misses its residual tolerance
     code = main(
-        ["--floorplan", str(demo15_floorplan_path()), "--power", str(demo15_power_path()),
+        ["--floorplan", str(DATA / "demo15.flp"), "--power", str(DATA / "demo15.csv"),
          "--tl", "165", "--stcl", "60", "--r-vertical", "1e300"]
     )
     assert code == 1
@@ -174,11 +173,11 @@ def test_unsolvable_network_exit_1(capsys):
 def test_nan_residual_exit_1(tmp_path, capsys):
     # powers this large overflow every screening solve to NaN; a NaN
     # residual compares false with its tolerance and must still fail
-    fp, _ = load_demo15()
+    fp, _ = load_inputs("demo15")
     power = tmp_path / "huge.csv"
     power.write_text("".join(f"{name},1e308,1.0\n" for name in fp.names))
     code = main(
-        ["--floorplan", str(demo15_floorplan_path()), "--power", str(power),
+        ["--floorplan", str(DATA / "demo15.flp"), "--power", str(power),
          "--tl", "165", "--stcl", "60"]
     )
     assert code == 1
@@ -210,13 +209,31 @@ def test_nan_residual_exit_1(tmp_path, capsys):
 ])
 def test_degenerate_conductance_exit_1(overrides, message, capsys):
     code = main(
-        ["--floorplan", str(demo15_floorplan_path()), "--power", str(demo15_power_path()),
+        ["--floorplan", str(DATA / "demo15.flp"), "--power", str(DATA / "demo15.csv"),
          "--tl", "165", "--stcl", "60", *overrides]
     )
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("limits", [
+    ["--tl", "185", "--stcl", "20"],    # no discard: inf would be echoed as JSON
+    ["--tl", "165", "--stcl", "100"],   # discards: inf would reach the weights
+    ["--sweep-tl", "165:185:20", "--sweep-stcl", "20:100:80"],
+])
+def test_infinite_weight_factor_exit_1(limits, capsys):
+    code = main(
+        ["--floorplan", str(DATA / "demo15.flp"), "--power", str(DATA / "demo15.csv"),
+         "--weight-factor", "inf", *limits]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: weight_factor must be finite and exceed 1, got inf"
+    ]
 
 
 def test_missing_floorplan_exit_1(capsys):
@@ -413,8 +430,8 @@ def test_sweep_deterministic_bytes(three_core_files, tmp_path):
 def test_sweep_on_bundled_demo_assets(tmp_path):
     out = tmp_path / "demo.csv"
     code = main(
-        ["--floorplan", str(demo15_floorplan_path()),
-         "--power", str(demo15_power_path()),
+        ["--floorplan", str(DATA / "demo15.flp"),
+         "--power", str(DATA / "demo15.csv"),
          "--sweep-tl", "165", "--sweep-stcl", "30", "--out", str(out)]
     )
     assert code == 0
@@ -529,7 +546,7 @@ def test_dense_demo_sweep_runs_once_per_decision_box(tmp_path, monkeypatch):
     monkeypatch.setattr(scheduler, "build_session", lambda *a: attempts.append(1) or real_build(*a))
     out = tmp_path / "sweep.csv"
     code = main(
-        ["--floorplan", str(demo15_floorplan_path()), "--power", str(demo15_power_path()),
+        ["--floorplan", str(DATA / "demo15.flp"), "--power", str(DATA / "demo15.csv"),
          "--sweep-tl", "145:185:1", "--sweep-stcl", "20:100:2", "--out", str(out)]
     )
     assert code == 0
@@ -604,7 +621,7 @@ def test_sweep_compiles_screens_and_validates_each_session_once(tmp_path, monkey
     monkeypatch.setattr(scheduler, "build_session", build)
     monkeypatch.setattr(cli, "compile_die", compile_die_)
     code = main(
-        ["--floorplan", str(demo15_floorplan_path()), "--power", str(demo15_power_path()),
+        ["--floorplan", str(DATA / "demo15.flp"), "--power", str(DATA / "demo15.csv"),
          "--sweep-tl", "145:185:5", "--sweep-stcl", "20:100:10",
          "--out", str(tmp_path / "sweep.csv")]
     )

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermsched import scheduler
-from thermsched.assets import load_demo15
 from thermsched.floorplan import CoreGeometry, Floorplan, PowerProfile
 from thermsched.scheduler import (
     ATTEMPTS_PER_CORE,
@@ -29,6 +28,7 @@ from thermsched.scheduler import (
 from thermsched.thermal_model import ThermalParams, Weights, session_stc
 from thermsched.thermal_sim import NetworkSolveError, build_network, simulate_session
 from util import (
+    load_inputs,
     load_synth400,
     random_floorplan,
     random_profile,
@@ -373,6 +373,28 @@ def test_schedule_is_deterministic():
     assert a.stage1_report == b.stage1_report
 
 
+def test_runs_on_one_die_share_each_validated_session(monkeypatch):
+    # the die's memo owns each member set's TestSession: a later run gets
+    # the same object, duration included, without solving it again
+    fp = strip_floorplan(4)
+    profile = PowerProfile({f"s{i}": (1.0, 0.5 * i) for i in range(1, 5)}, fp)
+    die = compile_die(fp, profile, STRIP_PARAMS)
+    solved = []
+    original = scheduler.simulate_session
+    monkeypatch.setattr(
+        scheduler, "simulate_session",
+        lambda members, *args: solved.append(members) or original(members, *args),
+    )
+    stcl = 0.9 * session_stc({"s1"}, profile, None, die.net)
+    a = generate_schedule(die, SchedulerConfig(tl=200.0, stcl=stcl))
+    b = generate_schedule(die, SchedulerConfig(tl=150.0, stcl=stcl))
+    assert len(a.sessions) == len(b.sessions) == len(solved) == 4  # singletons
+    by_cores = {s.cores: s for s in a.sessions}
+    for session in b.sessions:
+        assert session is by_cores[session.cores]
+        assert session.duration == max(profile.duration(n) for n in session.cores)
+
+
 def test_uniform_durations_make_length_count_sessions():
     fp = strip_floorplan(4)
     profile = uniform_profile(fp, power=1.0, duration=1.0)
@@ -521,7 +543,7 @@ def test_a_huge_stcl_with_discards_stays_ten_times_below_the_budget():
 
 
 def test_screening_solve_failure_names_the_core():
-    fp, profile = load_demo15()
+    fp, profile = load_inputs("demo15")
     name = fp.names[5]
     huge = PowerProfile(
         {n: (1e308 if n == name else profile.power(n), profile.duration(n)) for n in fp.names},
@@ -545,6 +567,8 @@ def test_config_rejects_bad_values():
         SchedulerConfig(tl=math.nan, stcl=10.0)
     with pytest.raises(ValueError, match="weight_factor"):
         SchedulerConfig(tl=100.0, stcl=10.0, weight_factor=1.0)
+    with pytest.raises(ValueError, match="weight_factor"):
+        SchedulerConfig(tl=100.0, stcl=10.0, weight_factor=math.inf)
     with pytest.raises(ValueError, match="core order"):
         SchedulerConfig(tl=100.0, stcl=10.0, core_order="random")
 

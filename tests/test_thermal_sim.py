@@ -1,5 +1,7 @@
 """Compiled thermal network and full-network steady-state simulator tests."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermsched import thermal_model, thermal_sim
-from thermsched.assets import load_demo15, load_density_contrast
 from thermsched.floorplan import AdjacencyGraph, CoreGeometry, Floorplan, PowerProfile
 from thermsched.scheduler import (
     SchedulerConfig,
@@ -25,6 +26,7 @@ from thermsched.thermal_sim import (
     solve_steady_state,
 )
 from util import (
+    load_inputs,
     load_synth400,
     random_floorplan,
     random_profile,
@@ -281,12 +283,18 @@ def test_empty_session_rejected():
 
 
 def test_session_duration_is_longest_member_test():
+    # the strip is cool enough at this TL that all three cores share a session
     fp = strip_floorplan(3)
     profile = PowerProfile(
         {"s1": (1.0, 0.5), "s2": (1.0, 2.5), "s3": (1.0, 1.0)}, fp
     )
-    result = simulate_session({"s1", "s2"}, build_network(fp, ThermalParams()), profile)
-    assert result.simulated_duration == 2.5
+    schedule = generate_schedule(
+        compile_die(fp, profile, ThermalParams()), SchedulerConfig(tl=1000.0, stcl=1e9)
+    )
+    (session,) = schedule.sessions
+    assert session.cores == {"s1", "s2", "s3"}
+    assert session.duration == 2.5
+    assert schedule.total_length == schedule.simulation_effort == 2.5
 
 
 def test_far_apart_cores_decouple():
@@ -341,7 +349,11 @@ def test_guiding_model_vs_full_network():
 # ── batched screening and array-backed results ──────────────────────────
 
 
-@pytest.mark.parametrize("load", [load_demo15, load_density_contrast, load_synth400])
+@pytest.mark.parametrize(
+    "load",
+    [partial(load_inputs, "demo15"), partial(load_inputs, "density_contrast"), load_synth400],
+    ids=["load_demo15", "load_density_contrast", "load_synth400"],
+)
 def test_batched_screening_equals_per_core_solves(load):
     fp, profile = load()
     net = build_network(fp, ThermalParams())
@@ -353,7 +365,7 @@ def test_batched_screening_equals_per_core_solves(load):
 
 
 def test_solve_rise_checks_every_column():
-    fp, profile = load_demo15()
+    fp, profile = load_inputs("demo15")
     net = build_network(fp, ThermalParams())
     injections = np.diag([profile.power(name) for name in fp.names])
     good = thermal_sim.solve_rise(net, injections)

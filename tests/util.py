@@ -27,11 +27,20 @@ def strip_floorplan(n: int = 3, size: float = 1.0) -> Floorplan:
     )
 
 
+DATA = Path(__file__).resolve().parent.parent / "src" / "thermsched" / "data"
+"""The bundled demo inputs: ``demo15`` and ``density_contrast``, each a
+``.flp`` floorplan and a ``.csv`` power profile."""
+
+
+def load_inputs(stem: str, directory: Path = DATA) -> tuple[Floorplan, PowerProfile]:
+    """The floorplan ``<stem>.flp`` in ``directory`` and its ``<stem>.csv`` power profile."""
+    fp = parse_floorplan((directory / f"{stem}.flp").read_text(encoding="utf-8"))
+    return fp, parse_power_profile((directory / f"{stem}.csv").read_text(encoding="utf-8"), fp)
+
+
 def load_synth400() -> tuple[Floorplan, PowerProfile]:
     """The N=400 die of the golden tests and its power profile."""
-    golden = Path(__file__).resolve().parent / "golden"
-    fp = parse_floorplan((golden / "synth400.flp").read_text(encoding="utf-8"))
-    return fp, parse_power_profile((golden / "synth400.csv").read_text(encoding="utf-8"), fp)
+    return load_inputs("synth400", Path(__file__).resolve().parent / "golden")
 
 
 def uniform_profile(fp: Floorplan, power: float = 10.0, duration: float = 1.0) -> PowerProfile:
