@@ -28,14 +28,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 from .floorplan import Floorplan, PowerProfile, parse_floorplan, parse_power_profile
 from .scheduler import (
     CORE_ORDERINGS,
     AttemptBudgetError,
-    ORDER_POWER_WEIGHT_DESC,
     Schedule,
     SchedulerConfig,
     ScreeningError,
@@ -48,30 +47,21 @@ from .thermal_model import ThermalParams, load_thermal_params
 from .thermal_sim import NetworkSolveError
 
 SWEEP_HEADER = "tl_C,stcl,schedule_length_s,simulation_effort_s,max_temperature_C"
-# A sweep holds one config and one CSV row per grid point until it writes
-# its output: about 250 bytes a point, measured on a one-core die, where a
-# point also runs fastest, about 20 us on a 2-vCPU host.  A grid at this
-# cap would hold some 2.5 TB and run for over two days, so no sweep that
-# can finish is refused, while a range with a tiny step is counted and
-# refused instead of built.
+# A sweep holds one CSV row per grid point until it writes its output:
+# about 120 bytes a point at its peak (tracemalloc, 10^6 points on a
+# one-core die), where a point also runs fastest, about 3 us on a 2-vCPU
+# host.  A grid at this cap would hold some 1.2 TB, so no sweep that can
+# finish is refused, while a range with a tiny step is counted and refused
+# instead of built.
 MAX_SWEEP_POINTS = 10_000_000_000
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One evaluated sweep grid point, matching SWEEP_HEADER column for column."""
-
-    tl: float
-    stcl: float
-    schedule_length_s: float
-    simulation_effort_s: float
-    max_temperature_c: float
-
-    def csv_line(self) -> str:
-        return (
-            f"{self.tl:g},{self.stcl:g},{self.schedule_length_s:g},"
-            f"{self.simulation_effort_s:g},{self.max_temperature_c:.4f}"
-        )
+def _sweep_row(tl: float, stcl: float, schedule: Schedule) -> str:
+    """One grid point's CSV row, matching SWEEP_HEADER column for column."""
+    return (
+        f"{tl:g},{stcl:g},{schedule.total_length:g},"
+        f"{schedule.simulation_effort:g},{schedule.max_temperature:.4f}"
+    )
 
 
 class _UsageError(Exception):
@@ -111,11 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override die thickness")
     p.add_argument("--r-vertical", type=float, metavar="KM2_PER_W",
                    help="override area-normalized vertical resistance")
-    p.add_argument("--weight-factor", type=float, default=1.1, metavar="F",
-                   help="weight multiplier applied to violating cores (default 1.1)")
+    p.add_argument("--weight-factor", type=float,
+                   default=SchedulerConfig.weight_factor, metavar="F",
+                   help="weight multiplier applied to violating cores (default %(default)s)")
     p.add_argument("--core-order", choices=CORE_ORDERINGS,
-                   default=ORDER_POWER_WEIGHT_DESC,
-                   help="packing order policy (default: power*weight descending)")
+                   default=SchedulerConfig.core_order,
+                   help="packing order policy (default %(default)s)")
     p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     p.add_argument("--format", choices=("json", "text"), default="json",
                    help="single-run output format (default json)")
@@ -210,14 +201,15 @@ def _format_text(schedule: Schedule, config: SchedulerConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _config(args, tl: float, stcl: float) -> SchedulerConfig:
+    return SchedulerConfig(
+        tl=tl, stcl=stcl, weight_factor=args.weight_factor, core_order=args.core_order
+    )
+
+
 def run_single(args) -> int:
     fp, power, params = _load_inputs(args)
-    config = SchedulerConfig(
-        tl=args.tl,
-        stcl=args.stcl,
-        weight_factor=args.weight_factor,
-        core_order=args.core_order,
-    )
+    config = _config(args, args.tl, args.stcl)
     check_tl(config.tl, params.t_ambient)
     schedule = generate_schedule(compile_die(fp, power, params), config)
     if args.format == "json":
@@ -230,61 +222,47 @@ def run_single(args) -> int:
 
 def run_sweep(args) -> int:
     fp, power, params = _load_inputs(args)
-    tl_values = tuple(_parse_axis(args.sweep_tl))
-    stcl_values = tuple(_parse_axis(args.sweep_stcl))
+    tl_values = _parse_axis(args.sweep_tl)
+    stcl_values = _parse_axis(args.sweep_stcl)
     points = len(tl_values) * len(stcl_values)
     if points > MAX_SWEEP_POINTS:
         raise _UsageError(
             f"sweep grid has {points} points; a sweep holds at most {MAX_SWEEP_POINTS}"
         )
     # validate the whole grid before the first run, so a bad point anywhere
-    # fails fast instead of discarding the rows already computed
+    # fails fast instead of discarding the rows already computed.  A config
+    # checks each limit on its own, so one row and one column of the grid
+    # check every point, and they raise the error the row-major grid's first
+    # bad point would.
     for tl in tl_values:
         check_tl(tl, params.t_ambient)
-    grid = [
-        [
-            SchedulerConfig(
-                tl=tl,
-                stcl=stcl,
-                weight_factor=args.weight_factor,
-                core_order=args.core_order,
-            )
-            for stcl in stcl_values
-        ]
-        for tl in tl_values
-    ]
+    for stcl in stcl_values:
+        _config(args, tl_values[0], stcl)
+    for tl in tl_values:
+        _config(args, tl, stcl_values[0])
     die = compile_die(fp, power, params)
     lines = [SWEEP_HEADER]
-    emitted = 0
     # the run behind each point of the previous TL row; None where it failed
     above: list[Schedule | None] = [None] * len(stcl_values)
-    for tl, configs in zip(tl_values, grid):
-        row_runs: list[Schedule | None] = [None] * len(configs)
+    for tl in tl_values:
+        row_runs: list[Schedule | None] = [None] * len(stcl_values)
         left = None
         try:
-            for j, config in enumerate(configs):
-                if left is not None and left.covers(tl, config.stcl):
+            for j, stcl in enumerate(stcl_values):
+                if left is not None and left.covers(tl, stcl):
                     schedule = left
-                elif above[j] is not None and above[j].covers(tl, config.stcl):
+                elif above[j] is not None and above[j].covers(tl, stcl):
                     schedule = above[j]
                 else:
-                    schedule = generate_schedule(die, config)
+                    schedule = generate_schedule(die, _config(args, tl, stcl))
                 row_runs[j] = left = schedule
-                row = SweepRow(
-                    tl=config.tl,
-                    stcl=config.stcl,
-                    schedule_length_s=schedule.total_length,
-                    simulation_effort_s=schedule.simulation_effort,
-                    max_temperature_c=schedule.max_temperature,
-                )
-                lines.append(row.csv_line())
-                emitted += 1
+                lines.append(_sweep_row(tl, stcl, schedule))
         except ScreeningError as exc:
             # this TL cannot host any schedule; its grid rows are skipped
             print(f"skipping TL={tl:g}: {exc}", file=sys.stderr)
         above = row_runs
     _write("\n".join(lines) + "\n", args.out)
-    return 0 if emitted else 2
+    return 0 if len(lines) > 1 else 2
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -234,14 +234,11 @@ def compile_die(fp: Floorplan, power: PowerProfile, params: ThermalParams) -> Co
 
 
 def _ordered(
-    cores: Collection[str],
-    power: PowerProfile,
-    weights: Weights,
-    net: ThermalNetwork,
-    policy: str,
+    cores: Collection[str], power: PowerProfile, weights: Weights, policy: str
 ) -> list[str]:
     if policy == ORDER_FILE:
-        return sorted(cores, key=net.position.__getitem__)
+        # cores arrive in file order, and weights never move it
+        return list(cores)
     # hardest cores first; rising weights push repeat offenders to the front
     return sorted(cores, key=lambda name: (-power.power(name) * weights.of(name), name))
 
@@ -340,7 +337,7 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
     would pass (one solver tolerance above the hottest BCMT); after a
     successful screen the loop always terminates (see module docstring),
     or raises AttemptBudgetError after ``ATTEMPTS_PER_CORE`` attempts per
-    core.
+    core, or ValueError if a violator's weight overflows first.
     """
     net, power = die.net, die.power
     check_tl(config.tl, net.ambient)
@@ -352,7 +349,7 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
     weights = Weights()
     # the policy order changes only with the weights: sort once per weight
     # set and drop scheduled cores from it
-    remaining = _ordered(net.nodes, power, weights, net, config.core_order)
+    remaining = _ordered(net.nodes, power, weights, config.core_order)
     sessions: list[TestSession] = []
     effort = 0.0
     budget = attempts_left = ATTEMPTS_PER_CORE * len(net.nodes)
@@ -388,7 +385,7 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
         if violators:
             # session discarded; its simulated time still counts as effort
             weights = weights.bumped(violators, config.weight_factor)
-            remaining = _ordered(remaining, power, weights, net, config.core_order)
+            remaining = _ordered(remaining, power, weights, config.core_order)
             continue
         sessions.append(session)
         remaining = [name for name in remaining if name not in members]
@@ -434,13 +431,10 @@ def schedule_to_json(
         },
         indent=2,
     )
-    temps_keys: dict[tuple[str, ...], list[str]] = {}
+    # every session of a schedule is solved on one network, so one node tuple
+    keys = [f"        {json.dumps(n)}: " for n in schedule.sessions[0].result.nodes]
     sessions = []
     for s in schedule.sessions:
-        nodes = s.result.nodes
-        keys = temps_keys.get(nodes)
-        if keys is None:
-            keys = temps_keys[nodes] = [f"        {json.dumps(n)}: " for n in nodes]
         cores = ",\n".join(f"        {json.dumps(n)}" for n in sorted(s.cores))
         temps = map(float.__repr__, s.result.temperatures.tolist())
         peak_core, peak_temp = s.result.peak
@@ -468,7 +462,8 @@ def schedule_to_json(
 
 
 def _json_object(members, indent: str) -> str:
-    """A JSON object from its indented ``"key": value`` member lines;
-    ``indent`` is the indentation of the closing brace."""
+    """A JSON object from its indented ``"key": value`` member lines, at
+    least one, since a floorplan has a core; ``indent`` is the indentation
+    of the closing brace."""
     body = ",\n".join(members)
-    return f"{{\n{body}\n{indent}}}" if body else "{}"
+    return f"{{\n{body}\n{indent}}}"

@@ -107,6 +107,12 @@ class Weights:
         values = dict(self._values)
         for name in names:
             values[name] = values.get(name, 1.0) * factor
+            if values[name] == math.inf:
+                # a term this far below STCL takes more bumps than a float holds
+                raise ValueError(
+                    f"weight for {name!r} overflowed at weight factor {factor!r} "
+                    "before the core's STC term passed STCL; lower STCL"
+                )
         return Weights(values)
 
     def __repr__(self) -> str:

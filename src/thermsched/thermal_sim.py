@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Collection, Mapping
 
 import numpy as np
@@ -74,17 +73,12 @@ class SimulationResult:
     """Steady-state temperatures of one solve.
 
     ``temperatures[i]`` is the temperature of ``nodes[i]``; the array is
-    read-only.  ``temps`` is the same data as a name -> deg C mapping, built
-    on first read; the scheduler and the JSON writer read the array.
+    read-only.
     """
 
     nodes: tuple[str, ...]
     temperatures: np.ndarray            # (N,), deg C per node
     peak: tuple[str, float]             # hottest core and its temperature
-
-    @cached_property
-    def temps(self) -> Mapping[str, float]:
-        return dict(zip(self.nodes, self.temperatures.tolist()))
 
 
 def _conductance(numerator: float, denominator: float, path: str, knobs: str) -> float:

@@ -74,7 +74,7 @@ def test_criterion_2_solver_soundness():
             profile = random_profile(rng, fp, p_range=(0.0, 4.0))
             active = random_session(rng, fp)
             result = simulate_session(active, net, profile)
-            rise = np.array([result.temps[n] for n in net.nodes]) - net.ambient
+            rise = result.temperatures - net.ambient
             injections = np.array([profile.power(n) if n in active else 0.0 for n in net.nodes])
             residual = np.max(np.abs(net.conductance @ rise - injections))
             assert residual <= RESIDUAL_RTOL * max(1.0, np.max(np.abs(injections)))
@@ -82,7 +82,7 @@ def test_criterion_2_solver_soundness():
             # zero power: every node exactly at ambient
             zero = PowerProfile({n: (0.0, 1.0) for n in fp.names}, fp)
             cold = simulate_session(active, net, zero)
-            assert all(t == PARAMS.t_ambient for t in cold.temps.values())
+            assert all(t == PARAMS.t_ambient for t in cold.temperatures.tolist())
 
             # superposition of two random injection patterns
             p1 = random_profile(rng, fp, p_range=(0.0, 2.0))
@@ -93,10 +93,9 @@ def test_criterion_2_solver_soundness():
             r1 = simulate_session(active, net, p1)
             r2 = simulate_session(active, net, p2)
             r12 = simulate_session(active, net, both)
-            for n in fp.names:
-                lhs = r12.temps[n] - PARAMS.t_ambient
-                rhs = (r1.temps[n] - PARAMS.t_ambient) + (r2.temps[n] - PARAMS.t_ambient)
-                assert lhs == pytest.approx(rhs, abs=1e-8)
+            lhs = r12.temperatures - PARAMS.t_ambient
+            rhs = (r1.temperatures - PARAMS.t_ambient) + (r2.temperatures - PARAMS.t_ambient)
+            assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
 def test_criterion_3_power_density_contrast():

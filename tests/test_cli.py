@@ -6,6 +6,7 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermsched import cli, scheduler, thermal_sim
-from thermsched.cli import MAX_SWEEP_POINTS, SWEEP_HEADER, SweepRow, _parse_axis, main
+from thermsched.cli import MAX_SWEEP_POINTS, SWEEP_HEADER, _parse_axis, _sweep_row, main
 from thermsched.scheduler import SchedulerConfig, ScreeningError, compile_die, generate_schedule
 from thermsched.thermal_model import ThermalParams, session_stc
 from util import DATA, load_inputs, random_floorplan, random_profile
@@ -97,10 +98,11 @@ def test_parse_axis_counts_a_range_before_building_it(monkeypatch):
         assert counts == [], text
 
 
-def test_sweep_spec_and_row_types():
-    row = SweepRow(145.0, 20.0, 7.0, 8.0, 144.29)
-    assert row.csv_line() == "145,20,7,8,144.2900"
-    assert len(row.csv_line().split(",")) == len(SWEEP_HEADER.split(","))
+def test_sweep_row_format():
+    schedule = SimpleNamespace(total_length=7.0, simulation_effort=8.0, max_temperature=144.29)
+    row = _sweep_row(145.0, 20.0, schedule)
+    assert row == "145,20,7,8,144.2900"
+    assert len(row.split(",")) == len(SWEEP_HEADER.split(","))
 
 
 # ── single runs ──────────────────────────────────────────────────────────
@@ -233,6 +235,30 @@ def test_infinite_weight_factor_exit_1(limits, capsys):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "error: weight_factor must be finite and exceed 1, got inf"
+    ]
+
+
+@pytest.mark.parametrize("limits", [
+    ["--tl", "45.0004", "--stcl", "1e300"],
+    ["--sweep-tl", "45.0004", "--sweep-stcl", "1.7e308"],
+])
+def test_weight_overflow_exit_1(limits, tmp_path, capsys):
+    # at a microwatt a core's STC term lies so far below STCL that its weight,
+    # bumped at every discard of the too-hot pair, overflows before the term
+    # passes STCL
+    flp = tmp_path / "strip.flp"
+    flp.write_text("a 0.001 0.001 0 0\nb 0.001 0.001 0.001 0\n")
+    power = tmp_path / "strip.csv"
+    power.write_text("a,1e-6,1\nb,1e-6,1\n")
+    out = tmp_path / "out"
+    code = main(["--floorplan", str(flp), "--power", str(power), "--out", str(out), *limits])
+    assert code == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: weight for 'a' overflowed at weight factor 1.1 before the core's "
+        "STC term passed STCL; lower STCL"
     ]
 
 
@@ -400,11 +426,12 @@ def test_sweep_grid_is_bounded_by_its_count_before_it_is_built(
         assert n <= MAX_SWEEP_POINTS, f"built an axis of {n} values"
         return range(n)
 
-    def no_grid(*args, **kwargs):
-        raise AssertionError("built the sweep grid")
+    class NoGrid(SchedulerConfig):
+        def __post_init__(self):
+            raise AssertionError("built the sweep grid")
 
     monkeypatch.setattr(cli, "range", bounded_range, raising=False)
-    monkeypatch.setattr(cli, "SchedulerConfig", no_grid)
+    monkeypatch.setattr(cli, "SchedulerConfig", NoGrid)
     flp, power = three_core_files
     code = main(
         ["--floorplan", str(flp), "--power", str(power),
@@ -496,10 +523,7 @@ def test_sweep_matches_fresh_runs_at_every_point(case):
             for stcl in stcls:
                 die = compile_die(fp, profile, ThermalParams())
                 schedule = generate_schedule(die, SchedulerConfig(tl=tl, stcl=stcl))
-                expected_rows.append(SweepRow(
-                    tl, stcl, schedule.total_length, schedule.simulation_effort,
-                    schedule.max_temperature,
-                ).csv_line())
+                expected_rows.append(_sweep_row(tl, stcl, schedule))
         except ScreeningError as exc:
             expected_err.append(f"skipping TL={tl:g}: {exc}")
     runs = []
@@ -554,6 +578,46 @@ def test_dense_demo_sweep_runs_once_per_decision_box(tmp_path, monkeypatch):
     assert (len(runs), len(attempts)) == (553, 4616)
     # the busiest run makes one attempt per core, far below the budget
     assert max(runs) == 15 <= scheduler.ATTEMPTS_PER_CORE * 15 // 10
+
+
+def test_dense_demo_sweep_builds_configs_for_its_axes_and_runs_only(tmp_path, monkeypatch):
+    # the benchmark's demo-sweep grid: one config per TL and one per STCL
+    # check the limits, and each of the 553 runs builds its own; a config
+    # per point would be 1681 before the first run
+    configs, runs, before_first_run = [], [], []
+    real_generate = cli.generate_schedule
+
+    class CountedConfig(SchedulerConfig):
+        def __post_init__(self):
+            super().__post_init__()
+            configs.append(self)
+
+    def generate(die, config):
+        if not runs:
+            before_first_run.append(len(configs) - 1)
+        runs.append(config)
+        return real_generate(die, config)
+
+    monkeypatch.setattr(cli, "SchedulerConfig", CountedConfig)
+    monkeypatch.setattr(cli, "generate_schedule", generate)
+    out = tmp_path / "sweep.csv"
+    code = main(
+        ["--floorplan", str(DATA / "demo15.flp"), "--power", str(DATA / "demo15.csv"),
+         "--sweep-tl", "145:185:1", "--sweep-stcl", "20:100:2", "--out", str(out)]
+    )
+    assert code == 0
+    assert before_first_run[0] <= 41 + 41
+    assert len(runs) == 553
+    assert len(configs) <= 41 + 41 + 553
+    assert configs[-len(runs):] == runs
+    # every row is the one a run of its own at that point writes
+    die = compile_die(*load_inputs("demo15"), ThermalParams())
+    expected = [SWEEP_HEADER] + [
+        _sweep_row(tl, stcl, real_generate(die, SchedulerConfig(tl=tl, stcl=stcl)))
+        for tl in _parse_axis("145:185:1")
+        for stcl in _parse_axis("20:100:2")
+    ]
+    assert out.read_bytes() == ("\n".join(expected) + "\n").encode()
 
 
 @pytest.mark.parametrize("limits", [["--tl", "{tl}", "--stcl", "{stcl}"],

@@ -138,10 +138,13 @@ def test_build_session_respects_file_order_policy():
     profile = PowerProfile({"s1": (1.0, 1.0), "s2": (5.0, 1.0), "s3": (1.0, 1.0)}, fp)
     net = build_network(fp, STRIP_PARAMS)
     tiny = 1e-9
-    by_power = scheduler._ordered(fp.names, profile, Weights(), net, ORDER_POWER_WEIGHT_DESC)
-    by_file = scheduler._ordered(fp.names, profile, Weights(), net, ORDER_FILE)
+    by_power = scheduler._ordered(fp.names, profile, Weights(), ORDER_POWER_WEIGHT_DESC)
+    by_file = scheduler._ordered(fp.names, profile, Weights(), ORDER_FILE)
     assert by_power == ["s2", "s1", "s3"]  # highest power first, ties by name
     assert by_file == ["s1", "s2", "s3"]  # floorplan order
+    # candidates come in file order, so the file policy keeps the order given
+    heavy = Weights({"s3": 1e6})
+    assert scheduler._ordered(["s3", "s1"], profile, heavy, ORDER_FILE) == ["s3", "s1"]
     # candidates are tried in the order given
     assert build_session(by_power, Weights(), tiny, net, profile) == {"s2"}
     assert build_session(by_file, Weights(), tiny, net, profile) == {"s1"}
@@ -202,7 +205,7 @@ def test_incremental_stc_packs_like_full_recompute(case, pick):
     net, profile, available, weights, stcl, order = case
     # as generate_schedule does: the whole die sorted once, scheduled cores dropped
     candidates = [
-        n for n in scheduler._ordered(net.nodes, profile, weights, net, order) if n in available
+        n for n in scheduler._ordered(net.nodes, profile, weights, order) if n in available
     ]
     first = session_stc(candidates[:1], profile, weights, net)
     expected, compared = full_recompute_session(available, weights, stcl, net, profile, order)
@@ -660,7 +663,8 @@ def test_json_writer_matches_the_json_module(case):
     for written, session in zip(doc["sessions"], schedule.sessions):
         assert written["cores"] == sorted(session.cores)
         assert written["duration_s"] == session.duration
-        assert list(written["temps_c"].items()) == list(session.result.temps.items())
+        assert list(written["temps_c"]) == list(session.result.nodes)
+        assert list(written["temps_c"].values()) == session.result.temperatures.tolist()
         assert written["peak"] == {
             "core": session.result.peak[0], "temperature_c": session.result.peak[1]
         }

@@ -158,8 +158,9 @@ def test_single_node_ohms_law():
     # R_v = 1 K/W, P = 50 W, ambient 45 C -> 95 C
     fp = strip_floorplan(1)
     params = ThermalParams(r_vertical_per_area=1.0)
-    result = simulate_session({"s1"}, build_network(fp, params), uniform_profile(fp, 50.0))
-    assert result.temps["s1"] == pytest.approx(95.0, abs=1e-9)
+    net = build_network(fp, params)
+    result = simulate_session({"s1"}, net, uniform_profile(fp, 50.0))
+    assert result.temperatures[net.position["s1"]] == pytest.approx(95.0, abs=1e-9)
     assert result.peak == ("s1", pytest.approx(95.0))
 
 
@@ -167,7 +168,7 @@ def test_zero_injection_gives_ambient_exactly():
     fp = strip_floorplan(4)
     net = build_network(fp, ThermalParams())
     result = solve_steady_state(net, np.zeros(len(fp)))
-    for temp in result.temps.values():
+    for temp in result.temperatures.tolist():
         assert temp == 45.0
 
 
@@ -177,14 +178,16 @@ def test_two_node_hand_solution():
     fp = strip_floorplan(2)
     params = ThermalParams(k_silicon=1.0, die_thickness=1.0, r_vertical_per_area=2.0)
     profile = PowerProfile({"s1": (10.0, 1.0), "s2": (0.0, 1.0)}, fp)
-    result = simulate_session({"s1", "s2"}, build_network(fp, params), profile)
-    assert result.temps["s1"] == pytest.approx(57.0, abs=1e-9)
-    assert result.temps["s2"] == pytest.approx(53.0, abs=1e-9)
+    net = build_network(fp, params)
+    result = simulate_session({"s1", "s2"}, net, profile)
+    t1, t2 = (result.temperatures[net.position[n]] for n in ("s1", "s2"))
+    assert t1 == pytest.approx(57.0, abs=1e-9)
+    assert t2 == pytest.approx(53.0, abs=1e-9)
     # independent cross-check with a generic solver
     g = np.array([[1.5, -1.0], [-1.0, 1.5]])
     rise = np.linalg.solve(g, [10.0, 0.0])
-    assert result.temps["s1"] == pytest.approx(45.0 + rise[0], abs=1e-12)
-    assert result.temps["s2"] == pytest.approx(45.0 + rise[1], abs=1e-12)
+    assert t1 == pytest.approx(45.0 + rise[0], abs=1e-12)
+    assert t2 == pytest.approx(45.0 + rise[1], abs=1e-12)
 
 
 def test_residual_bound_on_random_networks():
@@ -195,7 +198,7 @@ def test_residual_bound_on_random_networks():
         net = build_network(fp, ThermalParams())
         session = random_session(rng, fp)
         result = simulate_session(session, net, profile)
-        rise = np.array([result.temps[n] for n in net.nodes]) - net.ambient
+        rise = result.temperatures - net.ambient
         injections = injection_vector(net, session, profile)
         residual = np.max(np.abs(net.conductance @ rise - injections))
         assert residual <= RESIDUAL_RTOL * max(1.0, np.max(np.abs(injections)))
@@ -211,10 +214,9 @@ def test_superposition():
     r1 = solve_steady_state(net, p1)
     r2 = solve_steady_state(net, p2)
     r12 = solve_steady_state(net, p1 + p2)
-    for name in fp.names:
-        lhs = r12.temps[name] - params.t_ambient
-        rhs = (r1.temps[name] - params.t_ambient) + (r2.temps[name] - params.t_ambient)
-        assert lhs == pytest.approx(rhs, abs=1e-8)
+    lhs = r12.temperatures - params.t_ambient
+    rhs = (r1.temperatures - params.t_ambient) + (r2.temperatures - params.t_ambient)
+    assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
 def test_monotone_in_injections():
@@ -235,8 +237,7 @@ def test_monotone_in_injections():
         )
         base = simulate_session(set(fp.names), net, profile)
         more = simulate_session(set(fp.names), net, raised)
-        for name in fp.names:
-            assert more.temps[name] >= base.temps[name] - 1e-9
+        assert (more.temperatures >= base.temperatures - 1e-9).all()
 
 
 @st.composite
@@ -255,8 +256,8 @@ def test_factor_once_solve_matches_fresh_dense_solve(die):
     injections = injection_vector(net, session, profile)
     expected = np.linalg.solve(net.conductance.copy(), injections)
     result = simulate_session(session, net, profile)
-    for i, name in enumerate(net.nodes):
-        assert result.temps[name] - net.ambient == pytest.approx(expected[i], rel=1e-9, abs=1e-12)
+    for i in range(len(net.nodes)):
+        assert result.temperatures[i] - net.ambient == pytest.approx(expected[i], rel=1e-9, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -269,8 +270,7 @@ def test_temperatures_never_fall_when_a_core_joins(die, pick):
     net = build_network(fp, ThermalParams())
     before = simulate_session(session, net, profile)
     after = simulate_session(session | {outside[pick % len(outside)]}, net, profile)
-    for name in fp.names:
-        assert after.temps[name] >= before.temps[name] - 1e-9  # rounding only
+    assert (after.temperatures >= before.temperatures - 1e-9).all()  # rounding only
 
 
 # ── sessions ─────────────────────────────────────────────────────────────
@@ -313,8 +313,9 @@ def test_far_apart_cores_decouple():
     joint = simulate_session({"w1", "e1"}, net, profile)
     solo_w = simulate_session({"w1"}, net, profile)
     solo_e = simulate_session({"e1"}, net, profile)
-    assert joint.temps["w1"] == pytest.approx(solo_w.temps["w1"], rel=1e-9)
-    assert joint.temps["e1"] == pytest.approx(solo_e.temps["e1"], rel=1e-9)
+    w1, e1 = net.position["w1"], net.position["e1"]
+    assert joint.temperatures[w1] == pytest.approx(solo_w.temperatures[w1], rel=1e-9)
+    assert joint.temperatures[e1] == pytest.approx(solo_e.temperatures[e1], rel=1e-9)
 
 
 def test_peak_reported_for_hot_session():
@@ -323,7 +324,7 @@ def test_peak_reported_for_hot_session():
     net = build_network(fp, ThermalParams(k_silicon=1.0, die_thickness=1.0))
     result = simulate_session({"s2"}, net, profile)
     assert result.peak[0] == "s2"
-    assert result.peak[1] == max(result.temps.values())
+    assert result.peak[1] == result.temperatures.max()
 
 
 def test_guiding_model_vs_full_network():
@@ -333,7 +334,7 @@ def test_guiding_model_vs_full_network():
     solo = build_network(strip_floorplan(1), params)
     profile1 = uniform_profile(strip_floorplan(1), power=10.0)
     predicted = params.t_ambient + 10.0 * equivalent_resistance("s1", {"s1"}, solo)
-    simulated = simulate_session({"s1"}, solo, profile1).temps["s1"]
+    simulated = simulate_session({"s1"}, solo, profile1).temperatures[solo.position["s1"]]
     assert simulated == pytest.approx(predicted, rel=1e-12)
     # with passive neighbors the grounding assumption is optimistic: the
     # two values differ but both stay finite
@@ -341,7 +342,7 @@ def test_guiding_model_vs_full_network():
     net = build_network(fp, params)
     profile3 = uniform_profile(fp, power=10.0)
     predicted = params.t_ambient + 10.0 * equivalent_resistance("s2", {"s2"}, net)
-    simulated = simulate_session({"s2"}, net, profile3).temps["s2"]
+    simulated = simulate_session({"s2"}, net, profile3).temperatures[net.position["s2"]]
     assert np.isfinite(predicted) and np.isfinite(simulated)
     assert simulated != pytest.approx(predicted, rel=1e-6)
 
@@ -389,7 +390,7 @@ def test_steady_state_takes_one_injection_vector():
             solve_steady_state(net, np.ones(shape))
 
 
-def test_lazy_temps_match_the_temperature_vector():
+def test_result_holds_a_read_only_temperature_vector():
     rng = np.random.default_rng(83)
     fp = random_floorplan(rng, 9)
     profile = random_profile(rng, fp)
@@ -397,11 +398,5 @@ def test_lazy_temps_match_the_temperature_vector():
     result = simulate_session(random_session(rng, fp), net, profile)
     assert result.nodes == net.nodes
     assert not result.temperatures.flags.writeable
-    assert "temps" not in vars(result)  # built on first read only
-    assert list(result.temps) == list(net.nodes)
-    for i, name in enumerate(net.nodes):
-        assert result.temps[name] == result.temperatures[i]
-        assert type(result.temps[name]) is float
-    assert result.temps is result.temps
     assert result.peak == (net.nodes[int(np.argmax(result.temperatures))],
                            float(result.temperatures.max()))
