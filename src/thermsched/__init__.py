@@ -19,6 +19,7 @@ from .scheduler import (
     CORE_ORDERINGS,
     ORDER_FILE,
     ORDER_POWER_WEIGHT_DESC,
+    AttemptBudgetError,
     CompiledDie,
     Schedule,
     SchedulerConfig,
@@ -46,6 +47,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "RESIDUAL_RTOL",
+    "AttemptBudgetError",
     "CompiledDie",
     "CoreGeometry",
     "Floorplan",

@@ -29,7 +29,7 @@ import argparse
 import math
 import sys
 from dataclasses import replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .floorplan import Floorplan, PowerProfile, parse_floorplan, parse_power_profile
 from .scheduler import (
@@ -113,8 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_axis(text: str) -> list[float]:
-    """Parse a sweep axis: 'start:stop:step' (inclusive) or a comma list."""
+def _parse_axis(text: str) -> tuple[int, Callable[[], list[float]]]:
+    """Check a sweep axis, 'start:stop:step' (inclusive) or a comma list, and
+    return its number of values and a function that builds them, so that a
+    grid can be refused before either of its axes is built."""
     try:
         if ":" in text:
             parts = text.split(":")
@@ -138,11 +140,11 @@ def _parse_axis(text: str) -> list[float]:
                     f"bad range {text!r}: {count} points; a sweep holds "
                     f"at most {MAX_SWEEP_POINTS}"
                 )
-            return [start + k * step for k in range(count)]
+            return count, lambda: [start + k * step for k in range(count)]
         values = [float(p) for p in text.split(",") if p.strip()]
         if not values:
             raise _UsageError(f"empty value list {text!r}")
-        return values
+        return len(values), lambda: values
     except ValueError:
         raise _UsageError(f"non-numeric value in {text!r}") from None
 
@@ -222,13 +224,15 @@ def run_single(args) -> int:
 
 def run_sweep(args) -> int:
     fp, power, params = _load_inputs(args)
-    tl_values = _parse_axis(args.sweep_tl)
-    stcl_values = _parse_axis(args.sweep_stcl)
-    points = len(tl_values) * len(stcl_values)
+    (tl_count, tl_axis), (stcl_count, stcl_axis) = (
+        _parse_axis(args.sweep_tl), _parse_axis(args.sweep_stcl)
+    )
+    points = tl_count * stcl_count
     if points > MAX_SWEEP_POINTS:
         raise _UsageError(
             f"sweep grid has {points} points; a sweep holds at most {MAX_SWEEP_POINTS}"
         )
+    tl_values, stcl_values = tl_axis(), stcl_axis()
     # validate the whole grid before the first run, so a bad point anywhere
     # fails fast instead of discarding the rows already computed.  A config
     # checks each limit on its own, so one row and one column of the grid

@@ -4,9 +4,10 @@ A floorplan is an ordered collection of named, axis-aligned rectangles on a
 die, positioned by their lower-left corner, in meters.  Cores must not
 overlap; abutment is legal.  Two cores are thermally adjacent when they
 share an edge segment longer than EPSILON; corner contact never counts.
-The overlap check and the adjacency scan only test pairs of cores that lie
-near each other on a uniform grid (``_near_pairs``), so both take about
-linear time in the number of cores instead of testing every pair.
+A floorplan checks for overlaps and finds its adjacent pairs in one scan
+when it is built (``build_adjacency``).  The scan only tests pairs of cores
+that lie near each other on a uniform grid (``_near_pairs``), so it takes
+about linear time in the number of cores instead of testing every pair.
 
 File formats (UTF-8, '#' starts a comment, blank lines ignored):
 
@@ -71,23 +72,6 @@ class CoreGeometry:
         return (self.left_x + 0.5 * self.width, self.bottom_y + 0.5 * self.height)
 
 
-def shared_edge_length(a: CoreGeometry, b: CoreGeometry) -> float:
-    """Length of the boundary segment two non-overlapping rectangles share.
-
-    Returns 0.0 when the rectangles do not abut; corner contact has zero
-    length.  Rectangles whose facing edges are within EPSILON of each other
-    count as touching, so generated floorplans with floating-point seams
-    still register contact.
-    """
-    x_gap = max(a.left_x, b.left_x) - min(a.right_x, b.right_x)
-    y_gap = max(a.bottom_y, b.bottom_y) - min(a.top_y, b.top_y)
-    if abs(x_gap) <= EPSILON:  # touching along a vertical edge
-        return max(0.0, -y_gap)
-    if abs(y_gap) <= EPSILON:  # touching along a horizontal edge
-        return max(0.0, -x_gap)
-    return 0.0
-
-
 class AdjacencyGraph:
     """Adjacent core pairs of a floorplan and the geometry of each contact.
 
@@ -104,21 +88,21 @@ class AdjacencyGraph:
 
 
 class Floorplan:
-    """Ordered, validated collection of non-overlapping cores."""
+    """Ordered collection of uniquely named, non-overlapping cores and the
+    adjacency graph they form, both checked and found at construction."""
 
     def __init__(self, cores: Iterable[CoreGeometry]):
         cores = tuple(cores)
         if not cores:
             raise FloorplanError("floorplan has no cores")
-        by_name: dict[str, CoreGeometry] = {}
+        names: set[str] = set()
         for core in cores:
-            if core.name in by_name:
+            if core.name in names:
                 raise FloorplanError(f"duplicate core id {core.name!r}")
-            by_name[core.name] = core
-        _check_overlaps(cores)
+            names.add(core.name)
         self._cores = cores
-        self._by_name = by_name
-        self._adjacency: AdjacencyGraph | None = None
+        self._name_set = names
+        self._adjacency = build_adjacency(cores)
 
     @property
     def cores(self) -> tuple[CoreGeometry, ...]:
@@ -128,25 +112,9 @@ class Floorplan:
     def names(self) -> tuple[str, ...]:
         return tuple(core.name for core in self._cores)
 
-    def core(self, name: str) -> CoreGeometry:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise KeyError(f"no core named {name!r} in floorplan") from None
-
     def adjacency(self) -> AdjacencyGraph:
-        """Adjacency geometry, built once and cached (floorplans are immutable)."""
-        if self._adjacency is None:
-            self._adjacency = build_adjacency(self)
+        """The adjacency graph found at construction."""
         return self._adjacency
-
-    def to_text(self) -> str:
-        """Serialize back to floorplan file format; round-trips bit-exact."""
-        lines = [
-            f"{c.name}\t{c.width!r}\t{c.height!r}\t{c.left_x!r}\t{c.bottom_y!r}"
-            for c in self._cores
-        ]
-        return "\n".join(lines) + "\n"
 
     def __len__(self) -> int:
         return len(self._cores)
@@ -155,7 +123,7 @@ class Floorplan:
         return iter(self._cores)
 
     def __contains__(self, name: object) -> bool:
-        return name in self._by_name
+        return name in self._name_set
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Floorplan):
@@ -210,9 +178,19 @@ def _near_pairs(cores: tuple[CoreGeometry, ...]) -> list[tuple[int, int]]:
     })
 
 
-def _check_overlaps(cores: tuple[CoreGeometry, ...]) -> None:
-    # Overlap means the intersection is wider AND taller than the seam
-    # tolerance; mere abutment (or a floating-point seam) is legal.
+def build_adjacency(cores: tuple[CoreGeometry, ...]) -> AdjacencyGraph:
+    """Check that no two cores overlap and find the pairs that share more
+    than EPSILON of edge, in one scan of the pairs ``_near_pairs`` finds.
+
+    Two cores overlap when their intersection is wider AND taller than
+    EPSILON; mere abutment, or a floating-point seam, is legal.  The first
+    overlapping pair in floorplan order raises FloorplanError.  Cores whose
+    facing edges lie within EPSILON of each other touch, and share the
+    overlap of their other sides as an edge; corner contact shares none.
+    Each adjacent pair carries its shared edge length and the distance
+    between the two core centers.
+    """
+    pairs: list[tuple[str, str, float, float]] = []
     for i, j in _near_pairs(cores):
         a, b = cores[i], cores[j]
         w = min(a.right_x, b.right_x) - max(a.left_x, b.left_x)
@@ -222,6 +200,15 @@ def _check_overlaps(cores: tuple[CoreGeometry, ...]) -> None:
                 f"cores {a.name!r} and {b.name!r} overlap "
                 f"(intersection {w:.3e} m x {h:.3e} m)"
             )
+        if abs(w) <= EPSILON:  # touching along a vertical edge
+            edge = h
+        elif abs(h) <= EPSILON:  # touching along a horizontal edge
+            edge = w
+        else:
+            continue
+        if edge > EPSILON:
+            pairs.append((a.name, b.name, edge, math.dist(a.center, b.center)))
+    return AdjacencyGraph(pairs)
 
 
 def _records(source: str | IO[str]) -> Iterator[tuple[int, str, str]]:
@@ -342,20 +329,3 @@ def parse_power_profile(source: str | IO[str], floorplan: Floorplan) -> PowerPro
             raise PowerProfileError(f"line {lineno}: {exc}") from None
         entries[name] = (power, duration)
     return PowerProfile(entries, floorplan)
-
-
-def build_adjacency(floorplan: Floorplan) -> AdjacencyGraph:
-    """Derive the adjacency graph: pairs sharing more than EPSILON of edge.
-
-    Corner contact is not adjacency.  Each pair carries its shared edge
-    length and the distance between the two core centers.  Only the pairs
-    ``_near_pairs`` finds are tested; every adjacent pair is among them.
-    """
-    pairs: list[tuple[str, str, float, float]] = []
-    cores = floorplan.cores
-    for i, j in _near_pairs(cores):
-        a, b = cores[i], cores[j]
-        length = shared_edge_length(a, b)
-        if length > EPSILON:
-            pairs.append((a.name, b.name, length, math.dist(a.center, b.center)))
-    return AdjacencyGraph(pairs)

@@ -107,7 +107,8 @@ def test_criterion_3_power_density_contrast():
         assert sum(power.power(n) for n in dense) == pytest.approx(
             sum(power.power(n) for n in sparse)
         )
-        density = lambda n: power.power(n) / fp.core(n).area
+        areas = {c.name: c.area for c in fp}
+        density = lambda n: power.power(n) / areas[n]
         ratio = min(density(n) for n in dense) / max(density(n) for n in sparse)
         assert ratio == pytest.approx(4.0, rel=1e-12)
         net = build_network(fp, PARAMS)

@@ -3,6 +3,7 @@
 import thermsched
 
 PUBLIC_NAMES = [
+    "AttemptBudgetError",
     "CORE_ORDERINGS",
     "CompiledDie",
     "CoreGeometry",

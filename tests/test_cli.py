@@ -46,33 +46,40 @@ def three_core_files(tmp_path):
 # ── axis parsing ─────────────────────────────────────────────────────────
 
 
+def axis_values(text):
+    """The values of a sweep axis, built."""
+    return _parse_axis(text)[1]()
+
+
 def test_parse_axis_range_inclusive():
-    assert _parse_axis("145:185:5") == [145.0 + 5 * k for k in range(9)]
-    assert _parse_axis("20:100:10") == [20.0 + 10 * k for k in range(9)]
-    assert _parse_axis("7:7:1") == [7.0]
+    assert axis_values("145:185:5") == [145.0 + 5 * k for k in range(9)]
+    assert axis_values("20:100:10") == [20.0 + 10 * k for k in range(9)]
+    assert axis_values("7:7:1") == [7.0]
+    assert _parse_axis("145:185:5")[0] == 9
 
 
 def test_parse_axis_comma_list_and_single():
-    assert _parse_axis("1,2.5,4") == [1.0, 2.5, 4.0]
-    assert _parse_axis("42") == [42.0]
+    assert axis_values("1,2.5,4") == [1.0, 2.5, 4.0]
+    assert axis_values("42") == [42.0]
+    assert _parse_axis("1,2.5,4")[0] == 3
 
 
 def test_parse_axis_errors():
     from thermsched.cli import _UsageError
 
     with pytest.raises(_UsageError):
-        _parse_axis("1:2:0")
+        axis_values("1:2:0")
     with pytest.raises(_UsageError):
-        _parse_axis("5:1:1")
+        axis_values("5:1:1")
     with pytest.raises(_UsageError):
-        _parse_axis("a,b")
+        axis_values("a,b")
     with pytest.raises(_UsageError):
-        _parse_axis("1:2:3:4")
+        axis_values("1:2:3:4")
     with pytest.raises(_UsageError, match="empty"):
-        _parse_axis(" , ")  # an empty axis never reaches the sweep
+        axis_values(" , ")  # an empty axis never reaches the sweep
     for text in ("145:inf:1", "145:150:nan", "-inf:150:1", "145:150:inf"):
         with pytest.raises(_UsageError, match="start, stop and step must be finite"):
-            _parse_axis(text)
+            axis_values(text)
 
 
 def test_parse_axis_counts_a_range_before_building_it(monkeypatch):
@@ -84,17 +91,17 @@ def test_parse_axis_counts_a_range_before_building_it(monkeypatch):
     monkeypatch.setattr(
         cli, "range", lambda n: counts.append(n) or range(0), raising=False
     )
-    assert _parse_axis("0:2.5:1") == [] and counts == [3]
+    assert axis_values("0:2.5:1") == [] and counts == [3]
     # at the limit, also when stop is not a whole number of steps from start
     for text in (f"0:{MAX_SWEEP_POINTS - 1}:1", f"0.5:{MAX_SWEEP_POINTS}:1"):
         counts.clear()
-        _parse_axis(text)
+        axis_values(text)
         assert counts == [MAX_SWEEP_POINTS], text
     # one past it: the exact count, in full digits
     for text in (f"0:{MAX_SWEEP_POINTS}:1", f"0:{MAX_SWEEP_POINTS}.5:1"):
         counts.clear()
         with pytest.raises(_UsageError, match=f": {MAX_SWEEP_POINTS + 1} points;"):
-            _parse_axis(text)
+            axis_values(text)
         assert counts == [], text
 
 
@@ -422,15 +429,17 @@ def test_sweep_bad_grid_point_fails_before_any_run(
 def test_sweep_grid_is_bounded_by_its_count_before_it_is_built(
     three_core_files, monkeypatch, capsys, sweep_tl, sweep_stcl, message
 ):
-    def bounded_range(n):
-        assert n <= MAX_SWEEP_POINTS, f"built an axis of {n} values"
+    built = []
+
+    def counted_range(n):
+        built.append(n)
         return range(n)
 
     class NoGrid(SchedulerConfig):
         def __post_init__(self):
             raise AssertionError("built the sweep grid")
 
-    monkeypatch.setattr(cli, "range", bounded_range, raising=False)
+    monkeypatch.setattr(cli, "range", counted_range, raising=False)
     monkeypatch.setattr(cli, "SchedulerConfig", NoGrid)
     flp, power = three_core_files
     code = main(
@@ -441,6 +450,8 @@ def test_sweep_grid_is_bounded_by_its_count_before_it_is_built(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"{message}; a sweep holds at most {MAX_SWEEP_POINTS}\n"
+    # the counts of both axes refuse the grid before either axis is built
+    assert built == []
 
 
 def test_sweep_deterministic_bytes(three_core_files, tmp_path):
@@ -502,7 +513,7 @@ def sweep_cases(draw):
     stcl_axis = f"{stcl_start!r}:{stcl_start + 5 * stcl_step!r}:{stcl_step!r}"
     if layout == "ascending":
         return fp, profile, tl_axis, stcl_axis
-    tls, stcls = _parse_axis(tl_axis), _parse_axis(stcl_axis)
+    tls, stcls = axis_values(tl_axis), axis_values(stcl_axis)
     if layout == "reversed":
         tls, stcls = tls[::-1], stcls[::-1]
     else:
@@ -516,7 +527,7 @@ def sweep_cases(draw):
 @given(sweep_cases())
 def test_sweep_matches_fresh_runs_at_every_point(case):
     fp, profile, tl_axis, stcl_axis = case
-    tls, stcls = _parse_axis(tl_axis), _parse_axis(stcl_axis)
+    tls, stcls = axis_values(tl_axis), axis_values(stcl_axis)
     expected_rows, expected_err = [SWEEP_HEADER], []
     for tl in tls:
         try:
@@ -532,7 +543,9 @@ def test_sweep_matches_fresh_runs_at_every_point(case):
     try:
         with tempfile.TemporaryDirectory() as tmp:
             flp, power, out = Path(tmp) / "die.flp", Path(tmp) / "power.csv", Path(tmp) / "sweep.csv"
-            flp.write_text(fp.to_text())
+            flp.write_text("".join(
+                f"{c.name} {c.width!r} {c.height!r} {c.left_x!r} {c.bottom_y!r}\n" for c in fp
+            ))
             power.write_text("".join(
                 f"{n},{profile.power(n)!r},{profile.duration(n)!r}\n" for n in fp.names
             ))
@@ -614,8 +627,8 @@ def test_dense_demo_sweep_builds_configs_for_its_axes_and_runs_only(tmp_path, mo
     die = compile_die(*load_inputs("demo15"), ThermalParams())
     expected = [SWEEP_HEADER] + [
         _sweep_row(tl, stcl, real_generate(die, SchedulerConfig(tl=tl, stcl=stcl)))
-        for tl in _parse_axis("145:185:1")
-        for stcl in _parse_axis("20:100:2")
+        for tl in axis_values("145:185:1")
+        for stcl in axis_values("20:100:2")
     ]
     assert out.read_bytes() == ("\n".join(expected) + "\n").encode()
 

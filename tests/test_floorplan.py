@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thermsched import floorplan
 from thermsched.floorplan import (
     EPSILON,
     CoreGeometry,
@@ -17,12 +18,12 @@ from thermsched.floorplan import (
     FloorplanError,
     PowerProfile,
     PowerProfileError,
-    build_adjacency,
     parse_floorplan,
     parse_power_profile,
-    shared_edge_length,
 )
-from util import random_floorplan, strip_floorplan
+from thermsched.thermal_model import ThermalParams
+from thermsched.thermal_sim import build_network
+from util import random_floorplan, shared_edge_length, strip_floorplan
 
 
 # ── parsing ──────────────────────────────────────────────────────────────
@@ -31,7 +32,7 @@ from util import random_floorplan, strip_floorplan
 def test_parse_single_core():
     fp = parse_floorplan("c1 0.01 0.01 0.0 0.0")
     assert fp.names == ("c1",)
-    core = fp.core("c1")
+    (core,) = fp.cores
     assert core.width == 0.01
     assert core.height == 0.01
     assert core.left_x == 0.0
@@ -95,15 +96,6 @@ def test_abutment_is_legal():
 def test_empty_floorplan_rejected():
     with pytest.raises(FloorplanError, match="no cores"):
         parse_floorplan("# only a comment\n")
-
-
-def test_roundtrip_serialization_bit_exact():
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        fp = random_floorplan(rng, int(rng.integers(2, 12)))
-        assert parse_floorplan(fp.to_text()) == fp
-    decimal = parse_floorplan("a 0.01 0.02 0.3 0.125\nb 0.01 0.02 0.31 0.125")
-    assert parse_floorplan(decimal.to_text()) == decimal
 
 
 # ── power profiles ───────────────────────────────────────────────────────
@@ -177,35 +169,42 @@ def test_power_profile_zero_power_allowed():
 # ── shared edges ─────────────────────────────────────────────────────────
 
 
+def shared_edge(a, b):
+    """The edge ``a`` and ``b`` share, as the floorplan of the two finds it."""
+    pairs = list(Floorplan([a, b]).adjacency().pairs())
+    assert [p[:2] for p in pairs] in ([], [(a.name, b.name)])
+    return pairs[0][2] if pairs else 0.0
+
+
 def test_shared_edge_full_side():
     a = CoreGeometry("a", 1, 1, 0, 0)
     b = CoreGeometry("b", 1, 1, 1, 0)
-    assert shared_edge_length(a, b) == 1.0
+    assert shared_edge(a, b) == 1.0
 
 
 def test_shared_edge_corner_contact_is_zero():
     a = CoreGeometry("a", 1, 1, 0, 0)
     b = CoreGeometry("b", 1, 1, 1, 1)
-    assert shared_edge_length(a, b) == 0.0
+    assert shared_edge(a, b) == 0.0
 
 
 def test_shared_edge_partial_overlap():
     # y-intervals [0.4, 1.4] and [0, 1] intersect in [0.4, 1.0]
     a = CoreGeometry("a", 1, 1, 0, 0)
     b = CoreGeometry("b", 1, 1, 1, 0.4)
-    assert shared_edge_length(a, b) == pytest.approx(0.6, abs=1e-15)
+    assert shared_edge(a, b) == pytest.approx(0.6, abs=1e-15)
 
 
 def test_shared_edge_separated_is_zero():
     a = CoreGeometry("a", 1, 1, 0, 0)
     b = CoreGeometry("b", 1, 1, 2.5, 0)
-    assert shared_edge_length(a, b) == 0.0
+    assert shared_edge(a, b) == 0.0
 
 
 def test_shared_edge_horizontal_seam():
     a = CoreGeometry("a", 2, 1, 0, 0)
     b = CoreGeometry("b", 1, 1, 0.5, 1)
-    assert shared_edge_length(a, b) == pytest.approx(1.0)
+    assert shared_edge(a, b) == pytest.approx(1.0)
 
 
 def test_shared_edge_symmetry_random():
@@ -214,13 +213,13 @@ def test_shared_edge_symmetry_random():
     for a in fp:
         for b in fp:
             if a.name != b.name:
-                assert shared_edge_length(a, b) == shared_edge_length(b, a)
+                assert shared_edge(a, b) == shared_edge(b, a)
 
 
 def test_shared_edge_tolerates_seam_error():
     a = CoreGeometry("a", 1.0, 1.0, 0.0, 0.0)
     b = CoreGeometry("b", 1.0, 1.0, 1.0 + 1e-12, 0.0)
-    assert shared_edge_length(a, b) == pytest.approx(1.0)
+    assert shared_edge(a, b) == pytest.approx(1.0)
 
 
 # ── adjacency graph ──────────────────────────────────────────────────────
@@ -228,7 +227,7 @@ def test_shared_edge_tolerates_seam_error():
 
 def test_strip_adjacency():
     fp = strip_floorplan(3)
-    adj = build_adjacency(fp)
+    adj = fp.adjacency()
     pairs = list(adj.pairs())
     assert [(a, b) for a, b, _, _ in pairs] == [("s1", "s2"), ("s2", "s3")]
     assert pairs[0][2] == 1.0  # shared edge of s1 and s2
@@ -237,7 +236,7 @@ def test_strip_adjacency():
 
 def test_single_core_graph_is_empty():
     fp = parse_floorplan("c1 1 1 0 0")
-    adj = build_adjacency(fp)
+    adj = fp.adjacency()
     assert list(adj.pairs()) == []
 
 
@@ -250,7 +249,7 @@ def test_grid_2x2_has_four_edges_no_diagonals():
             CoreGeometry("ne", 1, 1, 1, 1),
         ]
     )
-    adj = build_adjacency(fp)
+    adj = fp.adjacency()
     pairs = {frozenset((a, b)) for a, b, _, _ in adj.pairs()}
     assert pairs == {
         frozenset({"sw", "se"}),
@@ -269,8 +268,8 @@ def test_translation_invariance():
             for c in fp
         ]
     )
-    pairs = list(build_adjacency(fp).pairs())
-    moved_pairs = list(build_adjacency(moved).pairs())
+    pairs = list(fp.adjacency().pairs())
+    moved_pairs = list(moved.adjacency().pairs())
     assert [p[:2] for p in pairs] == [p[:2] for p in moved_pairs]
     for (_, _, edge, dist), (_, _, moved_edge, moved_dist) in zip(pairs, moved_pairs):
         assert edge == pytest.approx(moved_edge, rel=1e-12)
@@ -281,7 +280,7 @@ def test_random_floorplans_have_positive_center_distances():
     rng = np.random.default_rng(23)
     for _ in range(5):
         fp = random_floorplan(rng, 10)
-        for _, _, shared_edge, center_distance in build_adjacency(fp).pairs():
+        for _, _, shared_edge, center_distance in fp.adjacency().pairs():
             assert center_distance > 0
             assert shared_edge > 0
 
@@ -314,7 +313,7 @@ def brute_force_scan(cores):
 
 def bucketed_scan(cores):
     try:
-        return list(build_adjacency(Floorplan(cores)).pairs())
+        return list(Floorplan(cores).adjacency().pairs())
     except FloorplanError as exc:
         return str(exc)
 
@@ -401,6 +400,23 @@ def test_bucketed_scans_on_hand_built_dies():
     assert bucketed_scan(cores) == message
 
 
+def test_one_scan_per_floorplan(monkeypatch):
+    # overlaps and adjacency come from one pass over the near pairs, made
+    # when the floorplan is built; asking for the graph, or building the
+    # network from it, scans nothing again
+    scans = []
+    real = floorplan._near_pairs
+    monkeypatch.setattr(floorplan, "_near_pairs", lambda cores: scans.append(1) or real(cores))
+    fp = parse_floorplan("c1 1 1 0 0\nc2 1 1 1 0\nc3 1 1 2 0")
+    pairs = list(fp.adjacency().pairs())
+    build_network(fp, ThermalParams())
+    assert len(pairs) == 2 and len(scans) == 1
+    fp = random_floorplan(np.random.default_rng(5), 20)
+    fp.adjacency()
+    build_network(fp, ThermalParams())
+    assert len(scans) == 2
+
+
 def heap_guillotine_text(rng, n_cores, die=0.008):
     """Floorplan text of a random guillotine tiling with ``n_cores`` cores:
     the largest rectangle is split next, found by a heap in O(log N)."""
@@ -432,5 +448,5 @@ def test_ten_thousand_core_die_parses_and_scans_quickly():
     assert len(fp) == 10_000
     # a guillotine tiling is planar: at least N - 1 and fewer than 3N contacts
     assert len(fp) - 1 <= len(pairs) < 3 * len(fp)
-    # about 0.7 s on 2 vCPUs; all-pairs scans took 4.2 s already at N = 1600
+    # about 0.45 s on 2 vCPUs; all-pairs scans took 4.2 s already at N = 1600
     assert elapsed < 10.0

@@ -1,5 +1,6 @@
-"""Shared test helpers: tiny floorplan builders, random generators, and the
-grounded-network nodal oracle used to cross-check equivalent resistances."""
+"""Shared test helpers: tiny floorplan builders, random generators, a
+pairwise shared-edge reference, and the grounded-network nodal oracle used
+to cross-check equivalent resistances."""
 
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ from thermsched.floorplan import (
     PowerProfile,
     parse_floorplan,
     parse_power_profile,
-    shared_edge_length,
 )
 from thermsched.thermal_model import ThermalParams
 
@@ -85,6 +85,19 @@ def random_session(rng, fp: Floorplan) -> frozenset[str]:
     return frozenset(members)
 
 
+def shared_edge_length(a: CoreGeometry, b: CoreGeometry) -> float:
+    """Length of the boundary segment two non-overlapping rectangles share,
+    from their gaps: 0.0 when they do not abut, and for corner contact.
+    Facing edges within EPSILON of each other count as touching."""
+    x_gap = max(a.left_x, b.left_x) - min(a.right_x, b.right_x)
+    y_gap = max(a.bottom_y, b.bottom_y) - min(a.top_y, b.top_y)
+    if abs(x_gap) <= EPSILON:  # touching along a vertical edge
+        return max(0.0, -y_gap)
+    if abs(y_gap) <= EPSILON:  # touching along a horizontal edge
+        return max(0.0, -x_gap)
+    return 0.0
+
+
 def grounded_rise_oracle(core: str, session, fp: Floorplan, params: ThermalParams) -> float:
     """Independent equivalent-resistance oracle.
 
@@ -97,13 +110,14 @@ def grounded_rise_oracle(core: str, session, fp: Floorplan, params: ThermalParam
     """
     names = fp.names
     index = {name: i for i, name in enumerate(names)}
+    cores = {c.name: c for c in fp}
     a = np.zeros((len(names), len(names)))
     b = np.zeros(len(names))
     for i, name in enumerate(names):
         if name not in session:
             a[i, i] = 1.0  # rise pinned to zero: core sits at ambient
             continue
-        here = fp.core(name)
+        here = cores[name]
         a[i, i] = here.area / params.r_vertical_per_area
         for other in fp:
             if other.name in session:
