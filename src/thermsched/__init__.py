@@ -16,9 +16,6 @@ from .floorplan import (
     parse_power_profile,
 )
 from .scheduler import (
-    CORE_ORDERINGS,
-    ORDER_FILE,
-    ORDER_POWER_WEIGHT_DESC,
     AttemptBudgetError,
     CompiledDie,
     Schedule,
@@ -62,9 +59,6 @@ __all__ = [
     "TestSession",
     "ThermalNetwork",
     "ThermalParams",
-    "CORE_ORDERINGS",
-    "ORDER_FILE",
-    "ORDER_POWER_WEIGHT_DESC",
     "build_network",
     "compile_die",
     "generate_schedule",

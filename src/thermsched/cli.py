@@ -33,7 +33,6 @@ from typing import Callable, Sequence
 
 from .floorplan import Floorplan, PowerProfile, parse_floorplan, parse_power_profile
 from .scheduler import (
-    CORE_ORDERINGS,
     AttemptBudgetError,
     Schedule,
     SchedulerConfig,
@@ -104,9 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight-factor", type=float,
                    default=SchedulerConfig.weight_factor, metavar="F",
                    help="weight multiplier applied to violating cores (default %(default)s)")
-    p.add_argument("--core-order", choices=CORE_ORDERINGS,
-                   default=SchedulerConfig.core_order,
-                   help="packing order policy (default %(default)s)")
     p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     p.add_argument("--format", choices=("json", "text"), default="json",
                    help="single-run output format (default json)")
@@ -204,9 +200,7 @@ def _format_text(schedule: Schedule, config: SchedulerConfig) -> str:
 
 
 def _config(args, tl: float, stcl: float) -> SchedulerConfig:
-    return SchedulerConfig(
-        tl=tl, stcl=stcl, weight_factor=args.weight_factor, core_order=args.core_order
-    )
+    return SchedulerConfig(tl=tl, stcl=stcl, weight_factor=args.weight_factor)
 
 
 def run_single(args) -> int:

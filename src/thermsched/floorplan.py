@@ -125,11 +125,6 @@ class Floorplan:
     def __contains__(self, name: object) -> bool:
         return name in self._name_set
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Floorplan):
-            return NotImplemented
-        return self._cores == other._cores
-
     def __repr__(self) -> str:
         return f"Floorplan({len(self._cores)} cores)"
 
@@ -290,11 +285,6 @@ class PowerProfile:
             return self._entries[name][1]
         except KeyError:
             raise KeyError(f"no power entry for core {name!r}") from None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PowerProfile):
-            return NotImplemented
-        return self._entries == other._entries
 
     def __repr__(self) -> str:
         return f"PowerProfile({len(self._entries)} cores)"

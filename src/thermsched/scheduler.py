@@ -9,13 +9,16 @@ single-core max temperature).  Each schedule run then has two stages:
    -- adding concurrent tests only raises temperatures -- so screening
    fails with a diagnostic naming the offenders and the smallest TL that
    would pass.
-2. Session packing: cores are packed greedily into a session while the
-   session thermal characteristic stays within STCL, then the session is
-   validated by full simulation.  Members whose simulated peak reaches TL
-   get their weight multiplied (default 1.1) and the session is discarded
-   and rebuilt from the remaining pool, which steers repeat offenders
-   toward emptier sessions.  All simulated session time, discarded sessions
-   included, counts as simulation effort; screening time does not.
+2. Session packing: cores are tried hardest first, by test power times
+   packing weight, and packed greedily into a session while the session
+   thermal characteristic stays within STCL; then the session is validated
+   by full simulation.  The run owns the weights, a plain core -> weight
+   dict in which an absent core has weight 1.  Members whose simulated peak
+   reaches TL get their weight multiplied (default 1.1) in a new dict, and
+   the session is discarded and rebuilt from the remaining pool, which
+   steers repeat offenders to the front and toward emptier sessions.  All
+   simulated session time, discarded sessions included, counts as
+   simulation effort; screening time does not.
 
 With the floorplan, parameters and powers fixed, a session's simulated
 temperatures depend only on its member set, so a compiled die remembers
@@ -48,7 +51,7 @@ import numpy as np
 
 from . import thermal_sim
 from .floorplan import Floorplan, PowerProfile
-from .thermal_model import ThermalParams, Weights, session_stc, stc_term
+from .thermal_model import ThermalParams, session_stc, stc_term
 from .thermal_sim import (
     RESIDUAL_RTOL,
     NetworkSolveError,
@@ -71,19 +74,14 @@ from .thermal_sim import (
 # 2-vCPU host.
 ATTEMPTS_PER_CORE = 40_000
 
-ORDER_POWER_WEIGHT_DESC = "power_weight_desc"
-ORDER_FILE = "file"
-CORE_ORDERINGS = (ORDER_POWER_WEIGHT_DESC, ORDER_FILE)
-
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    """Limits and policy knobs for schedule generation."""
+    """Limits and weight factor for schedule generation."""
 
     tl: float                  # max allowable core temperature, deg C
     stcl: float                # session thermal characteristic limit, K*W
     weight_factor: float = 1.1
-    core_order: str = ORDER_POWER_WEIGHT_DESC
 
     def __post_init__(self):
         if not math.isfinite(self.tl):
@@ -95,10 +93,6 @@ class SchedulerConfig:
         if not (math.isfinite(self.weight_factor) and self.weight_factor > 1):
             raise ValueError(
                 f"weight_factor must be finite and exceed 1, got {self.weight_factor}"
-            )
-        if self.core_order not in CORE_ORDERINGS:
-            raise ValueError(
-                f"unknown core order {self.core_order!r}; choose from {CORE_ORDERINGS}"
             )
 
 
@@ -162,21 +156,21 @@ class Schedule:
     def covers(self, tl: float, stcl: float) -> bool:
         """Whether a run at ``tl`` and ``stcl`` gives exactly this schedule.
 
-        Holds for a run on the same compiled die with the same weight factor
-        and core order.  ``tl_range`` runs from the largest value the run
-        found below TL (the hottest BCMT, or a member temperature) to the
-        smallest member temperature at or above TL; ``stcl_range`` from the
-        largest STC admitted within STCL to the smallest STC found above
-        it.  Inside both, every ``>= TL`` and ``<= STCL`` comparison the run
-        made comes out the same way, so it builds the same sessions and
-        discards, weights and effort.
+        Holds for a run on the same compiled die with the same weight
+        factor.  ``tl_range`` runs from the largest value the run found
+        below TL (the hottest BCMT, or a member temperature) to the smallest
+        member temperature at or above TL; ``stcl_range`` from the largest
+        STC admitted within STCL to the smallest STC found above it.  Inside
+        both, every ``>= TL`` and ``<= STCL`` comparison the run made comes
+        out the same way, so it builds the same sessions and discards,
+        weights and effort.
         """
         lo_tl, hi_tl = self.tl_range
         lo_stcl, hi_stcl = self.stcl_range
         return lo_tl < tl <= hi_tl and lo_stcl <= stcl < hi_stcl
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompiledDie:
     """One floorplan, parameter set and power profile, compiled for scheduling.
 
@@ -190,7 +184,7 @@ class CompiledDie:
     power: PowerProfile
     bcmt: Mapping[str, float]  # core -> BCMT, deg C
     _validated: dict[frozenset[str], TestSession] = field(
-        default_factory=dict, repr=False, compare=False
+        default_factory=dict, repr=False
     )
 
 
@@ -234,24 +228,23 @@ def compile_die(fp: Floorplan, power: PowerProfile, params: ThermalParams) -> Co
 
 
 def _ordered(
-    cores: Collection[str], power: PowerProfile, weights: Weights, policy: str
+    cores: Collection[str], power: PowerProfile, weights: Mapping[str, float]
 ) -> list[str]:
-    if policy == ORDER_FILE:
-        # cores arrive in file order, and weights never move it
-        return list(cores)
     # hardest cores first; rising weights push repeat offenders to the front
-    return sorted(cores, key=lambda name: (-power.power(name) * weights.of(name), name))
+    return sorted(
+        cores, key=lambda name: (-power.power(name) * weights.get(name, 1.0), name)
+    )
 
 
 def build_session(
     candidates: Sequence[str],
-    weights: Weights,
+    weights: Mapping[str, float],
     stcl: float,
     net: ThermalNetwork,
     power: PowerProfile,
     margins: list[float] | None = None,
 ) -> set[str]:
-    """Greedily grow one session from candidates given in policy order.
+    """Greedily grow one session from candidates given in packing order.
 
     Candidates are tried in the order given; ``generate_schedule`` sorts
     them once per weight set.  A set has no fixed order, so passing one
@@ -293,7 +286,7 @@ def build_session(
     if isinstance(candidates, Set):
         raise TypeError(
             "build_session tries candidates in the order given; pass a sequence "
-            "in policy order, not a set"
+            "in packing order, not a set"
         )
     if not candidates:
         raise ValueError("no cores available to build a session from")
@@ -346,10 +339,12 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
         worst = max(temp for _, temp in violations)
         suggested = worst + RESIDUAL_RTOL * max(1.0, abs(worst))
         raise ScreeningError(violations, suggested)
-    weights = Weights()
-    # the policy order changes only with the weights: sort once per weight
+    # core -> packing weight, 1 where absent.  A discard replaces the dict
+    # rather than changing it, so a weight set once read stays as it was.
+    weights: dict[str, float] = {}
+    # the packing order changes only with the weights: sort once per weight
     # set and drop scheduled cores from it
-    remaining = _ordered(net.nodes, power, weights, config.core_order)
+    remaining = _ordered(net.nodes, power, weights)
     sessions: list[TestSession] = []
     effort = 0.0
     budget = attempts_left = ATTEMPTS_PER_CORE * len(net.nodes)
@@ -384,8 +379,17 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
                 below_tl = temp
         if violators:
             # session discarded; its simulated time still counts as effort
-            weights = weights.bumped(violators, config.weight_factor)
-            remaining = _ordered(remaining, power, weights, config.core_order)
+            weights = dict(weights)
+            for name in violators:
+                weights[name] = weights.get(name, 1.0) * config.weight_factor
+                if weights[name] == math.inf:
+                    # a term this far below STCL takes more bumps than a float holds
+                    raise ValueError(
+                        f"weight for {name!r} overflowed at weight factor "
+                        f"{config.weight_factor!r} before the core's STC term "
+                        "passed STCL; lower STCL"
+                    )
+            remaining = _ordered(remaining, power, weights)
             continue
         sessions.append(session)
         remaining = [name for name in remaining if name not in members]
@@ -420,7 +424,8 @@ def schedule_to_json(
                 "tl_c": config.tl,
                 "stcl": config.stcl,
                 "weight_factor": config.weight_factor,
-                "core_order": config.core_order,
+                # the one packing order, echoed for the document's readers
+                "core_order": "power_weight_desc",
             },
             "thermal_params": {
                 "k_silicon": params.k_silicon,

@@ -12,8 +12,10 @@ scalars that guide session packing:
 * ``TC(i)  = P(i) * R_eq(i)``             predicted temperature rise, K
 * ``STC    = max_i  TC(i) * P(i) * W(i)`` session thermal characteristic, K*W
 
-where ``W(i)`` are packing weights, initially 1, that the scheduler raises
-for cores caught exceeding the temperature limit.
+where ``W(i)`` are packing weights.  They are a plain mapping from core
+name to weight, in which an absent core has weight 1; a schedule run owns
+them and raises the weights of cores caught exceeding the temperature
+limit.
 
 The path resistances exist only as conductances: ``thermal_sim.build_network``
 derives them from the floorplan geometry once per floorplan and parameter
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import IO, TYPE_CHECKING, Collection, Iterable, Mapping
+from typing import IO, TYPE_CHECKING, Collection, Mapping
 
 from .floorplan import PowerProfile, _records
 
@@ -85,40 +87,6 @@ def load_thermal_params(source: str | IO[str]) -> ThermalParams:
     return ThermalParams(**values)
 
 
-class Weights:
-    """Per-core packing weights; start at 1.0 and only ever grow."""
-
-    __slots__ = ("_values",)
-
-    def __init__(self, values: Mapping[str, float] | None = None):
-        values = dict(values) if values else {}
-        for name, w in values.items():
-            if not (math.isfinite(w) and w >= 1.0):
-                raise ValueError(f"weight for {name!r} is {w}; weights never drop below 1")
-        self._values = values
-
-    def of(self, name: str) -> float:
-        return self._values.get(name, 1.0)
-
-    def bumped(self, names: Iterable[str], factor: float) -> "Weights":
-        """New Weights with the given cores' weights multiplied by ``factor``."""
-        if not (math.isfinite(factor) and factor >= 1.0):
-            raise ValueError(f"bump factor {factor} must be finite; weights never shrink")
-        values = dict(self._values)
-        for name in names:
-            values[name] = values.get(name, 1.0) * factor
-            if values[name] == math.inf:
-                # a term this far below STCL takes more bumps than a float holds
-                raise ValueError(
-                    f"weight for {name!r} overflowed at weight factor {factor!r} "
-                    "before the core's STC term passed STCL; lower STCL"
-                )
-        return Weights(values)
-
-    def __repr__(self) -> str:
-        return f"Weights({self._values!r})"
-
-
 def equivalent_resistance(name: str, session: Collection[str], net: ThermalNetwork) -> float:
     """Parallel combination of a core's usable escape paths within a session.
 
@@ -137,20 +105,23 @@ def equivalent_resistance(name: str, session: Collection[str], net: ThermalNetwo
     return 1.0 / g
 
 
-def stc_term(name: str, r_eq: float, power: PowerProfile, weights: Weights) -> float:
-    """One member's STC term TC * P * W, with ``TC = P * r_eq``.
+def stc_term(
+    name: str, r_eq: float, power: PowerProfile, weights: Mapping[str, float]
+) -> float:
+    """One member's STC term TC * P * W, with ``TC = P * r_eq``; a core
+    absent from ``weights`` has weight 1.
 
     Evaluated left to right, so every caller that prices a member through
     here gets the same bits for the same R_eq.
     """
     p = power.power(name)
-    return p * r_eq * p * weights.of(name)
+    return p * r_eq * p * weights.get(name, 1.0)
 
 
 def session_stc(
     members: Collection[str],
     power: PowerProfile,
-    weights: Weights | None,
+    weights: Mapping[str, float] | None,
     net: ThermalNetwork,
     session: Collection[str] | None = None,
 ) -> float:
@@ -159,10 +130,12 @@ def session_stc(
     ``TC = P * R_eq`` is a member's predicted rise.  ``session`` defaults to
     ``members``, which makes the value the session thermal characteristic
     (STC) of ``members``; naming a larger ``session`` evaluates only some of
-    its members' terms.  No members give 0.
+    its members' terms.  ``weights`` maps cores to their packing weights;
+    a core absent from it, or every core when it is None, has weight 1.
+    No members give 0.
     """
     if weights is None:
-        weights = Weights()
+        weights = {}
     if session is None:
         session = members
     stc = 0.0

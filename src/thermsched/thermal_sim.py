@@ -43,7 +43,7 @@ class NetworkSolveError(RuntimeError):
         self.column = column
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThermalNetwork:
     """Conductances of one floorplan under one parameter set, and ``G``'s factor.
 

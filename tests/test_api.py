@@ -4,14 +4,11 @@ import thermsched
 
 PUBLIC_NAMES = [
     "AttemptBudgetError",
-    "CORE_ORDERINGS",
     "CompiledDie",
     "CoreGeometry",
     "Floorplan",
     "FloorplanError",
     "NetworkSolveError",
-    "ORDER_FILE",
-    "ORDER_POWER_WEIGHT_DESC",
     "PowerProfile",
     "PowerProfileError",
     "RESIDUAL_RTOL",

@@ -9,13 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermsched import scheduler
+from thermsched import scheduler, thermal_sim
 from thermsched.floorplan import CoreGeometry, Floorplan, PowerProfile
 from thermsched.scheduler import (
     ATTEMPTS_PER_CORE,
-    CORE_ORDERINGS,
-    ORDER_FILE,
-    ORDER_POWER_WEIGHT_DESC,
     AttemptBudgetError,
     SchedulerConfig,
     ScreeningError,
@@ -25,7 +22,7 @@ from thermsched.scheduler import (
     schedule_to_json,
     screen_cores,
 )
-from thermsched.thermal_model import ThermalParams, Weights, session_stc
+from thermsched.thermal_model import ThermalParams, session_stc
 from thermsched.thermal_sim import NetworkSolveError, build_network, simulate_session
 from util import (
     load_inputs,
@@ -100,6 +97,38 @@ def test_generate_schedule_propagates_screening_failure():
         )
 
 
+@pytest.mark.parametrize("case", ["demo15", "density_contrast", "synth400"])
+def test_screening_column_peaks_at_its_own_core(case):
+    # the discrete maximum principle: G is an M-matrix and every core has a
+    # path to ambient, so a core heated alone is the hottest core, and its
+    # BCMT is ambient plus the diagonal of the batched screening solve
+    fp, profile = load_synth400() if case == "synth400" else load_inputs(case)
+    die = compile_die(fp, profile, ThermalParams())
+    net = die.net
+    powers = [profile.power(name) for name in net.nodes]
+    rise = thermal_sim.solve_rise(net, np.diag(powers))
+    for c, name in enumerate(net.nodes):
+        if powers[c] == 0.0:  # an all-zero column has no peak of its own
+            continue
+        column = rise[:, c]
+        assert column.argmax() == c
+        assert (np.delete(column, c) < column[c]).all()
+        assert die.bcmt[name] == net.ambient + column[c]
+
+
+def test_compiled_objects_compare_by_identity_and_hash():
+    fp, profile = load_inputs("demo15")
+    params = ThermalParams()
+    net, die = build_network(fp, params), compile_die(fp, profile, params)
+    # compiles of the same inputs are distinct objects, compared without
+    # touching their arrays
+    assert net != build_network(fp, params)
+    assert die != compile_die(fp, profile, params)
+    assert net == net and die == die
+    keys = {fp: 0, profile: 1, net: 2, die: 3}
+    assert [keys[k] for k in (fp, profile, net, die)] == [0, 1, 2, 3]
+
+
 # ── session packing ──────────────────────────────────────────────────────
 
 
@@ -107,7 +136,7 @@ def test_build_session_singleton_exemption():
     fp = strip_floorplan(1)
     profile = uniform_profile(fp, power=10.0)
     net = build_network(fp, STRIP_PARAMS)
-    session = build_session(["s1"], Weights(), 1e-6, net, profile)
+    session = build_session(["s1"], {}, 1e-6, net, profile)
     assert session == {"s1"}
 
 
@@ -115,7 +144,7 @@ def test_build_session_unbounded_limit_packs_everything():
     fp = strip_floorplan(5)
     profile = uniform_profile(fp, power=10.0)
     net = build_network(fp, STRIP_PARAMS)
-    session = build_session(fp.names, Weights(), math.inf, net, profile)
+    session = build_session(fp.names, {}, math.inf, net, profile)
     assert session == set(fp.names)
 
 
@@ -129,7 +158,7 @@ def test_build_session_limit_between_singleton_and_pair():
     pair = session_stc({"s1", "s2"}, profile, None, net)
     assert single < pair
     stcl = (single + pair) / 2.0
-    session = build_session(["s1", "s2"], Weights(), stcl, net, profile)
+    session = build_session(["s1", "s2"], {}, stcl, net, profile)
     assert len(session) == 1
 
 
@@ -138,23 +167,20 @@ def test_build_session_respects_file_order_policy():
     profile = PowerProfile({"s1": (1.0, 1.0), "s2": (5.0, 1.0), "s3": (1.0, 1.0)}, fp)
     net = build_network(fp, STRIP_PARAMS)
     tiny = 1e-9
-    by_power = scheduler._ordered(fp.names, profile, Weights(), ORDER_POWER_WEIGHT_DESC)
-    by_file = scheduler._ordered(fp.names, profile, Weights(), ORDER_FILE)
+    by_power = scheduler._ordered(fp.names, profile, {})
     assert by_power == ["s2", "s1", "s3"]  # highest power first, ties by name
-    assert by_file == ["s1", "s2", "s3"]  # floorplan order
-    # candidates come in file order, so the file policy keeps the order given
-    heavy = Weights({"s3": 1e6})
-    assert scheduler._ordered(["s3", "s1"], profile, heavy, ORDER_FILE) == ["s3", "s1"]
-    # candidates are tried in the order given
-    assert build_session(by_power, Weights(), tiny, net, profile) == {"s2"}
-    assert build_session(by_file, Weights(), tiny, net, profile) == {"s1"}
+    # a weight scales its core's power in the order; an absent core weighs 1
+    assert scheduler._ordered(fp.names, profile, {"s3": 6.0}) == ["s3", "s2", "s1"]
+    # candidates are tried in the order given, file order included
+    assert build_session(by_power, {}, tiny, net, profile) == {"s2"}
+    assert build_session(list(fp.names), {}, tiny, net, profile) == {"s1"}
 
 
 def test_build_session_requires_available_cores():
     fp = strip_floorplan(2)
     net = build_network(fp, STRIP_PARAMS)
     with pytest.raises(ValueError, match="available"):
-        build_session([], Weights(), 10.0, net, uniform_profile(fp))
+        build_session([], {}, 10.0, net, uniform_profile(fp))
 
 
 def test_build_session_rejects_unordered_candidates():
@@ -162,17 +188,14 @@ def test_build_session_rejects_unordered_candidates():
     net = build_network(fp, STRIP_PARAMS)
     for candidates in (set(fp.names), frozenset(fp.names)):
         with pytest.raises(TypeError, match="order"):
-            build_session(candidates, Weights(), 10.0, net, uniform_profile(fp))
+            build_session(candidates, {}, 10.0, net, uniform_profile(fp))
 
 
-def full_recompute_session(available, weights, stcl, net, power, order):
+def full_recompute_session(available, weights, stcl, net, power):
     """Reference packing loop: every candidate's STC is recomputed over the
     whole enlarged session.  Returns the session and every STC it compared
     with ``stcl``."""
-    if order == ORDER_FILE:
-        ordered = sorted(available, key=net.position.__getitem__)
-    else:
-        ordered = sorted(available, key=lambda n: (-power.power(n) * weights.of(n), n))
+    ordered = sorted(available, key=lambda n: (-power.power(n) * weights.get(n, 1.0), n))
     session, compared = set(), []
     for name in ordered:
         if not session:
@@ -187,28 +210,28 @@ def full_recompute_session(available, weights, stcl, net, power, order):
 
 @st.composite
 def packing_cases(draw):
-    """A random guillotine die, pool, weights, STCL and core order."""
+    """A random guillotine die, pool, weights and STCL."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     fp = random_floorplan(rng, draw(st.integers(1, 24)))
     profile = random_profile(rng, fp, p_range=(0.0, 4.0))
     net = build_network(fp, ThermalParams())
     available = {n for n in fp.names if rng.random() < 0.8} or {fp.names[0]}
-    weights = Weights({n: 1.1 ** int(rng.integers(0, 6)) for n in fp.names if rng.random() < 0.5})
+    weights = {n: 1.1 ** int(rng.integers(0, 6)) for n in fp.names if rng.random() < 0.5}
     singles = [session_stc({n}, profile, weights, net) for n in fp.names]
     stcl = max(float(np.median(singles)), 1e-12) * draw(st.floats(0.3, 30.0))
-    return net, profile, available, weights, stcl, draw(st.sampled_from(CORE_ORDERINGS))
+    return net, profile, available, weights, stcl
 
 
 @settings(max_examples=80, deadline=None)
 @given(packing_cases(), st.integers(0, 2**32 - 1))
 def test_incremental_stc_packs_like_full_recompute(case, pick):
-    net, profile, available, weights, stcl, order = case
+    net, profile, available, weights, stcl = case
     # as generate_schedule does: the whole die sorted once, scheduled cores dropped
     candidates = [
-        n for n in scheduler._ordered(net.nodes, profile, weights, order) if n in available
+        n for n in scheduler._ordered(net.nodes, profile, weights) if n in available
     ]
     first = session_stc(candidates[:1], profile, weights, net)
-    expected, compared = full_recompute_session(available, weights, stcl, net, profile, order)
+    expected, compared = full_recompute_session(available, weights, stcl, net, profile)
     assert build_session(candidates, weights, stcl, net, profile) == expected
     # a limit equal to the first core's singleton STC, or to one of the compared
     # STCs, puts a decision on the boundary
@@ -216,9 +239,7 @@ def test_incremental_stc_packs_like_full_recompute(case, pick):
     if compared:
         boundaries.append(compared[pick % len(compared)])
     for limit in [stcl] + boundaries:
-        expected, compared = full_recompute_session(
-            available, weights, limit, net, profile, order
-        )
+        expected, compared = full_recompute_session(available, weights, limit, net, profile)
         margins = [-math.inf, math.inf]
         assert build_session(candidates, weights, limit, net, profile, margins) == expected
         # the margins are the compared STCs closest to the limit on each side;
@@ -235,7 +256,8 @@ def test_incremental_stc_packs_like_full_recompute(case, pick):
 def record_packing(monkeypatch):
     """Wrap the packing names generate_schedule looks up; returns the list
     that collects each attempt's (candidates, weights, stcl, session, the
-    session_stc member lists it evaluated) and the list of policy sorts."""
+    session_stc member lists it evaluated) and the list of packing-order
+    sorts."""
     attempts, calls, sorts = [], [], []
     real_build, real_stc, real_ordered = (
         scheduler.build_session, scheduler.session_stc, scheduler._ordered
@@ -315,6 +337,36 @@ def test_policy_sorts_once_per_weight_set_and_early_exits_make_no_stc_call(monke
             assert session == {candidates[0]}
             assert made == []
     assert (len(attempts), early_exits) == (203, 200)
+
+
+def test_discard_bumps_its_violators_in_a_new_weight_set(monkeypatch):
+    die = golden_synth400_die()
+    attempts, _ = record_packing(monkeypatch)
+    # each weight set's values as build_session received it
+    snapshots, recorded_build = [], scheduler.build_session
+
+    def build(candidates, weights, *args):
+        snapshots.append(dict(weights))
+        return recorded_build(candidates, weights, *args)
+
+    monkeypatch.setattr(scheduler, "build_session", build)
+    schedule = generate_schedule(die, SYNTH400_LOOSE)
+    assert SYNTH400_LOOSE.weight_factor == 1.1
+    discards = 0
+    for (_, before, _, session, _), (_, after, *_) in zip(attempts, attempts[1:]):
+        temps = simulate_session(session, die.net, die.power).temperatures
+        violators = [n for n in session if temps[die.net.position[n]] >= SYNTH400_LOOSE.tl]
+        expected = dict(before)
+        for name in violators:
+            expected[name] = before.get(name, 1.0) * 1.1
+        # bit for bit: exactly the violators move, each by one factor
+        assert after == expected
+        if violators:
+            discards += 1
+            assert after is not before
+    assert discards == len(attempts) - len(schedule.sessions) == 15
+    # a weight set handed to packing is never changed afterwards
+    assert [weights for _, weights, *_ in attempts] == snapshots
 
 
 # ── schedule generation ──────────────────────────────────────────────────
@@ -450,7 +502,7 @@ def _fresh_run(fp, profile, config):
 @st.composite
 def box_cases(draw):
     """A small random die and limits near its hottest BCMT and median
-    singleton STC, with a weight factor and core order."""
+    singleton STC, with a weight factor."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     fp = random_floorplan(rng, draw(st.integers(1, 8)))
     profile = random_profile(rng, fp)
@@ -460,7 +512,6 @@ def box_cases(draw):
         tl=max(die.bcmt.values()) + draw(st.floats(0.1, 30.0)),
         stcl=median * draw(st.floats(0.2, 6.0)),
         weight_factor=draw(st.sampled_from([1.05, 1.1, 1.5])),
-        core_order=draw(st.sampled_from(CORE_ORDERINGS)),
     )
     return fp, profile, config
 
@@ -572,8 +623,6 @@ def test_config_rejects_bad_values():
         SchedulerConfig(tl=100.0, stcl=10.0, weight_factor=1.0)
     with pytest.raises(ValueError, match="weight_factor"):
         SchedulerConfig(tl=100.0, stcl=10.0, weight_factor=math.inf)
-    with pytest.raises(ValueError, match="core order"):
-        SchedulerConfig(tl=100.0, stcl=10.0, core_order="random")
 
 
 def test_generate_rejects_tl_below_ambient():
@@ -640,7 +689,6 @@ def written_schedules(draw):
             tl=hottest + draw(st.floats(0.5, 20.0)),
             stcl=median * draw(st.floats(0.3, 5.0)),
             weight_factor=draw(st.floats(1.01, 2.0)),
-            core_order=draw(st.sampled_from(CORE_ORDERINGS)),
         )
     schedule = generate_schedule(die, config)
     if regime == "one-session":

@@ -1,4 +1,4 @@
-"""Session thermal model tests: resistances, TC, STC, weights, params."""
+"""Session thermal model tests: resistances, TC, STC, params."""
 
 import io
 
@@ -8,7 +8,6 @@ import pytest
 from thermsched.floorplan import CoreGeometry, Floorplan, PowerProfile, parse_floorplan
 from thermsched.thermal_model import (
     ThermalParams,
-    Weights,
     equivalent_resistance,
     load_thermal_params,
     session_stc,
@@ -218,7 +217,7 @@ def test_singleton_resistance_is_the_lone_core_r_eq_bit_for_bit():
         fp = random_floorplan(rng, int(rng.integers(1, 30)))
         profile = random_profile(rng, fp, p_range=(0.0, 4.0))
         net = build_network(fp, ThermalParams())
-        weights = Weights({n: 1.1 ** int(rng.integers(0, 6)) for n in fp.names})
+        weights = {n: 1.1 ** int(rng.integers(0, 6)) for n in fp.names}
         for i, name in enumerate(net.nodes):
             r = net.singleton_resistance[i]
             assert r == equivalent_resistance(name, {name}, net)
@@ -235,7 +234,7 @@ def test_tc_zero_power():
     fp = strip_floorplan(2)
     profile = uniform_profile(fp, power=0.0)
     net = build_network(fp, ThermalParams())
-    assert session_stc({"s1"}, profile, Weights({"s1": 2.0}), net) == 0.0
+    assert session_stc({"s1"}, profile, {"s1": 2.0}, net) == 0.0
 
 
 def test_tc_simple_product():
@@ -307,7 +306,7 @@ def test_stc_weight_scaling_on_singleton():
     net = build_network(fp, ThermalParams(r_vertical_per_area=0.5))
     profile = uniform_profile(fp, power=10.0)
     beta = 1.1**4
-    weighted = Weights({"s1": beta})
+    weighted = {"s1": beta}
     assert session_stc({"s1"}, profile, weighted, net) == pytest.approx(
         beta * 50.0, rel=1e-12
     )
@@ -336,13 +335,13 @@ def test_stc_of_some_members_within_a_larger_session():
         fp = random_floorplan(rng, int(rng.integers(2, 12)))
         net = build_network(fp, ThermalParams())
         profile = random_profile(rng, fp)
-        weights = Weights({n: float(rng.uniform(1.0, 3.0)) for n in fp.names})
+        weights = {n: float(rng.uniform(1.0, 3.0)) for n in fp.names}
         session = random_session(rng, fp)
         members = [n for n in session if rng.random() < 0.5]
         expected = max(
             (
                 profile.power(n) * equivalent_resistance(n, session, net)
-                * profile.power(n) * weights.of(n)
+                * profile.power(n) * weights[n]
                 for n in members
             ),
             default=0.0,
@@ -352,25 +351,3 @@ def test_stc_of_some_members_within_a_larger_session():
         assert session_stc(session, profile, weights, net, session) == session_stc(
             session, profile, weights, net
         )
-
-
-# ── weights ──────────────────────────────────────────────────────────────
-
-
-def test_weights_default_to_one():
-    w = Weights()
-    assert w.of("anything") == 1.0
-
-
-def test_weights_bump_multiplies():
-    w = Weights().bumped(["a"], 1.1).bumped(["a", "b"], 1.1)
-    assert w.of("a") == pytest.approx(1.1**2)
-    assert w.of("b") == pytest.approx(1.1)
-    assert w.of("c") == 1.0
-
-
-def test_weights_never_below_one():
-    with pytest.raises(ValueError):
-        Weights({"a": 0.5})
-    with pytest.raises(ValueError, match="shrink"):
-        Weights().bumped(["a"], 0.9)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermsched import thermal_model, thermal_sim
+from thermsched import thermal_sim
 from thermsched.floorplan import AdjacencyGraph, CoreGeometry, Floorplan, PowerProfile
 from thermsched.scheduler import (
     SchedulerConfig,
@@ -146,7 +146,7 @@ def test_compiled_paths_never_reach_the_adjacency_graph(monkeypatch):
         equivalent_resistance(name, session, net)
     simulate_session(session, net, profile)
     screen_cores(net, profile)
-    build_session(fp.names, thermal_model.Weights(), 10.0, net, profile)
+    build_session(fp.names, {}, 10.0, net, profile)
     with pytest.raises(AssertionError, match="geometry"):
         build_network(fp, ThermalParams())  # the compile step does read them
 
