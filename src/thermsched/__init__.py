@@ -26,11 +26,7 @@ from .scheduler import (
     generate_schedule,
     schedule_to_json,
 )
-from .thermal_model import (
-    ThermalParams,
-    load_thermal_params,
-    session_stc,
-)
+from .thermal_model import ThermalParams, session_stc
 from .thermal_sim import (
     RESIDUAL_RTOL,
     NetworkSolveError,
@@ -62,7 +58,6 @@ __all__ = [
     "build_network",
     "compile_die",
     "generate_schedule",
-    "load_thermal_params",
     "parse_floorplan",
     "parse_power_profile",
     "schedule_to_json",

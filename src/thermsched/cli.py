@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from typing import Callable, Sequence
 
 from .floorplan import Floorplan, PowerProfile, parse_floorplan, parse_power_profile
@@ -42,7 +41,7 @@ from .scheduler import (
     generate_schedule,
     schedule_to_json,
 )
-from .thermal_model import ThermalParams, load_thermal_params
+from .thermal_model import ThermalParams
 from .thermal_sim import NetworkSolveError
 
 SWEEP_HEADER = "tl_C,stcl,schedule_length_s,simulation_effort_s,max_temperature_C"
@@ -90,16 +89,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="TL grid: start:stop:step (inclusive) or comma list")
     p.add_argument("--sweep-stcl", metavar="RANGE",
                    help="STCL grid: start:stop:step (inclusive) or comma list")
-    p.add_argument("--params", metavar="PATH",
-                   help="thermal parameter file (flat 'key = value')")
-    p.add_argument("--ambient", type=float, metavar="DEG_C",
-                   help="override ambient temperature")
-    p.add_argument("--k-silicon", type=float, metavar="W_PER_MK",
-                   help="override silicon thermal conductivity")
-    p.add_argument("--die-thickness", type=float, metavar="M",
-                   help="override die thickness")
-    p.add_argument("--r-vertical", type=float, metavar="KM2_PER_W",
-                   help="override area-normalized vertical resistance")
+    p.add_argument("--ambient", type=float, default=ThermalParams.t_ambient,
+                   metavar="DEG_C", help="ambient temperature (default %(default)s)")
+    p.add_argument("--k-silicon", type=float, default=ThermalParams.k_silicon,
+                   metavar="W_PER_MK",
+                   help="silicon thermal conductivity (default %(default)s)")
+    p.add_argument("--die-thickness", type=float, default=ThermalParams.die_thickness,
+                   metavar="M", help="die thickness (default %(default)s)")
+    p.add_argument("--r-vertical", type=float, default=ThermalParams.r_vertical_per_area,
+                   metavar="KM2_PER_W",
+                   help="area-normalized vertical resistance (default %(default)s)")
     p.add_argument("--weight-factor", type=float,
                    default=SchedulerConfig.weight_factor, metavar="F",
                    help="weight multiplier applied to violating cores (default %(default)s)")
@@ -140,6 +139,8 @@ def _parse_axis(text: str) -> tuple[int, Callable[[], list[float]]]:
         values = [float(p) for p in text.split(",") if p.strip()]
         if not values:
             raise _UsageError(f"empty value list {text!r}")
+        if not all(math.isfinite(v) for v in values):
+            raise _UsageError(f"bad value list {text!r}: values must be finite")
         return len(values), lambda: values
     except ValueError:
         raise _UsageError(f"non-numeric value in {text!r}") from None
@@ -150,24 +151,12 @@ def _load_inputs(args) -> tuple[Floorplan, PowerProfile, ThermalParams]:
         fp = parse_floorplan(fh)
     with open(args.power, encoding="utf-8") as fh:
         power = parse_power_profile(fh, fp)
-    if args.params:
-        with open(args.params, encoding="utf-8") as fh:
-            params = load_thermal_params(fh)
-    else:
-        params = ThermalParams()
-    overrides = {
-        key: value
-        for key, value in (
-            ("t_ambient", args.ambient),
-            ("k_silicon", args.k_silicon),
-            ("die_thickness", args.die_thickness),
-            ("r_vertical_per_area", args.r_vertical),
-        )
-        if value is not None
-    }
-    if overrides:
-        params = replace(params, **overrides)
-    return fp, power, params
+    return fp, power, ThermalParams(
+        k_silicon=args.k_silicon,
+        die_thickness=args.die_thickness,
+        r_vertical_per_area=args.r_vertical,
+        t_ambient=args.ambient,
+    )
 
 
 def _write(payload: str, out: str | None) -> None:

@@ -45,6 +45,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from collections.abc import Set
+from decimal import ROUND_CEILING, Decimal, localcontext
 from typing import Collection, Mapping, Sequence
 
 import numpy as np
@@ -103,10 +104,14 @@ class ScreeningError(RuntimeError):
         self.violations = list(violations)
         self.suggested_tl = suggested_tl
         listing = ", ".join(f"{name}: {temp:.2f} C" for name, temp in self.violations)
+        # rounded up, not to nearest, so that the printed limit passes too
+        with localcontext() as ctx:
+            ctx.rounding = ROUND_CEILING
+            shown = f"{Decimal(suggested_tl):.2f}"
         super().__init__(
             f"single-core screening failed for {len(self.violations)} core(s) "
             f"({listing}); raise the temperature limit to at least "
-            f"{suggested_tl:.2f} C or lower the offending cores' test power"
+            f"{shown} C or lower the offending cores' test power"
         )
 
 
@@ -326,8 +331,8 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
 
     Deterministic for identical inputs; a validation already solved on
     ``die`` is reused, not solved again.  Raises ScreeningError listing
-    every core whose BCMT reaches TL, together with the smallest limit that
-    would pass (one solver tolerance above the hottest BCMT); after a
+    every core whose BCMT reaches TL and the smallest limit that would pass
+    (one solver tolerance above the hottest BCMT, printed rounded up); after a
     successful screen the loop always terminates (see module docstring),
     or raises AttemptBudgetError after ``ATTEMPTS_PER_CORE`` attempts per
     core, or ValueError if a violator's weight overflows first.

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import IO, TYPE_CHECKING, Collection, Mapping
+from typing import TYPE_CHECKING, Collection, Mapping
 
-from .floorplan import PowerProfile, _records
+from .floorplan import PowerProfile
 
 if TYPE_CHECKING:
     from .thermal_sim import ThermalNetwork
@@ -43,10 +43,12 @@ if TYPE_CHECKING:
 class ThermalParams:
     """Physical constants of the die and its vertical heat path.
 
-    ``r_vertical_per_area`` lumps everything above the die (spreader, sink,
-    convection) into a single area-normalized resistance; it is the main
-    calibration knob for moving simulated temperatures into the regime of
-    interest.
+    The command line sets the four fields with ``--k-silicon``,
+    ``--die-thickness``, ``--r-vertical`` and ``--ambient``, whose defaults
+    are the defaults here.  ``r_vertical_per_area`` lumps everything above
+    the die (spreader, sink, convection) into a single area-normalized
+    resistance; it is the main calibration knob for moving simulated
+    temperatures into the regime of interest.
     """
 
     k_silicon: float = 100.0            # thermal conductivity, W/(m*K)
@@ -59,32 +61,6 @@ class ThermalParams:
             value = getattr(self, f.name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{f.name} must be strictly positive and finite")
-
-
-_PARAM_KEYS = tuple(f.name for f in fields(ThermalParams))
-
-
-def load_thermal_params(source: str | IO[str]) -> ThermalParams:
-    """Read a flat ``key = value`` parameter file; unset keys keep defaults.
-
-    Recognized keys: k_silicon, die_thickness, r_vertical_per_area,
-    t_ambient.  '#' comments and blank lines are ignored.
-    """
-    values: dict[str, float] = {}
-    for lineno, raw, line in _records(source):
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        if not sep:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        if key not in _PARAM_KEYS:
-            raise ValueError(f"line {lineno}: unknown parameter {key!r}")
-        if key in values:
-            raise ValueError(f"line {lineno}: duplicate parameter {key!r}")
-        try:
-            values[key] = float(value.strip())
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric value for {key!r}") from None
-    return ThermalParams(**values)
 
 
 def equivalent_resistance(name: str, session: Collection[str], net: ThermalNetwork) -> float:

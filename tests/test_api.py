@@ -22,7 +22,6 @@ PUBLIC_NAMES = [
     "build_network",
     "compile_die",
     "generate_schedule",
-    "load_thermal_params",
     "parse_floorplan",
     "parse_power_profile",
     "schedule_to_json",

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -315,19 +316,26 @@ def test_param_overrides_change_results(three_core_files, tmp_path):
     )
 
 
-def test_params_file_loaded(three_core_files, tmp_path):
+def test_each_param_flag_reaches_the_document(three_core_files, tmp_path, capsys):
     flp, power = three_core_files
-    conf = tmp_path / "bench.conf"
-    conf.write_text("t_ambient = 30\nk_silicon = 150\n")
+    base = ["--floorplan", str(flp), "--power", str(power), "--tl", "300", "--stcl", "500"]
+    # with no flag given, the parameters are ThermalParams' defaults
+    args = cli.build_parser().parse_args(base)
+    assert ThermalParams(
+        k_silicon=args.k_silicon, die_thickness=args.die_thickness,
+        r_vertical_per_area=args.r_vertical, t_ambient=args.ambient,
+    ) == ThermalParams()
     out = tmp_path / "s.json"
-    code = main(
-        ["--floorplan", str(flp), "--power", str(power), "--tl", "300",
-         "--stcl", "500", "--params", str(conf), "--out", str(out)]
-    )
-    assert code == 0
-    doc = json.loads(out.read_text())
-    assert doc["thermal_params"]["t_ambient"] == 30.0
-    assert doc["thermal_params"]["k_silicon"] == 150.0
+    flags = {"--ambient": ("t_ambient", 30.0), "--k-silicon": ("k_silicon", 150.0),
+             "--die-thickness": ("die_thickness", 4e-4),
+             "--r-vertical": ("r_vertical_per_area", 6e-4)}
+    for flag, (field, value) in flags.items():
+        assert main(base + [flag, repr(value), "--out", str(out)]) == 0
+        echo = json.loads(out.read_text())["thermal_params"]
+        assert echo == {**asdict(ThermalParams()), field: value}, flag
+    # the parameter file format is gone
+    assert main(base + ["--params", "x"]) == 1
+    assert "unrecognized arguments: --params" in capsys.readouterr().err
 
 
 # ── sweeps ───────────────────────────────────────────────────────────────
@@ -395,6 +403,8 @@ def test_sweep_all_tls_failing_exit_2(three_core_files, capsys):
         ("150,40", "40", "ambient"),
         ("145:inf:1", "40", "error: bad range '145:inf:1': start, stop and step"),
         ("145:150:nan", "40", "error: bad range '145:150:nan': start, stop and step"),
+        ("145,nan", "20", "error: bad value list '145,nan': values must be finite"),
+        ("145", "20,-inf", "error: bad value list '20,-inf': values must be finite"),
     ],
 )
 def test_sweep_bad_grid_point_fails_before_any_run(

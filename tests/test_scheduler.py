@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -88,6 +89,27 @@ def test_screen_names_exactly_the_offender():
     generate_schedule(die, SchedulerConfig(tl=err.value.suggested_tl, stcl=10.0))
 
 
+def test_screening_message_suggests_a_limit_that_passes():
+    # the hottest BCMT here is 299.90196078431325 C, which printed to the
+    # nearest hundredth, 299.90, still fails
+    fp = Floorplan(
+        [CoreGeometry("a", 1e-3, 1e-3, 0.0, 0.0), CoreGeometry("b", 1e-3, 1e-3, 1e-3, 0.0)]
+    )
+    dies = [compile_die(fp, PowerProfile({"a": (1.0, 1.0), "b": (0.5, 1.0)}, fp), ThermalParams())]
+    rng = np.random.default_rng(18)
+    for _ in range(40):
+        random_fp = random_floorplan(rng, int(rng.integers(1, 9)))
+        dies.append(compile_die(random_fp, random_profile(rng, random_fp), ThermalParams()))
+    for die in dies:
+        with pytest.raises(ScreeningError) as err:
+            generate_schedule(die, SchedulerConfig(tl=max(die.bcmt.values()), stcl=10.0))
+        shown = float(re.search(r"at least (\S+) C", str(err.value)).group(1))
+        assert shown >= err.value.suggested_tl
+        # a tiny STCL makes every session one core, which its screening passed
+        schedule = generate_schedule(die, SchedulerConfig(tl=shown, stcl=1e-300))
+        assert len(schedule.sessions) == len(die.net.nodes)
+
+
 def test_generate_schedule_propagates_screening_failure():
     fp = isolated_pair_floorplan()
     profile = PowerProfile({"cool": (1.0, 1.0), "hot": (30.0, 1.0)}, fp)
@@ -162,7 +184,7 @@ def test_build_session_limit_between_singleton_and_pair():
     assert len(session) == 1
 
 
-def test_build_session_respects_file_order_policy():
+def test_build_session_tries_candidates_in_the_order_given():
     fp = strip_floorplan(3)
     profile = PowerProfile({"s1": (1.0, 1.0), "s2": (5.0, 1.0), "s3": (1.0, 1.0)}, fp)
     net = build_network(fp, STRIP_PARAMS)
@@ -317,7 +339,7 @@ def test_packing_evaluates_each_candidate_and_its_session_neighbours_only(monkey
     assert (len(attempts), calls) == (19, 5420)
 
 
-def test_policy_sorts_once_per_weight_set_and_early_exits_make_no_stc_call(monkeypatch):
+def test_packing_sorts_once_per_weight_set_and_early_exits_make_no_stc_call(monkeypatch):
     die = golden_synth400_die()
     attempts, sorts = record_packing(monkeypatch)
     schedule = generate_schedule(die, SYNTH400_LOOSE)

@@ -1,7 +1,5 @@
 """Session thermal model tests: resistances, TC, STC, params."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from thermsched.floorplan import CoreGeometry, Floorplan, PowerProfile, parse_fl
 from thermsched.thermal_model import (
     ThermalParams,
     equivalent_resistance,
-    load_thermal_params,
     session_stc,
     stc_term,
 )
@@ -39,32 +36,6 @@ def test_default_params():
 def test_params_must_be_positive(field):
     with pytest.raises(ValueError, match=field):
         ThermalParams(**{field: 0.0})
-
-
-def test_load_params_file():
-    text = """
-    # lab bench values
-    k_silicon = 120
-    t_ambient = 25.0
-    """
-    p = load_thermal_params(io.StringIO(text))
-    assert p.k_silicon == 120.0
-    assert p.t_ambient == 25.0
-    assert p.die_thickness == 0.5e-3  # default retained
-
-
-def test_load_params_rejects_unknown_key():
-    with pytest.raises(ValueError, match="unknown parameter"):
-        load_thermal_params("humidity = 0.4")
-
-
-def test_load_params_rejects_duplicates_and_garbage():
-    with pytest.raises(ValueError, match="duplicate"):
-        load_thermal_params("t_ambient = 25\nt_ambient = 30")
-    with pytest.raises(ValueError, match="line 1"):
-        load_thermal_params("k_silicon 120")
-    with pytest.raises(ValueError, match="non-numeric"):
-        load_thermal_params("k_silicon = fast")
 
 
 # ── lateral resistance ───────────────────────────────────────────────────
