@@ -10,7 +10,9 @@ Sweep (writes one CSV row per grid point, row-major over TL then STCL):
                --sweep-tl 145:185:5 --sweep-stcl 20:100:10
 
 A sweep compiles the die and screens its cores once, then schedules the
-grid points on that compiled die; each distinct session is solved once.
+grid points on that compiled die; each distinct session is solved once,
+and an attempt that an earlier run made at an STCL within its margins is
+not packed again (``CompiledDie``).
 Each run reports the rectangle of limits over which it makes the same
 decisions (``Schedule.covers``), so a point inside the rectangle of the
 run behind the previous point in its TL row, or behind the point at the

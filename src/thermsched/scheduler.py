@@ -23,7 +23,12 @@ single-core max temperature).  Each schedule run then has two stages:
 With the floorplan, parameters and powers fixed, a session's simulated
 temperatures depend only on its member set, so a compiled die remembers
 every validation it has solved, and a TL x STCL sweep solves each distinct
-session once.
+session once.  A run's state after k attempts -- its packing order and
+weights -- depends only on the weight factor and on which cores each
+earlier attempt admitted and which it found too hot.  So a compiled die
+also remembers the attempts runs made along each such path, each with the
+STCLs it holds for, and a sweep packs a run's early attempts only where
+no earlier run made them.
 
 The first core entering a session is exempt from the STCL test: screening
 already proved every single-core session safe, and without the exemption a
@@ -180,9 +185,27 @@ class CompiledDie:
     """One floorplan, parameter set and power profile, compiled for scheduling.
 
     Holds what every schedule run on the die reads and no limit changes:
-    the compiled network, the test powers and every core's BCMT.  The
-    private memo maps each validated member set to its ``TestSession``, so
-    runs that share a die solve each distinct session once.
+    the compiled network, the test powers and every core's BCMT.  Two
+    private memos let runs that share a die reuse each other's work:
+
+    * ``_validated`` maps each validated member set to its ``TestSession``,
+      so each distinct session is solved once.
+    * ``_attempts`` maps a weight factor to the root of a tree of attempts.
+      A node is the run state reached from the common start (every core in
+      packing order, no weights) by a sequence of attempt outcomes; it is a
+      list of entries ``(admitted, rejected, session, children)``, one per
+      ``build_session`` call made from that state, where ``[admitted,
+      rejected)`` are the call's STCL margins and ``children`` maps the
+      attempt's violators, a sorted tuple that is empty when the session
+      was accepted, to the next node.  At any STCL within the margins the
+      call makes every comparison the same way, so it packs the same
+      session.  A run records only its first ``len(net.nodes)`` attempts,
+      as many as a run without discards makes at most, so a crawling run
+      adds at most N entries.
+
+    Both memos only gain entries, each by one ``dict.setdefault``,
+    ``list.append`` or item assignment, so threads may share a die: at
+    worst two of them pack or solve the same attempt twice.
     """
 
     net: ThermalNetwork
@@ -191,6 +214,7 @@ class CompiledDie:
     _validated: dict[frozenset[str], TestSession] = field(
         default_factory=dict, repr=False
     )
+    _attempts: dict[float, list[tuple]] = field(default_factory=dict, repr=False)
 
 
 def check_tl(tl: float, ambient: float) -> None:
@@ -329,8 +353,9 @@ def build_session(
 def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
     """Screen, then pack and validate sessions until every core is scheduled.
 
-    Deterministic for identical inputs; a validation already solved on
-    ``die`` is reused, not solved again.  Raises ScreeningError listing
+    Deterministic for identical inputs; an attempt already packed on
+    ``die`` at an STCL within its margins, and a validation already solved
+    there, are reused, not made again.  Raises ScreeningError listing
     every core whose BCMT reaches TL and the smallest limit that would pass
     (one solver tolerance above the hottest BCMT, printed rounded up); after a
     successful screen the loop always terminates (see module docstring),
@@ -354,23 +379,37 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
     effort = 0.0
     budget = attempts_left = ATTEMPTS_PER_CORE * len(net.nodes)
     # the values compared with TL closest to it on each side, and the
-    # STCs closest to STCL, which build_session narrows
+    # STCs closest to STCL, folded from each attempt's margins
     below_tl, above_tl = max(die.bcmt.values()), math.inf
-    stcl_margins = [-math.inf, math.inf]
+    lo_stcl, hi_stcl = -math.inf, math.inf
+    # this run's node in the die's attempt memo; None once the run has made
+    # as many attempts as the die has cores
+    node = die._attempts.setdefault(config.weight_factor, [])
     while remaining:
         if not attempts_left:
             raise AttemptBudgetError(config, budget)
         attempts_left -= 1
-        members = frozenset(
-            build_session(remaining, weights, config.stcl, net, power, stcl_margins)
-        )
-        session = die._validated.get(members)
-        if session is None:
-            session = die._validated[members] = TestSession(
-                members,
-                max(power.duration(name) for name in members),
-                simulate_session(members, net, power),
+        for entry in node or ():
+            if entry[0] <= config.stcl < entry[1]:
+                break
+        else:
+            margins = [-math.inf, math.inf]
+            members = frozenset(
+                build_session(remaining, weights, config.stcl, net, power, margins)
             )
+            session = die._validated.get(members)
+            if session is None:
+                session = die._validated[members] = TestSession(
+                    members,
+                    max(power.duration(name) for name in members),
+                    simulate_session(members, net, power),
+                )
+            entry = (margins[0], margins[1], session, {})
+            if node is not None:
+                node.append(entry)
+        admitted, rejected, session, children = entry
+        lo_stcl, hi_stcl = max(lo_stcl, admitted), min(hi_stcl, rejected)
+        members = session.cores
         effort += session.duration
         temperatures = session.result.temperatures
         violators = []
@@ -382,6 +421,10 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
                     above_tl = temp
             elif temp > below_tl:
                 below_tl = temp
+        if budget - attempts_left < len(net.nodes):
+            node = children.setdefault(tuple(violators), [])
+        else:
+            node = None
         if violators:
             # session discarded; its simulated time still counts as effort
             weights = dict(weights)
@@ -405,7 +448,7 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
         simulation_effort=effort,
         stage1_report=dict(die.bcmt),
         tl_range=(float(below_tl), float(above_tl)),
-        stcl_range=(stcl_margins[0], stcl_margins[1]),
+        stcl_range=(lo_stcl, hi_stcl),
     )
 
 

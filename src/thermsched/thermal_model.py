@@ -30,7 +30,7 @@ the network compiles once per node, ``singleton_resistance``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Collection, Mapping
 
 from .floorplan import PowerProfile
@@ -48,7 +48,10 @@ class ThermalParams:
     are the defaults here.  ``r_vertical_per_area`` lumps everything above
     the die (spreader, sink, convection) into a single area-normalized
     resistance; it is the main calibration knob for moving simulated
-    temperatures into the regime of interest.
+    temperatures into the regime of interest.  ``k_silicon``,
+    ``die_thickness`` and ``r_vertical_per_area`` must be strictly positive
+    and finite; ``t_ambient``, in Celsius and only ever an offset, may be
+    any finite value.
     """
 
     k_silicon: float = 100.0            # thermal conductivity, W/(m*K)
@@ -57,10 +60,12 @@ class ThermalParams:
     t_ambient: float = 45.0             # deg C
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in ("k_silicon", "die_thickness", "r_vertical_per_area"):
+            value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{f.name} must be strictly positive and finite")
+                raise ValueError(f"{name} must be strictly positive and finite")
+        if not math.isfinite(self.t_ambient):
+            raise ValueError("t_ambient must be finite")
 
 
 def equivalent_resistance(name: str, session: Collection[str], net: ThermalNetwork) -> float:

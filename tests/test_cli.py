@@ -338,6 +338,27 @@ def test_each_param_flag_reaches_the_document(three_core_files, tmp_path, capsys
     assert "unrecognized arguments: --params" in capsys.readouterr().err
 
 
+def test_ambient_at_or_below_zero_runs_and_a_non_finite_one_exits_1(tmp_path, capsys):
+    # ambient is in Celsius and only an offset: every temperature moves with it
+    base = ["--floorplan", str(DATA / "demo15.flp"), "--power", str(DATA / "demo15.csv"),
+            "--stcl", "100"]
+    out = tmp_path / "s.json"
+    assert main(base + ["--tl", "105", "--out", str(out)]) == 0
+    reference = json.loads(out.read_text())["max_temperature_c"]
+    for ambient in (0.0, -40.0):
+        tl = ambient + 60.0
+        assert main(base + ["--tl", repr(tl), "--ambient", repr(ambient), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["thermal_params"]["t_ambient"] == ambient
+        assert doc["max_temperature_c"] == pytest.approx(reference - 45.0 + ambient, abs=1e-9)
+    capsys.readouterr()
+    for ambient in ("nan", "inf", "-inf"):
+        assert main(base + ["--tl", "105", f"--ambient={ambient}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: t_ambient must be finite"]
+
+
 # ── sweeps ───────────────────────────────────────────────────────────────
 
 
@@ -580,17 +601,15 @@ def test_sweep_matches_fresh_runs_at_every_point(case):
 
 def test_dense_demo_sweep_runs_once_per_decision_box(tmp_path, monkeypatch):
     # the benchmark's demo-sweep grid: 1681 points, 553 decision boxes
-    runs, attempts = [], []
+    configs, packed = [], []
     real_generate, real_build = cli.generate_schedule, scheduler.build_session
 
-    def generate(*args):
-        start = len(attempts)
-        schedule = real_generate(*args)
-        runs.append(len(attempts) - start)
-        return schedule
+    def generate(die, config):
+        configs.append(config)
+        return real_generate(die, config)
 
     monkeypatch.setattr(cli, "generate_schedule", generate)
-    monkeypatch.setattr(scheduler, "build_session", lambda *a: attempts.append(1) or real_build(*a))
+    monkeypatch.setattr(scheduler, "build_session", lambda *a: packed.append(1) or real_build(*a))
     out = tmp_path / "sweep.csv"
     code = main(
         ["--floorplan", str(DATA / "demo15.flp"), "--power", str(DATA / "demo15.csv"),
@@ -598,7 +617,17 @@ def test_dense_demo_sweep_runs_once_per_decision_box(tmp_path, monkeypatch):
     )
     assert code == 0
     assert len(out.read_text().splitlines()) == 1 + 41 * 41
-    assert (len(runs), len(attempts)) == (553, 4616)
+    # on the sweep's one die, the attempt memo packs 2,485 of the runs'
+    # attempts; the rest repeat an attempt an earlier run packed
+    assert (len(configs), len(packed)) == (553, 2485)
+    # each of the same runs on a die of its own packs every attempt
+    fp, profile = load_inputs("demo15")
+    runs = []
+    for config in configs:
+        packed.clear()
+        real_generate(compile_die(fp, profile, ThermalParams()), config)
+        runs.append(len(packed))
+    assert sum(runs) == 4616
     # the busiest run makes one attempt per core, far below the budget
     assert max(runs) == 15 <= scheduler.ATTEMPTS_PER_CORE * 15 // 10
 

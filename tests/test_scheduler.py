@@ -3,6 +3,8 @@
 import json
 import math
 import re
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -348,6 +350,8 @@ def test_packing_sorts_once_per_weight_set_and_early_exits_make_no_stc_call(monk
     assert len(sorts) == 1 + discards
     assert sorts[0] == len(die.net.nodes)
 
+    # a die of its own, so that no attempt comes from the loose run's memo
+    die = golden_synth400_die()
     attempts.clear()
     sorts.clear()
     schedule = generate_schedule(die, SYNTH400_TIGHT)
@@ -578,6 +582,17 @@ def _counting_attempts(mp):
     return attempts
 
 
+def _memo_entries(die):
+    """The number of entries in the die's attempt memo, over every tree."""
+    stack, count = list(die._attempts.values()), 0
+    while stack:
+        node = stack.pop()
+        count += len(node)
+        for *_, children in node:
+            stack.extend(children.values())
+    return count
+
+
 def test_attempt_budget_stops_a_weight_factor_near_one():
     # the all-in session runs too hot, and weights rising by a millionth per
     # discard would take millions of attempts to split it.  The real budget
@@ -595,6 +610,8 @@ def test_attempt_budget_stops_a_weight_factor_near_one():
             generate_schedule(die, config)
     assert len(attempts) == err.value.budget == 3000
     assert err.value.config == config
+    # the crawl records only its first attempts in the die's memo, one per core
+    assert _memo_entries(die) == len(die.net.nodes) == 3
     # a factor of 1.1 splits the same session within a few attempts
     generate_schedule(die, replace(config, weight_factor=1.1))
 
@@ -616,6 +633,96 @@ def test_a_huge_stcl_with_discards_stays_ten_times_below_the_budget():
         schedule = generate_schedule(die, config)
     assert len(schedule.sessions) == 2
     assert 7000 < len(attempts) <= 2 * ATTEMPTS_PER_CORE // 10
+
+
+# ── attempt memo ─────────────────────────────────────────────────────────
+
+
+def _outcome(die, config):
+    """A run's whole result, every float by its bits, or the type and text
+    of the exception it raised."""
+    try:
+        schedule = generate_schedule(die, config)
+    except (ScreeningError, AttemptBudgetError, ValueError) as exc:
+        return type(exc), str(exc)
+    return (
+        [(s.cores, s.duration.hex(), s.result.temperatures.tobytes())
+         for s in schedule.sessions],
+        schedule.total_length.hex(),
+        schedule.simulation_effort.hex(),
+        tuple(map(float.hex, schedule.tl_range + schedule.stcl_range)),
+    )
+
+
+@st.composite
+def memo_cases(draw):
+    """A random die and a list of runs on it.  Runs draw from a few TLs near
+    the hottest BCMT, some failing screening, one or two STCLs around the
+    median singleton STC and one or two weight factors, so that many share
+    the start of their attempt paths and then part where a TL makes
+    different violators."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fp = random_floorplan(rng, draw(st.integers(2, 14)))
+    profile = random_profile(rng, fp)
+    die = compile_die(fp, profile, ThermalParams())
+    hottest = max(die.bcmt.values())
+    median = float(np.median([session_stc({n}, profile, None, die.net) for n in fp.names]))
+    tls = draw(st.lists(st.floats(-1.0, 10.0), min_size=1, max_size=3))
+    stcls = draw(st.lists(st.floats(0.2, 6.0), min_size=1, max_size=2))
+    factors = draw(st.lists(
+        st.sampled_from([1.01, 1.1, 1.5, 1.000001]), min_size=1, max_size=2
+    ))
+    runs = draw(st.lists(
+        st.tuples(st.sampled_from(tls), st.sampled_from(stcls), st.sampled_from(factors)),
+        min_size=1, max_size=8,
+    ))
+    configs = [
+        SchedulerConfig(tl=hottest + tl, stcl=median * stcl, weight_factor=factor)
+        for tl, stcl, factor in runs
+    ]
+    return fp, profile, configs
+
+
+@settings(max_examples=200, deadline=None)
+@given(memo_cases())
+def test_runs_on_a_shared_die_match_runs_on_fresh_dies(case):
+    fp, profile, configs = case
+    with pytest.MonkeyPatch.context() as mp:
+        # a small budget, so that some runs stop at it, memo hits or not
+        mp.setattr(scheduler, "ATTEMPTS_PER_CORE", 3)
+        shared = compile_die(fp, profile, ThermalParams())
+        for config in configs:
+            fresh = compile_die(fp, profile, ThermalParams())
+            assert _outcome(shared, config) == _outcome(fresh, config), config
+
+
+def test_threads_sharing_a_die_get_the_runs_of_fresh_dies():
+    fp, profile = load_inputs("demo15")
+    configs = [
+        SchedulerConfig(tl=tl, stcl=stcl)
+        for tl in (146.0, 150.0, 160.0) for stcl in (30.0, 50.0, 80.0, 100.0)
+    ]
+    expected = [_outcome(compile_die(fp, profile, ThermalParams()), c) for c in configs]
+    die = compile_die(fp, profile, ThermalParams())
+    results = [[None] * len(configs) for _ in range(4)]
+
+    def work(k):
+        # each thread runs the configs from its own starting point
+        for i in [*range(k, len(configs)), *range(k)]:
+            results[k][i] = _outcome(die, configs[i])
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * 4
 
 
 def test_screening_solve_failure_names_the_core():

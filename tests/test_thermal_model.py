@@ -32,7 +32,7 @@ def test_default_params():
     assert p.t_ambient == 45.0
 
 
-@pytest.mark.parametrize("field", ["k_silicon", "die_thickness", "r_vertical_per_area", "t_ambient"])
+@pytest.mark.parametrize("field", ["k_silicon", "die_thickness", "r_vertical_per_area"])
 def test_params_must_be_positive(field):
     with pytest.raises(ValueError, match=field):
         ThermalParams(**{field: 0.0})
