@@ -219,16 +219,14 @@ def run_sweep(args) -> int:
         )
     tl_values, stcl_values = tl_axis(), stcl_axis()
     # validate the whole grid before the first run, so a bad point anywhere
-    # fails fast instead of discarding the rows already computed.  A config
-    # checks each limit on its own, so one row and one column of the grid
-    # check every point, and they raise the error the row-major grid's first
-    # bad point would.
+    # fails fast instead of discarding the rows already computed.  Each limit
+    # is checked on its own: every TL against ambient (_parse_axis already
+    # refused a non-finite one), and every STCL, with the weight factor, by
+    # one config in the first TL row.
     for tl in tl_values:
         check_tl(tl, params.t_ambient)
     for stcl in stcl_values:
         _config(args, tl_values[0], stcl)
-    for tl in tl_values:
-        _config(args, tl, stcl_values[0])
     die = compile_die(fp, power, params)
     lines = [SWEEP_HEADER]
     # the run behind each point of the previous TL row; None where it failed

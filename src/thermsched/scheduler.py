@@ -57,7 +57,7 @@ import numpy as np
 
 from . import thermal_sim
 from .floorplan import Floorplan, PowerProfile
-from .thermal_model import ThermalParams, session_stc, stc_term
+from .thermal_model import ThermalParams, escape_paths, session_stc, stc_term
 from .thermal_sim import (
     RESIDUAL_RTOL,
     NetworkSolveError,
@@ -288,29 +288,24 @@ def build_session(
     same order, cannot raise any partial sum, since rounding is monotone;
     so no member's R_eq can fall and no ``TC * P * W`` term can shrink.
     Members not adjacent to ``c`` keep bit-identical terms.  The enlarged
-    session's STC is therefore exactly the max of the current STC and the
-    terms of ``c`` and of its neighbors in the session, each recomputed
-    from scratch within the enlarged session, and every ``<= stcl``
-    decision matches a full recompute.
+    session's STC is therefore exactly the max of the current STC, the term
+    of ``c`` and the terms of its neighbors in the session, each priced
+    within the enlarged session, and every ``<= stcl`` decision matches a
+    full recompute.  One scan of ``c``'s escape paths
+    (``thermal_model.escape_paths``) gives both its own R_eq and the
+    neighbors it touches; only those neighbors are re-priced, through
+    ``session_stc``.
 
-    Two shortcuts keep those decisions exact and skip most evaluations:
+    One shortcut skips evaluations and keeps the decisions exact: the STC
+    never falls, and only the exempt first core can take it past ``stcl``.
+    Once it has, every later candidate's enlarged STC is above ``stcl``
+    too, so the singleton is returned at once.
 
-    * A candidate with no neighbor in the session keeps all its laterals,
-      so its R_eq is the compiled ``net.singleton_resistance``, summed in
-      ``equivalent_resistance``'s order, and its term comes from
-      ``stc_term``, which ``session_stc`` prices every member with: bit for
-      bit the value a ``session_stc`` call would return.  Only candidates
-      that touch the session call ``session_stc``.
-    * The STC never falls, and only the exempt first core can take it past
-      ``stcl``.  Once it has, every later candidate's enlarged STC is above
-      ``stcl`` too, so the singleton is returned at once.
-
-    ``margins``, if given, is a list ``[admitted, rejected]`` that every
-    comparison with ``stcl`` narrows: ``admitted`` rises to the largest STC
-    found within ``stcl`` and ``rejected`` falls to the smallest found
-    above it, the early exit's included.  The admitted STCs are the
-    session's STC after each admission, which never falls, so the largest
-    is the final one.
+    ``margins``, if given, is a list that receives this call's
+    ``[admitted, rejected]``: the largest STC found within ``stcl``, -inf
+    if none, and the smallest found above it, the early exit's included,
+    inf if none.  The admitted STCs are the session's STC after each
+    admission, which never falls, so the largest is the final one.
     """
     if isinstance(candidates, Set):
         raise TypeError(
@@ -323,16 +318,11 @@ def build_session(
     stc = 0.0
     rejected = math.inf
     for name in candidates:
-        i = net.position[name]
-        touched = [
-            net.nodes[j] for j, _ in net.lateral[i] if net.nodes[j] in session
-        ]
+        g, touched = escape_paths(name, session, net)
         session.add(name)
+        enlarged = max(stc, stc_term(name, 1.0 / g, power, weights))
         if touched:
-            term = session_stc([name] + touched, power, weights, net, session)
-        else:
-            term = stc_term(name, net.singleton_resistance[i], power, weights)
-        enlarged = max(stc, term)
+            enlarged = max(enlarged, session_stc(touched, power, weights, net, session))
         if len(session) == 1 or enlarged <= stcl:
             stc = enlarged
             if stc > stcl:  # the exempt first core: nothing else can join
@@ -342,11 +332,8 @@ def build_session(
             if enlarged < rejected:
                 rejected = enlarged
     if margins is not None:
-        if stc <= stcl:
-            margins[0] = max(margins[0], stc)
-        else:  # the early exit
-            rejected = min(rejected, stc)
-        margins[1] = min(margins[1], rejected)
+        # over the limit, the exempt first core ended the attempt at once
+        margins[:] = (stc, rejected) if stc <= stcl else (-math.inf, stc)
     return session
 
 
@@ -393,7 +380,7 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
             if entry[0] <= config.stcl < entry[1]:
                 break
         else:
-            margins = [-math.inf, math.inf]
+            margins: list[float] = []
             members = frozenset(
                 build_session(remaining, weights, config.stcl, net, power, margins)
             )

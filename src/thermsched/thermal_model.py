@@ -19,12 +19,10 @@ limit.
 
 The path resistances exist only as conductances: ``thermal_sim.build_network``
 derives them from the floorplan geometry once per floorplan and parameter
-set, and ``equivalent_resistance`` and ``session_stc`` read that compiled
-network.  A core's R_eq depends only on which of its own neighbors are in
-the session, so ``session_stc`` can evaluate just the members whose terms a
-change touched; packing uses this to price a candidate that touches the
-session in O(degree).  A core with no neighbor in the session has the R_eq
-the network compiles once per node, ``singleton_resistance``.
+set, and ``escape_paths`` alone applies the usable-path rule to it.  A
+core's R_eq depends only on which of its own neighbors are in the session,
+so ``session_stc`` can evaluate just the members whose terms a change
+touched; packing uses this to price a candidate in O(degree).
 """
 
 from __future__ import annotations
@@ -68,22 +66,36 @@ class ThermalParams:
             raise ValueError("t_ambient must be finite")
 
 
-def equivalent_resistance(name: str, session: Collection[str], net: ThermalNetwork) -> float:
-    """Parallel combination of a core's usable escape paths within a session.
+def escape_paths(
+    name: str, session: Collection[str], net: ThermalNetwork
+) -> tuple[float, list[str]]:
+    """A core's usable escape conductance within a session, and the
+    session's cores it touches.
 
     Usable paths are the vertical one plus the laterals toward neighbors
     that are passive in the session (held at ambient); laterals toward
-    other active cores are dropped.
+    other active cores are dropped.  Both are taken in one pass over the
+    core's laterals, in floorplan order: the conductance is summed in that
+    order, and the touched neighbors are listed in it.  ``name`` itself
+    need not be in ``session``.
     """
-    if name not in session:
-        raise ValueError(f"core {name!r} is not in the session")
     i = net.position[name]
     g = net.vertical[i]
+    touched = []
     for j, lateral in net.lateral[i]:
         if net.nodes[j] in session:
-            continue
-        g += lateral
-    return 1.0 / g
+            touched.append(net.nodes[j])
+        else:
+            g += lateral
+    return g, touched
+
+
+def equivalent_resistance(name: str, session: Collection[str], net: ThermalNetwork) -> float:
+    """Parallel combination of a core's usable escape paths within a session:
+    the reciprocal of ``escape_paths``' conductance."""
+    if name not in session:
+        raise ValueError(f"core {name!r} is not in the session")
+    return 1.0 / escape_paths(name, session, net)[0]
 
 
 def stc_term(

@@ -16,14 +16,14 @@ vertical path to ambient, and passive cores are free nodes that warm up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Collection, Mapping
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .floorplan import Floorplan, PowerProfile
-from .thermal_model import ThermalParams, equivalent_resistance
+from .thermal_model import ThermalParams
 
 RESIDUAL_RTOL = 1e-8
 """Required solve accuracy: inf-norm residual per unit inf-norm of injections."""
@@ -50,19 +50,17 @@ class ThermalNetwork:
     Nodes are in floorplan order.  ``vertical[i]`` is the conductance of
     node ``i``'s path to ambient, and ``lateral[i]`` lists its neighbors as
     ``(node index, lateral conductance)`` pairs in floorplan order; both are
-    derived by ``build_network``.  ``singleton_resistance[i]`` is node
-    ``i``'s R_eq when none of its neighbors is active, as
-    ``thermal_model.equivalent_resistance`` computes it.  ``conductance`` is
-    symmetric positive definite: off-diagonals are the negated lateral
-    conductances, and each diagonal adds the node's vertical conductance to
-    ambient on top of its lateral total.
+    derived by ``build_network`` and read by the guiding session model
+    through ``thermal_model.escape_paths``.  ``conductance`` is symmetric
+    positive definite: off-diagonals are the negated lateral conductances,
+    and each diagonal adds the node's vertical conductance to ambient on
+    top of its lateral total.
     """
 
     nodes: tuple[str, ...]
     position: Mapping[str, int]                          # node name -> index
     vertical: tuple[float, ...]                          # W/K, per node
     lateral: tuple[tuple[tuple[int, float], ...], ...]   # W/K, per node
-    singleton_resistance: tuple[float, ...]              # K/W, per node
     conductance: np.ndarray                              # (N, N), W/K
     factor: tuple[np.ndarray, bool]                      # cho_factor(conductance)
     ambient: float                                       # deg C
@@ -118,7 +116,7 @@ def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
     diagonal = [0.0] * n
     lateral: list[list[tuple[int, float]]] = [[] for _ in names]
     # pairs arrive sorted by (i, j), so every neighbor list stays in floorplan
-    # order, the order in which equivalent_resistance sums it
+    # order, the order in which thermal_model.escape_paths sums it
     for a, b, shared_edge, center_distance in fp.adjacency().pairs():
         gl = _conductance(
             center_distance,
@@ -152,19 +150,15 @@ def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
             "conductance matrix is not positive definite; every node needs a "
             "vertical conductance to ambient"
         ) from exc
-    net = ThermalNetwork(
+    return ThermalNetwork(
         nodes=names,
         position=position,
         vertical=vertical,
         lateral=tuple(map(tuple, lateral)),
-        singleton_resistance=(),
         conductance=g,
         factor=factor,
         ambient=params.t_ambient,
     )
-    return replace(net, singleton_resistance=tuple(
-        equivalent_resistance(name, (name,), net) for name in names
-    ))
 
 
 def solve_rise(net: ThermalNetwork, injections: np.ndarray) -> np.ndarray:

@@ -485,6 +485,20 @@ def test_sweep_grid_is_bounded_by_its_count_before_it_is_built(
     assert built == []
 
 
+def test_byte_order_marked_inputs_give_the_plain_files_document(tmp_path):
+    # Windows editors and spreadsheet exports start UTF-8 files with U+FEFF
+    flp, power = tmp_path / "demo15.flp", tmp_path / "demo15.csv"
+    for copy in (flp, power):
+        copy.write_bytes(b"\xef\xbb\xbf" + (DATA / copy.name).read_bytes())
+    outs = []
+    for inputs in ((DATA / flp.name, DATA / power.name), (flp, power)):
+        outs.append(tmp_path / f"out{len(outs)}.json")
+        code = main(["--floorplan", str(inputs[0]), "--power", str(inputs[1]),
+                     "--tl", "165", "--stcl", "100", "--out", str(outs[-1])])
+        assert code == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_sweep_deterministic_bytes(three_core_files, tmp_path):
     flp, power = three_core_files
     args = ["--floorplan", str(flp), "--power", str(power),
@@ -633,9 +647,9 @@ def test_dense_demo_sweep_runs_once_per_decision_box(tmp_path, monkeypatch):
 
 
 def test_dense_demo_sweep_builds_configs_for_its_axes_and_runs_only(tmp_path, monkeypatch):
-    # the benchmark's demo-sweep grid: one config per TL and one per STCL
-    # check the limits, and each of the 553 runs builds its own; a config
-    # per point would be 1681 before the first run
+    # the benchmark's demo-sweep grid: one config per STCL checks the STCLs
+    # and the weight factor, and each of the 553 runs builds its own; a
+    # config per point would be 1681 before the first run
     configs, runs, before_first_run = [], [], []
     real_generate = cli.generate_schedule
 
@@ -658,9 +672,9 @@ def test_dense_demo_sweep_builds_configs_for_its_axes_and_runs_only(tmp_path, mo
          "--sweep-tl", "145:185:1", "--sweep-stcl", "20:100:2", "--out", str(out)]
     )
     assert code == 0
-    assert before_first_run[0] <= 41 + 41
+    assert before_first_run[0] == 41
     assert len(runs) == 553
-    assert len(configs) <= 41 + 41 + 553
+    assert len(configs) == 41 + 553
     assert configs[-len(runs):] == runs
     # every row is the one a run of its own at that point writes
     die = compile_die(*load_inputs("demo15"), ThermalParams())

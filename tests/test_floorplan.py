@@ -45,6 +45,13 @@ def test_parse_accepts_stream():
     assert fp.names == ("c1", "c2")
 
 
+def test_parse_drops_one_leading_byte_order_mark():
+    fp = parse_floorplan("\ufeffc1 1 1 0 0\nc2 1 1 1 0\n")
+    assert fp.names == ("c1", "c2")
+    profile = parse_power_profile(io.StringIO("\ufeffc1,2,1\nc2,3,1\n"), fp)
+    assert (profile.power("c1"), profile.power("c2")) == (2.0, 3.0)
+
+
 def test_parse_15_records_with_comments():
     lines = ["# header comment"]
     for i in range(15):

@@ -7,8 +7,8 @@ from thermsched.floorplan import CoreGeometry, Floorplan, PowerProfile, parse_fl
 from thermsched.thermal_model import (
     ThermalParams,
     equivalent_resistance,
+    escape_paths,
     session_stc,
-    stc_term,
 )
 from thermsched.thermal_sim import build_network
 from util import (
@@ -180,21 +180,28 @@ def test_equivalent_resistance_bounded_by_paths():
                     assert r_eq <= 1.0 / g * (1 + 1e-12)
 
 
-def test_singleton_resistance_is_the_lone_core_r_eq_bit_for_bit():
-    # packing prices a candidate with no active neighbour from the compiled
-    # value through stc_term, so both must match a session_stc call exactly
+def test_escape_paths_scan_gives_r_eq_and_touched_neighbours_bit_for_bit():
+    # packing prices a candidate from one scan of its escape paths, taken
+    # before it joins the session, so the scan must match a full evaluation
+    # within the enlarged session exactly
     rng = np.random.default_rng(23)
     for _ in range(20):
         fp = random_floorplan(rng, int(rng.integers(1, 30)))
-        profile = random_profile(rng, fp, p_range=(0.0, 4.0))
         net = build_network(fp, ThermalParams())
-        weights = {n: 1.1 ** int(rng.integers(0, 6)) for n in fp.names}
-        for i, name in enumerate(net.nodes):
-            r = net.singleton_resistance[i]
-            assert r == equivalent_resistance(name, {name}, net)
-            assert stc_term(name, r, profile, weights) == session_stc(
-                {name}, profile, weights, net
-            )
+        session = random_session(rng, fp)
+        for name in net.nodes:
+            g, touched = escape_paths(name, session - {name}, net)
+            assert 1.0 / g == equivalent_resistance(name, session | {name}, net)
+            # summed vertical first, then the passive laterals in floorplan order
+            expected = net.vertical[net.position[name]]
+            for j, lateral in net.lateral[net.position[name]]:
+                if net.nodes[j] not in session:
+                    expected += lateral
+            assert g == expected
+            assert touched == [
+                net.nodes[j] for j, _ in net.lateral[net.position[name]]
+                if net.nodes[j] in session
+            ]
 
 
 # ── TC and STC ───────────────────────────────────────────────────────────
