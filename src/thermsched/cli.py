@@ -1,6 +1,6 @@
 """Command-line front end: single schedule runs and TL x STCL sweeps.
 
-Single run (writes a JSON schedule document, or a text summary):
+Single run (writes a JSON schedule document, ``scheduler.schedule_to_json``):
 
     thermsched --floorplan die.flp --power tests.csv --tl 145 --stcl 40
 
@@ -105,8 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=SchedulerConfig.weight_factor, metavar="F",
                    help="weight multiplier applied to violating cores (default %(default)s)")
     p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    p.add_argument("--format", choices=("json", "text"), default="json",
-                   help="single-run output format (default json)")
     return p
 
 
@@ -169,27 +167,6 @@ def _write(payload: str, out: str | None) -> None:
         sys.stdout.write(payload)
 
 
-def _format_text(schedule: Schedule, config: SchedulerConfig) -> str:
-    lines = []
-    hottest = max(schedule.stage1_report.values())
-    lines.append(
-        f"screened {len(schedule.stage1_report)} cores; hottest alone "
-        f"{hottest:.2f} C (limit {config.tl:g} C)"
-    )
-    for k, s in enumerate(schedule.sessions, start=1):
-        peak_core, peak_temp = s.result.peak
-        lines.append(
-            f"session {k}: [{' '.join(sorted(s.cores))}] duration {s.duration:g} s "
-            f"peak {peak_temp:.2f} C ({peak_core})"
-        )
-    lines.append(
-        f"total length {schedule.total_length:g} s; simulation effort "
-        f"{schedule.simulation_effort:g} s; max temperature "
-        f"{schedule.max_temperature:.2f} C"
-    )
-    return "\n".join(lines) + "\n"
-
-
 def _config(args, tl: float, stcl: float) -> SchedulerConfig:
     return SchedulerConfig(tl=tl, stcl=stcl, weight_factor=args.weight_factor)
 
@@ -199,11 +176,7 @@ def run_single(args) -> int:
     config = _config(args, args.tl, args.stcl)
     check_tl(config.tl, params.t_ambient)
     schedule = generate_schedule(compile_die(fp, power, params), config)
-    if args.format == "json":
-        payload = schedule_to_json(schedule, config, params)
-    else:
-        payload = _format_text(schedule, config)
-    _write(payload, args.out)
+    _write(schedule_to_json(schedule, config, params), args.out)
     return 0
 
 

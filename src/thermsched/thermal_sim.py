@@ -11,15 +11,25 @@ only changes the injection vector ``P``.
 Unlike the guiding session model, the validator keeps every core in play:
 all adjacent pairs are coupled (active or not), every node has its own
 vertical path to ambient, and passive cores are free nodes that warm up.
+
+With scipy's bundled OpenBLAS, every factor and solve runs on one BLAS
+thread, set for the calling thread only: the blocking of the Cholesky
+factor depends on the thread count, and so would the last bits of every
+temperature.  Another BLAS build runs with its own thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Collection, Mapping
 
 import numpy as np
+import scipy
 from scipy.linalg import cho_factor, cho_solve
 
 from .floorplan import Floorplan, PowerProfile
@@ -29,6 +39,37 @@ RESIDUAL_RTOL = 1e-8
 """Required solve accuracy: inf-norm residual per unit inf-norm of injections."""
 
 _RESIDUAL_BLOCK = 64  # columns per residual product in solve_rise
+
+
+@functools.cache
+def _blas_thread_setter():
+    """``openblas_set_num_threads_local`` of the OpenBLAS that scipy loaded
+    from its wheel's ``scipy.libs``, or None where there is none; looked up
+    at the first solve, not at import."""
+    for path in sorted((Path(scipy.__file__).parent.parent / "scipy.libs").glob(
+        "libscipy_openblas*"
+    )):
+        try:
+            setter = ctypes.CDLL(str(path)).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        return setter
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one BLAS thread, for the calling thread only."""
+    setter = _blas_thread_setter()
+    if setter is None:
+        yield
+        return
+    previous = setter(1)
+    try:
+        yield
+    finally:
+        setter(previous)
 
 
 class NetworkSolveError(RuntimeError):
@@ -144,7 +185,8 @@ def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
             )
     g[np.diag_indices(n)] = diagonal
     try:
-        factor = cho_factor(g)
+        with _one_blas_thread():
+            factor = cho_factor(g)
     except np.linalg.LinAlgError as exc:
         raise NetworkSolveError(
             "conductance matrix is not positive definite; every node needs a "
@@ -173,7 +215,8 @@ def solve_rise(net: ThermalNetwork, injections: np.ndarray) -> np.ndarray:
     injections = np.asarray(injections, dtype=float)
     p = injections.reshape(len(net.nodes), -1)  # views: one column per vector
     tolerance = RESIDUAL_RTOL * np.maximum(1.0, np.abs(p).max(axis=0))
-    rise = cho_solve(net.factor, injections)
+    with _one_blas_thread():
+        rise = cho_solve(net.factor, injections)
     x = rise.reshape(p.shape)
     # G @ dT - P a block of columns at a time: screening solves N columns at
     # once, and a whole residual would hold a third N x N array

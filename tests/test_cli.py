@@ -18,7 +18,7 @@ from thermsched import cli, scheduler, thermal_sim
 from thermsched.cli import MAX_SWEEP_POINTS, SWEEP_HEADER, _parse_axis, _sweep_row, main
 from thermsched.scheduler import SchedulerConfig, ScreeningError, compile_die, generate_schedule
 from thermsched.thermal_model import ThermalParams, session_stc
-from util import DATA, load_inputs, random_floorplan, random_profile
+from util import DATA, load_inputs, random_floorplan, random_profile, reference_schedule
 
 
 FLP_3 = """\
@@ -136,21 +136,15 @@ def test_single_run_json(three_core_files, tmp_path, capsys):
     assert doc["max_temperature_c"] < 200.0
 
 
-def test_single_run_text_format(three_core_files, capsys):
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_single_run_has_one_output_and_no_format_flag(three_core_files, capsys, fmt):
+    # a single run writes only the JSON document, so there is no renderer to pick
     flp, power = three_core_files
-    code = main(
-        [
-            "--floorplan", str(flp),
-            "--power", str(power),
-            "--tl", "200",
-            "--stcl", "500",
-            "--format", "text",
-        ]
-    )
-    assert code == 0
-    text = capsys.readouterr().out
-    assert "session 1:" in text
-    assert "total length" in text
+    args = ["--floorplan", str(flp), "--power", str(power), "--tl", "200", "--stcl", "500"]
+    assert main(args + ["--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --format" in captured.err
 
 
 def test_single_run_screening_failure_exit_2(three_core_files, capsys):
@@ -568,6 +562,27 @@ def sweep_cases(draw):
     return fp, profile, ",".join(map(repr, tls)), ",".join(map(repr, stcls))
 
 
+def _sweep(fp, profile, tl_axis, stcl_axis):
+    """A sweep of ``cli.main`` over the die, written to files with every
+    float by its repr: its CSV bytes and its lines on stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        flp, power, out = Path(tmp) / "die.flp", Path(tmp) / "power.csv", Path(tmp) / "sweep.csv"
+        flp.write_text("".join(
+            f"{c.name} {c.width!r} {c.height!r} {c.left_x!r} {c.bottom_y!r}\n" for c in fp
+        ))
+        power.write_text("".join(
+            f"{n},{profile.power(n)!r},{profile.duration(n)!r}\n" for n in fp.names
+        ))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(
+                ["--floorplan", str(flp), "--power", str(power),
+                 "--sweep-tl", tl_axis, "--sweep-stcl", stcl_axis, "--out", str(out)]
+            )
+        assert code == 0
+        return out.read_bytes(), err.getvalue().splitlines()
+
+
 @settings(max_examples=25, deadline=None)
 @given(sweep_cases())
 def test_sweep_matches_fresh_runs_at_every_point(case):
@@ -586,31 +601,38 @@ def test_sweep_matches_fresh_runs_at_every_point(case):
     real = cli.generate_schedule
     cli.generate_schedule = lambda *args: runs.append(args) or real(*args)
     try:
-        with tempfile.TemporaryDirectory() as tmp:
-            flp, power, out = Path(tmp) / "die.flp", Path(tmp) / "power.csv", Path(tmp) / "sweep.csv"
-            flp.write_text("".join(
-                f"{c.name} {c.width!r} {c.height!r} {c.left_x!r} {c.bottom_y!r}\n" for c in fp
-            ))
-            power.write_text("".join(
-                f"{n},{profile.power(n)!r},{profile.duration(n)!r}\n" for n in fp.names
-            ))
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                code = main(
-                    ["--floorplan", str(flp), "--power", str(power),
-                     "--sweep-tl", tl_axis, "--sweep-stcl", stcl_axis, "--out", str(out)]
-                )
-            assert code == 0
-            assert out.read_bytes() == ("\n".join(expected_rows) + "\n").encode()
+        output, err = _sweep(fp, profile, tl_axis, stcl_axis)
     finally:
         cli.generate_schedule = real
-    assert err.getvalue().splitlines() == expected_err
+    assert output == ("\n".join(expected_rows) + "\n").encode()
+    assert err == expected_err
     # a failing TL row stops at its first run; a point that repeats the
     # point before it lies in that point's box
     most = len(expected_rows) - 1 + len(expected_err)
     assert len(runs) <= most
     if any(a == b for a, b in zip(stcls, stcls[1:])) and len(expected_rows) > 1:
         assert len(runs) < most
+
+
+@settings(max_examples=25, deadline=None)
+@given(sweep_cases())
+def test_sweep_matches_the_paper_literal_reference_at_every_point(case):
+    # the reference has no memo and no decision box, so every row the sweep
+    # reuses from an earlier run, or packs from the die's memos, is checked
+    fp, profile, tl_axis, stcl_axis = case
+    rows, skipped = [SWEEP_HEADER], []
+    for tl in axis_values(tl_axis):
+        try:
+            for stcl in axis_values(stcl_axis):
+                config = SchedulerConfig(tl=tl, stcl=stcl)
+                rows.append(_sweep_row(
+                    tl, stcl, reference_schedule(fp, profile, ThermalParams(), config)
+                ))
+        except ScreeningError as exc:
+            skipped.append(f"skipping TL={tl:g}: {exc}")
+    assert _sweep(fp, profile, tl_axis, stcl_axis) == (
+        ("\n".join(rows) + "\n").encode(), skipped
+    )
 
 
 def test_dense_demo_sweep_runs_once_per_decision_box(tmp_path, monkeypatch):

@@ -32,6 +32,7 @@ from util import (
     load_synth400,
     random_floorplan,
     random_profile,
+    reference_schedule,
     strip_floorplan,
     uniform_profile,
 )
@@ -634,18 +635,18 @@ def test_a_huge_stcl_with_discards_stays_ten_times_below_the_budget():
 # ── attempt memo ─────────────────────────────────────────────────────────
 
 
-def _outcome(die, config):
-    """A run's whole result, every float by its bits, or the type and text
-    of the exception it raised."""
+def _outcome(run, *args):
+    """``run(*args)``'s whole result, every float by its bits, or the type
+    and text of the exception it raised, then None.  The decision box comes
+    last, so ``[:2]`` leaves out the box, which the reference does not track."""
     try:
-        schedule = generate_schedule(die, config)
+        schedule = run(*args)
     except (ScreeningError, AttemptBudgetError, ValueError) as exc:
-        return type(exc), str(exc)
+        return type(exc), str(exc), None
     return (
         [(s.cores, s.duration.hex(), s.result.temperatures.tobytes())
          for s in schedule.sessions],
-        schedule.total_length.hex(),
-        schedule.simulation_effort.hex(),
+        (schedule.total_length.hex(), schedule.simulation_effort.hex()),
         tuple(map(float.hex, schedule.tl_range + schedule.stcl_range)),
     )
 
@@ -689,7 +690,41 @@ def test_runs_on_a_shared_die_match_runs_on_fresh_dies(case):
         shared = compile_die(fp, profile, ThermalParams())
         for config in configs:
             fresh = compile_die(fp, profile, ThermalParams())
-            assert _outcome(shared, config) == _outcome(fresh, config), config
+            outcome = _outcome(generate_schedule, shared, config)
+            assert outcome == _outcome(generate_schedule, fresh, config), config
+            reference = _outcome(reference_schedule, fp, profile, ThermalParams(), config)
+            assert outcome[:2] == reference[:2], config
+
+
+@st.composite
+def reference_cases(draw):
+    """A random die of 2 to 11 cores and one run's limits on it: TL around
+    the hottest BCMT, some failing screening, and STCL around the median
+    singleton STC."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fp = random_floorplan(rng, draw(st.integers(2, 11)))
+    profile = random_profile(rng, fp)
+    die = compile_die(fp, profile, ThermalParams())
+    median = float(np.median([session_stc({n}, profile, None, die.net) for n in fp.names]))
+    config = SchedulerConfig(
+        tl=max(die.bcmt.values()) + draw(st.floats(-1.0, 15.0)),
+        stcl=median * draw(st.floats(0.2, 6.0)),
+        weight_factor=draw(st.sampled_from([1.01, 1.1, 1.5])),
+    )
+    return fp, profile, config
+
+
+@settings(max_examples=300, deadline=None)
+@given(reference_cases())
+def test_runs_on_fresh_dies_match_the_paper_literal_reference(case):
+    fp, profile, config = case
+    with pytest.MonkeyPatch.context() as mp:
+        # a budget that some runs at weight factor 1.01 use up
+        mp.setattr(scheduler, "ATTEMPTS_PER_CORE", 30)
+        die = compile_die(fp, profile, ThermalParams())
+        outcome = _outcome(generate_schedule, die, config)
+        reference = _outcome(reference_schedule, fp, profile, ThermalParams(), config)
+    assert outcome[:2] == reference[:2]
 
 
 def test_threads_sharing_a_die_get_the_runs_of_fresh_dies():
@@ -698,14 +733,17 @@ def test_threads_sharing_a_die_get_the_runs_of_fresh_dies():
         SchedulerConfig(tl=tl, stcl=stcl)
         for tl in (146.0, 150.0, 160.0) for stcl in (30.0, 50.0, 80.0, 100.0)
     ]
-    expected = [_outcome(compile_die(fp, profile, ThermalParams()), c) for c in configs]
+    expected = [
+        _outcome(generate_schedule, compile_die(fp, profile, ThermalParams()), c)
+        for c in configs
+    ]
     die = compile_die(fp, profile, ThermalParams())
     results = [[None] * len(configs) for _ in range(4)]
 
     def work(k):
         # each thread runs the configs from its own starting point
         for i in [*range(k, len(configs)), *range(k)]:
-            results[k][i] = _outcome(die, configs[i])
+            results[k][i] = _outcome(generate_schedule, die, configs[i])
 
     threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
     interval = sys.getswitchinterval()

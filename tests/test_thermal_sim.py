@@ -400,3 +400,21 @@ def test_result_holds_a_read_only_temperature_vector():
     assert not result.temperatures.flags.writeable
     assert result.peak == (net.nodes[int(np.argmax(result.temperatures))],
                            float(result.temperatures.max()))
+
+
+def test_blas_pin_restores_the_thread_count_and_a_missing_setter_runs_unpinned(monkeypatch):
+    fp, profile = load_inputs("demo15")
+    pinned = simulate_session(fp.names, build_network(fp, ThermalParams()), profile)
+    setter = thermal_sim._blas_thread_setter()
+    previous = setter(2)
+    try:
+        with thermal_sim._one_blas_thread():
+            assert setter(1) == 1  # the block ran on one thread
+        assert setter(2) == 2  # and the caller's count came back
+    finally:
+        setter(previous)
+    # a BLAS build without the per-thread setter solves with its own count;
+    # a 15-core factor is too small to be blocked, so the bytes agree
+    monkeypatch.setattr(thermal_sim, "_blas_thread_setter", lambda: None)
+    unpinned = simulate_session(fp.names, build_network(fp, ThermalParams()), profile)
+    assert unpinned.temperatures.tobytes() == pinned.temperatures.tobytes()

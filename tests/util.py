@@ -1,6 +1,6 @@
 """Shared test helpers: tiny floorplan builders, random generators, a
-pairwise shared-edge reference, and the grounded-network nodal oracle used
-to cross-check equivalent resistances."""
+pairwise shared-edge reference, the grounded-network nodal oracle used
+to cross-check equivalent resistances, and a paper-literal schedule run."""
 
 from __future__ import annotations
 
@@ -17,7 +17,17 @@ from thermsched.floorplan import (
     parse_floorplan,
     parse_power_profile,
 )
-from thermsched.thermal_model import ThermalParams
+from thermsched import scheduler
+from thermsched.scheduler import (
+    AttemptBudgetError,
+    Schedule,
+    SchedulerConfig,
+    ScreeningError,
+    TestSession,
+    check_tl,
+)
+from thermsched.thermal_model import ThermalParams, session_stc
+from thermsched.thermal_sim import RESIDUAL_RTOL, build_network, simulate_session
 
 
 def strip_floorplan(n: int = 3, size: float = 1.0) -> Floorplan:
@@ -137,3 +147,65 @@ def grounded_rise_oracle(core: str, session, fp: Floorplan, params: ThermalParam
             b[i] = 1.0
     rise = np.linalg.solve(a, b)
     return float(rise[index[core]])
+
+
+def reference_schedule(
+    fp: Floorplan, power: PowerProfile, params: ThermalParams, config: SchedulerConfig
+) -> Schedule:
+    """The schedule run as the paper states it: an oracle for
+    ``generate_schedule``, with none of its shortcuts.
+
+    Every core is screened alone with ``simulate_session``.  Each attempt
+    sorts the remaining cores by ``(-P*W, name)``, admits a candidate when
+    the ``session_stc`` of the session with it is within STCL, the first
+    core exempt, and validates the session with ``simulate_session``; the
+    violators get their bumped weights in a new dict.  The attempt budget is
+    read from ``scheduler.ATTEMPTS_PER_CORE`` at call time, and the errors
+    are ``generate_schedule``'s.  There is no memo, no incremental pricing
+    and no early exit, and no decision box: both ranges are NaN.
+    """
+    net = build_network(fp, params)
+    check_tl(config.tl, net.ambient)
+    bcmt = {name: simulate_session({name}, net, power).peak[1] for name in net.nodes}
+    violations = [(name, temp) for name, temp in bcmt.items() if temp >= config.tl]
+    if violations:
+        worst = max(temp for _, temp in violations)
+        raise ScreeningError(violations, worst + RESIDUAL_RTOL * max(1.0, abs(worst)))
+    weights: dict[str, float] = {}
+    remaining, sessions, effort = set(net.nodes), [], 0.0
+    budget = scheduler.ATTEMPTS_PER_CORE * len(net.nodes)
+    for _ in range(budget):
+        if not remaining:
+            break
+        order = sorted(remaining, key=lambda n: (-power.power(n) * weights.get(n, 1.0), n))
+        session = order[:1]
+        for name in order[1:]:
+            if session_stc(session + [name], power, weights, net) <= config.stcl:
+                session.append(name)
+        result = simulate_session(session, net, power)
+        duration = max(power.duration(name) for name in session)
+        effort += duration
+        hot = [n for n in sorted(session) if result.temperatures[net.position[n]] >= config.tl]
+        if not hot:
+            sessions.append(TestSession(frozenset(session), duration, result))
+            remaining -= set(session)
+            continue
+        weights = dict(weights)
+        for name in hot:
+            weights[name] = weights.get(name, 1.0) * config.weight_factor
+            if weights[name] == math.inf:
+                raise ValueError(
+                    f"weight for {name!r} overflowed at weight factor "
+                    f"{config.weight_factor!r} before the core's STC term "
+                    "passed STCL; lower STCL"
+                )
+    if remaining:
+        raise AttemptBudgetError(config, budget)
+    return Schedule(
+        sessions=tuple(sessions),
+        total_length=sum(s.duration for s in sessions),
+        simulation_effort=effort,
+        stage1_report=bcmt,
+        tl_range=(math.nan, math.nan),
+        stcl_range=(math.nan, math.nan),
+    )
