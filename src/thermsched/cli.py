@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from typing import Callable, Sequence
 
@@ -69,6 +70,13 @@ class _UsageError(Exception):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a word that starts like a negative number is a value: argparse's own
+        # pattern takes -10 and -1.5 but reads -1e1, -5:0:5 and -5,0 as
+        # options.  No option starts with a digit.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # report usage problems through the normal error path (exit code 1)
     def error(self, message):
         raise _UsageError(message)

@@ -347,7 +347,8 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
     (one solver tolerance above the hottest BCMT, printed rounded up); after a
     successful screen the loop always terminates (see module docstring),
     or raises AttemptBudgetError after ``ATTEMPTS_PER_CORE`` attempts per
-    core, or ValueError if a violator's weight overflows first.
+    core, or ValueError if a violator's weight or the simulation effort
+    overflows first.
     """
     net, power = die.net, die.power
     check_tl(config.tl, net.ambient)
@@ -363,7 +364,9 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
     # set and drop scheduled cores from it
     remaining = _ordered(net.nodes, power, weights)
     sessions: list[TestSession] = []
-    effort = 0.0
+    # both totals add durations left to right; sum() of floats is
+    # compensated from Python 3.12 on, which would move the length's last bit
+    total_length = effort = 0.0
     budget = attempts_left = ATTEMPTS_PER_CORE * len(net.nodes)
     # the values compared with TL closest to it on each side, and the
     # STCs closest to STCL, folded from each attempt's margins
@@ -398,6 +401,13 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
         lo_stcl, hi_stcl = max(lo_stcl, admitted), min(hi_stcl, rejected)
         members = session.cores
         effort += session.duration
+        if effort == math.inf:
+            # the length adds some of the same durations in the same order,
+            # so it overflows no earlier than the effort
+            raise ValueError(
+                "simulation effort overflowed to inf s in double precision; "
+                "shorten the test durations"
+            )
         temperatures = session.result.temperatures
         violators = []
         for name in sorted(members):
@@ -427,8 +437,8 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
             remaining = _ordered(remaining, power, weights)
             continue
         sessions.append(session)
+        total_length += session.duration
         remaining = [name for name in remaining if name not in members]
-    total_length = sum(s.duration for s in sessions)
     return Schedule(
         sessions=tuple(sessions),
         total_length=total_length,

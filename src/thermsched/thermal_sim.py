@@ -6,7 +6,9 @@ conductances.  The network holds the vertical and lateral conductances,
 which the guiding session model reads, and the nodal conductance matrix
 ``G`` with its Cholesky factor, which the validator reads.  ``G`` does not
 depend on the test session, so it is assembled and factored once; a session
-only changes the injection vector ``P``.
+only changes the injection vector ``P``.  ``G`` itself is held sparse,
+with N diagonal entries and two per adjacent pair, for the residual check;
+the factor is the only dense N x N array the network holds.
 
 Unlike the guiding session model, the validator keeps every core in play:
 all adjacent pairs are coupled (active or not), every node has its own
@@ -31,14 +33,13 @@ from typing import Collection, Mapping
 import numpy as np
 import scipy
 from scipy.linalg import cho_factor, cho_solve
+from scipy.sparse import csr_array
 
 from .floorplan import Floorplan, PowerProfile
 from .thermal_model import ThermalParams
 
 RESIDUAL_RTOL = 1e-8
 """Required solve accuracy: inf-norm residual per unit inf-norm of injections."""
-
-_RESIDUAL_BLOCK = 64  # columns per residual product in solve_rise
 
 
 @functools.cache
@@ -92,17 +93,18 @@ class ThermalNetwork:
     node ``i``'s path to ambient, and ``lateral[i]`` lists its neighbors as
     ``(node index, lateral conductance)`` pairs in floorplan order; both are
     derived by ``build_network`` and read by the guiding session model
-    through ``thermal_model.escape_paths``.  ``conductance`` is symmetric
-    positive definite: off-diagonals are the negated lateral conductances,
-    and each diagonal adds the node's vertical conductance to ambient on
-    top of its lateral total.
+    through ``thermal_model.escape_paths``.  ``conductance`` is ``G`` as a
+    ``scipy.sparse.csr_array``, symmetric positive definite: off-diagonals
+    are the negated lateral conductances, and each diagonal adds the node's
+    vertical conductance to ambient on top of its lateral total.  ``factor``
+    is the dense Cholesky factor of ``G``.
     """
 
     nodes: tuple[str, ...]
     position: Mapping[str, int]                          # node name -> index
     vertical: tuple[float, ...]                          # W/K, per node
     lateral: tuple[tuple[tuple[int, float], ...], ...]   # W/K, per node
-    conductance: np.ndarray                              # (N, N), W/K
+    conductance: csr_array                               # (N, N), W/K
     factor: tuple[np.ndarray, bool]                      # cho_factor(conductance)
     ambient: float                                       # deg C
 
@@ -197,7 +199,7 @@ def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
         position=position,
         vertical=vertical,
         lateral=tuple(map(tuple, lateral)),
-        conductance=g,
+        conductance=csr_array(g),
         factor=factor,
         ambient=params.t_ambient,
     )
@@ -217,14 +219,10 @@ def solve_rise(net: ThermalNetwork, injections: np.ndarray) -> np.ndarray:
     tolerance = RESIDUAL_RTOL * np.maximum(1.0, np.abs(p).max(axis=0))
     with _one_blas_thread():
         rise = cho_solve(net.factor, injections)
-    x = rise.reshape(p.shape)
-    # G @ dT - P a block of columns at a time: screening solves N columns at
-    # once, and a whole residual would hold a third N x N array
-    error = np.concatenate([
-        np.abs(net.conductance @ x[:, j:j + _RESIDUAL_BLOCK] - p[:, j:j + _RESIDUAL_BLOCK])
-        .max(axis=0)
-        for j in range(0, p.shape[1], _RESIDUAL_BLOCK)
-    ])
+    # G @ dT - P for every column at once, formed in place
+    r = net.conductance @ rise.reshape(p.shape)
+    r -= p
+    error = np.abs(r, out=r).max(axis=0)
     failed = np.flatnonzero(~(error <= tolerance))
     if failed.size:
         k = failed[0]

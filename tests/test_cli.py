@@ -264,6 +264,32 @@ def test_weight_overflow_exit_1(limits, tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("limits", [
+    ["--tl", "2000", "--stcl", "1e-9"],
+    ["--sweep-tl", "2000", "--sweep-stcl", "1e-9"],
+])
+def test_overflowing_totals_exit_1(limits, tmp_path, capsys):
+    # at this STCL each core has a session of its own, and two 1e308 s
+    # sessions sum past the largest double: no document may say Infinity
+    flp = tmp_path / "strip.flp"
+    flp.write_text("a 0.001 0.001 0 0\nb 0.001 0.001 0.001 0\n")
+    power = tmp_path / "strip.csv"
+    power.write_text("a,1,1e308\nb,1,1e308\n")
+    out = tmp_path / "out"
+    code = main(["--floorplan", str(flp), "--power", str(power), "--out", str(out), *limits])
+    assert code == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = ("simulation effort overflowed to inf s in double precision; "
+               "shorten the test durations")
+    assert captured.err.splitlines() == [f"error: {message}"]
+    fp, profile = load_inputs("strip", tmp_path)
+    with pytest.raises(ValueError) as err:
+        reference_schedule(fp, profile, ThermalParams(), SchedulerConfig(tl=2000.0, stcl=1e-9))
+    assert str(err.value) == message
+
+
 def test_missing_floorplan_exit_1(capsys):
     code = main(
         ["--floorplan", "no/such/file.flp", "--power", "also_missing.csv",
@@ -351,6 +377,24 @@ def test_ambient_at_or_below_zero_runs_and_a_non_finite_one_exits_1(tmp_path, ca
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: t_ambient must be finite"]
+
+
+@pytest.mark.parametrize("fixed, flag, value", [
+    (["--tl", "50", "--stcl", "100"], "--ambient", "-1e1"),
+    (["--ambient=-1e2", "--sweep-stcl", "20,100"], "--sweep-tl", "-50:-30:10"),
+    (["--ambient=-1e2", "--sweep-stcl", "20:100:80"], "--sweep-tl", "-50,-40"),
+])
+def test_a_negative_value_after_a_space_reads_as_after_an_equals_sign(
+    fixed, flag, value, capsys
+):
+    base = ["--floorplan", str(DATA / "demo15.flp"), "--power", str(DATA / "demo15.csv"),
+            *fixed]
+    assert main(base + [f"{flag}={value}"]) == 0
+    joined = capsys.readouterr()
+    assert main(base + [flag, value]) == 0
+    spaced = capsys.readouterr()
+    assert joined.out and spaced.out == joined.out
+    assert spaced.err == joined.err == ""
 
 
 # ── sweeps ───────────────────────────────────────────────────────────────

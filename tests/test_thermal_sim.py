@@ -4,6 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,7 +71,7 @@ def test_strip_network_hand_stamped():
             [0.0, -1.0, 1.5],
         ]
     )
-    assert np.allclose(net.conductance, expected, rtol=0, atol=1e-15)
+    assert np.allclose(net.conductance.toarray(), expected, rtol=0, atol=1e-15)
     assert net.vertical == (0.5, 0.5, 0.5)
     assert net.lateral == (((1, 1.0),), ((0, 1.0), (2, 1.0)), ((1, 1.0),))
 
@@ -80,7 +81,21 @@ def test_network_invariants_random():
     for _ in range(10):
         fp = random_floorplan(rng, int(rng.integers(3, 12)))
         net = build_network(fp, ThermalParams())
-        g = net.conductance
+        # G is held sparse: N diagonal entries and two per adjacent pair, and
+        # exactly the dense assembly, whose diagonal sums the laterals in
+        # floorplan order, then the vertical
+        pairs = list(fp.adjacency().pairs())
+        assert isinstance(net.conductance, scipy.sparse.csr_array)
+        assert net.conductance.nnz == len(fp) + 2 * len(pairs)
+        dense = np.zeros((len(fp), len(fp)))
+        for i, row in enumerate(net.lateral):
+            diagonal = 0.0
+            for j, gl in row:
+                dense[i, j] = -gl
+                diagonal += gl
+            dense[i, i] = diagonal + net.vertical[i]
+        g = net.conductance.toarray()
+        assert np.array_equal(g, dense)
         assert np.array_equal(g, g.T)
         off = g - np.diag(np.diag(g))
         assert np.all(off <= 0.0)
@@ -254,7 +269,7 @@ def test_factor_once_solve_matches_fresh_dense_solve(die):
     fp, profile, session = die
     net = build_network(fp, ThermalParams())
     injections = injection_vector(net, session, profile)
-    expected = np.linalg.solve(net.conductance.copy(), injections)
+    expected = np.linalg.solve(net.conductance.toarray(), injections)
     result = simulate_session(session, net, profile)
     for i in range(len(net.nodes)):
         assert result.temperatures[i] - net.ambient == pytest.approx(expected[i], rel=1e-9, abs=1e-12)
@@ -366,20 +381,32 @@ def test_batched_screening_equals_per_core_solves(load):
 
 
 def test_solve_rise_checks_every_column():
-    fp, profile = load_inputs("demo15")
-    net = build_network(fp, ThermalParams())
-    injections = np.diag([profile.power(name) for name in fp.names])
-    good = thermal_sim.solve_rise(net, injections)
-    for k in range(len(fp)):
-        assert np.array_equal(good[:, k], thermal_sim.solve_rise(net, injections[:, k]))
-    # a column of enormous powers overflows its solve: its residual is NaN,
-    # which compares false with any tolerance and must still fail
-    forged = injections.copy()
-    forged[:, 5] = 1e308
-    with pytest.raises(NetworkSolveError, match="residual nan in column 5"):
-        thermal_sim.solve_rise(net, forged)
-    with pytest.raises(NetworkSolveError, match="residual nan is not within"):
-        thermal_sim.solve_rise(net, forged[:, 5])
+    # demo15 has 15 columns; the N=400 die checks columns far past the first
+    for (fp, profile), column in [(load_inputs("demo15"), 5), (load_synth400(), 300)]:
+        net = build_network(fp, ThermalParams())
+        injections = np.diag([profile.power(name) for name in fp.names])
+        good = thermal_sim.solve_rise(net, injections)
+        for k in range(len(fp)):
+            assert np.array_equal(good[:, k], thermal_sim.solve_rise(net, injections[:, k]))
+        # a column of enormous powers overflows its solve: its residual is NaN,
+        # which compares false with any tolerance and must still fail
+        forged = injections.copy()
+        forged[:, column] = 1e308
+        with pytest.raises(NetworkSolveError, match=f"residual nan in column {column} "):
+            thermal_sim.solve_rise(net, forged)
+        with pytest.raises(NetworkSolveError, match="residual nan is not within"):
+            thermal_sim.solve_rise(net, forged[:, column])
+        # screening names the core behind the failing column
+        name = fp.names[column]
+        huge = PowerProfile(
+            {n: (1e308 if n == name else profile.power(n), profile.duration(n))
+             for n in fp.names},
+            fp,
+        )
+        with pytest.raises(NetworkSolveError) as err:
+            compile_die(fp, huge, ThermalParams())
+        assert str(err.value).startswith(f"solve residual nan in column {column} ")
+        assert str(err.value).endswith(f" (screening core {name!r} alone)")
 
 
 def test_steady_state_takes_one_injection_vector():

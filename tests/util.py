@@ -172,7 +172,7 @@ def reference_schedule(
         worst = max(temp for _, temp in violations)
         raise ScreeningError(violations, worst + RESIDUAL_RTOL * max(1.0, abs(worst)))
     weights: dict[str, float] = {}
-    remaining, sessions, effort = set(net.nodes), [], 0.0
+    remaining, sessions, length, effort = set(net.nodes), [], 0.0, 0.0
     budget = scheduler.ATTEMPTS_PER_CORE * len(net.nodes)
     for _ in range(budget):
         if not remaining:
@@ -185,9 +185,15 @@ def reference_schedule(
         result = simulate_session(session, net, power)
         duration = max(power.duration(name) for name in session)
         effort += duration
+        if effort == math.inf:
+            raise ValueError(
+                "simulation effort overflowed to inf s in double precision; "
+                "shorten the test durations"
+            )
         hot = [n for n in sorted(session) if result.temperatures[net.position[n]] >= config.tl]
         if not hot:
             sessions.append(TestSession(frozenset(session), duration, result))
+            length += duration
             remaining -= set(session)
             continue
         weights = dict(weights)
@@ -203,7 +209,7 @@ def reference_schedule(
         raise AttemptBudgetError(config, budget)
     return Schedule(
         sessions=tuple(sessions),
-        total_length=sum(s.duration for s in sessions),
+        total_length=length,
         simulation_effort=effort,
         stage1_report=bcmt,
         tl_range=(math.nan, math.nan),
