@@ -3,7 +3,9 @@
 Work that no limit changes is done once per die by ``compile_die``: the
 thermal network is compiled, and every core is simulated alone, all cores
 in one batched solve; a core's steady peak alone is its BCMT (baseline
-single-core max temperature).  Each schedule run then has two stages:
+single-core max temperature), and its simulated singleton session is that
+session's validation, so no run solves a singleton again.  Each schedule
+run then has two stages:
 
 1. Screening: a BCMT at or above the limit TL makes scheduling impossible
    -- adding concurrent tests only raises temperatures -- so screening
@@ -22,13 +24,13 @@ single-core max temperature).  Each schedule run then has two stages:
 
 With the floorplan, parameters and powers fixed, a session's simulated
 temperatures depend only on its member set, so a compiled die remembers
-every validation it has solved, and a TL x STCL sweep solves each distinct
-session once.  A run's state after k attempts -- its packing order and
-weights -- depends only on the weight factor and on which cores each
-earlier attempt admitted and which it found too hot.  So a compiled die
-also remembers the attempts runs made along each such path, each with the
-STCLs it holds for, and a sweep packs a run's early attempts only where
-no earlier run made them.
+every validation it has solved, screening's singletons first, and a TL x
+STCL sweep solves each distinct larger session once.  A run's state after
+k attempts -- its packing order and weights -- depends only on the weight
+factor and on which cores each earlier attempt admitted and which it
+found too hot.  So a compiled die also remembers the attempts runs made
+along each such path, each with the STCLs it holds for, and a sweep packs
+a run's early attempts only where no earlier run made them.
 
 The first core entering a session is exempt from the STCL test: screening
 already proved every single-core session safe, and without the exemption a
@@ -188,8 +190,11 @@ class CompiledDie:
     the compiled network, the test powers and every core's BCMT.  Two
     private memos let runs that share a die reuse each other's work:
 
-    * ``_validated`` maps each validated member set to its ``TestSession``,
-      so each distinct session is solved once.
+    * ``_validated`` maps each validated member set to its ``TestSession``.
+      ``compile_die`` seeds it with every core's singleton session from
+      screening, whose temperatures are the rows of one ``(N, N)`` array,
+      N² floats; so no run solves a singleton, and each distinct larger
+      session is solved once.
     * ``_attempts`` maps a weight factor to the root of a tree of attempts.
       A node is the run state reached from the common start (every core in
       packing order, no weights) by a sequence of attempt outcomes; it is a
@@ -223,14 +228,16 @@ def check_tl(tl: float, ambient: float) -> None:
         raise ValueError(f"temperature limit {tl} C must exceed ambient {ambient} C")
 
 
-def screen_cores(net: ThermalNetwork, power: PowerProfile) -> dict[str, float]:
-    """Simulate every core alone and return its BCMT, in node order.
+def screen_cores(net: ThermalNetwork, power: PowerProfile) -> dict[str, TestSession]:
+    """Simulate every core alone and return its singleton session, in node order.
 
     One solve covers all cores: column ``c`` of ``P`` injects core ``c``'s
     test power alone, so column ``c`` of the solution is the rise of that
-    core's singleton session, and the BCMT is ambient plus its maximum.
-    A column that misses its residual tolerance raises NetworkSolveError
-    naming its core.
+    core's singleton session.  With the pinned one-thread OpenBLAS it is bit
+    for bit the rise ``simulate_session({c})`` solves, and the sessions'
+    temperatures are the rows of one read-only ``(N, N)`` array.  A
+    session's peak is the core's BCMT.  A column that misses its residual
+    tolerance raises NetworkSolveError naming its core.
     """
     try:
         rise = thermal_sim.solve_rise(
@@ -242,18 +249,28 @@ def screen_cores(net: ThermalNetwork, power: PowerProfile) -> dict[str, float]:
         raise NetworkSolveError(
             f"{exc} (screening core {net.nodes[exc.column]!r} alone)"
         ) from exc
-    return dict(zip(net.nodes, (net.ambient + rise.max(axis=0)).tolist()))
+    return {
+        name: TestSession(frozenset((name,)), power.duration(name), result)
+        for name, result in zip(net.nodes, thermal_sim.simulation_results(net, rise))
+    }
 
 
 def compile_die(fp: Floorplan, power: PowerProfile, params: ThermalParams) -> CompiledDie:
     """Compile the thermal network and screen every core, once per die.
 
-    Raises NetworkSolveError when the network cannot be factored or a
-    screening solve misses its tolerance.
+    The screened singleton sessions seed the die's validation memo, so no
+    run solves a singleton again.  Raises NetworkSolveError when the network
+    cannot be factored or a screening solve misses its tolerance.
     """
     # looked up on the module, so a wrapper installed there sees every compile
     net = thermal_sim.build_network(fp, params)
-    return CompiledDie(net=net, power=power, bcmt=screen_cores(net, power))
+    singletons = screen_cores(net, power)
+    return CompiledDie(
+        net=net,
+        power=power,
+        bcmt={name: s.result.peak[1] for name, s in singletons.items()},
+        _validated={s.cores: s for s in singletons.values()},
+    )
 
 
 def _ordered(

@@ -13,6 +13,9 @@ the factor is the only dense N x N array the network holds.
 Unlike the guiding session model, the validator keeps every core in play:
 all adjacent pairs are coupled (active or not), every node has its own
 vertical path to ambient, and passive cores are free nodes that warm up.
+``simulation_results`` is the one rule that turns a solved rise into
+results; a single session's solve and the scheduler's batched screening
+solve both go through it.
 
 With scipy's bundled OpenBLAS, every factor and solve runs on one BLAS
 thread, set for the calling thread only: the blocking of the Cholesky
@@ -40,6 +43,9 @@ from .thermal_model import ThermalParams
 
 RESIDUAL_RTOL = 1e-8
 """Required solve accuracy: inf-norm residual per unit inf-norm of injections."""
+
+# the parameters that set the ratio of lateral to vertical conductances
+_KNOBS = "check k_silicon, die_thickness and r_vertical_per_area"
 
 
 @functools.cache
@@ -183,16 +189,18 @@ def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
         if diagonal[i] == math.inf:
             raise NetworkSolveError(
                 f"total conductance of {names[i]!r} is not finite in double "
-                "precision; check k_silicon, die_thickness and r_vertical_per_area"
+                f"precision; {_KNOBS}"
             )
     g[np.diag_indices(n)] = diagonal
     try:
         with _one_blas_thread():
             factor = cho_factor(g)
     except np.linalg.LinAlgError as exc:
+        # every vertical conductance is positive, so G is positive definite
+        # in exact arithmetic; only rounding can lose it
         raise NetworkSolveError(
-            "conductance matrix is not positive definite; every node needs a "
-            "vertical conductance to ambient"
+            "conductance matrix is not positive definite in double precision: "
+            f"the lateral conductances swamp the vertical ones; {_KNOBS}"
         ) from exc
     return ThermalNetwork(
         nodes=names,
@@ -227,31 +235,51 @@ def solve_rise(net: ThermalNetwork, injections: np.ndarray) -> np.ndarray:
     if failed.size:
         k = failed[0]
         column = f" in column {k}" if injections.ndim == 2 else ""
+        # a residual that is not finite comes from an overflowed solve; a
+        # finite one, from a G too ill-conditioned for its solve to hold
+        cause = "" if not np.isfinite(error[k]) else (
+            ": the lateral conductances swamp the vertical ones in double "
+            f"precision; {_KNOBS}"
+        )
         raise NetworkSolveError(
             f"solve residual {error[k]:.3e}{column} is not within "
-            f"tolerance {tolerance[k]:.3e}",
+            f"tolerance {tolerance[k]:.3e}{cause}",
             int(k) if injections.ndim == 2 else None,
         )
     return rise
+
+
+def simulation_results(net: ThermalNetwork, rise: np.ndarray) -> list[SimulationResult]:
+    """One result per column of a solved ``dT`` of shape ``(N, k)``.
+
+    Temps = ambient + dT.  Result ``j``'s temperatures are row ``j`` of one
+    read-only ``(k, N)`` array, so no column is copied.  Its peak is the
+    first node where column ``j`` of ``dT`` is largest, so a tied peak goes
+    to the first node; ``ambient + max(dT)`` is ``max(ambient + dT)``,
+    since rounding is monotone.
+    """
+    temperatures = net.ambient + rise.T
+    temperatures.flags.writeable = False
+    return [
+        SimulationResult(
+            nodes=net.nodes, temperatures=row, peak=(net.nodes[i], float(row[i]))
+        )
+        for row, i in zip(temperatures, rise.argmax(axis=0).tolist())
+    ]
 
 
 def solve_steady_state(net: ThermalNetwork, injections: np.ndarray) -> SimulationResult:
     """Solve ``G dT = P`` with the compiled factor; temps = ambient + dT.
 
     ``injections`` is ``P`` in node order, W, shape ``(N,)``; any other
-    shape raises ValueError.  Raises NetworkSolveError as ``solve_rise``
-    does.
+    shape raises ValueError.  The result is made by ``simulation_results``.
+    Raises NetworkSolveError as ``solve_rise`` does.
     """
     if np.shape(injections) != (len(net.nodes),):
         raise ValueError(
             f"injections must have shape ({len(net.nodes)},), got {np.shape(injections)}"
         )
-    rise = solve_rise(net, injections)
-    temperatures = net.ambient + rise
-    temperatures.flags.writeable = False
-    peak_i = int(np.argmax(rise))  # ties resolve to the first node
-    peak = (net.nodes[peak_i], float(temperatures[peak_i]))
-    return SimulationResult(nodes=net.nodes, temperatures=temperatures, peak=peak)
+    return simulation_results(net, solve_rise(net, injections)[:, None])[0]
 
 
 def simulate_session(

@@ -64,16 +64,21 @@ def isolated_pair_floorplan() -> Floorplan:
 def test_screen_all_cores_pass():
     fp = strip_floorplan(3)
     net = build_network(fp, STRIP_PARAMS)
-    report = screen_cores(net, uniform_profile(fp, power=1.0))
-    assert set(report) == {"s1", "s2", "s3"}
-    assert all(temp < 100.0 for temp in report.values())
+    report = screen_cores(net, uniform_profile(fp, power=1.0, duration=2.0))
+    assert list(report) == ["s1", "s2", "s3"]
+    for name, session in report.items():
+        assert session.cores == {name}
+        assert session.duration == 2.0
+        assert session.result.peak[1] < 100.0
 
 
 def test_screen_zero_power_cores_sit_at_ambient():
     fp = strip_floorplan(3)
     net = build_network(fp, STRIP_PARAMS)
     report = screen_cores(net, uniform_profile(fp, power=0.0))
-    assert all(temp == STRIP_PARAMS.t_ambient for temp in report.values())
+    for session in report.values():
+        assert session.result.peak == ("s1", STRIP_PARAMS.t_ambient)  # ties go first
+        assert (session.result.temperatures == STRIP_PARAMS.t_ambient).all()
 
 
 def test_screen_names_exactly_the_offender():
@@ -362,6 +367,23 @@ def test_packing_sorts_once_per_weight_set_and_early_exits_make_no_stc_call(monk
     assert (len(attempts), early_exits) == (203, 200)
 
 
+@pytest.mark.parametrize("config, solves", [(SYNTH400_TIGHT, 3), (SYNTH400_LOOSE, 18)],
+                         ids=["tight", "loose"])
+def test_synth400_runs_solve_only_sessions_screening_did_not(config, solves, monkeypatch):
+    # screening validated every singleton, so a run on a fresh die solves
+    # only the sessions of two or more cores it packs, discarded ones
+    # included: 3 of the tight run's 203 attempts and 18 of the loose run's 19
+    solved = []
+    original = scheduler.simulate_session
+    monkeypatch.setattr(
+        scheduler, "simulate_session",
+        lambda members, *args: solved.append(members) or original(members, *args),
+    )
+    generate_schedule(golden_synth400_die(), config)
+    assert len(solved) == solves
+    assert all(len(members) > 1 for members in solved)
+
+
 def test_discard_bumps_its_violators_in_a_new_weight_set(monkeypatch):
     die = golden_synth400_die()
     attempts, _ = record_packing(monkeypatch)
@@ -441,7 +463,7 @@ def test_schedule_is_deterministic():
     rng = np.random.default_rng(61)
     fp = random_floorplan(rng, 10)
     profile = random_profile(rng, fp)
-    bcmts = screen_cores(build_network(fp, ThermalParams()), profile)
+    bcmts = compile_die(fp, profile, ThermalParams()).bcmt
     config = SchedulerConfig(tl=max(bcmts.values()) + 10.0, stcl=30.0)
     a = generate_schedule(compile_die(fp, profile, ThermalParams()), config)
     b = generate_schedule(compile_die(fp, profile, ThermalParams()), config)
@@ -463,14 +485,25 @@ def test_runs_on_one_die_share_each_validated_session(monkeypatch):
         scheduler, "simulate_session",
         lambda members, *args: solved.append(members) or original(members, *args),
     )
+    # singletons come from screening: no run solves one
     stcl = 0.9 * session_stc({"s1"}, profile, None, die.net)
     a = generate_schedule(die, SchedulerConfig(tl=200.0, stcl=stcl))
     b = generate_schedule(die, SchedulerConfig(tl=150.0, stcl=stcl))
-    assert len(a.sessions) == len(b.sessions) == len(solved) == 4  # singletons
+    assert len(a.sessions) == len(b.sessions) == 4
+    assert solved == []
     by_cores = {s.cores: s for s in a.sessions}
     for session in b.sessions:
         assert session is by_cores[session.cores]
+        assert session is die._validated[session.cores]
         assert session.duration == max(profile.duration(n) for n in session.cores)
+    # a larger session is solved by the first run that packs it, only by it
+    stcl = 2.0 * session_stc(fp.names, profile, None, die.net)
+    c = generate_schedule(die, SchedulerConfig(tl=200.0, stcl=stcl))
+    d = generate_schedule(die, SchedulerConfig(tl=150.0, stcl=stcl))
+    assert solved == [frozenset(fp.names)]
+    assert [s.cores for s in c.sessions] == solved
+    assert d.sessions[0] is c.sessions[0]
+    assert d.sessions[0].duration == 2.0
 
 
 def test_uniform_durations_make_length_count_sessions():

@@ -136,7 +136,7 @@ def test_factor_once_per_schedule(monkeypatch):
     rng = np.random.default_rng(59)
     fp = random_floorplan(rng, 10)
     profile = random_profile(rng, fp)
-    bcmts = screen_cores(build_network(fp, ThermalParams()), profile)
+    bcmts = compile_die(fp, profile, ThermalParams()).bcmt
     calls.clear()
     config = SchedulerConfig(tl=max(bcmts.values()) + 5.0, stcl=1e3)
     schedule = generate_schedule(compile_die(fp, profile, ThermalParams()), config)
@@ -370,14 +370,21 @@ def test_guiding_model_vs_full_network():
     [partial(load_inputs, "demo15"), partial(load_inputs, "density_contrast"), load_synth400],
     ids=["load_demo15", "load_density_contrast", "load_synth400"],
 )
-def test_batched_screening_equals_per_core_solves(load):
+def test_screened_singletons_equal_per_core_solves(load):
     fp, profile = load()
-    net = build_network(fp, ThermalParams())
-    bcmt = screen_cores(net, profile)
-    assert list(bcmt) == list(fp.names)
+    die = compile_die(fp, profile, ThermalParams())
+    assert list(die.bcmt) == list(fp.names)
+    assert set(die._validated) == {frozenset((name,)) for name in fp.names}
     for name in fp.names:
+        session = die._validated[frozenset((name,))]
+        solved = simulate_session({name}, die.net, profile)
         # bit for bit: the goldens depend on it
-        assert bcmt[name] == simulate_session({name}, net, profile).peak[1], name
+        assert session.result.temperatures.tobytes() == solved.temperatures.tobytes(), name
+        assert session.result.peak == solved.peak, name
+        assert session.result.nodes == solved.nodes
+        assert session.duration == profile.duration(name)
+        assert not session.result.temperatures.flags.writeable
+        assert die.bcmt[name] == session.result.peak[1]
 
 
 def test_solve_rise_checks_every_column():
