@@ -16,7 +16,6 @@ from .floorplan import (
     parse_power_profile,
 )
 from .scheduler import (
-    AttemptBudgetError,
     CompiledDie,
     Schedule,
     SchedulerConfig,
@@ -40,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "RESIDUAL_RTOL",
-    "AttemptBudgetError",
     "CompiledDie",
     "CoreGeometry",
     "Floorplan",

@@ -19,10 +19,9 @@ run behind the previous point in its TL row, or behind the point at the
 same STCL in the previous TL row, gets that run's row with its own limits
 instead of a run of its own.
 
-Exit codes: 0 success, 1 input error or unsolvable thermal network,
-2 screening failure, 3 a run used up its attempt budget,
-``scheduler.ATTEMPTS_PER_CORE`` packing attempts per core (a weight factor
-just above 1 can need millions).
+Exit codes: 0 success; 1 input error, unsolvable thermal network, or a
+weight or simulation effort that overflows in double precision; 2 screening
+failure (for a sweep, at every TL).
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from typing import Callable, Sequence
 
 from .floorplan import Floorplan, PowerProfile, parse_floorplan, parse_power_profile
 from .scheduler import (
-    AttemptBudgetError,
     Schedule,
     SchedulerConfig,
     ScreeningError,
@@ -57,10 +55,17 @@ SWEEP_HEADER = "tl_C,stcl,schedule_length_s,simulation_effort_s,max_temperature_
 MAX_SWEEP_POINTS = 10_000_000_000
 
 
+def _limit(value: float) -> str:
+    """A grid limit as a sweep prints it: in ``:g`` form where that reads
+    back as the same float, else by its repr, so each row names its point."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
 def _sweep_row(tl: float, stcl: float, schedule: Schedule) -> str:
     """One grid point's CSV row, matching SWEEP_HEADER column for column."""
     return (
-        f"{tl:g},{stcl:g},{schedule.total_length:g},"
+        f"{_limit(tl)},{_limit(stcl)},{schedule.total_length:g},"
         f"{schedule.simulation_effort:g},{schedule.max_temperature:.4f}"
     )
 
@@ -109,9 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-vertical", type=float, default=ThermalParams.r_vertical_per_area,
                    metavar="KM2_PER_W",
                    help="area-normalized vertical resistance (default %(default)s)")
-    p.add_argument("--weight-factor", type=float,
-                   default=SchedulerConfig.weight_factor, metavar="F",
-                   help="weight multiplier applied to violating cores (default %(default)s)")
     p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     return p
 
@@ -175,13 +177,9 @@ def _write(payload: str, out: str | None) -> None:
         sys.stdout.write(payload)
 
 
-def _config(args, tl: float, stcl: float) -> SchedulerConfig:
-    return SchedulerConfig(tl=tl, stcl=stcl, weight_factor=args.weight_factor)
-
-
 def run_single(args) -> int:
     fp, power, params = _load_inputs(args)
-    config = _config(args, args.tl, args.stcl)
+    config = SchedulerConfig(args.tl, args.stcl)
     check_tl(config.tl, params.t_ambient)
     schedule = generate_schedule(compile_die(fp, power, params), config)
     _write(schedule_to_json(schedule, config, params), args.out)
@@ -202,12 +200,12 @@ def run_sweep(args) -> int:
     # validate the whole grid before the first run, so a bad point anywhere
     # fails fast instead of discarding the rows already computed.  Each limit
     # is checked on its own: every TL against ambient (_parse_axis already
-    # refused a non-finite one), and every STCL, with the weight factor, by
-    # one config in the first TL row.
+    # refused a non-finite one), and every STCL by one config in the first
+    # TL row.
     for tl in tl_values:
         check_tl(tl, params.t_ambient)
     for stcl in stcl_values:
-        _config(args, tl_values[0], stcl)
+        SchedulerConfig(tl_values[0], stcl)
     die = compile_die(fp, power, params)
     lines = [SWEEP_HEADER]
     # the run behind each point of the previous TL row; None where it failed
@@ -222,12 +220,12 @@ def run_sweep(args) -> int:
                 elif above[j] is not None and above[j].covers(tl, stcl):
                     schedule = above[j]
                 else:
-                    schedule = generate_schedule(die, _config(args, tl, stcl))
+                    schedule = generate_schedule(die, SchedulerConfig(tl, stcl))
                 row_runs[j] = left = schedule
                 lines.append(_sweep_row(tl, stcl, schedule))
         except ScreeningError as exc:
             # this TL cannot host any schedule; its grid rows are skipped
-            print(f"skipping TL={tl:g}: {exc}", file=sys.stderr)
+            print(f"skipping TL={_limit(tl)}: {exc}", file=sys.stderr)
         above = row_runs
     _write("\n".join(lines) + "\n", args.out)
     return 0 if len(lines) > 1 else 2
@@ -252,9 +250,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ScreeningError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AttemptBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (_UsageError, OSError, ValueError, NetworkSolveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,29 +16,30 @@ run then has two stages:
    thermal characteristic stays within STCL; then the session is validated
    by full simulation.  The run owns the weights, a plain core -> weight
    dict in which an absent core has weight 1.  Members whose simulated peak
-   reaches TL get their weight multiplied (default 1.1) in a new dict, and
-   the session is discarded and rebuilt from the remaining pool, which
-   steers repeat offenders to the front and toward emptier sessions.  All
-   simulated session time, discarded sessions included, counts as
-   simulation effort; screening time does not.
+   reaches TL get their weight multiplied by ``WEIGHT_FACTOR`` (1.1) in a
+   new dict, and the session is discarded and rebuilt from the remaining
+   pool, which steers repeat offenders to the front and toward emptier
+   sessions.  All simulated session time, discarded sessions included,
+   counts as simulation effort; screening time does not.
 
 With the floorplan, parameters and powers fixed, a session's simulated
 temperatures depend only on its member set, so a compiled die remembers
 every validation it has solved, screening's singletons first, and a TL x
 STCL sweep solves each distinct larger session once.  A run's state after
-k attempts -- its packing order and weights -- depends only on the weight
-factor and on which cores each earlier attempt admitted and which it
-found too hot.  So a compiled die also remembers the attempts runs made
-along each such path, each with the STCLs it holds for, and a sweep packs
-a run's early attempts only where no earlier run made them.
+k attempts -- its packing order and weights -- depends only on which
+cores each earlier attempt admitted and which it found too hot.  So a
+compiled die also remembers the attempts runs made along each such path,
+each with the STCLs it holds for, and a sweep packs a run's early attempts
+only where no earlier run made them.
 
 The first core entering a session is exempt from the STCL test: screening
 already proved every single-core session safe, and without the exemption a
 core whose singleton STC exceeds STCL could never be scheduled at all.
 The exemption also guarantees termination, since weights grow until every
-repeat offender is forced into a singleton session.  How many discards
-that takes grows as the weight factor nears 1, so a run stops after
-``ATTEMPTS_PER_CORE`` packing attempts per core.
+repeat offender is forced into a singleton session.  Every discard
+multiplies at least one weight by 1.1, and a weight that starts at 1
+overflows to inf on its 7,448th bump, where the run raises ValueError; so
+an N-core run ends within N * 7,449 attempts.
 
 A run compares TL and STCL with values only: BCMTs and member temperatures
 with TL, STCs with STCL.  Every limit pair for which each of those
@@ -68,28 +69,16 @@ from .thermal_sim import (
     simulate_session,
 )
 
-# Packing attempts a run may make per core before it gives up.  A discard
-# multiplies its violators' weights by the weight factor, and a weight
-# steers packing once it lifts a core's STC term past STCL, so the attempts
-# a run needs grow with log(STCL / term) / log(weight factor).  The costliest
-# case the tests run is STCL 1e300, a stand-in for no limit, with discards
-# at weight factor 1.1: a violator's weight climbs about 1e300-fold, some
-# 7,200 attempts, which is 3,620 per core on a two-core die.  The cap sits
-# ten times above that; the demo15 sweep needs at most 1 per core (15
-# attempts at its densest point).  On demo15 at TL 146 and STCL 100, weight
-# factor 1.0001 finishes in 10,456 attempts, while 1.000001, which would
-# need about a million, stops at the cap of 600,000 after about 50 s on a
-# 2-vCPU host.
-ATTEMPTS_PER_CORE = 40_000
+# A discard multiplies each violator's packing weight by this factor.
+WEIGHT_FACTOR = 1.1
 
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    """Limits and weight factor for schedule generation."""
+    """Limits for schedule generation."""
 
     tl: float                  # max allowable core temperature, deg C
     stcl: float                # session thermal characteristic limit, K*W
-    weight_factor: float = 1.1
 
     def __post_init__(self):
         if not math.isfinite(self.tl):
@@ -98,10 +87,6 @@ class SchedulerConfig:
         # weights steer packing only through the STC <= STCL test
         if not (math.isfinite(self.stcl) and self.stcl > 0):
             raise ValueError(f"stcl must be positive and finite, got {self.stcl}")
-        if not (math.isfinite(self.weight_factor) and self.weight_factor > 1):
-            raise ValueError(
-                f"weight_factor must be finite and exceed 1, got {self.weight_factor}"
-            )
 
 
 class ScreeningError(RuntimeError):
@@ -119,21 +104,6 @@ class ScreeningError(RuntimeError):
             f"single-core screening failed for {len(self.violations)} core(s) "
             f"({listing}); raise the temperature limit to at least "
             f"{shown} C or lower the offending cores' test power"
-        )
-
-
-class AttemptBudgetError(RuntimeError):
-    """A run used up its packing attempts without scheduling every core."""
-
-    def __init__(self, config: SchedulerConfig, budget: int):
-        self.config = config
-        self.budget = budget
-        super().__init__(
-            f"no thermal-safe schedule within {budget} packing attempts "
-            f"({ATTEMPTS_PER_CORE} per core) at TL {config.tl!r} C, STCL "
-            f"{config.stcl!r} and weight factor {config.weight_factor!r}; a "
-            "discard multiplies its violators' weights by the weight factor until "
-            "their STC terms pass STCL, so raise the weight factor or lower STCL"
         )
 
 
@@ -168,14 +138,13 @@ class Schedule:
     def covers(self, tl: float, stcl: float) -> bool:
         """Whether a run at ``tl`` and ``stcl`` gives exactly this schedule.
 
-        Holds for a run on the same compiled die with the same weight
-        factor.  ``tl_range`` runs from the largest value the run found
-        below TL (the hottest BCMT, or a member temperature) to the smallest
-        member temperature at or above TL; ``stcl_range`` from the largest
-        STC admitted within STCL to the smallest STC found above it.  Inside
-        both, every ``>= TL`` and ``<= STCL`` comparison the run made comes
-        out the same way, so it builds the same sessions and discards,
-        weights and effort.
+        Holds for a run on the same compiled die.  ``tl_range`` runs from
+        the largest value the run found below TL (the hottest BCMT, or a
+        member temperature) to the smallest member temperature at or above
+        TL; ``stcl_range`` from the largest STC admitted within STCL to the
+        smallest STC found above it.  Inside both, every ``>= TL`` and
+        ``<= STCL`` comparison the run made comes out the same way, so it
+        builds the same sessions and discards, weights and effort.
         """
         lo_tl, hi_tl = self.tl_range
         lo_stcl, hi_stcl = self.stcl_range
@@ -195,18 +164,18 @@ class CompiledDie:
       screening, whose temperatures are the rows of one ``(N, N)`` array,
       N² floats; so no run solves a singleton, and each distinct larger
       session is solved once.
-    * ``_attempts`` maps a weight factor to the root of a tree of attempts.
-      A node is the run state reached from the common start (every core in
-      packing order, no weights) by a sequence of attempt outcomes; it is a
-      list of entries ``(admitted, rejected, session, children)``, one per
+    * ``_attempts`` is the root of a tree of attempts.  A node is the run
+      state reached from the common start (every core in packing order, no
+      weights) by a sequence of attempt outcomes; it is a list of entries
+      ``(admitted, rejected, session, children)``, one per
       ``build_session`` call made from that state, where ``[admitted,
       rejected)`` are the call's STCL margins and ``children`` maps the
       attempt's violators, a sorted tuple that is empty when the session
       was accepted, to the next node.  At any STCL within the margins the
       call makes every comparison the same way, so it packs the same
       session.  A run records only its first ``len(net.nodes)`` attempts,
-      as many as a run without discards makes at most, so a crawling run
-      adds at most N entries.
+      as many as a run without discards makes at most, so a run with many
+      discards adds at most N entries.
 
     Both memos only gain entries, each by one ``dict.setdefault``,
     ``list.append`` or item assignment, so threads may share a die: at
@@ -219,7 +188,7 @@ class CompiledDie:
     _validated: dict[frozenset[str], TestSession] = field(
         default_factory=dict, repr=False
     )
-    _attempts: dict[float, list[tuple]] = field(default_factory=dict, repr=False)
+    _attempts: list[tuple] = field(default_factory=list, repr=False)
 
 
 def check_tl(tl: float, ambient: float) -> None:
@@ -361,11 +330,10 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
     ``die`` at an STCL within its margins, and a validation already solved
     there, are reused, not made again.  Raises ScreeningError listing
     every core whose BCMT reaches TL and the smallest limit that would pass
-    (one solver tolerance above the hottest BCMT, printed rounded up); after a
-    successful screen the loop always terminates (see module docstring),
-    or raises AttemptBudgetError after ``ATTEMPTS_PER_CORE`` attempts per
-    core, or ValueError if a violator's weight or the simulation effort
-    overflows first.
+    (one solver tolerance above the hottest BCMT, printed rounded up).  After
+    a successful screen the loop ends within N * 7,449 attempts on N cores
+    (see module docstring): with a schedule, or with ValueError when a
+    violator's weight or the simulation effort overflows.
     """
     net, power = die.net, die.power
     check_tl(config.tl, net.ambient)
@@ -384,18 +352,15 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
     # both totals add durations left to right; sum() of floats is
     # compensated from Python 3.12 on, which would move the length's last bit
     total_length = effort = 0.0
-    budget = attempts_left = ATTEMPTS_PER_CORE * len(net.nodes)
     # the values compared with TL closest to it on each side, and the
     # STCs closest to STCL, folded from each attempt's margins
     below_tl, above_tl = max(die.bcmt.values()), math.inf
     lo_stcl, hi_stcl = -math.inf, math.inf
     # this run's node in the die's attempt memo; None once the run has made
     # as many attempts as the die has cores
-    node = die._attempts.setdefault(config.weight_factor, [])
+    node, attempts = die._attempts, 0
     while remaining:
-        if not attempts_left:
-            raise AttemptBudgetError(config, budget)
-        attempts_left -= 1
+        attempts += 1
         for entry in node or ():
             if entry[0] <= config.stcl < entry[1]:
                 break
@@ -435,7 +400,7 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
                     above_tl = temp
             elif temp > below_tl:
                 below_tl = temp
-        if budget - attempts_left < len(net.nodes):
+        if attempts < len(net.nodes):
             node = children.setdefault(tuple(violators), [])
         else:
             node = None
@@ -443,12 +408,12 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
             # session discarded; its simulated time still counts as effort
             weights = dict(weights)
             for name in violators:
-                weights[name] = weights.get(name, 1.0) * config.weight_factor
+                weights[name] = weights.get(name, 1.0) * WEIGHT_FACTOR
                 if weights[name] == math.inf:
                     # a term this far below STCL takes more bumps than a float holds
                     raise ValueError(
                         f"weight for {name!r} overflowed at weight factor "
-                        f"{config.weight_factor!r} before the core's STC term "
+                        f"{WEIGHT_FACTOR!r} before the core's STC term "
                         "passed STCL; lower STCL"
                     )
             remaining = _ordered(remaining, power, weights)
@@ -485,8 +450,9 @@ def schedule_to_json(
             "config": {
                 "tl_c": config.tl,
                 "stcl": config.stcl,
-                "weight_factor": config.weight_factor,
-                # the one packing order, echoed for the document's readers
+                # the one weight factor and packing order, echoed for the
+                # document's readers
+                "weight_factor": WEIGHT_FACTOR,
                 "core_order": "power_weight_desc",
             },
             "thermal_params": {

@@ -15,8 +15,6 @@ from hypothesis import strategies as st
 from thermsched import scheduler, thermal_sim
 from thermsched.floorplan import CoreGeometry, Floorplan, PowerProfile
 from thermsched.scheduler import (
-    ATTEMPTS_PER_CORE,
-    AttemptBudgetError,
     SchedulerConfig,
     ScreeningError,
     build_session,
@@ -396,7 +394,7 @@ def test_discard_bumps_its_violators_in_a_new_weight_set(monkeypatch):
 
     monkeypatch.setattr(scheduler, "build_session", build)
     schedule = generate_schedule(die, SYNTH400_LOOSE)
-    assert SYNTH400_LOOSE.weight_factor == 1.1
+    assert scheduler.WEIGHT_FACTOR == 1.1
     discards = 0
     for (_, before, _, session, _), (_, after, *_) in zip(attempts, attempts[1:]):
         temps = simulate_session(session, die.net, die.power).temperatures
@@ -558,7 +556,7 @@ def _fresh_run(fp, profile, config):
 @st.composite
 def box_cases(draw):
     """A small random die and limits near its hottest BCMT and median
-    singleton STC, with a weight factor."""
+    singleton STC."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     fp = random_floorplan(rng, draw(st.integers(1, 8)))
     profile = random_profile(rng, fp)
@@ -567,7 +565,6 @@ def box_cases(draw):
     config = SchedulerConfig(
         tl=max(die.bcmt.values()) + draw(st.floats(0.1, 30.0)),
         stcl=median * draw(st.floats(0.2, 6.0)),
-        weight_factor=draw(st.sampled_from([1.05, 1.1, 1.5])),
     )
     return fp, profile, config
 
@@ -613,8 +610,8 @@ def _counting_attempts(mp):
 
 
 def _memo_entries(die):
-    """The number of entries in the die's attempt memo, over every tree."""
-    stack, count = list(die._attempts.values()), 0
+    """The number of entries in the die's attempt memo."""
+    stack, count = [die._attempts], 0
     while stack:
         node = stack.pop()
         count += len(node)
@@ -623,30 +620,18 @@ def _memo_entries(die):
     return count
 
 
-def test_attempt_budget_stops_a_weight_factor_near_one():
-    # the all-in session runs too hot, and weights rising by a millionth per
-    # discard would take millions of attempts to split it.  The real budget
-    # takes 120,000 attempts here; a smaller one tests the same loop
-    fp = strip_floorplan(3)
-    profile = PowerProfile({"s1": (1.0, 1.0), "s2": (8.0, 1.0), "s3": (1.0, 1.0)}, fp)
-    die = compile_die(fp, profile, STRIP_PARAMS)
-    full_peak = simulate_session(set(fp.names), die.net, profile).peak[1]
-    stcl = session_stc(fp.names, profile, None, die.net)
-    config = SchedulerConfig(tl=full_peak - 1.0, stcl=stcl, weight_factor=1.000001)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scheduler, "ATTEMPTS_PER_CORE", 1000)
-        attempts = _counting_attempts(mp)
-        with pytest.raises(AttemptBudgetError) as err:
-            generate_schedule(die, config)
-    assert len(attempts) == err.value.budget == 3000
-    assert err.value.config == config
-    # the crawl records only its first attempts in the die's memo, one per core
-    assert _memo_entries(die) == len(die.net.nodes) == 3
-    # a factor of 1.1 splits the same session within a few attempts
-    generate_schedule(die, replace(config, weight_factor=1.1))
+def _attempt_bound(n_cores):
+    """The most attempts a run on ``n_cores`` cores can make.  Each discard
+    multiplies some violator's weight by 1.1, and the bump that takes a
+    weight from 1 to inf raises; so at most ``bumps - 1`` discards per core,
+    the raising one, and one accepted session per core."""
+    weight, bumps = 1.0, 0
+    while weight != math.inf:
+        weight, bumps = weight * 1.1, bumps + 1
+    return n_cores * (bumps + 1)
 
 
-def test_a_huge_stcl_with_discards_stays_ten_times_below_the_budget():
+def test_a_huge_stcl_with_discards_stays_within_the_overflow_bound():
     # STCL 1e300 stands in for no limit: a violator's weight must climb from
     # its STC term to 1e300 by the weight factor 1.1 before packing splits
     # the first session, about 7,200 attempts on any die (7,195 to 7,238
@@ -662,7 +647,23 @@ def test_a_huge_stcl_with_discards_stays_ten_times_below_the_budget():
         attempts = _counting_attempts(mp)
         schedule = generate_schedule(die, config)
     assert len(schedule.sessions) == 2
-    assert 7000 < len(attempts) <= 2 * ATTEMPTS_PER_CORE // 10
+    assert 7000 < len(attempts) <= _attempt_bound(2)
+    # the run records only its first attempts in the die's memo, one per core
+    assert _memo_entries(die) == len(die.net.nodes) == 2
+
+
+def test_weight_overflow_ends_a_run_within_the_bound():
+    # at a microwatt a core's STC term lies so far below STCL that its weight,
+    # bumped at every discard of the too-hot pair, overflows first
+    fp = Floorplan([CoreGeometry("a", 0.001, 0.001, 0.0, 0.0),
+                    CoreGeometry("b", 0.001, 0.001, 0.001, 0.0)])
+    profile = PowerProfile({"a": (1e-6, 1.0), "b": (1e-6, 1.0)}, fp)
+    die = compile_die(fp, profile, ThermalParams())
+    with pytest.MonkeyPatch.context() as mp:
+        attempts = _counting_attempts(mp)
+        with pytest.raises(ValueError, match="^weight for 'a' overflowed at weight factor 1.1 "):
+            generate_schedule(die, SchedulerConfig(tl=45.0004, stcl=1e300))
+    assert 7000 < len(attempts) <= _attempt_bound(2)
 
 
 # ── attempt memo ─────────────────────────────────────────────────────────
@@ -674,7 +675,7 @@ def _outcome(run, *args):
     last, so ``[:2]`` leaves out the box, which the reference does not track."""
     try:
         schedule = run(*args)
-    except (ScreeningError, AttemptBudgetError, ValueError) as exc:
+    except (ScreeningError, ValueError) as exc:
         return type(exc), str(exc), None
     return (
         [(s.cores, s.duration.hex(), s.result.temperatures.tobytes())
@@ -687,10 +688,9 @@ def _outcome(run, *args):
 @st.composite
 def memo_cases(draw):
     """A random die and a list of runs on it.  Runs draw from a few TLs near
-    the hottest BCMT, some failing screening, one or two STCLs around the
-    median singleton STC and one or two weight factors, so that many share
-    the start of their attempt paths and then part where a TL makes
-    different violators."""
+    the hottest BCMT, some failing screening, and one or two STCLs around
+    the median singleton STC, so that many share the start of their attempt
+    paths and then part where a TL makes different violators."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     fp = random_floorplan(rng, draw(st.integers(2, 14)))
     profile = random_profile(rng, fp)
@@ -699,16 +699,11 @@ def memo_cases(draw):
     median = float(np.median([session_stc({n}, profile, None, die.net) for n in fp.names]))
     tls = draw(st.lists(st.floats(-1.0, 10.0), min_size=1, max_size=3))
     stcls = draw(st.lists(st.floats(0.2, 6.0), min_size=1, max_size=2))
-    factors = draw(st.lists(
-        st.sampled_from([1.01, 1.1, 1.5, 1.000001]), min_size=1, max_size=2
-    ))
     runs = draw(st.lists(
-        st.tuples(st.sampled_from(tls), st.sampled_from(stcls), st.sampled_from(factors)),
-        min_size=1, max_size=8,
+        st.tuples(st.sampled_from(tls), st.sampled_from(stcls)), min_size=1, max_size=8
     ))
     configs = [
-        SchedulerConfig(tl=hottest + tl, stcl=median * stcl, weight_factor=factor)
-        for tl, stcl, factor in runs
+        SchedulerConfig(tl=hottest + tl, stcl=median * stcl) for tl, stcl in runs
     ]
     return fp, profile, configs
 
@@ -717,16 +712,13 @@ def memo_cases(draw):
 @given(memo_cases())
 def test_runs_on_a_shared_die_match_runs_on_fresh_dies(case):
     fp, profile, configs = case
-    with pytest.MonkeyPatch.context() as mp:
-        # a small budget, so that some runs stop at it, memo hits or not
-        mp.setattr(scheduler, "ATTEMPTS_PER_CORE", 3)
-        shared = compile_die(fp, profile, ThermalParams())
-        for config in configs:
-            fresh = compile_die(fp, profile, ThermalParams())
-            outcome = _outcome(generate_schedule, shared, config)
-            assert outcome == _outcome(generate_schedule, fresh, config), config
-            reference = _outcome(reference_schedule, fp, profile, ThermalParams(), config)
-            assert outcome[:2] == reference[:2], config
+    shared = compile_die(fp, profile, ThermalParams())
+    for config in configs:
+        fresh = compile_die(fp, profile, ThermalParams())
+        outcome = _outcome(generate_schedule, shared, config)
+        assert outcome == _outcome(generate_schedule, fresh, config), config
+        reference = _outcome(reference_schedule, fp, profile, ThermalParams(), config)
+        assert outcome[:2] == reference[:2], config
 
 
 @st.composite
@@ -742,7 +734,6 @@ def reference_cases(draw):
     config = SchedulerConfig(
         tl=max(die.bcmt.values()) + draw(st.floats(-1.0, 15.0)),
         stcl=median * draw(st.floats(0.2, 6.0)),
-        weight_factor=draw(st.sampled_from([1.01, 1.1, 1.5])),
     )
     return fp, profile, config
 
@@ -751,12 +742,9 @@ def reference_cases(draw):
 @given(reference_cases())
 def test_runs_on_fresh_dies_match_the_paper_literal_reference(case):
     fp, profile, config = case
-    with pytest.MonkeyPatch.context() as mp:
-        # a budget that some runs at weight factor 1.01 use up
-        mp.setattr(scheduler, "ATTEMPTS_PER_CORE", 30)
-        die = compile_die(fp, profile, ThermalParams())
-        outcome = _outcome(generate_schedule, die, config)
-        reference = _outcome(reference_schedule, fp, profile, ThermalParams(), config)
+    die = compile_die(fp, profile, ThermalParams())
+    outcome = _outcome(generate_schedule, die, config)
+    reference = _outcome(reference_schedule, fp, profile, ThermalParams(), config)
     assert outcome[:2] == reference[:2]
 
 
@@ -815,10 +803,6 @@ def test_config_rejects_bad_values():
         SchedulerConfig(tl=100.0, stcl=math.inf)
     with pytest.raises(ValueError, match="tl"):
         SchedulerConfig(tl=math.nan, stcl=10.0)
-    with pytest.raises(ValueError, match="weight_factor"):
-        SchedulerConfig(tl=100.0, stcl=10.0, weight_factor=1.0)
-    with pytest.raises(ValueError, match="weight_factor"):
-        SchedulerConfig(tl=100.0, stcl=10.0, weight_factor=math.inf)
 
 
 def test_generate_rejects_tl_below_ambient():
@@ -884,7 +868,6 @@ def written_schedules(draw):
         config = SchedulerConfig(
             tl=hottest + draw(st.floats(0.5, 20.0)),
             stcl=median * draw(st.floats(0.3, 5.0)),
-            weight_factor=draw(st.floats(1.01, 2.0)),
         )
     schedule = generate_schedule(die, config)
     if regime == "one-session":

@@ -17,9 +17,7 @@ from thermsched.floorplan import (
     parse_floorplan,
     parse_power_profile,
 )
-from thermsched import scheduler
 from thermsched.scheduler import (
-    AttemptBudgetError,
     Schedule,
     SchedulerConfig,
     ScreeningError,
@@ -159,10 +157,9 @@ def reference_schedule(
     sorts the remaining cores by ``(-P*W, name)``, admits a candidate when
     the ``session_stc`` of the session with it is within STCL, the first
     core exempt, and validates the session with ``simulate_session``; the
-    violators get their bumped weights in a new dict.  The attempt budget is
-    read from ``scheduler.ATTEMPTS_PER_CORE`` at call time, and the errors
-    are ``generate_schedule``'s.  There is no memo, no incremental pricing
-    and no early exit, and no decision box: both ranges are NaN.
+    violators get their weights times 1.1 in a new dict.  The errors are
+    ``generate_schedule``'s.  There is no memo, no incremental pricing and
+    no early exit, and no decision box: both ranges are NaN.
     """
     net = build_network(fp, params)
     check_tl(config.tl, net.ambient)
@@ -173,10 +170,7 @@ def reference_schedule(
         raise ScreeningError(violations, worst + RESIDUAL_RTOL * max(1.0, abs(worst)))
     weights: dict[str, float] = {}
     remaining, sessions, length, effort = set(net.nodes), [], 0.0, 0.0
-    budget = scheduler.ATTEMPTS_PER_CORE * len(net.nodes)
-    for _ in range(budget):
-        if not remaining:
-            break
+    while remaining:
         order = sorted(remaining, key=lambda n: (-power.power(n) * weights.get(n, 1.0), n))
         session = order[:1]
         for name in order[1:]:
@@ -198,15 +192,12 @@ def reference_schedule(
             continue
         weights = dict(weights)
         for name in hot:
-            weights[name] = weights.get(name, 1.0) * config.weight_factor
+            weights[name] = weights.get(name, 1.0) * 1.1
             if weights[name] == math.inf:
                 raise ValueError(
-                    f"weight for {name!r} overflowed at weight factor "
-                    f"{config.weight_factor!r} before the core's STC term "
-                    "passed STCL; lower STCL"
+                    f"weight for {name!r} overflowed at weight factor 1.1 "
+                    "before the core's STC term passed STCL; lower STCL"
                 )
-    if remaining:
-        raise AttemptBudgetError(config, budget)
     return Schedule(
         sessions=tuple(sessions),
         total_length=length,
