@@ -256,21 +256,23 @@ def test_degenerate_conductance_exit_1(overrides, message, capsys):
 
 
 @pytest.mark.parametrize("limits", [
-    ["--tl", "165", "--stcl", "100"],
+    ["--tl", "185", "--stcl", "20"],    # no discard
+    ["--tl", "165", "--stcl", "100"],   # discards
     ["--sweep-tl", "165:185:20", "--sweep-stcl", "20:100:80"],
-], ids=["single", "sweep"])
-def test_weight_factor_option_is_refused_exit_1(limits, capsys):
-    # the weight factor is fixed at 1.1; even that value is no option
-    code = main(
-        ["--floorplan", str(DATA / "demo15.flp"), "--power", str(DATA / "demo15.csv"),
-         "--weight-factor", "1.1", *limits]
-    )
-    assert code == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        "error: unrecognized arguments: --weight-factor 1.1"
-    ]
+])
+def test_infinite_weight_factor_exit_1(limits, capsys):
+    # the weight factor is fixed at 1.1: neither inf nor even 1.1 is an option
+    for factor in ("inf", "1.1"):
+        code = main(
+            ["--floorplan", str(DATA / "demo15.flp"), "--power", str(DATA / "demo15.csv"),
+             "--weight-factor", factor, *limits]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: unrecognized arguments: --weight-factor {factor}"
+        ]
 
 
 @pytest.mark.parametrize("limits", [
