@@ -56,8 +56,9 @@ MAX_SWEEP_POINTS = 10_000_000_000
 
 
 def _limit(value: float) -> str:
-    """A grid limit as a sweep prints it: in ``:g`` form where that reads
-    back as the same float, else by its repr, so each row names its point."""
+    """A grid limit or a total as a sweep prints it: in ``:g`` form where
+    that reads back as the same float, else by its repr, so each row names
+    its point and its totals exactly."""
     text = f"{value:g}"
     return text if float(text) == value else repr(value)
 
@@ -65,8 +66,8 @@ def _limit(value: float) -> str:
 def _sweep_row(tl: float, stcl: float, schedule: Schedule) -> str:
     """One grid point's CSV row, matching SWEEP_HEADER column for column."""
     return (
-        f"{_limit(tl)},{_limit(stcl)},{schedule.total_length:g},"
-        f"{schedule.simulation_effort:g},{schedule.max_temperature:.4f}"
+        f"{_limit(tl)},{_limit(stcl)},{_limit(schedule.total_length)},"
+        f"{_limit(schedule.simulation_effort)},{schedule.max_temperature:.4f}"
     )
 
 

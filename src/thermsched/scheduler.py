@@ -57,6 +57,7 @@ from decimal import ROUND_CEILING, Decimal, localcontext
 from typing import Collection, Mapping, Sequence
 
 import numpy as np
+import orjson
 
 from . import thermal_sim
 from .floorplan import Floorplan, PowerProfile
@@ -440,10 +441,11 @@ def schedule_to_json(
     document it describes, written directly: ``json`` falls back to its
     pure-Python encoder whenever ``indent`` is set, and an N-core die gives
     N temperatures per session.  Each node's indented, escaped key is built
-    once per document, and every temperature is written with
-    ``float.__repr__``, as ``json`` writes a finite float; the solver
-    rejects non-finite temperatures.  The small header and scalars go
-    through ``json.dumps``.
+    once per document, and each session's temperatures, and the BCMT
+    report, are formatted in bulk by ``_float_texts``, which gives the
+    ``float.__repr__`` text that ``json`` writes for a finite float; the
+    solver rejects non-finite temperatures.  The small header and scalars
+    go through ``json.dumps``.
     """
     header = json.dumps(
         {
@@ -469,7 +471,7 @@ def schedule_to_json(
     sessions = []
     for s in schedule.sessions:
         cores = ",\n".join(f"        {json.dumps(n)}" for n in sorted(s.cores))
-        temps = map(float.__repr__, s.result.temperatures.tolist())
+        temps = _float_texts(s.result.temperatures)
         peak_core, peak_temp = s.result.peak
         sessions.append(
             f'    {{\n      "cores": [\n{cores}\n      ],\n'
@@ -478,9 +480,10 @@ def schedule_to_json(
             f'      "peak": {{\n        "core": {json.dumps(peak_core)},\n'
             f'        "temperature_c": {json.dumps(peak_temp)}\n      }}\n    }}'
         )
+    report = schedule.stage1_report
     bcmt = (
-        f"    {json.dumps(name)}: {float.__repr__(temp)}"
-        for name, temp in schedule.stage1_report.items()
+        f"    {json.dumps(name)}: {text}"
+        for name, text in zip(report, _float_texts(np.fromiter(report.values(), float)))
     )
     sessions_list = ",\n".join(sessions)
     return (
@@ -492,6 +495,23 @@ def schedule_to_json(
         f'  "max_temperature_c": {json.dumps(schedule.max_temperature)}\n'
         "}\n"
     )
+
+
+def _float_texts(values: np.ndarray) -> list[str]:
+    """Each float of a non-empty 1-D array as ``float.__repr__`` writes it.
+
+    orjson writes the same shortest round-trip digits as ``repr``, and in
+    the same notation for every magnitude in ``[1e-4, 1e16)`` and for zero;
+    outside that range it writes ``1e16`` and ``0.00001`` where ``repr``
+    writes ``1e+16`` and ``1e-05``, so those few entries are rewritten by
+    ``repr``.
+    """
+    texts = orjson.dumps(values.tolist()).decode()[1:-1].split(",")
+    magnitude = np.abs(values)
+    exponent_form = (magnitude != 0) & ((magnitude < 1e-4) | (magnitude >= 1e16))
+    for i in np.flatnonzero(exponent_form):
+        texts[i] = float.__repr__(float(values[i]))
+    return texts
 
 
 def _json_object(members, indent: str) -> str:

@@ -1,8 +1,17 @@
 """The package's public surface: every exported name and every command-line
-option, listed on purpose."""
+option, listed on purpose, and every third-party import, declared."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
 
 import thermsched
 from thermsched.cli import build_parser
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC_NAMES = [
     "CompiledDie",
@@ -64,3 +73,23 @@ def test_cli_options_are_pinned():
         for option in action.option_strings
     ]
     assert options == CLI_OPTIONS
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    # each runtime dependency's import name is its distribution name
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", requirement)[0].lower().replace("-", "_")
+        for requirement in project["dependencies"]
+    }
+    imported = set()
+    for path in sorted((ROOT / "src" / "thermsched").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"thermsched"}
+    assert "numpy" in third_party  # the walk sees the package's imports
+    assert third_party - declared == set()

@@ -134,6 +134,23 @@ def test_sweep_rows_name_their_grid_point_exactly(tmp_path, capsys):
     assert _sweep_row(145.0, 1e-9, schedule) == "145,1e-09,7,8,144.2900"
 
 
+def test_sweep_rows_print_large_totals_exactly(tmp_path, capsys):
+    # six significant digits would round both totals past a million seconds
+    flp = tmp_path / "strip.flp"
+    flp.write_text("a 0.001 0.001 0 0\nb 0.001 0.001 0.001 0\n")
+    power = tmp_path / "strip.csv"
+    power.write_text("a,1,1234567.5\nb,1,1234568.5\n")
+    code = main(["--floorplan", str(flp), "--power", str(power),
+                 "--sweep-tl", "2000", "--sweep-stcl", "1e-9,1e300"])
+    assert code == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+    # one core a session, then both cores in one
+    assert [row[:4] for row in rows] == [
+        ["2000", "1e-09", "2469136.0", "2469136.0"],
+        ["2000", "1e+300", "1234568.5", "1234568.5"],
+    ]
+
+
 # ── single runs ──────────────────────────────────────────────────────────
 
 

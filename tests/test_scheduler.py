@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermsched import scheduler, thermal_sim
@@ -840,12 +840,21 @@ def test_schedule_document_is_json_ready():
 NAME_CHARS = st.sampled_from(['"', "\\", "\n", "\t", "\x1f", "/", "a", " ", "é", "Ω", "€", "\U0001d11e"])
 
 
+# (ambient, power scale): the default ambient with watts, and two dies whose
+# temperatures repr writes in exponent form: microwatts at 0 C, where the
+# passive cores stay below 1e-4 C, and kilowatts at 1e16 C
+AMBIENTS = [(ThermalParams.t_ambient, 1.0), (0.0, 1e-6), (1e16, 1e3)]
+
+
 @st.composite
 def written_schedules(draw):
     """A small random die with awkward core names, scheduled in one of three
     regimes: everything in one session, a discarded first attempt, or
-    limits drawn near the hottest BCMT and the median singleton STC."""
+    limits drawn near the hottest BCMT and the median singleton STC.
+    Its temperature margins and its stand-in for no STCL scale with the
+    drawn power scale."""
     regime = draw(st.sampled_from(["one-session", "discarding", "drawn"]))
+    ambient, scale = draw(st.sampled_from(AMBIENTS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     base = random_floorplan(rng, draw(st.integers(2 if regime == "discarding" else 1, 7)))
     # every name holds a quote, a backslash and a non-ASCII character
@@ -854,19 +863,19 @@ def written_schedules(draw):
         CoreGeometry(name, c.width, c.height, c.left_x, c.bottom_y)
         for name, c in zip(names, base)
     ])
-    profile = random_profile(rng, fp)
-    params = ThermalParams()
+    profile = random_profile(rng, fp, p_range=(0.3 * scale, 3.0 * scale))
+    params = ThermalParams(t_ambient=ambient)
     die = compile_die(fp, profile, params)
     hottest = max(die.bcmt.values())
     everything = simulate_session(fp.names, die.net, profile).peak[1]
     if regime == "one-session":
-        config = SchedulerConfig(tl=everything + 1.0, stcl=1e300)
+        config = SchedulerConfig(tl=everything + scale, stcl=1e300 * scale)
     elif regime == "discarding":
-        config = SchedulerConfig(tl=(hottest + everything) / 2, stcl=1e300)
+        config = SchedulerConfig(tl=(hottest + everything) / 2, stcl=1e300 * scale)
     else:
         median = float(np.median([session_stc({n}, profile, None, die.net) for n in fp.names]))
         config = SchedulerConfig(
-            tl=hottest + draw(st.floats(0.5, 20.0)),
+            tl=hottest + scale * draw(st.floats(0.5, 20.0)),
             stcl=median * draw(st.floats(0.3, 5.0)),
         )
     schedule = generate_schedule(die, config)
@@ -875,6 +884,28 @@ def written_schedules(draw):
     if regime == "discarding":
         assert schedule.simulation_effort > schedule.total_length
     return schedule, config, params
+
+
+# both sides of each edge of the range in which orjson and repr agree on
+# notation, zeros, and the smallest and largest finite floats
+FLOAT_EDGES = [
+    sign * value
+    for value in (
+        0.0, 5e-324, sys.float_info.max, 1e-4, 1e16,
+        *(float(np.nextafter(edge, toward)) for edge in (1e-4, 1e16) for toward in (0.0, np.inf)),
+    )
+    for sign in (1.0, -1.0)
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(FLOAT_EDGES)),
+    min_size=1,
+))
+@example(FLOAT_EDGES)
+def test_float_texts_are_the_reprs(values):
+    assert scheduler._float_texts(np.array(values)) == list(map(float.__repr__, values))
 
 
 @settings(max_examples=60, deadline=None)
