@@ -25,7 +25,7 @@ from .scheduler import (
     generate_schedule,
     schedule_to_json,
 )
-from .thermal_model import ThermalParams, session_stc
+from .thermal_model import ThermalParams
 from .thermal_sim import (
     RESIDUAL_RTOL,
     NetworkSolveError,
@@ -59,6 +59,5 @@ __all__ = [
     "parse_floorplan",
     "parse_power_profile",
     "schedule_to_json",
-    "session_stc",
     "simulate_session",
 ]

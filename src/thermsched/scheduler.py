@@ -14,10 +14,10 @@ run then has two stages:
 2. Session packing: cores are tried hardest first, by test power times
    packing weight, and packed greedily into a session while the session
    thermal characteristic stays within STCL; then the session is validated
-   by full simulation.  The run owns the weights, a plain core -> weight
-   dict in which an absent core has weight 1.  Members whose simulated peak
-   reaches TL get their weight multiplied by ``WEIGHT_FACTOR`` (1.1) in a
-   new dict, and the session is discarded and rebuilt from the remaining
+   by full simulation.  The run owns the weights, a list in node order
+   that starts at all ones.  Members whose simulated peak reaches TL get
+   their weight multiplied by ``WEIGHT_FACTOR`` (1.1) in a new list, and
+   the session is discarded and rebuilt from the remaining
    pool, which steers repeat offenders to the front and toward emptier
    sessions.  All simulated session time, discarded sessions included,
    counts as simulation effort; screening time does not.
@@ -54,14 +54,14 @@ import math
 from dataclasses import dataclass, field
 from collections.abc import Set
 from decimal import ROUND_CEILING, Decimal, localcontext
-from typing import Collection, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import orjson
 
 from . import thermal_sim
 from .floorplan import Floorplan, PowerProfile
-from .thermal_model import ThermalParams, escape_paths, session_stc, stc_term
+from .thermal_model import ThermalParams, escape_paths, session_stc
 from .thermal_sim import (
     RESIDUAL_RTOL,
     NetworkSolveError,
@@ -157,8 +157,10 @@ class CompiledDie:
     """One floorplan, parameter set and power profile, compiled for scheduling.
 
     Holds what every schedule run on the die reads and no limit changes:
-    the compiled network, the test powers and every core's BCMT.  Two
-    private memos let runs that share a die reuse each other's work:
+    the compiled network, the test powers and every core's BCMT.  Packing
+    works on node indices, so ``_powers`` holds the test powers once more,
+    in node order.  Two private memos let runs that share a die reuse each
+    other's work:
 
     * ``_validated`` maps each validated member set to its ``TestSession``.
       ``compile_die`` seeds it with every core's singleton session from
@@ -186,6 +188,7 @@ class CompiledDie:
     net: ThermalNetwork
     power: PowerProfile
     bcmt: Mapping[str, float]  # core -> BCMT, deg C
+    _powers: tuple[float, ...] = field(repr=False)  # W, per node
     _validated: dict[frozenset[str], TestSession] = field(
         default_factory=dict, repr=False
     )
@@ -239,28 +242,33 @@ def compile_die(fp: Floorplan, power: PowerProfile, params: ThermalParams) -> Co
         net=net,
         power=power,
         bcmt={name: s.result.peak[1] for name, s in singletons.items()},
+        _powers=tuple(power.power(name) for name in net.nodes),
         _validated={s.cores: s for s in singletons.values()},
     )
 
 
 def _ordered(
-    cores: Collection[str], power: PowerProfile, weights: Mapping[str, float]
-) -> list[str]:
+    nodes: Sequence[int], powers: Sequence[float], weights: Sequence[float],
+    names: Sequence[str],
+) -> list[int]:
     # hardest cores first; rising weights push repeat offenders to the front
-    return sorted(
-        cores, key=lambda name: (-power.power(name) * weights.get(name, 1.0), name)
-    )
+    return sorted(nodes, key=lambda i: (-powers[i] * weights[i], names[i]))
 
 
 def build_session(
-    candidates: Sequence[str],
-    weights: Mapping[str, float],
+    candidates: Sequence[int],
+    weights: Sequence[float],
     stcl: float,
     net: ThermalNetwork,
-    power: PowerProfile,
+    powers: Sequence[float],
     margins: list[float] | None = None,
-) -> set[str]:
+) -> list[int]:
     """Greedily grow one session from candidates given in packing order.
+
+    Candidates, weights and powers are as in ``thermal_model``: candidates
+    are node indices of ``net``, and ``weights`` and ``powers`` hold each
+    node's packing weight and test power in node order.  Returns the
+    admitted nodes in the order they joined.
 
     Candidates are tried in the order given; ``generate_schedule`` sorts
     them once per weight set.  A set has no fixed order, so passing one
@@ -268,9 +276,10 @@ def build_session(
     is kept only if the enlarged session's STC stays within ``stcl``.  The
     first candidate is always admitted -- see the module docstring.
 
-    The STC is kept incrementally.  A joining core ``c`` only removes
-    passive escape paths: it drops one lateral term from the conductance
-    sum of each neighbor already in the session and adds none.  Dropping a
+    The session is a ``bytearray`` of membership flags, and its STC is
+    kept incrementally.  A joining core ``c`` only removes passive escape
+    paths: it drops one lateral term from the conductance sum of each
+    neighbor already in the session and adds none.  Dropping a
     non-negative term from a float sum of non-negative terms, kept in the
     same order, cannot raise any partial sum, since rounding is monotone;
     so no member's R_eq can fall and no ``TC * P * W`` term can shrink.
@@ -301,27 +310,34 @@ def build_session(
         )
     if not candidates:
         raise ValueError("no cores available to build a session from")
-    session: set[str] = set()
+    active = bytearray(len(net.nodes))
+    admitted: list[int] = []
     stc = 0.0
     rejected = math.inf
-    for name in candidates:
-        g, touched = escape_paths(name, session, net)
-        session.add(name)
-        enlarged = max(stc, stc_term(name, 1.0 / g, power, weights))
+    for i in candidates:
+        g, touched = escape_paths(i, active, net)
+        active[i] = 1
+        p = powers[i]
+        # the candidate's own term, evaluated as session_stc evaluates one
+        term = p * (1.0 / g) * p * weights[i]
+        enlarged = term if term > stc else stc
         if touched:
-            enlarged = max(enlarged, session_stc(touched, power, weights, net, session))
-        if len(session) == 1 or enlarged <= stcl:
+            neighbors = session_stc(touched, powers, weights, net, active)
+            if neighbors > enlarged:
+                enlarged = neighbors
+        if not admitted or enlarged <= stcl:
+            admitted.append(i)
             stc = enlarged
             if stc > stcl:  # the exempt first core: nothing else can join
                 break
         else:
-            session.remove(name)
+            active[i] = 0
             if enlarged < rejected:
                 rejected = enlarged
     if margins is not None:
         # over the limit, the exempt first core ended the attempt at once
         margins[:] = (stc, rejected) if stc <= stcl else (-math.inf, stc)
-    return session
+    return admitted
 
 
 def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
@@ -336,19 +352,20 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
     (see module docstring): with a schedule, or with ValueError when a
     violator's weight or the simulation effort overflows.
     """
-    net, power = die.net, die.power
+    net, power, powers = die.net, die.power, die._powers
+    names = net.nodes
     check_tl(config.tl, net.ambient)
     violations = [(name, temp) for name, temp in die.bcmt.items() if temp >= config.tl]
     if violations:
         worst = max(temp for _, temp in violations)
         suggested = worst + RESIDUAL_RTOL * max(1.0, abs(worst))
         raise ScreeningError(violations, suggested)
-    # core -> packing weight, 1 where absent.  A discard replaces the dict
-    # rather than changing it, so a weight set once read stays as it was.
-    weights: dict[str, float] = {}
-    # the packing order changes only with the weights: sort once per weight
-    # set and drop scheduled cores from it
-    remaining = _ordered(net.nodes, power, weights)
+    # packing weights in node order.  A discard replaces the list rather
+    # than changing it, so a weight set once read stays as it was.
+    weights = [1.0] * len(names)
+    # node indices in packing order, which changes only with the weights:
+    # sort once per weight set and drop scheduled cores from it
+    remaining = _ordered(range(len(names)), powers, weights, names)
     sessions: list[TestSession] = []
     # both totals add durations left to right; sum() of floats is
     # compensated from Python 3.12 on, which would move the length's last bit
@@ -367,9 +384,11 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
                 break
         else:
             margins: list[float] = []
-            members = frozenset(
-                build_session(remaining, weights, config.stcl, net, power, margins)
-            )
+            # the memos and sessions name their cores
+            members = frozenset([
+                names[i]
+                for i in build_session(remaining, weights, config.stcl, net, powers, margins)
+            ])
             session = die._validated.get(members)
             if session is None:
                 session = die._validated[members] = TestSession(
@@ -407,21 +426,23 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
             node = None
         if violators:
             # session discarded; its simulated time still counts as effort
-            weights = dict(weights)
+            weights = weights.copy()
             for name in violators:
-                weights[name] = weights.get(name, 1.0) * WEIGHT_FACTOR
-                if weights[name] == math.inf:
+                i = net.position[name]
+                weights[i] *= WEIGHT_FACTOR
+                if weights[i] == math.inf:
                     # a term this far below STCL takes more bumps than a float holds
                     raise ValueError(
                         f"weight for {name!r} overflowed at weight factor "
                         f"{WEIGHT_FACTOR!r} before the core's STC term "
                         "passed STCL; lower STCL"
                     )
-            remaining = _ordered(remaining, power, weights)
+            remaining = _ordered(remaining, powers, weights, names)
             continue
         sessions.append(session)
         total_length += session.duration
-        remaining = [name for name in remaining if name not in members]
+        taken = {net.position[name] for name in members}
+        remaining = [i for i in remaining if i not in taken]
     return Schedule(
         sessions=tuple(sessions),
         total_length=total_length,

@@ -12,26 +12,26 @@ scalars that guide session packing:
 * ``TC(i)  = P(i) * R_eq(i)``             predicted temperature rise, K
 * ``STC    = max_i  TC(i) * P(i) * W(i)`` session thermal characteristic, K*W
 
-where ``W(i)`` are packing weights.  They are a plain mapping from core
-name to weight, in which an absent core has weight 1; a schedule run owns
-them and raises the weights of cores caught exceeding the temperature
-limit.
+where ``W(i)`` are packing weights, which a schedule run owns and raises
+for cores caught exceeding the temperature limit.
 
 The path resistances exist only as conductances: ``thermal_sim.build_network``
 derives them from the floorplan geometry once per floorplan and parameter
-set, and ``escape_paths`` alone applies the usable-path rule to it.  A
-core's R_eq depends only on which of its own neighbors are in the session,
-so ``session_stc`` can evaluate just the members whose terms a change
-touched; packing uses this to price a candidate in O(degree).
+set.  The model works on node indices into that network: a session is a
+``bytearray`` of membership flags, and powers and weights are sequences in
+node order, so pricing a term reads lists only.  ``escape_paths`` applies
+the usable-path rule to one node, and ``session_stc`` prices a list of
+nodes with the same rule in one flat loop.  A core's R_eq depends only on
+which of its own neighbors are in the session, so ``session_stc`` can
+evaluate just the members whose terms a change touched; packing uses this
+to price a candidate in O(degree).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Collection, Mapping
-
-from .floorplan import PowerProfile
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
     from .thermal_sim import ThermalNetwork
@@ -66,73 +66,55 @@ class ThermalParams:
             raise ValueError("t_ambient must be finite")
 
 
-def escape_paths(
-    name: str, session: Collection[str], net: ThermalNetwork
-) -> tuple[float, list[str]]:
-    """A core's usable escape conductance within a session, and the
-    session's cores it touches.
+def escape_paths(i: int, active: bytearray, net: ThermalNetwork) -> tuple[float, list[int]]:
+    """Node ``i``'s usable escape conductance within a session, and the
+    session's nodes it touches.
 
+    ``active[j]`` is nonzero exactly when node ``j`` is in the session.
     Usable paths are the vertical one plus the laterals toward neighbors
     that are passive in the session (held at ambient); laterals toward
-    other active cores are dropped.  Both are taken in one pass over the
-    core's laterals, in floorplan order: the conductance is summed in that
-    order, and the touched neighbors are listed in it.  ``name`` itself
-    need not be in ``session``.
+    other active nodes are dropped.  Both are taken in one pass over the
+    node's laterals, in floorplan order: the conductance is summed in that
+    order, and the touched neighbors are listed in it.  Node ``i``'s own
+    flag is not read.
     """
-    i = net.position[name]
     g = net.vertical[i]
     touched = []
     for j, lateral in net.lateral[i]:
-        if net.nodes[j] in session:
-            touched.append(net.nodes[j])
+        if active[j]:
+            touched.append(j)
         else:
             g += lateral
     return g, touched
 
 
-def equivalent_resistance(name: str, session: Collection[str], net: ThermalNetwork) -> float:
-    """Parallel combination of a core's usable escape paths within a session:
-    the reciprocal of ``escape_paths``' conductance."""
-    if name not in session:
-        raise ValueError(f"core {name!r} is not in the session")
-    return 1.0 / escape_paths(name, session, net)[0]
-
-
-def stc_term(
-    name: str, r_eq: float, power: PowerProfile, weights: Mapping[str, float]
-) -> float:
-    """One member's STC term TC * P * W, with ``TC = P * r_eq``; a core
-    absent from ``weights`` has weight 1.
-
-    Evaluated left to right, so every caller that prices a member through
-    here gets the same bits for the same R_eq.
-    """
-    p = power.power(name)
-    return p * r_eq * p * weights.get(name, 1.0)
-
-
 def session_stc(
-    members: Collection[str],
-    power: PowerProfile,
-    weights: Mapping[str, float] | None,
+    members: Iterable[int],
+    powers: Sequence[float],
+    weights: Sequence[float],
     net: ThermalNetwork,
-    session: Collection[str] | None = None,
+    active: bytearray,
 ) -> float:
-    """Max over ``members`` of TC * P * W, each R_eq taken within ``session``.
+    """Max over ``members`` of TC * P * W, each R_eq taken within ``active``.
 
-    ``TC = P * R_eq`` is a member's predicted rise.  ``session`` defaults to
-    ``members``, which makes the value the session thermal characteristic
-    (STC) of ``members``; naming a larger ``session`` evaluates only some of
-    its members' terms.  ``weights`` maps cores to their packing weights;
-    a core absent from it, or every core when it is None, has weight 1.
-    No members give 0.
+    Nodes are indices into ``net.nodes``, and ``powers`` and ``weights``
+    hold each node's test power and packing weight in node order.
+    ``active`` flags the session, as in ``escape_paths``; when it flags
+    exactly ``members`` the value is the session thermal characteristic
+    (STC) of ``members``, and flagging more evaluates only some of its
+    members' terms.  Each term is ``P * (1 / g) * P * W``, evaluated left
+    to right with ``g`` summed as ``escape_paths`` sums it.  No members
+    give 0.
     """
-    if weights is None:
-        weights = {}
-    if session is None:
-        session = members
+    vertical, lateral = net.vertical, net.lateral
     stc = 0.0
-    for name in members:
-        r_eq = equivalent_resistance(name, session, net)
-        stc = max(stc, stc_term(name, r_eq, power, weights))
+    for i in members:
+        g = vertical[i]
+        for j, conductance in lateral[i]:
+            if not active[j]:
+                g += conductance
+        p = powers[i]
+        term = p * (1.0 / g) * p * weights[i]
+        if term > stc:
+            stc = term
     return stc

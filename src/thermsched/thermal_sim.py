@@ -95,15 +95,17 @@ class NetworkSolveError(RuntimeError):
 class ThermalNetwork:
     """Conductances of one floorplan under one parameter set, and ``G``'s factor.
 
-    Nodes are in floorplan order.  ``vertical[i]`` is the conductance of
-    node ``i``'s path to ambient, and ``lateral[i]`` lists its neighbors as
-    ``(node index, lateral conductance)`` pairs in floorplan order; both are
-    derived by ``build_network`` and read by the guiding session model
-    through ``thermal_model.escape_paths``.  ``conductance`` is ``G`` as a
-    ``scipy.sparse.csr_array``, symmetric positive definite: off-diagonals
-    are the negated lateral conductances, and each diagonal adds the node's
-    vertical conductance to ambient on top of its lateral total.  ``factor``
-    is the dense Cholesky factor of ``G``.
+    Nodes are in floorplan order, and a node's index in ``nodes`` is how
+    the guiding session model names it.  ``vertical[i]`` is the conductance
+    of node ``i``'s path to ambient, and ``lateral[i]`` lists its neighbors
+    as ``(node index, lateral conductance)`` pairs in floorplan order; both
+    are derived by ``build_network`` and read, on node indices, by
+    ``thermal_model.escape_paths`` and ``session_stc``.  ``position`` maps
+    a name to its index, for callers that start from names.
+    ``conductance`` is ``G`` as a ``scipy.sparse.csr_array``, symmetric
+    positive definite: off-diagonals are the negated lateral conductances,
+    and each diagonal adds the node's vertical conductance to ambient on top
+    of its lateral total.  ``factor`` is the dense Cholesky factor of ``G``.
     """
 
     nodes: tuple[str, ...]
@@ -165,7 +167,7 @@ def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
     diagonal = [0.0] * n
     lateral: list[list[tuple[int, float]]] = [[] for _ in names]
     # pairs arrive sorted by (i, j), so every neighbor list stays in floorplan
-    # order, the order in which thermal_model.escape_paths sums it
+    # order, the order in which thermal_model's pricing sums it
     for a, b, shared_edge, center_distance in fp.adjacency().pairs():
         gl = _conductance(
             center_distance,

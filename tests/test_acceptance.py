@@ -16,7 +16,7 @@ import pytest
 from thermsched.cli import main
 from thermsched.floorplan import PowerProfile
 from thermsched.scheduler import SchedulerConfig, compile_die, generate_schedule
-from thermsched.thermal_model import ThermalParams, equivalent_resistance, session_stc
+from thermsched.thermal_model import ThermalParams
 from thermsched.thermal_sim import (
     RESIDUAL_RTOL,
     build_network,
@@ -24,11 +24,14 @@ from thermsched.thermal_sim import (
 )
 from util import (
     DATA,
+    equivalent_resistance,
     grounded_rise_oracle,
     load_inputs,
     random_floorplan,
     random_profile,
     random_session,
+    reference_stc,
+    stc_of,
 )
 
 PARAMS = ThermalParams()
@@ -159,7 +162,7 @@ def test_criterion_6_schedule_validity_randomized():
             profile = random_profile(rng, fp)
             die = compile_die(fp, profile, PARAMS)
             bcmts = die.bcmt
-            singles = [session_stc({n}, profile, None, die.net) for n in fp.names]
+            singles = [reference_stc({n}, profile, None, die.net) for n in fp.names]
             config = SchedulerConfig(
                 tl=max(bcmts.values()) + float(rng.uniform(3.0, 50.0)),
                 stcl=max(1e-9, float(np.median(singles)) * float(rng.uniform(0.4, 4.0))),
@@ -205,8 +208,8 @@ def test_criterion_8_stc_algebra():
                 {n: (alpha * profile.power(n), profile.duration(n)) for n in fp.names},
                 fp,
             )
-            base = session_stc(session, profile, None, net)
-            assert session_stc(session, scaled, None, net) == pytest.approx(
+            base = stc_of(session, profile, None, net)
+            assert stc_of(session, scaled, None, net) == pytest.approx(
                 alpha**2 * base, rel=1e-12
             )
         # growth monotonicity, 1000 random (session, extra core) cases
@@ -220,7 +223,7 @@ def test_criterion_8_stc_algebra():
             if not outside:
                 continue
             extra = outside[int(rng.integers(len(outside)))]
-            before = session_stc(session, profile, None, net)
-            after = session_stc(session | {extra}, profile, None, net)
+            before = stc_of(session, profile, None, net)
+            after = stc_of(session | {extra}, profile, None, net)
             assert after >= before
             checked += 1

@@ -35,7 +35,6 @@ PUBLIC_NAMES = [
     "parse_floorplan",
     "parse_power_profile",
     "schedule_to_json",
-    "session_stc",
     "simulate_session",
 ]
 

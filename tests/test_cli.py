@@ -17,8 +17,15 @@ from hypothesis import strategies as st
 from thermsched import cli, scheduler, thermal_sim
 from thermsched.cli import MAX_SWEEP_POINTS, SWEEP_HEADER, _limit, _parse_axis, _sweep_row, main
 from thermsched.scheduler import SchedulerConfig, ScreeningError, compile_die, generate_schedule
-from thermsched.thermal_model import ThermalParams, session_stc
-from util import DATA, load_inputs, random_floorplan, random_profile, reference_schedule
+from thermsched.thermal_model import ThermalParams
+from util import (
+    DATA,
+    load_inputs,
+    random_floorplan,
+    random_profile,
+    reference_schedule,
+    reference_stc,
+)
 
 
 FLP_3 = """\
@@ -633,7 +640,7 @@ def sweep_cases(draw):
     die = compile_die(fp, profile, ThermalParams())
     hottest = max(die.bcmt.values())
     failing = die.net.ambient + draw(st.floats(0.05, 1.0)) * (hottest - die.net.ambient)
-    median = float(np.median([session_stc({n}, profile, None, die.net) for n in fp.names]))
+    median = float(np.median([reference_stc({n}, profile, None, die.net) for n in fp.names]))
     layout = draw(st.sampled_from(["scattered", "ascending", "reversed", "repeated"]))
     if layout == "scattered":
         passing = [hottest + d for d in draw(st.lists(st.floats(0.5, 40.0), min_size=1, max_size=3))]
@@ -820,9 +827,9 @@ def test_sweep_compiles_screens_and_validates_each_session_once(tmp_path, monkey
         validated.append(frozenset(members))
         return real_simulate(members, *args)
 
-    def build(*args, **kwargs):
-        session = real_build(*args, **kwargs)
-        built.append(frozenset(session))
+    def build(candidates, weights, stcl, net, *args):
+        session = real_build(candidates, weights, stcl, net, *args)
+        built.append(frozenset(net.nodes[i] for i in session))
         return session
 
     def compile_die_(*args):

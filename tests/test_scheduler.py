@@ -23,14 +23,16 @@ from thermsched.scheduler import (
     schedule_to_json,
     screen_cores,
 )
-from thermsched.thermal_model import ThermalParams, session_stc
+from thermsched.thermal_model import ThermalParams
 from thermsched.thermal_sim import NetworkSolveError, build_network, simulate_session
 from util import (
     load_inputs,
     load_synth400,
+    packing_inputs,
     random_floorplan,
     random_profile,
     reference_schedule,
+    reference_stc,
     strip_floorplan,
     uniform_profile,
 )
@@ -162,18 +164,17 @@ def test_compiled_objects_compare_by_identity_and_hash():
 
 def test_build_session_singleton_exemption():
     fp = strip_floorplan(1)
-    profile = uniform_profile(fp, power=10.0)
     net = build_network(fp, STRIP_PARAMS)
-    session = build_session(["s1"], {}, 1e-6, net, profile)
-    assert session == {"s1"}
+    powers, weights = packing_inputs(net, uniform_profile(fp, power=10.0))
+    assert build_session([0], weights, 1e-6, net, powers) == [0]
 
 
 def test_build_session_unbounded_limit_packs_everything():
     fp = strip_floorplan(5)
-    profile = uniform_profile(fp, power=10.0)
     net = build_network(fp, STRIP_PARAMS)
-    session = build_session(fp.names, {}, math.inf, net, profile)
-    assert session == set(fp.names)
+    powers, weights = packing_inputs(net, uniform_profile(fp, power=10.0))
+    # the admitted nodes, in the order they joined
+    assert build_session([4, 0, 1, 2, 3], weights, math.inf, net, powers) == [4, 0, 1, 2, 3]
 
 
 def test_build_session_limit_between_singleton_and_pair():
@@ -182,41 +183,46 @@ def test_build_session_limit_between_singleton_and_pair():
     fp = strip_floorplan(2)
     profile = uniform_profile(fp, power=10.0)
     net = build_network(fp, STRIP_PARAMS)
-    single = session_stc({"s1"}, profile, None, net)
-    pair = session_stc({"s1", "s2"}, profile, None, net)
+    single = reference_stc({"s1"}, profile, None, net)
+    pair = reference_stc({"s1", "s2"}, profile, None, net)
     assert single < pair
     stcl = (single + pair) / 2.0
-    session = build_session(["s1", "s2"], {}, stcl, net, profile)
-    assert len(session) == 1
+    powers, weights = packing_inputs(net, profile)
+    assert build_session([0, 1], weights, stcl, net, powers) == [0]
 
 
 def test_build_session_tries_candidates_in_the_order_given():
     fp = strip_floorplan(3)
     profile = PowerProfile({"s1": (1.0, 1.0), "s2": (5.0, 1.0), "s3": (1.0, 1.0)}, fp)
     net = build_network(fp, STRIP_PARAMS)
+    powers, weights = packing_inputs(net, profile)
     tiny = 1e-9
-    by_power = scheduler._ordered(fp.names, profile, {})
-    assert by_power == ["s2", "s1", "s3"]  # highest power first, ties by name
-    # a weight scales its core's power in the order; an absent core weighs 1
-    assert scheduler._ordered(fp.names, profile, {"s3": 6.0}) == ["s3", "s2", "s1"]
+    by_power = scheduler._ordered(range(3), powers, weights, net.nodes)
+    assert by_power == [1, 0, 2]  # highest power first, ties by name
+    # a weight scales its core's power in the order
+    assert scheduler._ordered(range(3), powers, [1.0, 1.0, 6.0], net.nodes) == [2, 1, 0]
+    # ties go by name, not by node index
+    assert scheduler._ordered(range(3), [1.0] * 3, [1.0] * 3, ("c", "b", "a")) == [2, 1, 0]
     # candidates are tried in the order given, file order included
-    assert build_session(by_power, {}, tiny, net, profile) == {"s2"}
-    assert build_session(list(fp.names), {}, tiny, net, profile) == {"s1"}
+    assert build_session(by_power, weights, tiny, net, powers) == [1]
+    assert build_session([0, 1, 2], weights, tiny, net, powers) == [0]
 
 
 def test_build_session_requires_available_cores():
     fp = strip_floorplan(2)
     net = build_network(fp, STRIP_PARAMS)
+    powers, weights = packing_inputs(net, uniform_profile(fp))
     with pytest.raises(ValueError, match="available"):
-        build_session([], {}, 10.0, net, uniform_profile(fp))
+        build_session([], weights, 10.0, net, powers)
 
 
 def test_build_session_rejects_unordered_candidates():
     fp = strip_floorplan(2)
     net = build_network(fp, STRIP_PARAMS)
-    for candidates in (set(fp.names), frozenset(fp.names)):
+    powers, weights = packing_inputs(net, uniform_profile(fp))
+    for candidates in ({0, 1}, frozenset({0, 1})):
         with pytest.raises(TypeError, match="order"):
-            build_session(candidates, {}, 10.0, net, uniform_profile(fp))
+            build_session(candidates, weights, 10.0, net, powers)
 
 
 def full_recompute_session(available, weights, stcl, net, power):
@@ -230,7 +236,7 @@ def full_recompute_session(available, weights, stcl, net, power):
             session.add(name)
             continue
         candidate = session | {name}
-        compared.append(session_stc(candidate, power, weights, net))
+        compared.append(reference_stc(candidate, power, weights, net))
         if compared[-1] <= stcl:
             session = candidate
     return session, compared
@@ -245,7 +251,7 @@ def packing_cases(draw):
     net = build_network(fp, ThermalParams())
     available = {n for n in fp.names if rng.random() < 0.8} or {fp.names[0]}
     weights = {n: 1.1 ** int(rng.integers(0, 6)) for n in fp.names if rng.random() < 0.5}
-    singles = [session_stc({n}, profile, weights, net) for n in fp.names]
+    singles = [reference_stc({n}, profile, weights, net) for n in fp.names]
     stcl = max(float(np.median(singles)), 1e-12) * draw(st.floats(0.3, 30.0))
     return net, profile, available, weights, stcl
 
@@ -254,13 +260,20 @@ def packing_cases(draw):
 @given(packing_cases(), st.integers(0, 2**32 - 1))
 def test_incremental_stc_packs_like_full_recompute(case, pick):
     net, profile, available, weights, stcl = case
+    powers, weight_list = packing_inputs(net, profile, weights)
     # as generate_schedule does: the whole die sorted once, scheduled cores dropped
     candidates = [
-        n for n in scheduler._ordered(net.nodes, profile, weights) if n in available
+        i for i in scheduler._ordered(range(len(net.nodes)), powers, weight_list, net.nodes)
+        if net.nodes[i] in available
     ]
-    first = session_stc(candidates[:1], profile, weights, net)
+
+    def packed(limit, margins=None):
+        admitted = build_session(candidates, weight_list, limit, net, powers, margins)
+        return {net.nodes[i] for i in admitted}
+
+    first = reference_stc([net.nodes[candidates[0]]], profile, weights, net)
     expected, compared = full_recompute_session(available, weights, stcl, net, profile)
-    assert build_session(candidates, weights, stcl, net, profile) == expected
+    assert packed(stcl) == expected
     # a limit equal to the first core's singleton STC, or to one of the compared
     # STCs, puts a decision on the boundary
     boundaries = [first]
@@ -269,7 +282,7 @@ def test_incremental_stc_packs_like_full_recompute(case, pick):
     for limit in [stcl] + boundaries:
         expected, compared = full_recompute_session(available, weights, limit, net, profile)
         margins = [-math.inf, math.inf]
-        assert build_session(candidates, weights, limit, net, profile, margins) == expected
+        assert packed(limit, margins) == expected
         # the margins are the compared STCs closest to the limit on each side;
         # over the limit, the first core's STC ends the attempt at once
         if first > limit:
@@ -283,9 +296,9 @@ def test_incremental_stc_packs_like_full_recompute(case, pick):
 
 def record_packing(monkeypatch):
     """Wrap the packing names generate_schedule looks up; returns the list
-    that collects each attempt's (candidates, weights, stcl, session, the
-    session_stc member lists it evaluated) and the list of packing-order
-    sorts."""
+    that collects each attempt's (candidates, weights, stcl, admitted nodes,
+    the session_stc member lists it evaluated), all on node indices, and
+    the list of packing-order sorts."""
     attempts, calls, sorts = [], [], []
     real_build, real_stc, real_ordered = (
         scheduler.build_session, scheduler.session_stc, scheduler._ordered
@@ -311,6 +324,12 @@ def record_packing(monkeypatch):
     return attempts, sorts
 
 
+def first_core_stc(die, candidates, weights):
+    """The STC of an attempt's first candidate alone, from the reference."""
+    name = die.net.nodes[candidates[0]]
+    return reference_stc([name], die.power, {name: weights[candidates[0]]}, die.net)
+
+
 def test_packing_evaluates_each_candidate_and_its_session_neighbours_only(monkeypatch):
     die = golden_synth400_die()
     net = die.net
@@ -324,17 +343,14 @@ def test_packing_evaluates_each_candidate_and_its_session_neighbours_only(monkey
         # candidate, whose own term comes from its escape-path scan; an
         # attempt whose first core is over the limit stops at once
         expected, admitted = [], {candidates[0]}
-        if session_stc(candidates[:1], die.power, weights, net) <= stcl:
-            for name in candidates[1:]:
-                touched = [
-                    net.nodes[j] for j, _ in net.lateral[net.position[name]]
-                    if net.nodes[j] in admitted
-                ]
+        if first_core_stc(die, candidates, weights) <= stcl:
+            for i in candidates[1:]:
+                touched = [j for j, _ in net.lateral[i] if j in admitted]
                 if touched:
                     expected.append(touched)
-                if name in session:
-                    admitted.add(name)
-        assert admitted == session
+                if i in session:
+                    admitted.add(i)
+        assert admitted == set(session)
         assert made == expected
         calls += len(made)
         terms += sum(map(len, made))
@@ -358,9 +374,9 @@ def test_packing_sorts_once_per_weight_set_and_early_exits_make_no_stc_call(monk
     assert len(sorts) == 1 + len(attempts) - len(schedule.sessions)
     early_exits = 0
     for candidates, weights, stcl, session, made in attempts:
-        if session_stc(candidates[:1], die.power, weights, die.net) > stcl:
+        if first_core_stc(die, candidates, weights) > stcl:
             early_exits += 1
-            assert session == {candidates[0]}
+            assert session == [candidates[0]]
             assert made == []
     assert (len(attempts), early_exits) == (203, 200)
 
@@ -389,7 +405,7 @@ def test_discard_bumps_its_violators_in_a_new_weight_set(monkeypatch):
     snapshots, recorded_build = [], scheduler.build_session
 
     def build(candidates, weights, *args):
-        snapshots.append(dict(weights))
+        snapshots.append(list(weights))
         return recorded_build(candidates, weights, *args)
 
     monkeypatch.setattr(scheduler, "build_session", build)
@@ -397,11 +413,12 @@ def test_discard_bumps_its_violators_in_a_new_weight_set(monkeypatch):
     assert scheduler.WEIGHT_FACTOR == 1.1
     discards = 0
     for (_, before, _, session, _), (_, after, *_) in zip(attempts, attempts[1:]):
-        temps = simulate_session(session, die.net, die.power).temperatures
-        violators = [n for n in session if temps[die.net.position[n]] >= SYNTH400_LOOSE.tl]
-        expected = dict(before)
-        for name in violators:
-            expected[name] = before.get(name, 1.0) * 1.1
+        members = [die.net.nodes[i] for i in session]
+        temps = simulate_session(members, die.net, die.power).temperatures
+        violators = [i for i in session if temps[i] >= SYNTH400_LOOSE.tl]
+        expected = list(before)
+        for i in violators:
+            expected[i] = before[i] * 1.1
         # bit for bit: exactly the violators move, each by one factor
         assert after == expected
         if violators:
@@ -430,7 +447,7 @@ def test_no_violations_means_effort_equals_length():
     fp = strip_floorplan(4)
     profile = uniform_profile(fp, power=1.0)
     # generous TL, tight STCL: first-attempt success for every session
-    single = session_stc({"s1"}, profile, None, build_network(fp, STRIP_PARAMS))
+    single = reference_stc({"s1"}, profile, None, build_network(fp, STRIP_PARAMS))
     config = SchedulerConfig(tl=200.0, stcl=single * 0.9)
     schedule = generate_schedule(compile_die(fp, profile, STRIP_PARAMS), config)
     assert schedule.simulation_effort == schedule.total_length
@@ -484,7 +501,7 @@ def test_runs_on_one_die_share_each_validated_session(monkeypatch):
         lambda members, *args: solved.append(members) or original(members, *args),
     )
     # singletons come from screening: no run solves one
-    stcl = 0.9 * session_stc({"s1"}, profile, None, die.net)
+    stcl = 0.9 * reference_stc({"s1"}, profile, None, die.net)
     a = generate_schedule(die, SchedulerConfig(tl=200.0, stcl=stcl))
     b = generate_schedule(die, SchedulerConfig(tl=150.0, stcl=stcl))
     assert len(a.sessions) == len(b.sessions) == 4
@@ -495,7 +512,7 @@ def test_runs_on_one_die_share_each_validated_session(monkeypatch):
         assert session is die._validated[session.cores]
         assert session.duration == max(profile.duration(n) for n in session.cores)
     # a larger session is solved by the first run that packs it, only by it
-    stcl = 2.0 * session_stc(fp.names, profile, None, die.net)
+    stcl = 2.0 * reference_stc(fp.names, profile, None, die.net)
     c = generate_schedule(die, SchedulerConfig(tl=200.0, stcl=stcl))
     d = generate_schedule(die, SchedulerConfig(tl=150.0, stcl=stcl))
     assert solved == [frozenset(fp.names)]
@@ -518,7 +535,7 @@ def test_random_schedules_partition_and_stay_safe():
         fp = random_floorplan(rng, int(rng.integers(4, 10)))
         profile = random_profile(rng, fp)
         die = compile_die(fp, profile, ThermalParams())
-        singles = [session_stc({n}, profile, None, die.net) for n in fp.names]
+        singles = [reference_stc({n}, profile, None, die.net) for n in fp.names]
         config = SchedulerConfig(
             tl=max(die.bcmt.values()) + float(rng.uniform(3.0, 40.0)),
             stcl=float(np.median(singles)) * float(rng.uniform(0.5, 4.0)),
@@ -561,7 +578,7 @@ def box_cases(draw):
     fp = random_floorplan(rng, draw(st.integers(1, 8)))
     profile = random_profile(rng, fp)
     die = compile_die(fp, profile, ThermalParams())
-    median = float(np.median([session_stc({n}, profile, None, die.net) for n in fp.names]))
+    median = float(np.median([reference_stc({n}, profile, None, die.net) for n in fp.names]))
     config = SchedulerConfig(
         tl=max(die.bcmt.values()) + draw(st.floats(0.1, 30.0)),
         stcl=median * draw(st.floats(0.2, 6.0)),
@@ -696,7 +713,7 @@ def memo_cases(draw):
     profile = random_profile(rng, fp)
     die = compile_die(fp, profile, ThermalParams())
     hottest = max(die.bcmt.values())
-    median = float(np.median([session_stc({n}, profile, None, die.net) for n in fp.names]))
+    median = float(np.median([reference_stc({n}, profile, None, die.net) for n in fp.names]))
     tls = draw(st.lists(st.floats(-1.0, 10.0), min_size=1, max_size=3))
     stcls = draw(st.lists(st.floats(0.2, 6.0), min_size=1, max_size=2))
     runs = draw(st.lists(
@@ -730,7 +747,7 @@ def reference_cases(draw):
     fp = random_floorplan(rng, draw(st.integers(2, 11)))
     profile = random_profile(rng, fp)
     die = compile_die(fp, profile, ThermalParams())
-    median = float(np.median([session_stc({n}, profile, None, die.net) for n in fp.names]))
+    median = float(np.median([reference_stc({n}, profile, None, die.net) for n in fp.names]))
     config = SchedulerConfig(
         tl=max(die.bcmt.values()) + draw(st.floats(-1.0, 15.0)),
         stcl=median * draw(st.floats(0.2, 6.0)),
@@ -873,7 +890,7 @@ def written_schedules(draw):
     elif regime == "discarding":
         config = SchedulerConfig(tl=(hottest + everything) / 2, stcl=1e300 * scale)
     else:
-        median = float(np.median([session_stc({n}, profile, None, die.net) for n in fp.names]))
+        median = float(np.median([reference_stc({n}, profile, None, die.net) for n in fp.names]))
         config = SchedulerConfig(
             tl=hottest + scale * draw(st.floats(0.5, 20.0)),
             stcl=median * draw(st.floats(0.3, 5.0)),

@@ -2,20 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermsched.floorplan import CoreGeometry, Floorplan, PowerProfile, parse_floorplan
-from thermsched.thermal_model import (
-    ThermalParams,
-    equivalent_resistance,
-    escape_paths,
-    session_stc,
-)
+from thermsched.thermal_model import ThermalParams, escape_paths, session_stc
 from thermsched.thermal_sim import build_network
 from util import (
+    equivalent_resistance,
     grounded_rise_oracle,
+    packing_inputs,
     random_floorplan,
     random_profile,
     random_session,
+    reference_escape,
+    reference_stc,
+    session_flags,
+    stc_of,
     strip_floorplan,
     uniform_profile,
 )
@@ -180,28 +183,41 @@ def test_equivalent_resistance_bounded_by_paths():
                     assert r_eq <= 1.0 / g * (1 + 1e-12)
 
 
-def test_escape_paths_scan_gives_r_eq_and_touched_neighbours_bit_for_bit():
-    # packing prices a candidate from one scan of its escape paths, taken
-    # before it joins the session, so the scan must match a full evaluation
-    # within the enlarged session exactly
-    rng = np.random.default_rng(23)
-    for _ in range(20):
-        fp = random_floorplan(rng, int(rng.integers(1, 30)))
-        net = build_network(fp, ThermalParams())
-        session = random_session(rng, fp)
-        for name in net.nodes:
-            g, touched = escape_paths(name, session - {name}, net)
-            assert 1.0 / g == equivalent_resistance(name, session | {name}, net)
-            # summed vertical first, then the passive laterals in floorplan order
-            expected = net.vertical[net.position[name]]
-            for j, lateral in net.lateral[net.position[name]]:
-                if net.nodes[j] not in session:
-                    expected += lateral
-            assert g == expected
-            assert touched == [
-                net.nodes[j] for j, _ in net.lateral[net.position[name]]
-                if net.nodes[j] in session
-            ]
+@st.composite
+def pricing_cases(draw):
+    """A random guillotine die, powers, weights, a session and some of its
+    members."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fp = random_floorplan(rng, draw(st.integers(1, 30)))
+    profile = random_profile(rng, fp, p_range=(0.0, 4.0))
+    weights = {n: 1.1 ** int(rng.integers(0, 6)) for n in fp.names if rng.random() < 0.5}
+    session = random_session(rng, fp)
+    members = [n for n in fp.names if n in session and rng.random() < 0.5]
+    return build_network(fp, ThermalParams()), profile, weights, session, members
+
+
+@settings(max_examples=80, deadline=None)
+@given(pricing_cases())
+def test_indexed_pricing_matches_the_name_level_reference_bit_for_bit(case):
+    # packing prices on node indices and membership flags; the name-level
+    # reference shares no pricing code with it, and every value must match
+    net, profile, weights, session, members = case
+    active = session_flags(session, net)
+    powers, weight_list = packing_inputs(net, profile, weights)
+    for i, name in enumerate(net.nodes):
+        g, touched = escape_paths(i, active, net)
+        expected_g, expected_touched = reference_escape(name, session, net)
+        assert g == expected_g
+        assert [net.nodes[j] for j in touched] == expected_touched
+        # a candidate's scan before it joins matches its R_eq once it has
+        assert 1.0 / g == equivalent_resistance(name, session | {name}, net)
+    indices = [net.position[n] for n in members]
+    assert session_stc(indices, powers, weight_list, net, active) == reference_stc(
+        members, profile, weights, net, session
+    )
+    assert session_stc(
+        [net.position[n] for n in session], powers, weight_list, net, active
+    ) == reference_stc(session, profile, weights, net)
 
 
 # ── TC and STC ───────────────────────────────────────────────────────────
@@ -212,7 +228,7 @@ def test_tc_zero_power():
     fp = strip_floorplan(2)
     profile = uniform_profile(fp, power=0.0)
     net = build_network(fp, ThermalParams())
-    assert session_stc({"s1"}, profile, {"s1": 2.0}, net) == 0.0
+    assert stc_of({"s1"}, profile, {"s1": 2.0}, net) == 0.0
 
 
 def test_tc_simple_product():
@@ -220,7 +236,7 @@ def test_tc_simple_product():
     fp = strip_floorplan(1)
     params = ThermalParams(r_vertical_per_area=0.5)
     profile = uniform_profile(fp, power=10.0)
-    tc = session_stc({"s1"}, profile, None, build_network(fp, params)) / 10.0
+    tc = stc_of({"s1"}, profile, None, build_network(fp, params)) / 10.0
     assert tc == pytest.approx(5.0)
 
 
@@ -229,14 +245,14 @@ def test_tc_from_oracle_on_strip():
     params = ThermalParams(k_silicon=1.0, die_thickness=1.0, r_vertical_per_area=2.0)
     profile = uniform_profile(fp, power=10.0)
     expected = 10.0 * grounded_rise_oracle("s2", {"s2"}, fp, params)
-    tc = session_stc({"s2"}, profile, None, build_network(fp, params)) / 10.0
+    tc = stc_of({"s2"}, profile, None, build_network(fp, params)) / 10.0
     assert tc == pytest.approx(expected, rel=1e-12)
 
 
 def test_stc_empty_session_is_zero():
     fp = strip_floorplan(2)
     net = build_network(fp, ThermalParams())
-    assert session_stc(frozenset(), uniform_profile(fp), None, net) == 0.0
+    assert stc_of(frozenset(), uniform_profile(fp), None, net) == 0.0
 
 
 def test_stc_singleton_value():
@@ -244,7 +260,7 @@ def test_stc_singleton_value():
     fp = strip_floorplan(1)
     net = build_network(fp, ThermalParams(r_vertical_per_area=0.5))
     profile = uniform_profile(fp, power=10.0)
-    assert session_stc({"s1"}, profile, None, net) == pytest.approx(50.0)
+    assert stc_of({"s1"}, profile, None, net) == pytest.approx(50.0)
 
 
 def test_stc_growth_on_strip():
@@ -254,9 +270,9 @@ def test_stc_growth_on_strip():
     params = ThermalParams(k_silicon=1.0, die_thickness=1.0, r_vertical_per_area=2.0)
     net = build_network(fp, params)
     profile = uniform_profile(fp, power=10.0)
-    single_1 = session_stc({"s1"}, profile, None, net)
-    single_2 = session_stc({"s2"}, profile, None, net)
-    pair = session_stc({"s1", "s2"}, profile, None, net)
+    single_1 = stc_of({"s1"}, profile, None, net)
+    single_2 = stc_of({"s2"}, profile, None, net)
+    pair = stc_of({"s1", "s2"}, profile, None, net)
     assert pair > single_1
     assert pair > single_2
 
@@ -273,8 +289,8 @@ def test_stc_power_scaling_is_quadratic():
         scaled = PowerProfile(
             {n: (alpha * profile.power(n), profile.duration(n)) for n in fp.names}, fp
         )
-        base = session_stc(session, profile, None, net)
-        assert session_stc(session, scaled, None, net) == pytest.approx(
+        base = stc_of(session, profile, None, net)
+        assert stc_of(session, scaled, None, net) == pytest.approx(
             alpha**2 * base, rel=1e-12
         )
 
@@ -285,7 +301,7 @@ def test_stc_weight_scaling_on_singleton():
     profile = uniform_profile(fp, power=10.0)
     beta = 1.1**4
     weighted = {"s1": beta}
-    assert session_stc({"s1"}, profile, weighted, net) == pytest.approx(
+    assert stc_of({"s1"}, profile, weighted, net) == pytest.approx(
         beta * 50.0, rel=1e-12
     )
 
@@ -302,8 +318,8 @@ def test_stc_monotone_in_session_growth():
         if not outside:
             continue
         extra = outside[int(rng.integers(len(outside)))]
-        before = session_stc(session, profile, None, net)
-        after = session_stc(session | {extra}, profile, None, net)
+        before = stc_of(session, profile, None, net)
+        after = stc_of(session | {extra}, profile, None, net)
         assert after >= before
 
 
@@ -324,8 +340,8 @@ def test_stc_of_some_members_within_a_larger_session():
             ),
             default=0.0,
         )
-        assert session_stc(members, profile, weights, net, session) == expected
+        assert stc_of(members, profile, weights, net, session) == expected
         # every member named: the session's own STC
-        assert session_stc(session, profile, weights, net, session) == session_stc(
+        assert stc_of(session, profile, weights, net, session) == stc_of(
             session, profile, weights, net
         )

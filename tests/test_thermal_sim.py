@@ -18,7 +18,7 @@ from thermsched.scheduler import (
     generate_schedule,
     screen_cores,
 )
-from thermsched.thermal_model import ThermalParams, equivalent_resistance, session_stc
+from thermsched.thermal_model import ThermalParams, session_stc
 from thermsched.thermal_sim import (
     RESIDUAL_RTOL,
     NetworkSolveError,
@@ -27,11 +27,14 @@ from thermsched.thermal_sim import (
     solve_steady_state,
 )
 from util import (
+    equivalent_resistance,
     load_inputs,
     load_synth400,
+    packing_inputs,
     random_floorplan,
     random_profile,
     random_session,
+    session_flags,
     strip_floorplan,
     uniform_profile,
 )
@@ -156,12 +159,13 @@ def test_compiled_paths_never_reach_the_adjacency_graph(monkeypatch):
     monkeypatch.setattr(AdjacencyGraph, "pairs", forbidden)
     monkeypatch.setattr(Floorplan, "adjacency", forbidden)
     session = random_session(rng, fp)
-    session_stc(session, profile, None, net)
+    powers, weights = packing_inputs(net, profile)
+    session_stc([net.position[n] for n in session], powers, weights, net, session_flags(session, net))
     for name in session:
         equivalent_resistance(name, session, net)
     simulate_session(session, net, profile)
     screen_cores(net, profile)
-    build_session(fp.names, {}, 10.0, net, profile)
+    build_session(list(range(len(net.nodes))), weights, 10.0, net, powers)
     with pytest.raises(AssertionError, match="geometry"):
         build_network(fp, ThermalParams())  # the compile step does read them
 

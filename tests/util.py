@@ -1,6 +1,7 @@
 """Shared test helpers: tiny floorplan builders, random generators, a
 pairwise shared-edge reference, the grounded-network nodal oracle used
-to cross-check equivalent resistances, and a paper-literal schedule run."""
+to cross-check equivalent resistances, a name-level STC that shares no
+code with the library's pricing, and a paper-literal schedule run."""
 
 from __future__ import annotations
 
@@ -24,8 +25,13 @@ from thermsched.scheduler import (
     TestSession,
     check_tl,
 )
-from thermsched.thermal_model import ThermalParams, session_stc
-from thermsched.thermal_sim import RESIDUAL_RTOL, build_network, simulate_session
+from thermsched.thermal_model import ThermalParams, escape_paths, session_stc
+from thermsched.thermal_sim import (
+    RESIDUAL_RTOL,
+    ThermalNetwork,
+    build_network,
+    simulate_session,
+)
 
 
 def strip_floorplan(n: int = 3, size: float = 1.0) -> Floorplan:
@@ -147,6 +153,77 @@ def grounded_rise_oracle(core: str, session, fp: Floorplan, params: ThermalParam
     return float(rise[index[core]])
 
 
+def session_flags(session, net: ThermalNetwork) -> bytearray:
+    """The membership flags, in node order, of a session given by names."""
+    return bytearray(name in session for name in net.nodes)
+
+
+def equivalent_resistance(name: str, session, net: ThermalNetwork) -> float:
+    """A member's R_eq within a session given by names: the reciprocal of
+    the library's ``escape_paths`` conductance."""
+    if name not in session:
+        raise ValueError(f"core {name!r} is not in the session")
+    return 1.0 / escape_paths(net.position[name], session_flags(session, net), net)[0]
+
+
+def packing_inputs(
+    net: ThermalNetwork, profile: PowerProfile, weights=None
+) -> tuple[list[float], list[float]]:
+    """A profile's test powers and a core -> weight map's weights, an absent
+    core weighing 1 and all ones for None, in node order, as packing and
+    ``session_stc`` take them."""
+    weights = weights or {}
+    return [profile.power(n) for n in net.nodes], [weights.get(n, 1.0) for n in net.nodes]
+
+
+def stc_of(members, profile: PowerProfile, weights, net: ThermalNetwork, session=None) -> float:
+    """The library's ``session_stc`` of cores given by names, with
+    ``weights`` as in ``packing_inputs``; ``session`` defaults to
+    ``members``."""
+    return session_stc(
+        [net.position[name] for name in members],
+        *packing_inputs(net, profile, weights),
+        net,
+        session_flags(members if session is None else session, net),
+    )
+
+
+def reference_escape(name: str, session, net: ThermalNetwork) -> tuple[float, list[str]]:
+    """A core's usable escape conductance within a session given by names,
+    and the session's cores it touches, with no thermsched pricing code:
+    the vertical conductance plus, in floorplan order, the laterals toward
+    cores outside the session."""
+    i = net.position[name]
+    g = net.vertical[i]
+    touched = []
+    for j, lateral in net.lateral[i]:
+        if net.nodes[j] in session:
+            touched.append(net.nodes[j])
+        else:
+            g += lateral
+    return g, touched
+
+
+def reference_stc(members, power: PowerProfile, weights, net: ThermalNetwork, session=None) -> float:
+    """Max over ``members`` of ``P * R_eq * P * W``, on names, with no
+    thermsched pricing code.
+
+    Each R_eq is ``reference_escape``'s conductance within ``session``,
+    which defaults to ``members``, inverted.  ``weights`` maps cores to
+    weights, an absent core weighing 1, or is None for all ones.  The
+    product is evaluated left to right, as the library evaluates it, so
+    the two agree bit for bit.
+    """
+    session = members if session is None else session
+    weights = weights or {}
+    stc = 0.0
+    for name in members:
+        p = power.power(name)
+        r_eq = 1.0 / reference_escape(name, session, net)[0]
+        stc = max(stc, p * r_eq * p * weights.get(name, 1.0))
+    return stc
+
+
 def reference_schedule(
     fp: Floorplan, power: PowerProfile, params: ThermalParams, config: SchedulerConfig
 ) -> Schedule:
@@ -155,7 +232,7 @@ def reference_schedule(
 
     Every core is screened alone with ``simulate_session``.  Each attempt
     sorts the remaining cores by ``(-P*W, name)``, admits a candidate when
-    the ``session_stc`` of the session with it is within STCL, the first
+    the ``reference_stc`` of the session with it is within STCL, the first
     core exempt, and validates the session with ``simulate_session``; the
     violators get their weights times 1.1 in a new dict.  The errors are
     ``generate_schedule``'s.  There is no memo, no incremental pricing and
@@ -174,7 +251,7 @@ def reference_schedule(
         order = sorted(remaining, key=lambda n: (-power.power(n) * weights.get(n, 1.0), n))
         session = order[:1]
         for name in order[1:]:
-            if session_stc(session + [name], power, weights, net) <= config.stcl:
+            if reference_stc(session + [name], power, weights, net) <= config.stcl:
                 session.append(name)
         result = simulate_session(session, net, power)
         duration = max(power.duration(name) for name in session)
