@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from collections.abc import Set
 from decimal import ROUND_CEILING, Decimal, localcontext
 from typing import Mapping, Sequence
@@ -458,86 +458,56 @@ def schedule_to_json(
 ) -> str:
     """The schedule as an indented JSON document, with config and params echoed.
 
-    The text is exactly ``json.dumps(document, indent=2) + "\n"`` of the
-    document it describes, written directly: ``json`` falls back to its
-    pure-Python encoder whenever ``indent`` is set, and an N-core die gives
-    N temperatures per session.  Each node's indented, escaped key is built
-    once per document, and each session's temperatures, and the BCMT
-    report, are formatted in bulk by ``_float_texts``, which gives the
-    ``float.__repr__`` text that ``json`` writes for a finite float; the
-    solver rejects non-finite temperatures.  The small header and scalars
-    go through ``json.dumps``.
+    The text is exactly ``json.dumps(document, indent=2) + "\n"``, written by
+    one ``orjson.dumps`` of the document.  Where orjson's bytes would differ,
+    the text is that definition itself: for a float other than zero with a
+    magnitude outside ``[1e-4, 1e16)`` (orjson writes ``1e16`` or ``0.00001``
+    where ``float.__repr__`` writes ``1e+16`` or ``1e-05``), for a name with
+    DEL or a character beyond ASCII (orjson writes it raw, ``json`` escapes
+    it), and for a value orjson refuses, such as an int beyond 64 bits or a
+    numpy scalar.
     """
-    header = json.dumps(
-        {
-            "config": {
-                "tl_c": config.tl,
-                "stcl": config.stcl,
-                # the one weight factor and packing order, echoed for the
-                # document's readers
-                "weight_factor": WEIGHT_FACTOR,
-                "core_order": "power_weight_desc",
-            },
-            "thermal_params": {
-                "k_silicon": params.k_silicon,
-                "die_thickness": params.die_thickness,
-                "r_vertical_per_area": params.r_vertical_per_area,
-                "t_ambient": params.t_ambient,
-            },
+    sessions = schedule.sessions
+    document = {
+        "config": {
+            "tl_c": config.tl,
+            "stcl": config.stcl,
+            # the one weight factor and packing order, echoed for the
+            # document's readers
+            "weight_factor": WEIGHT_FACTOR,
+            "core_order": "power_weight_desc",
         },
-        indent=2,
-    )
-    # every session of a schedule is solved on one network, so one node tuple
-    keys = [f"        {json.dumps(n)}: " for n in schedule.sessions[0].result.nodes]
-    sessions = []
-    for s in schedule.sessions:
-        cores = ",\n".join(f"        {json.dumps(n)}" for n in sorted(s.cores))
-        temps = _float_texts(s.result.temperatures)
-        peak_core, peak_temp = s.result.peak
-        sessions.append(
-            f'    {{\n      "cores": [\n{cores}\n      ],\n'
-            f'      "duration_s": {json.dumps(s.duration)},\n'
-            f'      "temps_c": {_json_object(map(str.__add__, keys, temps), "      ")},\n'
-            f'      "peak": {{\n        "core": {json.dumps(peak_core)},\n'
-            f'        "temperature_c": {json.dumps(peak_temp)}\n      }}\n    }}'
-        )
-    report = schedule.stage1_report
-    bcmt = (
-        f"    {json.dumps(name)}: {text}"
-        for name, text in zip(report, _float_texts(np.fromiter(report.values(), float)))
-    )
-    sessions_list = ",\n".join(sessions)
-    return (
-        f"{header[:-2]},\n"  # reopen the header object: drop its closing "\n}"
-        f'  "stage1_bcmt_c": {_json_object(bcmt, "  ")},\n'
-        f'  "sessions": [\n{sessions_list}\n  ],\n'
-        f'  "total_length_s": {json.dumps(schedule.total_length)},\n'
-        f'  "simulation_effort_s": {json.dumps(schedule.simulation_effort)},\n'
-        f'  "max_temperature_c": {json.dumps(schedule.max_temperature)}\n'
-        "}\n"
-    )
-
-
-def _float_texts(values: np.ndarray) -> list[str]:
-    """Each float of a non-empty 1-D array as ``float.__repr__`` writes it.
-
-    orjson writes the same shortest round-trip digits as ``repr``, and in
-    the same notation for every magnitude in ``[1e-4, 1e16)`` and for zero;
-    outside that range it writes ``1e16`` and ``0.00001`` where ``repr``
-    writes ``1e+16`` and ``1e-05``, so those few entries are rewritten by
-    ``repr``.
-    """
-    texts = orjson.dumps(values.tolist()).decode()[1:-1].split(",")
-    magnitude = np.abs(values)
-    exponent_form = (magnitude != 0) & ((magnitude < 1e-4) | (magnitude >= 1e16))
-    for i in np.flatnonzero(exponent_form):
-        texts[i] = float.__repr__(float(values[i]))
-    return texts
-
-
-def _json_object(members, indent: str) -> str:
-    """A JSON object from its indented ``"key": value`` member lines, at
-    least one, since a floorplan has a core; ``indent`` is the indentation
-    of the closing brace."""
-    body = ",\n".join(members)
-    return f"{{\n{body}\n{indent}}}"
+        "thermal_params": asdict(params),
+        "stage1_bcmt_c": dict(schedule.stage1_report),
+        "sessions": [
+            {
+                "cores": sorted(s.cores),
+                "duration_s": s.duration,
+                "temps_c": dict(zip(s.result.nodes, s.result.temperatures.tolist())),
+                "peak": {"core": s.result.peak[0], "temperature_c": s.result.peak[1]},
+            }
+            for s in sessions
+        ],
+        "total_length_s": schedule.total_length,
+        "simulation_effort_s": schedule.simulation_effort,
+        "max_temperature_c": schedule.max_temperature,
+    }
+    scalars = [
+        config.tl, config.stcl, *document["thermal_params"].values(),
+        *schedule.stage1_report.values(), schedule.total_length,
+        schedule.simulation_effort, document["max_temperature_c"],
+        *(x for s in sessions for x in (s.duration, s.result.peak[1])),
+    ]
+    floats = [np.array([x for x in scalars if isinstance(x, float)])]
+    floats += [s.result.temperatures for s in sessions]
+    if all(np.all((m == 0) | ((m >= 1e-4) & (m < 1e16))) for m in map(np.abs, floats)):
+        try:
+            data = orjson.dumps(document, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE)
+        except orjson.JSONEncodeError:
+            pass
+        else:
+            if data.isascii() and b"\x7f" not in data:
+                del document  # release the temperatures before decoding the text
+                return data.decode()
+            del data  # free orjson's text before json's encoder builds its own
+    return json.dumps(document, indent=2) + "\n"

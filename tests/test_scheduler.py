@@ -1,5 +1,6 @@
 """Scheduler tests: screening, session packing, and the feedback loop."""
 
+import itertools
 import json
 import math
 import re
@@ -24,7 +25,12 @@ from thermsched.scheduler import (
     screen_cores,
 )
 from thermsched.thermal_model import ThermalParams
-from thermsched.thermal_sim import NetworkSolveError, build_network, simulate_session
+from thermsched.thermal_sim import (
+    NetworkSolveError,
+    SimulationResult,
+    build_network,
+    simulate_session,
+)
 from util import (
     load_inputs,
     load_synth400,
@@ -852,9 +858,10 @@ def test_schedule_document_is_json_ready():
         assert s["peak"]["temperature_c"] < 150.0
 
 
-# names that json must escape: quotes, backslashes, control characters,
+# names that json must escape: quotes, backslashes and control characters,
 # and characters outside ASCII, including one beyond the BMP
-NAME_CHARS = st.sampled_from(['"', "\\", "\n", "\t", "\x1f", "/", "a", " ", "é", "Ω", "€", "\U0001d11e"])
+ASCII_NAME_CHARS = ['"', "\\", "\n", "\t", "\x1f", "/", "a", " "]
+NAME_CHARS = [*ASCII_NAME_CHARS, "é", "Ω", "€", "\U0001d11e"]
 
 
 # (ambient, power scale): the default ambient with watts, and two dies whose
@@ -874,8 +881,11 @@ def written_schedules(draw):
     ambient, scale = draw(st.sampled_from(AMBIENTS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     base = random_floorplan(rng, draw(st.integers(2 if regime == "discarding" else 1, 7)))
-    # every name holds a quote, a backslash and a non-ASCII character
-    names = [draw(st.text(NAME_CHARS, max_size=4)) + f'"\\é{i}' for i in range(len(base))]
+    # every name holds a quote and a backslash.  ASCII-only names at the
+    # default ambient go through orjson; a non-ASCII character sends the
+    # whole document through json
+    chars, suffix = draw(st.sampled_from([(ASCII_NAME_CHARS, '"\\'), (NAME_CHARS, '"\\é')]))
+    names = [draw(st.text(st.sampled_from(chars), max_size=4)) + f"{suffix}{i}" for i in range(len(base))]
     fp = Floorplan([
         CoreGeometry(name, c.width, c.height, c.left_x, c.bottom_y)
         for name, c in zip(names, base)
@@ -915,14 +925,129 @@ FLOAT_EDGES = [
 ]
 
 
+# finite floats anywhere, and only where orjson writes repr's notation
+ANY_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(FLOAT_EDGES))
+REPR_RANGE_FLOATS = st.one_of(
+    st.just(0.0), st.floats(1e-4, 1e16, exclude_max=True), st.floats(-1e16, -1e-4, exclude_min=True)
+)
+# ASCII without DEL, where orjson and json escape alike; all of ASCII, with
+# DEL drawn often; the BMP beyond ASCII; and astral characters
+NAME_ALPHABETS = [
+    st.characters(max_codepoint=0x7E),
+    st.characters(max_codepoint=0x7F) | st.just("\x7f"),
+    st.characters(min_codepoint=0x80, max_codepoint=0xFFFF),
+    st.characters(min_codepoint=0x10000),
+]
+
+
+def hand_built(names, rows, values):
+    """A schedule over ``names`` with one session per row of temperatures,
+    built by hand rather than run, so that every value is free.  Limits,
+    params, durations, BCMTs and totals are taken from ``values`` in turn,
+    cycling; a field that must be positive takes the magnitude, or 1."""
+    values = itertools.cycle(values)
+
+    def positive():
+        return abs(next(values)) or 1.0
+
+    config = SchedulerConfig(tl=next(values), stcl=positive())
+    params = ThermalParams(positive(), positive(), positive(), next(values))
+    sessions = []
+    for k, row in enumerate(rows):
+        temperatures = np.array(row)
+        temperatures.flags.writeable = False
+        peak = int(np.argmax(temperatures))
+        result = SimulationResult(tuple(names), temperatures, (names[peak], row[peak]))
+        sessions.append(scheduler.TestSession(frozenset(names[k::len(rows)]), next(values), result))
+    schedule = scheduler.Schedule(
+        sessions=tuple(sessions),
+        total_length=next(values),
+        simulation_effort=next(values),
+        stage1_report={name: next(values) for name in names},
+        tl_range=(-math.inf, math.inf),
+        stcl_range=(-math.inf, math.inf),
+    )
+    return schedule, config, params
+
+
+@st.composite
+def hand_built_schedules(draw):
+    """``hand_built`` over drawn names and floats: names from one alphabet
+    of ``NAME_ALPHABETS``, and temperatures and the other values each from
+    anywhere finite or all within orjson's repr range, so that both of the
+    writer's paths run."""
+    names = draw(st.lists(
+        st.text(draw(st.sampled_from(NAME_ALPHABETS)), min_size=1, max_size=3),
+        min_size=1, max_size=4, unique=True,
+    ))
+    temperatures = draw(st.sampled_from([ANY_FLOATS, REPR_RANGE_FLOATS]))
+    values = draw(st.sampled_from([ANY_FLOATS, REPR_RANGE_FLOATS]))
+    row = st.lists(temperatures, min_size=len(names), max_size=len(names))
+    return hand_built(names, draw(st.lists(row, min_size=1, max_size=3)), draw(st.lists(values, min_size=1)))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(
-    st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(FLOAT_EDGES)),
-    min_size=1,
-))
-@example(FLOAT_EDGES)
-def test_float_texts_are_the_reprs(values):
-    assert scheduler._float_texts(np.array(values)) == list(map(float.__repr__, values))
+@given(hand_built_schedules())
+@example(hand_built([f"c{i}" for i in range(len(FLOAT_EDGES))], [FLOAT_EDGES], FLOAT_EDGES))
+# the one float outside repr's range is a temperature below the peak
+@example(hand_built(["a", "b"], [[45.0, 1e-5]], [1.5]))
+@example(hand_built(["a\x7f", "b"], [[45.0, 50.0]], [1.5]))
+def test_json_document_matches_the_json_module_for_any_values(case):
+    schedule, config, params = case
+    text = schedule_to_json(schedule, config, params)
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2) + "\n"
+    assert doc["config"]["tl_c"] == config.tl
+    assert list(doc["thermal_params"].values()) == [
+        params.k_silicon, params.die_thickness, params.r_vertical_per_area, params.t_ambient
+    ]
+    assert doc["stage1_bcmt_c"] == schedule.stage1_report
+    for written, session in zip(doc["sessions"], schedule.sessions, strict=True):
+        assert written["cores"] == sorted(session.cores)
+        assert written["duration_s"] == session.duration
+        assert list(written["temps_c"].items()) == list(
+            zip(session.result.nodes, session.result.temperatures.tolist())
+        )
+        assert written["peak"]["temperature_c"] == session.result.peak[1]
+    assert doc["total_length_s"] == schedule.total_length
+    assert doc["simulation_effort_s"] == schedule.simulation_effort
+
+
+def strip_schedule(config, fp=None):
+    fp = fp or strip_floorplan(3)
+    return generate_schedule(compile_die(fp, uniform_profile(fp, power=1.0), STRIP_PARAMS), config)
+
+
+# values orjson refuses, each written as json writes it
+@pytest.mark.parametrize("config, params, written", [
+    (SchedulerConfig(tl=2**64 + 1, stcl=10.0), STRIP_PARAMS, '"tl_c": 18446744073709551617,'),
+    (SchedulerConfig(tl=150.0, stcl=10.0), replace(STRIP_PARAMS, die_thickness=2**70),
+     '"die_thickness": 1180591620717411303424,'),
+    (SchedulerConfig(tl=150.0, stcl=np.float64(10.0)), STRIP_PARAMS, '"stcl": 10.0,'),
+])
+def test_values_orjson_refuses_are_written_as_json_writes_them(config, params, written):
+    # the writer echoes the params it is given; the schedule's die is the strip's
+    text = schedule_to_json(strip_schedule(config), config, params)
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert written in text
+
+
+def test_a_lone_surrogate_core_name_is_written_as_json_writes_it():
+    fp = Floorplan([
+        CoreGeometry("\ud800", 1.0, 1.0, 0.0, 0.0), CoreGeometry("s2", 1.0, 1.0, 1.0, 0.0)
+    ])
+    config = SchedulerConfig(tl=150.0, stcl=10.0)
+    text = schedule_to_json(strip_schedule(config, fp), config, STRIP_PARAMS)
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert '"\\ud800": ' in text
+
+
+def test_an_ascii_document_in_repr_range_is_written_by_orjson(monkeypatch):
+    config = SchedulerConfig(tl=150.0, stcl=10.0)
+    schedule = strip_schedule(config)
+    expected = json.dumps(json.loads(schedule_to_json(schedule, config, STRIP_PARAMS)), indent=2) + "\n"
+    monkeypatch.setattr(scheduler, "json", None)  # the json path would fail
+    assert schedule_to_json(schedule, config, STRIP_PARAMS) == expected
 
 
 @settings(max_examples=60, deadline=None)
