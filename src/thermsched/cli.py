@@ -19,6 +19,9 @@ run behind the previous point in its TL row, or behind the point at the
 same STCL in the previous TL row, gets that run's row with its own limits
 instead of a run of its own.
 
+Either mode writes UTF-8 bytes, to stdout or to ``--out``, whatever the
+encoding of stdout, so a core name holding "é" exits 0 under any locale.
+
 Exit codes: 0 success; 1 input error, unsolvable thermal network, or a
 weight or simulation effort that overflows in double precision; 2 screening
 failure (for a sweep, at every TL).
@@ -172,9 +175,12 @@ def _load_inputs(args) -> tuple[Floorplan, PowerProfile, ThermalParams]:
 
 def _write(payload: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
-    else:
+        with open(out, "wb") as fh:
+            fh.write(payload.encode())
+    elif hasattr(sys.stdout, "buffer"):  # UTF-8, whatever stdout's encoding
+        sys.stdout.flush()
+        sys.stdout.buffer.write(payload.encode())
+    else:  # a stream of text alone, such as a StringIO, takes the text
         sys.stdout.write(payload)
 
 

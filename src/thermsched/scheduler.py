@@ -458,16 +458,14 @@ def schedule_to_json(
 ) -> str:
     """The schedule as an indented JSON document, with config and params echoed.
 
-    The text is exactly ``json.dumps(document, indent=2) + "\n"``, written by
-    one ``orjson.dumps`` of the document.  Where orjson's bytes would differ,
-    the text is that definition itself: for a float other than zero with a
-    magnitude outside ``[1e-4, 1e16)`` (orjson writes ``1e16`` or ``0.00001``
-    where ``float.__repr__`` writes ``1e+16`` or ``1e-05``), for a name with
-    DEL or a character beyond ASCII (orjson writes it raw, ``json`` escapes
-    it), and for a value orjson refuses, such as an int beyond 64 bits or a
-    numpy scalar.
+    The text is orjson's indented rendering, which ``json.loads`` reads back
+    key for key and float for float.  With names in ASCII without DEL and
+    floats zero or of magnitude within ``[1e-4, 1e16)`` it is exactly
+    ``json.dumps(document, indent=2) + "\n"``; elsewhere orjson writes other
+    characters raw, where json escapes them, and ``1e16`` or ``0.00001``
+    for ``1e+16`` or ``1e-05``.  Only a value orjson refuses (an int beyond
+    64 bits, a numpy scalar, a lone surrogate) is written by ``json.dumps``.
     """
-    sessions = schedule.sessions
     document = {
         "config": {
             "tl_c": config.tl,
@@ -486,28 +484,15 @@ def schedule_to_json(
                 "temps_c": dict(zip(s.result.nodes, s.result.temperatures.tolist())),
                 "peak": {"core": s.result.peak[0], "temperature_c": s.result.peak[1]},
             }
-            for s in sessions
+            for s in schedule.sessions
         ],
         "total_length_s": schedule.total_length,
         "simulation_effort_s": schedule.simulation_effort,
         "max_temperature_c": schedule.max_temperature,
     }
-    scalars = [
-        config.tl, config.stcl, *document["thermal_params"].values(),
-        *schedule.stage1_report.values(), schedule.total_length,
-        schedule.simulation_effort, document["max_temperature_c"],
-        *(x for s in sessions for x in (s.duration, s.result.peak[1])),
-    ]
-    floats = [np.array([x for x in scalars if isinstance(x, float)])]
-    floats += [s.result.temperatures for s in sessions]
-    if all(np.all((m == 0) | ((m >= 1e-4) & (m < 1e16))) for m in map(np.abs, floats)):
-        try:
-            data = orjson.dumps(document, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE)
-        except orjson.JSONEncodeError:
-            pass
-        else:
-            if data.isascii() and b"\x7f" not in data:
-                del document  # release the temperatures before decoding the text
-                return data.decode()
-            del data  # free orjson's text before json's encoder builds its own
-    return json.dumps(document, indent=2) + "\n"
+    try:
+        data = orjson.dumps(document, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE)
+    except orjson.JSONEncodeError:
+        return json.dumps(document, indent=2) + "\n"
+    del document  # release the temperatures before decoding the text
+    return data.decode()

@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
@@ -179,6 +182,39 @@ def test_single_run_json(three_core_files, tmp_path, capsys):
     assert len(doc["sessions"]) == 1  # generous limits: everything in one go
     assert sorted(doc["sessions"][0]["cores"]) == ["a", "b", "c"]
     assert doc["max_temperature_c"] < 200.0
+
+
+def test_single_run_writes_utf8_to_an_ascii_stdout(tmp_path):
+    # a name holding "é" reaches stdout as the same bytes as the --out file,
+    # even where Python would encode stdout's text as ASCII
+    flp = tmp_path / "die.flp"
+    flp.write_text("é1 0.004 0.004 0.0 0.0\né2 0.004 0.004 0.004 0.0\n", encoding="utf-8")
+    power = tmp_path / "power.csv"
+    power.write_text("é1,1.0,1.0\né2,1.2,1.0\n", encoding="utf-8")
+    out = tmp_path / "schedule.json"
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONIOENCODING": "ascii",
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    args = [sys.executable, "-m", "thermsched", "--floorplan", str(flp), "--power", str(power),
+            "--tl", "200", "--stcl", "500"]
+    to_stdout = subprocess.run(args, capture_output=True, env=env, timeout=120, check=False)
+    to_file = subprocess.run([*args, "--out", str(out)], capture_output=True, env=env,
+                             timeout=120, check=False)
+    assert (to_stdout.returncode, to_file.returncode) == (0, 0), to_stdout.stderr.decode()
+    assert to_stdout.stdout == out.read_bytes()
+    assert set(json.loads(to_stdout.stdout)["stage1_bcmt_c"]) == {"é1", "é2"}
+
+
+def test_single_run_writes_to_a_stdout_of_text_alone(three_core_files, tmp_path):
+    # a caller may redirect stdout to a stream that has no bytes beneath it
+    flp, power = three_core_files
+    out = tmp_path / "schedule.json"
+    args = ["--floorplan", str(flp), "--power", str(power), "--tl", "200", "--stcl", "500"]
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(args) == 0
+    assert main([*args, "--out", str(out)]) == 0
+    assert text.getvalue() == out.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

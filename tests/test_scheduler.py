@@ -6,7 +6,7 @@ import math
 import re
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -865,8 +865,8 @@ NAME_CHARS = [*ASCII_NAME_CHARS, "é", "Ω", "€", "\U0001d11e"]
 
 
 # (ambient, power scale): the default ambient with watts, and two dies whose
-# temperatures repr writes in exponent form: microwatts at 0 C, where the
-# passive cores stay below 1e-4 C, and kilowatts at 1e16 C
+# temperatures orjson and repr spell differently: microwatts at 0 C, where
+# the passive cores stay below 1e-4 C, and kilowatts at 1e16 C
 AMBIENTS = [(ThermalParams.t_ambient, 1.0), (0.0, 1e-6), (1e16, 1e3)]
 
 
@@ -882,8 +882,8 @@ def written_schedules(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     base = random_floorplan(rng, draw(st.integers(2 if regime == "discarding" else 1, 7)))
     # every name holds a quote and a backslash.  ASCII-only names at the
-    # default ambient go through orjson; a non-ASCII character sends the
-    # whole document through json
+    # default ambient give json's own text; a non-ASCII character is
+    # written raw, as UTF-8
     chars, suffix = draw(st.sampled_from([(ASCII_NAME_CHARS, '"\\'), (NAME_CHARS, '"\\é')]))
     names = [draw(st.text(st.sampled_from(chars), max_size=4)) + f"{suffix}{i}" for i in range(len(base))]
     fp = Floorplan([
@@ -940,6 +940,61 @@ NAME_ALPHABETS = [
 ]
 
 
+def exact(value):
+    """``value`` with every float replaced by its ``float.hex``, so that
+    ``-0.0`` and ``0.0`` compare unequal, and every dict by its items in
+    order, so that key order counts."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return [(key, exact(item)) for key, item in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [exact(item) for item in value]
+    return value
+
+
+def floats_in(value):
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, (dict, list)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from floats_in(item)
+
+
+def written_text(schedule, config, params):
+    """The schedule's JSON text, checked against the writer's contract:
+    ``json.loads`` gives back every key, in order, and every float bit for
+    bit; and with every core name in ASCII without DEL and every float zero
+    or of magnitude within ``[1e-4, 1e16)``, where orjson escapes and spells
+    as json does, the text is exactly json's own indented rendering."""
+    text = schedule_to_json(schedule, config, params)
+    doc = json.loads(text)
+    assert exact(doc) == exact({
+        "config": {
+            "tl_c": config.tl, "stcl": config.stcl,
+            "weight_factor": scheduler.WEIGHT_FACTOR, "core_order": "power_weight_desc",
+        },
+        "thermal_params": asdict(params),
+        "stage1_bcmt_c": schedule.stage1_report,
+        "sessions": [
+            {
+                "cores": sorted(session.cores),
+                "duration_s": session.duration,
+                "temps_c": dict(zip(session.result.nodes, session.result.temperatures.tolist())),
+                "peak": {"core": session.result.peak[0], "temperature_c": session.result.peak[1]},
+            }
+            for session in schedule.sessions
+        ],
+        "total_length_s": schedule.total_length,
+        "simulation_effort_s": schedule.simulation_effort,
+        "max_temperature_c": schedule.max_temperature,
+    })
+    names_escaped_alike = all(n.isascii() and "\x7f" not in n for n in schedule.stage1_report)
+    if names_escaped_alike and all(x == 0 or 1e-4 <= abs(x) < 1e16 for x in floats_in(doc)):
+        assert text == json.dumps(doc, indent=2) + "\n"
+    return text
+
+
 def hand_built(names, rows, values):
     """A schedule over ``names`` with one session per row of temperatures,
     built by hand rather than run, so that every value is free.  Limits,
@@ -974,8 +1029,8 @@ def hand_built(names, rows, values):
 def hand_built_schedules(draw):
     """``hand_built`` over drawn names and floats: names from one alphabet
     of ``NAME_ALPHABETS``, and temperatures and the other values each from
-    anywhere finite or all within orjson's repr range, so that both of the
-    writer's paths run."""
+    anywhere finite or all within orjson's repr range, so that some
+    documents must match json's spelling and others need only read back."""
     names = draw(st.lists(
         st.text(draw(st.sampled_from(NAME_ALPHABETS)), min_size=1, max_size=3),
         min_size=1, max_size=4, unique=True,
@@ -993,24 +1048,7 @@ def hand_built_schedules(draw):
 @example(hand_built(["a", "b"], [[45.0, 1e-5]], [1.5]))
 @example(hand_built(["a\x7f", "b"], [[45.0, 50.0]], [1.5]))
 def test_json_document_matches_the_json_module_for_any_values(case):
-    schedule, config, params = case
-    text = schedule_to_json(schedule, config, params)
-    doc = json.loads(text)
-    assert text == json.dumps(doc, indent=2) + "\n"
-    assert doc["config"]["tl_c"] == config.tl
-    assert list(doc["thermal_params"].values()) == [
-        params.k_silicon, params.die_thickness, params.r_vertical_per_area, params.t_ambient
-    ]
-    assert doc["stage1_bcmt_c"] == schedule.stage1_report
-    for written, session in zip(doc["sessions"], schedule.sessions, strict=True):
-        assert written["cores"] == sorted(session.cores)
-        assert written["duration_s"] == session.duration
-        assert list(written["temps_c"].items()) == list(
-            zip(session.result.nodes, session.result.temperatures.tolist())
-        )
-        assert written["peak"]["temperature_c"] == session.result.peak[1]
-    assert doc["total_length_s"] == schedule.total_length
-    assert doc["simulation_effort_s"] == schedule.simulation_effort
+    written_text(*case)
 
 
 def strip_schedule(config, fp=None):
@@ -1042,30 +1080,22 @@ def test_a_lone_surrogate_core_name_is_written_as_json_writes_it():
     assert '"\\ud800": ' in text
 
 
-def test_an_ascii_document_in_repr_range_is_written_by_orjson(monkeypatch):
-    config = SchedulerConfig(tl=150.0, stcl=10.0)
-    schedule = strip_schedule(config)
-    expected = json.dumps(json.loads(schedule_to_json(schedule, config, STRIP_PARAMS)), indent=2) + "\n"
+# a value in each place where orjson's spelling differs from json's, each
+# with the text orjson writes for it, and one where the two agree
+@pytest.mark.parametrize("names, value, written", [
+    (["a", "b"], 50.0, '"b": 50.0'),
+    (["\u00e9", "b"], 50.0, '"\u00e9": 45.0'),
+    (["\U0001d11e", "b"], 50.0, '"\U0001d11e": 45.0'),
+    (["a\x7f", "b"], 50.0, '"a\x7f": 45.0'),
+    (["a", "b"], 1e-5, '"b": 0.00001'),
+    (["a", "b"], 1e16, '"b": 1e16'),
+], ids=["ascii", "non-ascii", "astral", "del", "tiny-float", "huge-float"])
+def test_any_document_orjson_accepts_is_written_by_orjson(monkeypatch, names, value, written):
     monkeypatch.setattr(scheduler, "json", None)  # the json path would fail
-    assert schedule_to_json(schedule, config, STRIP_PARAMS) == expected
+    assert written in written_text(*hand_built(names, [[45.0, value]], [1.5]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(written_schedules())
 def test_json_writer_matches_the_json_module(case):
-    schedule, config, params = case
-    text = schedule_to_json(schedule, config, params)
-    # the writer's bytes are exactly json's own indented rendering
-    assert json.dumps(json.loads(text), indent=2) + "\n" == text
-    doc = json.loads(text)
-    assert list(doc["stage1_bcmt_c"].items()) == list(schedule.stage1_report.items())
-    assert len(doc["sessions"]) == len(schedule.sessions)
-    for written, session in zip(doc["sessions"], schedule.sessions):
-        assert written["cores"] == sorted(session.cores)
-        assert written["duration_s"] == session.duration
-        assert list(written["temps_c"]) == list(session.result.nodes)
-        assert list(written["temps_c"].values()) == session.result.temperatures.tolist()
-        assert written["peak"] == {
-            "core": session.result.peak[0], "temperature_c": session.result.peak[1]
-        }
-    assert doc["max_temperature_c"] == schedule.max_temperature
+    written_text(*case)
