@@ -66,12 +66,17 @@ def _limit(value: float) -> str:
     return text if float(text) == value else repr(value)
 
 
+def _totals(schedule: Schedule) -> str:
+    """A run's columns of its sweep rows: length, effort and peak."""
+    return (
+        f"{_limit(schedule.total_length)},{_limit(schedule.simulation_effort)},"
+        f"{schedule.max_temperature:.4f}"
+    )
+
+
 def _sweep_row(tl: float, stcl: float, schedule: Schedule) -> str:
     """One grid point's CSV row, matching SWEEP_HEADER column for column."""
-    return (
-        f"{_limit(tl)},{_limit(stcl)},{_limit(schedule.total_length)},"
-        f"{_limit(schedule.simulation_effort)},{schedule.max_temperature:.4f}"
-    )
+    return f"{_limit(tl)},{_limit(stcl)},{_totals(schedule)}"
 
 
 class _UsageError(Exception):
@@ -215,24 +220,29 @@ def run_sweep(args) -> int:
         SchedulerConfig(tl_values[0], stcl)
     die = compile_die(fp, power, params)
     lines = [SWEEP_HEADER]
-    # the run behind each point of the previous TL row; None where it failed
-    above: list[Schedule | None] = [None] * len(stcl_values)
+    # _sweep_row's rows, each limit formatted once and each run's totals once
+    stcl_texts = [_limit(stcl) for stcl in stcl_values]
+    # the run behind each point of the previous TL row, with its totals'
+    # text; None where it failed
+    above: list[tuple[Schedule, str] | None] = [None] * len(stcl_values)
     for tl in tl_values:
-        row_runs: list[Schedule | None] = [None] * len(stcl_values)
+        tl_text = _limit(tl)
+        row_runs: list[tuple[Schedule, str] | None] = [None] * len(stcl_values)
         left = None
         try:
             for j, stcl in enumerate(stcl_values):
-                if left is not None and left.covers(tl, stcl):
-                    schedule = left
-                elif above[j] is not None and above[j].covers(tl, stcl):
-                    schedule = above[j]
+                if left is not None and left[0].covers(tl, stcl):
+                    run = left
+                elif above[j] is not None and above[j][0].covers(tl, stcl):
+                    run = above[j]
                 else:
                     schedule = generate_schedule(die, SchedulerConfig(tl, stcl))
-                row_runs[j] = left = schedule
-                lines.append(_sweep_row(tl, stcl, schedule))
+                    run = (schedule, _totals(schedule))
+                row_runs[j] = left = run
+                lines.append(f"{tl_text},{stcl_texts[j]},{run[1]}")
         except ScreeningError as exc:
             # this TL cannot host any schedule; its grid rows are skipped
-            print(f"skipping TL={_limit(tl)}: {exc}", file=sys.stderr)
+            print(f"skipping TL={tl_text}: {exc}", file=sys.stderr)
         above = row_runs
     _write("\n".join(lines) + "\n", args.out)
     return 0 if len(lines) > 1 else 2

@@ -17,20 +17,20 @@ run then has two stages:
    by full simulation.  The run owns the weights, a list in node order
    that starts at all ones.  Members whose simulated peak reaches TL get
    their weight multiplied by ``WEIGHT_FACTOR`` (1.1) in a new list, and
-   the session is discarded and rebuilt from the remaining
-   pool, which steers repeat offenders to the front and toward emptier
+   the session is discarded and rebuilt from the remaining pool, re-sorted
+   in place, which steers repeat offenders to the front and toward emptier
    sessions.  All simulated session time, discarded sessions included,
    counts as simulation effort; screening time does not.
 
 With the floorplan, parameters and powers fixed, a session's simulated
 temperatures depend only on its member set, so a compiled die remembers
 every validation it has solved, screening's singletons first, and a TL x
-STCL sweep solves each distinct larger session once.  A run's state after
-k attempts -- its packing order and weights -- depends only on which
-cores each earlier attempt admitted and which it found too hot.  So a
-compiled die also remembers the attempts runs made along each such path,
-each with the STCLs it holds for, and a sweep packs a run's early attempts
-only where no earlier run made them.
+STCL sweep solves each distinct larger session once.  A run's state after k
+attempts -- its packing order and weights -- depends only on which cores
+each earlier attempt admitted and which it found too hot.  So a compiled
+die also remembers the attempts runs made along each such path, each with
+the STCLs it holds for, and a sweep packs a run's early attempts only where
+no earlier run made them, reading each session's member temperatures once.
 
 The first core entering a session is exempt from the STCL test: screening
 already proved every single-core session safe, and without the exemption a
@@ -158,40 +158,47 @@ class CompiledDie:
 
     Holds what every schedule run on the die reads and no limit changes:
     the compiled network, the test powers and every core's BCMT.  Packing
-    works on node indices, so ``_powers`` holds the test powers once more,
-    in node order.  Two private memos let runs that share a die reuse each
-    other's work:
+    works on node indices: ``_powers`` holds the test powers in node order,
+    ``_keys`` the packing keys ``(-P * W, name)`` at weights all one, and
+    ``_start`` the nodes sorted by them, every run's start order.  Three
+    private memos let runs that share a die reuse each other's work:
 
     * ``_validated`` maps each validated member set to its ``TestSession``.
       ``compile_die`` seeds it with every core's singleton session from
       screening, whose temperatures are the rows of one ``(N, N)`` array,
       N² floats; so no run solves a singleton, and each distinct larger
       session is solved once.
+    * ``_members`` maps a member set, once an attempt packs it, to its
+      node indices in name order and their temperatures as floats.
     * ``_attempts`` is the root of a tree of attempts.  A node is the run
       state reached from the common start (every core in packing order, no
       weights) by a sequence of attempt outcomes; it is a list of entries
-      ``(admitted, rejected, session, children)``, one per
+      ``(admitted, rejected, session, members, children)``, one per
       ``build_session`` call made from that state, where ``[admitted,
-      rejected)`` are the call's STCL margins and ``children`` maps the
-      attempt's violators, a sorted tuple that is empty when the session
-      was accepted, to the next node.  At any STCL within the margins the
-      call makes every comparison the same way, so it packs the same
-      session.  A run records only its first ``len(net.nodes)`` attempts,
-      as many as a run without discards makes at most, so a run with many
-      discards adds at most N entries.
+      rejected)`` are the call's STCL margins, ``members`` the session's
+      ``_members`` value, and ``children`` maps the violators' node indices
+      in name order, empty when the session was accepted, to the next node.
+      At any STCL within the margins the call makes every comparison the
+      same way, so it packs the same session.  A run records only its first
+      ``len(net.nodes)`` attempts, as many as a run without discards makes
+      at most, so a run with many discards adds at most N entries.
 
-    Both memos only gain entries, each by one ``dict.setdefault``,
+    The memos only gain entries, each by one ``dict.setdefault``,
     ``list.append`` or item assignment, so threads may share a die: at
-    worst two of them pack or solve the same attempt twice.
+    worst two of them pack, solve or read the same attempt twice.
     """
 
     net: ThermalNetwork
     power: PowerProfile
     bcmt: Mapping[str, float]  # core -> BCMT, deg C
     _powers: tuple[float, ...] = field(repr=False)  # W, per node
+    _keys: tuple[tuple[float, str], ...] = field(repr=False)  # (-P, name), per node
+    _start: tuple[int, ...] = field(repr=False)  # node indices sorted by _keys
+    _hottest: float = field(repr=False)  # the largest BCMT, deg C
     _validated: dict[frozenset[str], TestSession] = field(
         default_factory=dict, repr=False
     )
+    _members: dict[frozenset[str], tuple] = field(default_factory=dict, repr=False)
     _attempts: list[tuple] = field(default_factory=list, repr=False)
 
 
@@ -238,21 +245,18 @@ def compile_die(fp: Floorplan, power: PowerProfile, params: ThermalParams) -> Co
     # looked up on the module, so a wrapper installed there sees every compile
     net = thermal_sim.build_network(fp, params)
     singletons = screen_cores(net, power)
+    powers = tuple(power.power(name) for name in net.nodes)
+    keys = tuple((-p, name) for p, name in zip(powers, net.nodes))  # unique names
     return CompiledDie(
         net=net,
         power=power,
         bcmt={name: s.result.peak[1] for name, s in singletons.items()},
-        _powers=tuple(power.power(name) for name in net.nodes),
+        _powers=powers,
+        _keys=keys,
+        _start=tuple(sorted(range(len(keys)), key=keys.__getitem__)),
+        _hottest=max(s.result.peak[1] for s in singletons.values()),
         _validated={s.cores: s for s in singletons.values()},
     )
-
-
-def _ordered(
-    nodes: Sequence[int], powers: Sequence[float], weights: Sequence[float],
-    names: Sequence[str],
-) -> list[int]:
-    # hardest cores first; rising weights push repeat offenders to the front
-    return sorted(nodes, key=lambda i: (-powers[i] * weights[i], names[i]))
 
 
 def build_session(
@@ -271,7 +275,7 @@ def build_session(
     admitted nodes in the order they joined.
 
     Candidates are tried in the order given; ``generate_schedule`` sorts
-    them once per weight set.  A set has no fixed order, so passing one
+    them again only at a discard.  A set has no fixed order, so passing one
     raises ``TypeError`` rather than packing in hash order.  Each candidate
     is kept only if the enlarged session's STC stays within ``stcl``.  The
     first candidate is always admitted -- see the module docstring.
@@ -355,24 +359,23 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
     net, power, powers = die.net, die.power, die._powers
     names = net.nodes
     check_tl(config.tl, net.ambient)
-    violations = [(name, temp) for name, temp in die.bcmt.items() if temp >= config.tl]
-    if violations:
-        worst = max(temp for _, temp in violations)
-        suggested = worst + RESIDUAL_RTOL * max(1.0, abs(worst))
-        raise ScreeningError(violations, suggested)
+    hottest = die._hottest
+    if hottest >= config.tl:
+        violations = [(name, temp) for name, temp in die.bcmt.items() if temp >= config.tl]
+        raise ScreeningError(violations, hottest + RESIDUAL_RTOL * max(1.0, abs(hottest)))
     # packing weights in node order.  A discard replaces the list rather
     # than changing it, so a weight set once read stays as it was.
     weights = [1.0] * len(names)
-    # node indices in packing order, which changes only with the weights:
-    # sort once per weight set and drop scheduled cores from it
-    remaining = _ordered(range(len(names)), powers, weights, names)
+    # packing keys, the die's until the first discard, and the unscheduled
+    # nodes in packing order
+    keys, remaining = die._keys, list(die._start)
     sessions: list[TestSession] = []
     # both totals add durations left to right; sum() of floats is
     # compensated from Python 3.12 on, which would move the length's last bit
     total_length = effort = 0.0
     # the values compared with TL closest to it on each side, and the
     # STCs closest to STCL, folded from each attempt's margins
-    below_tl, above_tl = max(die.bcmt.values()), math.inf
+    below_tl, above_tl = hottest, math.inf
     lo_stcl, hi_stcl = -math.inf, math.inf
     # this run's node in the die's attempt memo; None once the run has made
     # as many attempts as the die has cores
@@ -396,12 +399,16 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
                     max(power.duration(name) for name in members),
                     simulate_session(members, net, power),
                 )
-            entry = (margins[0], margins[1], session, {})
+            read = die._members.get(members)
+            if read is None:
+                indices = [net.position[name] for name in sorted(members)]
+                temperatures = session.result.temperatures[indices].tolist()
+                read = die._members[members] = (indices, temperatures)
+            entry = (margins[0], margins[1], session, read, {})
             if node is not None:
                 node.append(entry)
-        admitted, rejected, session, children = entry
+        admitted, rejected, session, (indices, temperatures), children = entry
         lo_stcl, hi_stcl = max(lo_stcl, admitted), min(hi_stcl, rejected)
-        members = session.cores
         effort += session.duration
         if effort == math.inf:
             # the length adds some of the same durations in the same order,
@@ -410,45 +417,49 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
                 "simulation effort overflowed to inf s in double precision; "
                 "shorten the test durations"
             )
-        temperatures = session.result.temperatures
         violators = []
-        for name in sorted(members):
-            temp = temperatures[net.position[name]]
+        for i, temp in zip(indices, temperatures):
             if temp >= config.tl:
-                violators.append(name)
+                violators.append(i)
                 if temp < above_tl:
                     above_tl = temp
             elif temp > below_tl:
                 below_tl = temp
-        if attempts < len(net.nodes):
+        if attempts < len(names):
             node = children.setdefault(tuple(violators), [])
         else:
             node = None
         if violators:
             # session discarded; its simulated time still counts as effort
             weights = weights.copy()
-            for name in violators:
-                i = net.position[name]
+            if keys is die._keys:
+                keys = list(keys)
+            for i in violators:
                 weights[i] *= WEIGHT_FACTOR
                 if weights[i] == math.inf:
                     # a term this far below STCL takes more bumps than a float holds
                     raise ValueError(
-                        f"weight for {name!r} overflowed at weight factor "
+                        f"weight for {names[i]!r} overflowed at weight factor "
                         f"{WEIGHT_FACTOR!r} before the core's STC term "
                         "passed STCL; lower STCL"
                     )
-            remaining = _ordered(remaining, powers, weights, names)
+                keys[i] = (-powers[i] * weights[i], names[i])
+            # the keys order the nodes totally, so any order sorts the same
+            remaining.sort(key=keys.__getitem__)
             continue
         sessions.append(session)
         total_length += session.duration
-        taken = {net.position[name] for name in members}
-        remaining = [i for i in remaining if i not in taken]
+        if len(indices) == 1:
+            remaining.remove(indices[0])
+        else:
+            taken = set(indices)
+            remaining = [i for i in remaining if i not in taken]
     return Schedule(
         sessions=tuple(sessions),
         total_length=total_length,
         simulation_effort=effort,
         stage1_report=dict(die.bcmt),
-        tl_range=(float(below_tl), float(above_tl)),
+        tl_range=(below_tl, above_tl),
         stcl_range=(lo_stcl, hi_stcl),
     )
 

@@ -35,6 +35,7 @@ from util import (
     load_inputs,
     load_synth400,
     packing_inputs,
+    packing_order,
     random_floorplan,
     random_profile,
     reference_schedule,
@@ -203,12 +204,16 @@ def test_build_session_tries_candidates_in_the_order_given():
     net = build_network(fp, STRIP_PARAMS)
     powers, weights = packing_inputs(net, profile)
     tiny = 1e-9
-    by_power = scheduler._ordered(range(3), powers, weights, net.nodes)
+    by_power = packing_order(range(3), powers, weights, net.nodes)
     assert by_power == [1, 0, 2]  # highest power first, ties by name
+    # a run starts from the die's packing order at weights all one
+    assert compile_die(fp, profile, STRIP_PARAMS)._start == tuple(by_power)
     # a weight scales its core's power in the order
-    assert scheduler._ordered(range(3), powers, [1.0, 1.0, 6.0], net.nodes) == [2, 1, 0]
+    assert packing_order(range(3), powers, [1.0, 1.0, 6.0], net.nodes) == [2, 1, 0]
     # ties go by name, not by node index
-    assert scheduler._ordered(range(3), [1.0] * 3, [1.0] * 3, ("c", "b", "a")) == [2, 1, 0]
+    assert packing_order(range(3), [1.0] * 3, [1.0] * 3, ("c", "b", "a")) == [2, 1, 0]
+    named = Floorplan([CoreGeometry(n, 1.0, 1.0, float(k), 0.0) for k, n in enumerate("cba")])
+    assert compile_die(named, uniform_profile(named), STRIP_PARAMS)._start == (2, 1, 0)
     # candidates are tried in the order given, file order included
     assert build_session(by_power, weights, tiny, net, powers) == [1]
     assert build_session([0, 1, 2], weights, tiny, net, powers) == [0]
@@ -269,7 +274,7 @@ def test_incremental_stc_packs_like_full_recompute(case, pick):
     powers, weight_list = packing_inputs(net, profile, weights)
     # as generate_schedule does: the whole die sorted once, scheduled cores dropped
     candidates = [
-        i for i in scheduler._ordered(range(len(net.nodes)), powers, weight_list, net.nodes)
+        i for i in packing_order(range(len(net.nodes)), powers, weight_list, net.nodes)
         if net.nodes[i] in available
     ]
 
@@ -302,13 +307,11 @@ def test_incremental_stc_packs_like_full_recompute(case, pick):
 
 def record_packing(monkeypatch):
     """Wrap the packing names generate_schedule looks up; returns the list
-    that collects each attempt's (candidates, weights, stcl, admitted nodes,
-    the session_stc member lists it evaluated), all on node indices, and
-    the list of packing-order sorts."""
-    attempts, calls, sorts = [], [], []
-    real_build, real_stc, real_ordered = (
-        scheduler.build_session, scheduler.session_stc, scheduler._ordered
-    )
+    that collects each fresh ``build_session`` call's (candidates, weights,
+    stcl, admitted nodes, the session_stc member lists it evaluated), all on
+    node indices."""
+    attempts, calls = [], []
+    real_build, real_stc = scheduler.build_session, scheduler.session_stc
 
     def build(candidates, weights, stcl, *args):
         start = len(calls)
@@ -320,14 +323,9 @@ def record_packing(monkeypatch):
         calls.append(list(members))
         return real_stc(members, *args)
 
-    def ordered(cores, *args):
-        sorts.append(len(cores))
-        return real_ordered(cores, *args)
-
     monkeypatch.setattr(scheduler, "build_session", build)
     monkeypatch.setattr(scheduler, "session_stc", stc)
-    monkeypatch.setattr(scheduler, "_ordered", ordered)
-    return attempts, sorts
+    return attempts
 
 
 def first_core_stc(die, candidates, weights):
@@ -339,7 +337,7 @@ def first_core_stc(die, candidates, weights):
 def test_packing_evaluates_each_candidate_and_its_session_neighbours_only(monkeypatch):
     die = golden_synth400_die()
     net = die.net
-    attempts, _ = record_packing(monkeypatch)
+    attempts = record_packing(monkeypatch)
     generate_schedule(die, SYNTH400_LOOSE)
     assert len(attempts) > 1
     calls = terms = 0
@@ -363,21 +361,32 @@ def test_packing_evaluates_each_candidate_and_its_session_neighbours_only(monkey
     assert (len(attempts), calls, terms) == (19, 5420, 15731)
 
 
-def test_packing_sorts_once_per_weight_set_and_early_exits_make_no_stc_call(monkeypatch):
+def assert_packing_order(die, attempts):
+    """Each attempt of a run on a fresh die tries every core not yet
+    scheduled, sorted by ``(-P * W, name)`` at the weights it was given.
+    An accepted session leaves the weights as they were, and a discard
+    hands the next attempt a new list."""
+    pool = set(range(len(die.net.nodes)))
+    for k, (candidates, weights, _, session, _) in enumerate(attempts):
+        assert candidates == packing_order(pool, die._powers, weights, die.net.nodes)
+        if k + 1 == len(attempts) or attempts[k + 1][1] is weights:
+            pool -= set(session)
+    assert not pool
+
+
+def test_packing_tries_cores_in_packing_order_and_early_exits_make_no_stc_call(monkeypatch):
     die = golden_synth400_die()
-    attempts, sorts = record_packing(monkeypatch)
+    attempts = record_packing(monkeypatch)
     schedule = generate_schedule(die, SYNTH400_LOOSE)
     discards = len(attempts) - len(schedule.sessions)
     assert discards == 15
-    assert len(sorts) == 1 + discards
-    assert sorts[0] == len(die.net.nodes)
+    assert_packing_order(die, attempts)
 
     # a die of its own, so that no attempt comes from the loose run's memo
     die = golden_synth400_die()
     attempts.clear()
-    sorts.clear()
     schedule = generate_schedule(die, SYNTH400_TIGHT)
-    assert len(sorts) == 1 + len(attempts) - len(schedule.sessions)
+    assert_packing_order(die, attempts)
     early_exits = 0
     for candidates, weights, stcl, session, made in attempts:
         if first_core_stc(die, candidates, weights) > stcl:
@@ -406,7 +415,7 @@ def test_synth400_runs_solve_only_sessions_screening_did_not(config, solves, mon
 
 def test_discard_bumps_its_violators_in_a_new_weight_set(monkeypatch):
     die = golden_synth400_die()
-    attempts, _ = record_packing(monkeypatch)
+    attempts = record_packing(monkeypatch)
     # each weight set's values as build_session received it
     snapshots, recorded_build = [], scheduler.build_session
 
@@ -742,6 +751,59 @@ def test_runs_on_a_shared_die_match_runs_on_fresh_dies(case):
         assert outcome == _outcome(generate_schedule, fresh, config), config
         reference = _outcome(reference_schedule, fp, profile, ThermalParams(), config)
         assert outcome[:2] == reference[:2], config
+
+
+@st.composite
+def discard_cases(draw):
+    """A random die of 2 to 24 cores and a list of runs on it, at a few TLs
+    between the hottest BCMT and the peak of every core tested at once, and
+    one or two STCLs 2 to 50 times the largest singleton STC: large
+    sessions, often too hot, so runs discard, re-sort and part ways in the
+    attempt memo."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fp = random_floorplan(rng, draw(st.integers(2, 24)))
+    profile = random_profile(rng, fp)
+    die = compile_die(fp, profile, ThermalParams())
+    hottest = max(die.bcmt.values())
+    everything = simulate_session(fp.names, die.net, profile).peak[1]
+    largest = max(reference_stc({n}, profile, None, die.net) for n in fp.names)
+    tls = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3))
+    stcls = draw(st.lists(st.floats(2.0, 50.0), min_size=1, max_size=2))
+    runs = draw(st.lists(
+        st.tuples(st.sampled_from(tls), st.sampled_from(stcls)), min_size=2, max_size=6
+    ))
+    configs = [
+        SchedulerConfig(tl=hottest + (everything - hottest) * tl, stcl=largest * stcl)
+        for tl, stcl in runs
+    ]
+    return fp, profile, configs
+
+
+def test_discarding_runs_on_a_shared_die_match_fresh_and_reference_runs():
+    discarded = []
+
+    @settings(max_examples=30, deadline=None)
+    @given(discard_cases())
+    def check(case):
+        fp, profile, configs = case
+        shared = compile_die(fp, profile, ThermalParams())
+        discards = 0
+        for config in configs:
+            # every attempt of a run on a fresh die is packed
+            with pytest.MonkeyPatch.context() as mp:
+                attempts = _counting_attempts(mp)
+                fresh = _outcome(generate_schedule, compile_die(fp, profile, ThermalParams()), config)
+            if fresh[2] is not None:
+                discards += len(attempts) - len(fresh[0])
+            assert _outcome(generate_schedule, shared, config) == fresh, config
+            reference = _outcome(reference_schedule, fp, profile, ThermalParams(), config)
+            assert fresh[:2] == reference[:2], config
+        discarded.append(discards > 0)
+
+    check()
+    # most cases discard (on 2-core dies a pair is often never packed), so
+    # the property covers re-keyed sorts and index-keyed memo children
+    assert sum(discarded) > len(discarded) / 2
 
 
 @st.composite

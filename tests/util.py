@@ -1,7 +1,8 @@
 """Shared test helpers: tiny floorplan builders, random generators, a
 pairwise shared-edge reference, the grounded-network nodal oracle used
-to cross-check equivalent resistances, a name-level STC that shares no
-code with the library's pricing, and a paper-literal schedule run."""
+to cross-check equivalent resistances, the packing order, a name-level
+STC that shares no code with the library's pricing, and a paper-literal
+schedule run."""
 
 from __future__ import annotations
 
@@ -174,6 +175,12 @@ def packing_inputs(
     ``session_stc`` take them."""
     weights = weights or {}
     return [profile.power(n) for n in net.nodes], [weights.get(n, 1.0) for n in net.nodes]
+
+
+def packing_order(nodes, powers, weights, names) -> list[int]:
+    """Node indices sorted into packing order: by ``(-P * W, name)``, with
+    ``powers``, ``weights`` and ``names`` in node order."""
+    return sorted(nodes, key=lambda i: (-powers[i] * weights[i], names[i]))
 
 
 def stc_of(members, profile: PowerProfile, weights, net: ThermalNetwork, session=None) -> float:
