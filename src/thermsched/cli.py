@@ -74,11 +74,6 @@ def _totals(schedule: Schedule) -> str:
     )
 
 
-def _sweep_row(tl: float, stcl: float, schedule: Schedule) -> str:
-    """One grid point's CSV row, matching SWEEP_HEADER column for column."""
-    return f"{_limit(tl)},{_limit(stcl)},{_totals(schedule)}"
-
-
 class _UsageError(Exception):
     pass
 
@@ -220,7 +215,8 @@ def run_sweep(args) -> int:
         SchedulerConfig(tl_values[0], stcl)
     die = compile_die(fp, power, params)
     lines = [SWEEP_HEADER]
-    # _sweep_row's rows, each limit formatted once and each run's totals once
+    # each row is `tl,stcl,totals` in SWEEP_HEADER's columns, each limit
+    # formatted once and each run's totals once
     stcl_texts = [_limit(stcl) for stcl in stcl_values]
     # the run behind each point of the previous TL row, with its totals'
     # text; None where it failed

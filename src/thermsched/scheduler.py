@@ -16,21 +16,22 @@ run then has two stages:
    thermal characteristic stays within STCL; then the session is validated
    by full simulation.  The run owns the weights, a list in node order
    that starts at all ones.  Members whose simulated peak reaches TL get
-   their weight multiplied by ``WEIGHT_FACTOR`` (1.1) in a new list, and
-   the session is discarded and rebuilt from the remaining pool, re-sorted
-   in place, which steers repeat offenders to the front and toward emptier
+   their weight multiplied by ``WEIGHT_FACTOR`` (1.1) in place, and the
+   session is discarded and rebuilt from the remaining pool, re-sorted in
+   place, which steers repeat offenders to the front and toward emptier
    sessions.  All simulated session time, discarded sessions included,
    counts as simulation effort; screening time does not.
 
 With the floorplan, parameters and powers fixed, a session's simulated
 temperatures depend only on its member set, so a compiled die remembers
-every validation it has solved, screening's singletons first, and a TL x
-STCL sweep solves each distinct larger session once.  A run's state after k
-attempts -- its packing order and weights -- depends only on which cores
-each earlier attempt admitted and which it found too hot.  So a compiled
-die also remembers the attempts runs made along each such path, each with
-the STCLs it holds for, and a sweep packs a run's early attempts only where
-no earlier run made them, reading each session's member temperatures once.
+every validation it has solved, keyed by the member set's node indices,
+screening's singletons first, and a TL x STCL sweep solves each distinct
+larger session once.  A run's state after k attempts -- its packing order
+and weights -- depends only on which cores each earlier attempt admitted
+and which it found too hot.  So a compiled die also remembers the attempts
+runs made along each such path, each with the STCLs it holds for, and a
+sweep packs a run's early attempts only where no earlier run made them,
+reading each session's member temperatures once.
 
 The first core entering a session is exempt from the STCL test: screening
 already proved every single-core session safe, and without the exemption a
@@ -160,32 +161,34 @@ class CompiledDie:
     the compiled network, the test powers and every core's BCMT.  Packing
     works on node indices: ``_powers`` holds the test powers in node order,
     ``_keys`` the packing keys ``(-P * W, name)`` at weights all one, and
-    ``_start`` the nodes sorted by them, every run's start order.  Three
+    ``_start`` the nodes sorted by them, every run's start order.  Two
     private memos let runs that share a die reuse each other's work:
 
-    * ``_validated`` maps each validated member set to its ``TestSession``.
-      ``compile_die`` seeds it with every core's singleton session from
-      screening, whose temperatures are the rows of one ``(N, N)`` array,
-      N² floats; so no run solves a singleton, and each distinct larger
-      session is solved once.
-    * ``_members`` maps a member set, once an attempt packs it, to its
-      node indices in name order and their temperatures as floats.
+    * ``_sessions`` maps each validated member set, a frozenset of node
+      indices, to ``(session, indices, temperatures)``: its
+      ``TestSession``, its nodes in name order and their temperatures as
+      floats.  ``compile_die`` seeds it with every core's singleton session
+      from screening, whose temperatures are the rows of one ``(N, N)``
+      array, N² floats; so no run solves a singleton, and each distinct
+      larger session is solved once.
     * ``_attempts`` is the root of a tree of attempts.  A node is the run
       state reached from the common start (every core in packing order, no
       weights) by a sequence of attempt outcomes; it is a list of entries
-      ``(admitted, rejected, session, members, children)``, one per
+      ``(admitted, rejected, validated, children)``, one per
       ``build_session`` call made from that state, where ``[admitted,
-      rejected)`` are the call's STCL margins, ``members`` the session's
-      ``_members`` value, and ``children`` maps the violators' node indices
-      in name order, empty when the session was accepted, to the next node.
+      rejected)`` are the call's STCL margins, ``validated`` the session's
+      ``_sessions`` value, the same object, and ``children`` maps the
+      violators' node indices in name order, empty when the session was
+      accepted, to the next node.
       At any STCL within the margins the call makes every comparison the
       same way, so it packs the same session.  A run records only its first
       ``len(net.nodes)`` attempts, as many as a run without discards makes
       at most, so a run with many discards adds at most N entries.
 
-    The memos only gain entries, each by one ``dict.setdefault``,
-    ``list.append`` or item assignment, so threads may share a die: at
-    worst two of them pack, solve or read the same attempt twice.
+    The memos only gain entries, each by one ``dict.setdefault`` or
+    ``list.append``, and a run changes only the weights, keys and pool it
+    owns, so threads may share a die: at worst two of them pack or solve
+    the same attempt twice.
     """
 
     net: ThermalNetwork
@@ -195,10 +198,7 @@ class CompiledDie:
     _keys: tuple[tuple[float, str], ...] = field(repr=False)  # (-P, name), per node
     _start: tuple[int, ...] = field(repr=False)  # node indices sorted by _keys
     _hottest: float = field(repr=False)  # the largest BCMT, deg C
-    _validated: dict[frozenset[str], TestSession] = field(
-        default_factory=dict, repr=False
-    )
-    _members: dict[frozenset[str], tuple] = field(default_factory=dict, repr=False)
+    _sessions: dict[frozenset[int], tuple] = field(repr=False)
     _attempts: list[tuple] = field(default_factory=list, repr=False)
 
 
@@ -255,7 +255,10 @@ def compile_die(fp: Floorplan, power: PowerProfile, params: ThermalParams) -> Co
         _keys=keys,
         _start=tuple(sorted(range(len(keys)), key=keys.__getitem__)),
         _hottest=max(s.result.peak[1] for s in singletons.values()),
-        _validated={s.cores: s for s in singletons.values()},
+        _sessions={
+            frozenset((i,)): (s, [i], [float(s.result.temperatures[i])])
+            for i, s in enumerate(singletons.values())
+        },
     )
 
 
@@ -363,12 +366,10 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
     if hottest >= config.tl:
         violations = [(name, temp) for name, temp in die.bcmt.items() if temp >= config.tl]
         raise ScreeningError(violations, hottest + RESIDUAL_RTOL * max(1.0, abs(hottest)))
-    # packing weights in node order.  A discard replaces the list rather
-    # than changing it, so a weight set once read stays as it was.
+    # the run's packing weights and keys in node order, which a discard
+    # bumps in place, and the unscheduled nodes in packing order
     weights = [1.0] * len(names)
-    # packing keys, the die's until the first discard, and the unscheduled
-    # nodes in packing order
-    keys, remaining = die._keys, list(die._start)
+    keys, remaining = list(die._keys), list(die._start)
     sessions: list[TestSession] = []
     # both totals add durations left to right; sum() of floats is
     # compensated from Python 3.12 on, which would move the length's last bit
@@ -387,27 +388,27 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
                 break
         else:
             margins: list[float] = []
-            # the memos and sessions name their cores
-            members = frozenset([
-                names[i]
-                for i in build_session(remaining, weights, config.stcl, net, powers, margins)
-            ])
-            session = die._validated.get(members)
-            if session is None:
-                session = die._validated[members] = TestSession(
-                    members,
-                    max(power.duration(name) for name in members),
-                    simulate_session(members, net, power),
+            members = frozenset(
+                build_session(remaining, weights, config.stcl, net, powers, margins)
+            )
+            validated = die._sessions.get(members)
+            if validated is None:
+                # a new member set: the session and its solve name their cores
+                indices = sorted(members, key=names.__getitem__)
+                cores = frozenset([names[i] for i in indices])
+                session = TestSession(
+                    cores,
+                    max(power.duration(name) for name in cores),
+                    simulate_session(cores, net, power),
                 )
-            read = die._members.get(members)
-            if read is None:
-                indices = [net.position[name] for name in sorted(members)]
-                temperatures = session.result.temperatures[indices].tolist()
-                read = die._members[members] = (indices, temperatures)
-            entry = (margins[0], margins[1], session, read, {})
+                validated = die._sessions.setdefault(
+                    members,
+                    (session, indices, session.result.temperatures[indices].tolist()),
+                )
+            entry = (margins[0], margins[1], validated, {})
             if node is not None:
                 node.append(entry)
-        admitted, rejected, session, (indices, temperatures), children = entry
+        admitted, rejected, (session, indices, temperatures), children = entry
         lo_stcl, hi_stcl = max(lo_stcl, admitted), min(hi_stcl, rejected)
         effort += session.duration
         if effort == math.inf:
@@ -431,9 +432,6 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
             node = None
         if violators:
             # session discarded; its simulated time still counts as effort
-            weights = weights.copy()
-            if keys is die._keys:
-                keys = list(keys)
             for i in violators:
                 weights[i] *= WEIGHT_FACTOR
                 if weights[i] == math.inf:

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermsched import cli, scheduler, thermal_sim
-from thermsched.cli import MAX_SWEEP_POINTS, SWEEP_HEADER, _limit, _parse_axis, _sweep_row, main
+from thermsched.cli import MAX_SWEEP_POINTS, SWEEP_HEADER, _limit, _parse_axis, main
 from thermsched.scheduler import SchedulerConfig, ScreeningError, compile_die, generate_schedule
 from thermsched.thermal_model import ThermalParams
 from util import (
@@ -28,6 +28,7 @@ from util import (
     random_profile,
     reference_schedule,
     reference_stc,
+    sweep_row,
 )
 
 
@@ -118,7 +119,7 @@ def test_parse_axis_counts_a_range_before_building_it(monkeypatch):
 
 def test_sweep_row_format():
     schedule = SimpleNamespace(total_length=7.0, simulation_effort=8.0, max_temperature=144.29)
-    row = _sweep_row(145.0, 20.0, schedule)
+    row = sweep_row(145.0, 20.0, schedule)
     assert row == "145,20,7,8,144.2900"
     assert len(row.split(",")) == len(SWEEP_HEADER.split(","))
 
@@ -141,7 +142,7 @@ def test_sweep_rows_name_their_grid_point_exactly(tmp_path, capsys):
     assert captured.err.startswith("skipping TL=80.0000001: ")
     # a limit that :g prints exactly keeps its short form
     schedule = SimpleNamespace(total_length=7.0, simulation_effort=8.0, max_temperature=144.29)
-    assert _sweep_row(145.0, 1e-9, schedule) == "145,1e-09,7,8,144.2900"
+    assert sweep_row(145.0, 1e-9, schedule) == "145,1e-09,7,8,144.2900"
 
 
 def test_sweep_rows_print_large_totals_exactly(tmp_path, capsys):
@@ -733,7 +734,7 @@ def test_sweep_matches_fresh_runs_at_every_point(case):
             for stcl in stcls:
                 die = compile_die(fp, profile, ThermalParams())
                 schedule = generate_schedule(die, SchedulerConfig(tl=tl, stcl=stcl))
-                expected_rows.append(_sweep_row(tl, stcl, schedule))
+                expected_rows.append(sweep_row(tl, stcl, schedule))
         except ScreeningError as exc:
             expected_err.append(f"skipping TL={_limit(tl)}: {exc}")
     runs = []
@@ -764,7 +765,7 @@ def test_sweep_matches_the_paper_literal_reference_at_every_point(case):
         try:
             for stcl in axis_values(stcl_axis):
                 config = SchedulerConfig(tl=tl, stcl=stcl)
-                rows.append(_sweep_row(
+                rows.append(sweep_row(
                     tl, stcl, reference_schedule(fp, profile, ThermalParams(), config)
                 ))
         except ScreeningError as exc:
@@ -807,6 +808,34 @@ def test_dense_demo_sweep_runs_once_per_decision_box(tmp_path, monkeypatch):
     assert max(runs) == 15
 
 
+def test_dense_demo_sweep_keeps_one_memo_entry_per_member_set(tmp_path, monkeypatch):
+    # the benchmark's demo-sweep grid on its one die
+    dies, real_compile = [], cli.compile_die
+    monkeypatch.setattr(cli, "compile_die", lambda *a: dies.append(real_compile(*a)) or dies[-1])
+    code = main(
+        ["--floorplan", str(DATA / "demo15.flp"), "--power", str(DATA / "demo15.csv"),
+         "--sweep-tl", "145:185:1", "--sweep-stcl", "20:100:2", "--out", str(tmp_path / "s.csv")]
+    )
+    assert code == 0
+    [die] = dies
+    names = die.net.nodes
+    # 15 singletons from screening and 89 sessions the runs solved
+    assert len(die._sessions) == 104
+    assert sum(len(members) == 1 for members in die._sessions) == 15
+    for members, (session, indices, temperatures) in die._sessions.items():
+        assert session.cores == frozenset(names[i] for i in members)
+        assert [names[i] for i in indices] == sorted(session.cores)
+        assert np.array(temperatures).tobytes() == session.result.temperatures[indices].tobytes()
+    # every attempt the runs packed shares its member set's memo value
+    entries, nodes = 0, [die._attempts]
+    while nodes:
+        for _, _, validated, children in nodes.pop():
+            entries += 1
+            assert validated is die._sessions[frozenset(validated[1])]
+            nodes.extend(children.values())
+    assert entries == 2485
+
+
 def test_dense_demo_sweep_builds_configs_for_its_axes_and_runs_only(tmp_path, monkeypatch):
     # the benchmark's demo-sweep grid: one config per STCL checks the STCLs,
     # and each of the 553 runs builds its own; a config per point would be
@@ -840,7 +869,7 @@ def test_dense_demo_sweep_builds_configs_for_its_axes_and_runs_only(tmp_path, mo
     # every row is the one a run of its own at that point writes
     die = compile_die(*load_inputs("demo15"), ThermalParams())
     expected = [SWEEP_HEADER] + [
-        _sweep_row(tl, stcl, real_generate(die, SchedulerConfig(tl=tl, stcl=stcl)))
+        sweep_row(tl, stcl, real_generate(die, SchedulerConfig(tl=tl, stcl=stcl)))
         for tl in axis_values("145:185:1")
         for stcl in axis_values("20:100:2")
     ]

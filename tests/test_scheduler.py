@@ -307,16 +307,16 @@ def test_incremental_stc_packs_like_full_recompute(case, pick):
 
 def record_packing(monkeypatch):
     """Wrap the packing names generate_schedule looks up; returns the list
-    that collects each fresh ``build_session`` call's (candidates, weights,
-    stcl, admitted nodes, the session_stc member lists it evaluated), all on
-    node indices."""
+    that collects each fresh ``build_session`` call's (candidates, a copy of
+    its weights, stcl, admitted nodes, the session_stc member lists it
+    evaluated), all on node indices."""
     attempts, calls = [], []
     real_build, real_stc = scheduler.build_session, scheduler.session_stc
 
     def build(candidates, weights, stcl, *args):
         start = len(calls)
         session = real_build(candidates, weights, stcl, *args)
-        attempts.append((list(candidates), weights, stcl, session, calls[start:]))
+        attempts.append((list(candidates), list(weights), stcl, session, calls[start:]))
         return session
 
     def stc(members, *args):
@@ -365,11 +365,11 @@ def assert_packing_order(die, attempts):
     """Each attempt of a run on a fresh die tries every core not yet
     scheduled, sorted by ``(-P * W, name)`` at the weights it was given.
     An accepted session leaves the weights as they were, and a discard
-    hands the next attempt a new list."""
+    changes them: it multiplies a finite, positive weight by 1.1."""
     pool = set(range(len(die.net.nodes)))
     for k, (candidates, weights, _, session, _) in enumerate(attempts):
         assert candidates == packing_order(pool, die._powers, weights, die.net.nodes)
-        if k + 1 == len(attempts) or attempts[k + 1][1] is weights:
+        if k + 1 == len(attempts) or attempts[k + 1][1] == weights:
             pool -= set(session)
     assert not pool
 
@@ -413,14 +413,14 @@ def test_synth400_runs_solve_only_sessions_screening_did_not(config, solves, mon
     assert all(len(members) > 1 for members in solved)
 
 
-def test_discard_bumps_its_violators_in_a_new_weight_set(monkeypatch):
+def test_discard_bumps_its_violators_weights_in_place(monkeypatch):
     die = golden_synth400_die()
     attempts = record_packing(monkeypatch)
-    # each weight set's values as build_session received it
-    snapshots, recorded_build = [], scheduler.build_session
+    # the weight list each build_session call received
+    handed, recorded_build = [], scheduler.build_session
 
     def build(candidates, weights, *args):
-        snapshots.append(list(weights))
+        handed.append(weights)
         return recorded_build(candidates, weights, *args)
 
     monkeypatch.setattr(scheduler, "build_session", build)
@@ -438,10 +438,10 @@ def test_discard_bumps_its_violators_in_a_new_weight_set(monkeypatch):
         assert after == expected
         if violators:
             discards += 1
-            assert after is not before
+            assert after != before
     assert discards == len(attempts) - len(schedule.sessions) == 15
-    # a weight set handed to packing is never changed afterwards
-    assert [weights for _, weights, *_ in attempts] == snapshots
+    # the run owns one weight list and bumps it in place
+    assert all(weights is handed[0] for weights in handed)
 
 
 # ── schedule generation ──────────────────────────────────────────────────
@@ -524,7 +524,8 @@ def test_runs_on_one_die_share_each_validated_session(monkeypatch):
     by_cores = {s.cores: s for s in a.sessions}
     for session in b.sessions:
         assert session is by_cores[session.cores]
-        assert session is die._validated[session.cores]
+        members = frozenset(die.net.position[name] for name in session.cores)
+        assert session is die._sessions[members][0]
         assert session.duration == max(profile.duration(n) for n in session.cores)
     # a larger session is solved by the first run that packs it, only by it
     stcl = 2.0 * reference_stc(fp.names, profile, None, die.net)

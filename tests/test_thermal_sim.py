@@ -378,10 +378,14 @@ def test_screened_singletons_equal_per_core_solves(load):
     fp, profile = load()
     die = compile_die(fp, profile, ThermalParams())
     assert list(die.bcmt) == list(fp.names)
-    assert set(die._validated) == {frozenset((name,)) for name in fp.names}
-    for name in fp.names:
-        session = die._validated[frozenset((name,))]
+    assert set(die._sessions) == {frozenset((i,)) for i in range(len(fp))}
+    for i, name in enumerate(fp.names):
+        session, indices, temperatures = die._sessions[frozenset((i,))]
         solved = simulate_session({name}, die.net, profile)
+        # the node and its temperature as a float, bit for bit
+        assert indices == [i]
+        assert [type(t) for t in temperatures] == [float]
+        assert temperatures[0].hex() == float(solved.temperatures[i]).hex(), name
         # bit for bit: the goldens depend on it
         assert session.result.temperatures.tobytes() == solved.temperatures.tobytes(), name
         assert session.result.peak == solved.peak, name

@@ -1,8 +1,8 @@
 """Shared test helpers: tiny floorplan builders, random generators, a
 pairwise shared-edge reference, the grounded-network nodal oracle used
 to cross-check equivalent resistances, the packing order, a name-level
-STC that shares no code with the library's pricing, and a paper-literal
-schedule run."""
+STC that shares no code with the library's pricing, a paper-literal
+schedule run, and a sweep row."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from thermsched.cli import _limit, _totals
 from thermsched.floorplan import (
     EPSILON,
     CoreGeometry,
@@ -290,3 +291,9 @@ def reference_schedule(
         tl_range=(math.nan, math.nan),
         stcl_range=(math.nan, math.nan),
     )
+
+
+def sweep_row(tl: float, stcl: float, schedule) -> str:
+    """One grid point's sweep CSV row, in SWEEP_HEADER's columns, built from
+    the CLI's limit and totals formats."""
+    return f"{_limit(tl)},{_limit(stcl)},{_totals(schedule)}"
