@@ -209,10 +209,14 @@ def build_adjacency(cores: tuple[CoreGeometry, ...]) -> AdjacencyGraph:
 def _records(source: str | IO[str]) -> Iterator[tuple[int, str, str]]:
     """Yield ``(lineno, raw, line)`` for each record of text or a text stream:
     ``line`` is ``raw`` without its '#' comment and surrounding whitespace,
-    and lines that leaves empty are skipped.  One leading byte-order mark,
-    which Windows editors and spreadsheet exports write, is dropped."""
+    and lines that leaves empty are skipped.  Lines end at CR LF, CR or LF
+    only, as with ``open()``, so line numbers match an editor's.  One leading
+    byte-order mark, which Windows editors and spreadsheet exports write, is
+    dropped."""
     text = source.read() if hasattr(source, "read") else source
-    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+    if "\r" in text:  # open() has translated these; text handed in may not be
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, raw, line

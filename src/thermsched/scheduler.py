@@ -220,18 +220,16 @@ def screen_cores(net: ThermalNetwork, power: PowerProfile) -> dict[str, TestSess
     tolerance raises NetworkSolveError naming its core.
     """
     try:
-        rise = thermal_sim.solve_rise(
+        results = thermal_sim.solve_columns(
             net, np.diag([power.power(name) for name in net.nodes])
         )
     except NetworkSolveError as exc:
-        if exc.column is None:
-            raise
         raise NetworkSolveError(
             f"{exc} (screening core {net.nodes[exc.column]!r} alone)"
         ) from exc
     return {
         name: TestSession(frozenset((name,)), power.duration(name), result)
-        for name, result in zip(net.nodes, thermal_sim.simulation_results(net, rise))
+        for name, result in zip(net.nodes, results)
     }
 
 

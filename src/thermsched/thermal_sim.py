@@ -13,9 +13,10 @@ the factor is the only dense N x N array the network holds.
 Unlike the guiding session model, the validator keeps every core in play:
 all adjacent pairs are coupled (active or not), every node has its own
 vertical path to ambient, and passive cores are free nodes that warm up.
-``simulation_results`` is the one rule that turns a solved rise into
-results; a single session's solve and the scheduler's batched screening
-solve both go through it.
+``solve_columns`` is the one solve of ``G dT = P``, for a single session
+and for the scheduler's batched screening alike; every solve failure sets
+``NetworkSolveError.column``, which is None only when the network cannot
+be built or factored.
 
 With scipy's bundled OpenBLAS, every factor and solve runs on one BLAS
 thread, set for the calling thread only: the blocking of the Cholesky
@@ -82,8 +83,8 @@ def _one_blas_thread():
 class NetworkSolveError(RuntimeError):
     """Conductance system is not positive definite or the solve missed tolerance.
 
-    ``column`` is the injection column whose residual missed tolerance in a
-    solve of several columns, else None.
+    ``column`` is the first injection column whose solve missed tolerance;
+    it is None only when the network cannot be built or factored.
     """
 
     def __init__(self, message: str, column: int | None = None):
@@ -215,44 +216,13 @@ def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
     )
 
 
-def solve_rise(net: ThermalNetwork, injections: np.ndarray) -> np.ndarray:
-    """Solve ``G dT = P`` with the compiled factor and return ``dT``.
+def solve_columns(net: ThermalNetwork, injections: np.ndarray) -> list[SimulationResult]:
+    """Solve ``G dT = P`` with the compiled factor; one result per column.
 
-    ``injections`` is ``P`` in node order, W: shape ``(N,)`` for one
-    injection vector or ``(N, k)`` for ``k`` of them, one per column; ``dT``
-    has the same shape.  Raises NetworkSolveError unless every column's
-    inf-norm residual is within RESIDUAL_RTOL * max(1, ||P_col||_inf); a NaN
-    residual fails too.
-    """
-    injections = np.asarray(injections, dtype=float)
-    p = injections.reshape(len(net.nodes), -1)  # views: one column per vector
-    tolerance = RESIDUAL_RTOL * np.maximum(1.0, np.abs(p).max(axis=0))
-    with _one_blas_thread():
-        rise = cho_solve(net.factor, injections)
-    # G @ dT - P for every column at once, formed in place
-    r = net.conductance @ rise.reshape(p.shape)
-    r -= p
-    error = np.abs(r, out=r).max(axis=0)
-    failed = np.flatnonzero(~(error <= tolerance))
-    if failed.size:
-        k = failed[0]
-        column = f" in column {k}" if injections.ndim == 2 else ""
-        # a residual that is not finite comes from an overflowed solve; a
-        # finite one, from a G too ill-conditioned for its solve to hold
-        cause = "" if not np.isfinite(error[k]) else (
-            ": the lateral conductances swamp the vertical ones in double "
-            f"precision; {_KNOBS}"
-        )
-        raise NetworkSolveError(
-            f"solve residual {error[k]:.3e}{column} is not within "
-            f"tolerance {tolerance[k]:.3e}{cause}",
-            int(k) if injections.ndim == 2 else None,
-        )
-    return rise
-
-
-def simulation_results(net: ThermalNetwork, rise: np.ndarray) -> list[SimulationResult]:
-    """One result per column of a solved ``dT`` of shape ``(N, k)``.
+    ``injections`` is ``P`` in node order, W, shape ``(N, k)``: one
+    injection vector per column.  Raises NetworkSolveError, with ``column``
+    the first failing column, unless every column's inf-norm residual is
+    within RESIDUAL_RTOL * max(1, ||P_col||_inf); a NaN residual fails too.
 
     Temps = ambient + dT.  Result ``j``'s temperatures are row ``j`` of one
     read-only ``(k, N)`` array, so no column is copied.  Its peak is the
@@ -260,6 +230,30 @@ def simulation_results(net: ThermalNetwork, rise: np.ndarray) -> list[Simulation
     to the first node; ``ambient + max(dT)`` is ``max(ambient + dT)``,
     since rounding is monotone.
     """
+    p = np.asarray(injections, dtype=float)
+    tolerance = RESIDUAL_RTOL * np.maximum(1.0, np.abs(p).max(axis=0))
+    with _one_blas_thread():
+        rise = cho_solve(net.factor, p)
+    # G @ dT - P for every column at once, formed in place
+    r = net.conductance @ rise
+    r -= p
+    error = np.abs(r, out=r).max(axis=0)
+    # freed before the temperatures are allocated, so they can reuse its block
+    del r
+    failed = np.flatnonzero(~(error <= tolerance))
+    if failed.size:
+        k = int(failed[0])
+        # a residual that is not finite comes from an overflowed solve; a
+        # finite one, from a G too ill-conditioned for its solve to hold
+        cause = "" if not np.isfinite(error[k]) else (
+            ": the lateral conductances swamp the vertical ones in double "
+            f"precision; {_KNOBS}"
+        )
+        raise NetworkSolveError(
+            f"solve residual {error[k]:.3e} is not within "
+            f"tolerance {tolerance[k]:.3e}{cause}",
+            k,
+        )
     temperatures = net.ambient + rise.T
     temperatures.flags.writeable = False
     return [
@@ -274,14 +268,14 @@ def solve_steady_state(net: ThermalNetwork, injections: np.ndarray) -> Simulatio
     """Solve ``G dT = P`` with the compiled factor; temps = ambient + dT.
 
     ``injections`` is ``P`` in node order, W, shape ``(N,)``; any other
-    shape raises ValueError.  The result is made by ``simulation_results``.
-    Raises NetworkSolveError as ``solve_rise`` does.
+    shape raises ValueError.  Solved by ``solve_columns`` as one column, so
+    it raises NetworkSolveError as that does, with ``column`` 0.
     """
     if np.shape(injections) != (len(net.nodes),):
         raise ValueError(
             f"injections must have shape ({len(net.nodes)},), got {np.shape(injections)}"
         )
-    return simulation_results(net, solve_rise(net, injections)[:, None])[0]
+    return solve_columns(net, np.asarray(injections, dtype=float)[:, None])[0]
 
 
 def simulate_session(

@@ -254,7 +254,7 @@ def test_unsolvable_network_exit_1(capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert re.fullmatch(
-        r"error: solve residual \S+ in column 0 is not within tolerance 1\.600e-08: "
+        r"error: solve residual \S+ is not within tolerance 1\.600e-08: "
         r"the lateral conductances swamp the vertical ones in double precision; "
         r"check k_silicon, die_thickness and r_vertical_per_area "
         r"\(screening core 'c01' alone\)",
@@ -276,7 +276,7 @@ def test_nan_residual_exit_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: solve residual nan in column 0 is not within tolerance 1.000e+300 "
+        "error: solve residual nan is not within tolerance 1.000e+300 "
         "(screening core 'c01' alone)"
     ]
 
@@ -919,9 +919,9 @@ def test_sweep_compiles_screens_and_validates_each_session_once(tmp_path, monkey
     assert solves[0] == (15, 15)
     # that solve validated every singleton; every other packed session is
     # validated exactly once, however often it recurs, each by one
-    # single-vector solve
+    # one-column solve
     assert any(len(session) == 1 for session in built)
     larger = {session for session in built if len(session) > 1}
     assert sorted(validated, key=sorted) == sorted(larger, key=sorted)
-    assert solves[1:] == [(15,)] * len(validated)
+    assert solves[1:] == [(15, 1)] * len(validated)
     assert len(built) > len(validated)

@@ -68,6 +68,30 @@ def test_parse_trailing_comment_on_record():
     assert fp.names == ("c1",)
 
 
+# the separators str.splitlines() breaks at that open() does not translate
+@pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_comment_runs_to_the_line_break_past_other_separators(sep):
+    fp = parse_floorplan(f"a 1 1 0 0 # was{sep}b 1 1 1 0\nb 1 1 1 0\n")
+    assert fp.names == ("a", "b")
+    # an error on the next line reports the line number an editor shows
+    with pytest.raises(FloorplanError, match=r"^line 2: expected"):
+        parse_floorplan(f"a 1 1 0 0 # was{sep}b 1 1 1 0\nb 1 1 1\n")
+    profile = parse_power_profile(f"a,1,1 # was{sep}b,2,1\nb,3,1\n", fp)
+    assert (profile.power("a"), profile.power("b")) == (1.0, 3.0)
+    with pytest.raises(PowerProfileError, match=r"^line 2: duplicate entry for core 'a'"):
+        parse_power_profile(f"a,1,1 # was{sep}b,2,1\na,3,1\n", fp)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_text_handed_in_breaks_lines_as_open_does(newline):
+    fp = parse_floorplan(f"a 1 1 0 0 # was{newline}b 1 1 1 0{newline}")
+    assert fp.names == ("a", "b")
+    with pytest.raises(FloorplanError, match=r"^line 3: expected 'name .*, got 'b 1 1'$"):
+        parse_floorplan(f"a 1 1 0 0{newline}{newline}b 1 1{newline}")
+    profile = parse_power_profile(f"a,1,1 # was{newline}b,3,1{newline}", fp)
+    assert (profile.power("a"), profile.power("b")) == (1.0, 3.0)
+
+
 def test_parse_malformed_line_reports_line_number():
     with pytest.raises(FloorplanError, match="line 2"):
         parse_floorplan("c1 1 1 0 0\nc2 1 1 0\n")

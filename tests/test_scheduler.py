@@ -138,19 +138,21 @@ def test_generate_schedule_propagates_screening_failure():
 def test_screening_column_peaks_at_its_own_core(case):
     # the discrete maximum principle: G is an M-matrix and every core has a
     # path to ambient, so a core heated alone is the hottest core, and its
-    # BCMT is ambient plus the diagonal of the batched screening solve
+    # BCMT is its own temperature in the batched screening solve
     fp, profile = load_synth400() if case == "synth400" else load_inputs(case)
     die = compile_die(fp, profile, ThermalParams())
     net = die.net
     powers = [profile.power(name) for name in net.nodes]
-    rise = thermal_sim.solve_rise(net, np.diag(powers))
+    results = thermal_sim.solve_columns(net, np.diag(powers))
     for c, name in enumerate(net.nodes):
         if powers[c] == 0.0:  # an all-zero column has no peak of its own
             continue
-        column = rise[:, c]
-        assert column.argmax() == c
-        assert (np.delete(column, c) < column[c]).all()
-        assert die.bcmt[name] == net.ambient + column[c]
+        # checked on temperatures, not rises: ambient + dT rounds monotonically,
+        # so it may tie two rises but never reorder them
+        temperatures = results[c].temperatures
+        assert temperatures.argmax() == c
+        assert (np.delete(temperatures, c) < temperatures[c]).all()
+        assert die.bcmt[name] == temperatures[c]
 
 
 def test_compiled_objects_compare_by_identity_and_hash():
@@ -875,8 +877,9 @@ def test_screening_solve_failure_names_the_core():
     )
     with pytest.raises(NetworkSolveError) as err:
         compile_die(fp, huge, ThermalParams())
-    assert str(err.value).startswith("solve residual nan in column 5 ")
+    assert str(err.value).startswith("solve residual nan is not within ")
     assert str(err.value).endswith(f" (screening core {name!r} alone)")
+    assert err.value.__cause__.column == 5
 
 
 # ── config validation ────────────────────────────────────────────────────

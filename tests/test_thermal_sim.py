@@ -395,22 +395,28 @@ def test_screened_singletons_equal_per_core_solves(load):
         assert die.bcmt[name] == session.result.peak[1]
 
 
-def test_solve_rise_checks_every_column():
+def test_solve_columns_checks_every_column():
     # demo15 has 15 columns; the N=400 die checks columns far past the first
     for (fp, profile), column in [(load_inputs("demo15"), 5), (load_synth400(), 300)]:
         net = build_network(fp, ThermalParams())
         injections = np.diag([profile.power(name) for name in fp.names])
-        good = thermal_sim.solve_rise(net, injections)
+        good = thermal_sim.solve_columns(net, injections)
+        assert len(good) == len(fp)
         for k in range(len(fp)):
-            assert np.array_equal(good[:, k], thermal_sim.solve_rise(net, injections[:, k]))
+            (one,) = thermal_sim.solve_columns(net, injections[:, [k]])
+            # bit for bit: the goldens depend on it
+            assert good[k].temperatures.tobytes() == one.temperatures.tobytes()
+            assert good[k].peak == one.peak
         # a column of enormous powers overflows its solve: its residual is NaN,
         # which compares false with any tolerance and must still fail
         forged = injections.copy()
         forged[:, column] = 1e308
-        with pytest.raises(NetworkSolveError, match=f"residual nan in column {column} "):
-            thermal_sim.solve_rise(net, forged)
-        with pytest.raises(NetworkSolveError, match="residual nan is not within"):
-            thermal_sim.solve_rise(net, forged[:, column])
+        with pytest.raises(NetworkSolveError, match="^solve residual nan is not within") as err:
+            thermal_sim.solve_columns(net, forged)
+        assert err.value.column == column
+        with pytest.raises(NetworkSolveError, match="^solve residual nan is not within") as err:
+            thermal_sim.solve_columns(net, forged[:, [column]])
+        assert err.value.column == 0
         # screening names the core behind the failing column
         name = fp.names[column]
         huge = PowerProfile(
@@ -420,8 +426,21 @@ def test_solve_rise_checks_every_column():
         )
         with pytest.raises(NetworkSolveError) as err:
             compile_die(fp, huge, ThermalParams())
-        assert str(err.value).startswith(f"solve residual nan in column {column} ")
+        assert str(err.value).startswith("solve residual nan is not within ")
         assert str(err.value).endswith(f" (screening core {name!r} alone)")
+        assert err.value.__cause__.column == column
+
+
+def test_validation_solve_failure_names_its_column():
+    # a vertical resistance this large all but vanishes from G's diagonal:
+    # G still factors, but a session's solve misses its tolerance
+    fp, profile = load_inputs("demo15")
+    net = build_network(fp, ThermalParams(r_vertical_per_area=1e300))
+    with pytest.raises(NetworkSolveError) as err:
+        simulate_session({"c01"}, net, profile)
+    assert err.value.column == 0
+    assert "column" not in str(err.value)
+    assert "screening core" not in str(err.value)
 
 
 def test_steady_state_takes_one_injection_vector():
