@@ -5,9 +5,13 @@ die, positioned by their lower-left corner, in meters.  Cores must not
 overlap; abutment is legal.  Two cores are thermally adjacent when they
 share an edge segment longer than EPSILON; corner contact never counts.
 A floorplan checks for overlaps and finds its adjacent pairs in one scan
-when it is built (``build_adjacency``).  The scan only tests pairs of cores
-that lie near each other on a uniform grid (``_near_pairs``), so it takes
-about linear time in the number of cores instead of testing every pair.
+when it is built (``build_adjacency``).  The scan reads the cores' edges
+into float64 arrays once, finds the pairs of cores that share a cell of a
+uniform grid with array operations (``_near_pairs``), and tests all of
+those pairs at once; a die of at most 64 cores skips the grid and tests
+all its pairs.  The cost is linear in the number of cores when they are
+about as wide as they are tall; long, thin cores crowd the cells, and the
+candidate pairs grow toward N^2 / 2.
 
 File formats (UTF-8, '#' starts a comment, blank lines ignored):
 
@@ -18,9 +22,10 @@ File formats (UTF-8, '#' starts a comment, blank lines ignored):
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping
+
+import numpy as np
 
 EPSILON = 1e-9
 """Seam tolerance in meters; absorbs floating-point error along the edges of
@@ -101,6 +106,7 @@ class Floorplan:
                 raise FloorplanError(f"duplicate core id {core.name!r}")
             names.add(core.name)
         self._cores = cores
+        self._names = tuple(core.name for core in cores)
         self._name_set = names
         self._adjacency = build_adjacency(cores)
 
@@ -110,7 +116,7 @@ class Floorplan:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(core.name for core in self._cores)
+        return self._names
 
     def adjacency(self) -> AdjacencyGraph:
         """The adjacency graph found at construction."""
@@ -129,48 +135,78 @@ class Floorplan:
         return f"Floorplan({len(self._cores)} cores)"
 
 
-def _near_pairs(cores: tuple[CoreGeometry, ...]) -> list[tuple[int, int]]:
-    """Sorted ``(i, j)`` index pairs, ``i < j``, of cores whose rectangles,
-    each grown by a slack, share a cell of a uniform grid.
+_ALL_PAIRS_MAX = 64
+"""Up to this many cores the scan tests all pairs, at most 2,016: the grid's
+fixed cost made it slower than that on random guillotine dies of up to 64
+to 96 cores."""
+
+
+def _all_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays of every pair ``i < j`` of ``n`` cores, sorted."""
+    index = np.arange(n)
+    return (index[:, None] < index).nonzero()
+
+
+def _near_pairs(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays ``i < j``, sorted by ``(i, j)``, of the cores whose
+    rectangles, each grown by a slack, share a cell of a uniform grid;
+    ``edges`` holds the cores' left, bottom, right and top edges as rows.
+    A die of at most ``_ALL_PAIRS_MAX`` cores gets all its pairs.
 
     Every pair that can overlap, or touch within EPSILON, is among them: the
     slack exceeds EPSILON plus the rounding of the cell arithmetic, and the
     floor of a rounded difference over a positive side is monotone, so
     grown rectangles that meet also share a cell.  The cell side is the die
-    extent over isqrt(N), so a tiling puts O(1) cores in a cell; it is never
-    below the slack, which bounds the cells a core can cover.  A die whose
-    grid overflows the floats falls back to one cell, i.e. to all pairs.
+    extent over isqrt(N), so a tiling of cores about as wide as they are tall
+    puts O(1) cores in a cell, and the pairs are found in linear time; N
+    full-width strips put about sqrt(N) in every cell instead, and N^2 / 2
+    candidates.  The side is never below the slack, which bounds the cells
+    a core can cover.  A die whose grid overflows the floats falls back to
+    one cell, i.e. to all pairs.
+
+    Each core becomes one entry per cell it covers, keyed by cell and then
+    by core; after one sort, each entry pairs with the later entries of its
+    cell, and a pair that shares several cells is kept once.
     """
-    n = len(cores)
-    left = min(c.left_x for c in cores)
-    bottom = min(c.bottom_y for c in cores)
-    right = max(c.right_x for c in cores)
-    top = max(c.top_y for c in cores)
-    slack = 2 * EPSILON + 4 * math.ulp(max(-left, -bottom, right, top, 0.0))
-    x0, y0 = left - slack, bottom - slack
-    side = max(max(right - left, top - bottom) / math.isqrt(n), slack)
-
-    def cells(low: float, high: float, origin: float) -> range:
-        return range(
-            math.floor((low - slack - origin) / side),
-            math.floor((high + slack - origin) / side) + 1,
-        )
-
-    reach = ((right + slack - x0) / side, (top + slack - y0) / side)
+    n = edges.shape[1]
+    if n <= _ALL_PAIRS_MAX:
+        return _all_pairs(n)
+    x_low, y_low, _, _ = edges.min(axis=1).tolist()
+    _, _, x_high, y_high = edges.max(axis=1).tolist()
+    slack = 2 * EPSILON + 4 * math.ulp(max(-x_low, -y_low, x_high, y_high, 0.0))
+    x0, y0 = x_low - slack, y_low - slack
+    side = max(max(x_high - x_low, y_high - y_low) / math.isqrt(n), slack)
+    reach = ((x_high + slack - x0) / side, (y_high + slack - y0) / side)
     if not all(math.isfinite(v) for v in (x0, y0, *reach)):
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
-    buckets: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for i, c in enumerate(cores):
-        for gx in cells(c.left_x, c.right_x, x0):
-            for gy in cells(c.bottom_y, c.top_y, y0):
-                buckets[gx, gy].append(i)
-    # each bucket lists its cores in index order, so every pair has i < j
-    return sorted({
-        (i, j)
-        for members in buckets.values()
-        for k, i in enumerate(members)
-        for j in members[k + 1:]
-    })
+        return _all_pairs(n)
+    # the cells [gx0, gx1] x [gy0, gy1] each grown core covers
+    cells = (edges + [[-slack], [-slack], [slack], [slack]] - [[x0], [y0], [x0], [y0]]) / side
+    gx0, gy0, gx1, gy1 = np.floor(cells, out=cells).astype(np.int64)
+    rows = int(gy1.max()) + 1
+    tall = gy1 - gy0 + 1
+    core, k = _runs((gx1 - gx0 + 1) * tall)
+    dx, dy = np.divmod(k, tall[core])
+    # one entry per (cell, core), sorted by cell and then by core
+    entries = ((gx0 * rows + gy0)[core] + dx * rows + dy) * n + core
+    entries.sort()
+    cell, core = np.divmod(entries, n)
+    # an entry pairs with each later entry of its cell, whose core is larger
+    first, k = _runs(cell.searchsorted(cell, side="right") - np.arange(cell.size) - 1)
+    pairs = core[first] * n + core[first + 1 + k]
+    # a pair that shares several cells recurs; np.unique, which hashes, is
+    # many times slower than this sort at a few thousand pairs
+    pairs.sort()
+    fresh = np.empty(pairs.size, dtype=bool)
+    fresh[:1] = True
+    np.not_equal(pairs[1:], pairs[:-1], out=fresh[1:])
+    return np.divmod(pairs[fresh], n)
+
+
+def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For runs of the given lengths laid end to end: each element's run, and
+    its offset within that run."""
+    run = np.arange(counts.size).repeat(counts)
+    return run, np.arange(run.size) - (counts.cumsum() - counts)[run]
 
 
 def build_adjacency(cores: tuple[CoreGeometry, ...]) -> AdjacencyGraph:
@@ -184,26 +220,40 @@ def build_adjacency(cores: tuple[CoreGeometry, ...]) -> AdjacencyGraph:
     overlap of their other sides as an edge; corner contact shares none.
     Each adjacent pair carries its shared edge length and the distance
     between the two core centers.
+
+    Each core's left, bottom, right (``left + width``) and top edge is read
+    into a float64 array once, and all candidate pairs are measured at once
+    with array operations, which round as ``min``, ``max`` and ``-`` on
+    Python floats do; the distances are ``math.dist`` of the centers, as
+    ``CoreGeometry.center`` gives them.
     """
-    pairs: list[tuple[str, str, float, float]] = []
-    for i, j in _near_pairs(cores):
-        a, b = cores[i], cores[j]
-        w = min(a.right_x, b.right_x) - max(a.left_x, b.left_x)
-        h = min(a.top_y, b.top_y) - max(a.bottom_y, b.bottom_y)
-        if w > EPSILON and h > EPSILON:
-            raise FloorplanError(
-                f"cores {a.name!r} and {b.name!r} overlap "
-                f"(intersection {w:.3e} m x {h:.3e} m)"
-            )
-        if abs(w) <= EPSILON:  # touching along a vertical edge
-            edge = h
-        elif abs(h) <= EPSILON:  # touching along a horizontal edge
-            edge = w
-        else:
-            continue
-        if edge > EPSILON:
-            pairs.append((a.name, b.name, edge, math.dist(a.center, b.center)))
-    return AdjacencyGraph(pairs)
+    names = [c.name for c in cores]
+    corner, size = np.array([
+        [[c.left_x for c in cores], [c.bottom_y for c in cores]],
+        [[c.width for c in cores], [c.height for c in cores]],
+    ], dtype=float)
+    # numpy warns where Python floats overflow to inf quietly
+    with np.errstate(all="ignore"):
+        edges = np.concatenate((corner, corner + size))
+        i, j = _near_pairs(edges)
+        a, b = edges.take(i, axis=1), edges.take(j, axis=1)
+        # the width and the height of each candidate pair's intersection
+        w, h = np.minimum(a[2:], b[2:]) - np.maximum(a[:2], b[:2])
+        centers = list(zip(*(corner + 0.5 * size).tolist()))
+    overlap = ((w > EPSILON) & (h > EPSILON)).nonzero()[0]
+    if overlap.size:
+        k = overlap[0]
+        raise FloorplanError(
+            f"cores {names[i[k]]!r} and {names[j[k]]!r} overlap "
+            f"(intersection {w[k]:.3e} m x {h[k]:.3e} m)"
+        )
+    vertical = np.abs(w) <= EPSILON  # touching along a vertical edge
+    edge = np.where(vertical, h, w)
+    keep = ((vertical | (np.abs(h) <= EPSILON)) & (edge > EPSILON)).nonzero()[0]
+    return AdjacencyGraph(
+        (names[p], names[q], e, math.dist(centers[p], centers[q]))
+        for p, q, e in zip(i[keep].tolist(), j[keep].tolist(), edge[keep].tolist())
+    )
 
 
 def _records(source: str | IO[str]) -> Iterator[tuple[int, str, str]]:

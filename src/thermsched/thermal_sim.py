@@ -131,12 +131,15 @@ class SimulationResult:
     peak: tuple[str, float]             # hottest core and its temperature
 
 
-def _conductance(numerator: float, denominator: float, path: str, knobs: str) -> float:
+def _conductance(numerator: float, denominator: float, knobs: str, path: str,
+                 *names: str) -> float:
     """``1 / (numerator / denominator)``: the reciprocal of a path resistance.
 
     Positive, finite parameters can still underflow or overflow either
     division, so raises NetworkSolveError naming the path and the
     parameters behind it unless the conductance is positive and finite.
+    The path's label is ``path`` with the reprs of ``names`` filled in,
+    formatted only for that message.
     """
     try:
         conductance = 1.0 / (numerator / denominator)
@@ -144,7 +147,8 @@ def _conductance(numerator: float, denominator: float, path: str, knobs: str) ->
         conductance = math.nan
     if not 0.0 < conductance < math.inf:
         raise NetworkSolveError(
-            f"{path} is zero or not finite in double precision; check {knobs}"
+            f"{path.format(*map(repr, names))} is zero or not finite in double "
+            f"precision; check {knobs}"
         )
     return conductance
 
@@ -173,8 +177,8 @@ def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
         gl = _conductance(
             center_distance,
             params.k_silicon * params.die_thickness * shared_edge,
-            f"lateral conductance between {a!r} and {b!r}",
             "k_silicon and die_thickness",
+            "lateral conductance between {} and {}", a, b,
         )
         i, j = position[a], position[b]
         diagonal[i] += gl
@@ -184,7 +188,7 @@ def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
         lateral[j].append((i, gl))
     vertical = tuple(
         _conductance(params.r_vertical_per_area, core.area,
-                     f"vertical conductance of {core.name!r}", "r_vertical_per_area")
+                     "r_vertical_per_area", "vertical conductance of {}", core.name)
         for core in fp.cores
     )
     for i, gv in enumerate(vertical):

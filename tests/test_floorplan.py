@@ -431,13 +431,27 @@ def test_bucketed_scans_on_hand_built_dies():
     assert bucketed_scan(cores) == message
 
 
+@settings(max_examples=150, deadline=None)
+@given(perturbed_dies())
+def test_grid_scans_match_all_pairs_scan(cores):
+    # dies of up to _ALL_PAIRS_MAX cores skip the grid; here it runs on all
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(floorplan, "_ALL_PAIRS_MAX", 0)
+        assert bucketed_scan(cores) == brute_force_scan(cores)
+
+
+def test_grid_scans_on_hand_built_dies(monkeypatch):
+    monkeypatch.setattr(floorplan, "_ALL_PAIRS_MAX", 0)
+    test_bucketed_scans_on_hand_built_dies()
+
+
 def test_one_scan_per_floorplan(monkeypatch):
     # overlaps and adjacency come from one pass over the near pairs, made
     # when the floorplan is built; asking for the graph, or building the
     # network from it, scans nothing again
     scans = []
     real = floorplan._near_pairs
-    monkeypatch.setattr(floorplan, "_near_pairs", lambda cores: scans.append(1) or real(cores))
+    monkeypatch.setattr(floorplan, "_near_pairs", lambda edges: scans.append(1) or real(edges))
     fp = parse_floorplan("c1 1 1 0 0\nc2 1 1 1 0\nc3 1 1 2 0")
     pairs = list(fp.adjacency().pairs())
     build_network(fp, ThermalParams())
@@ -470,6 +484,22 @@ def heap_guillotine_text(rng, n_cores, die=0.008):
     )
 
 
+def test_bucketed_scans_on_a_benchmark_sized_die():
+    # 400 cores, as on the benchmark's dies: cells with several cores and
+    # long candidate lists; repr compares every float bit for bit
+    text = heap_guillotine_text(np.random.default_rng(44), 400)
+    cores = parse_floorplan(text).cores
+    assert repr(bucketed_scan(cores)) == repr(brute_force_scan(cores))
+    # the same die with a core appended last that overlaps an early one and
+    # its neighbors
+    c = cores[3]
+    cores += (CoreGeometry("intruder", 2 * c.width, 2 * c.height,
+                           c.left_x + 0.5 * c.width, c.bottom_y + 0.5 * c.height),)
+    message = brute_force_scan(cores)
+    assert "'intruder'" in message
+    assert bucketed_scan(cores) == message
+
+
 def test_ten_thousand_core_die_parses_and_scans_quickly():
     text = heap_guillotine_text(np.random.default_rng(43), 10_000)
     start = time.perf_counter()
@@ -479,5 +509,5 @@ def test_ten_thousand_core_die_parses_and_scans_quickly():
     assert len(fp) == 10_000
     # a guillotine tiling is planar: at least N - 1 and fewer than 3N contacts
     assert len(fp) - 1 <= len(pairs) < 3 * len(fp)
-    # about 0.45 s on 2 vCPUs; all-pairs scans took 4.2 s already at N = 1600
+    # 0.10-0.20 s on 2 vCPUs; all-pairs scans took 4.2 s already at N = 1600
     assert elapsed < 10.0
