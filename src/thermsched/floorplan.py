@@ -32,6 +32,15 @@ EPSILON = 1e-9
 generated floorplans."""
 
 
+def finite(value: float) -> bool:
+    """Whether ``value`` is finite as a float: an int too large to convert
+    to one is not, where ``math.isfinite`` would raise OverflowError."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 class FloorplanError(ValueError):
     """Malformed or geometrically invalid floorplan input."""
 
@@ -52,7 +61,7 @@ class CoreGeometry:
 
     def __post_init__(self):
         values = (self.width, self.height, self.left_x, self.bottom_y)
-        if not all(math.isfinite(v) for v in values):
+        if not all(map(finite, values)):
             raise FloorplanError(f"core {self.name!r} has non-finite geometry")
         if not (self.width > 0 and self.height > 0):
             raise FloorplanError(
@@ -61,20 +70,8 @@ class CoreGeometry:
             )
 
     @property
-    def right_x(self) -> float:
-        return self.left_x + self.width
-
-    @property
-    def top_y(self) -> float:
-        return self.bottom_y + self.height
-
-    @property
     def area(self) -> float:
         return self.width * self.height
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.left_x + 0.5 * self.width, self.bottom_y + 0.5 * self.height)
 
 
 class AdjacencyGraph:
@@ -224,8 +221,8 @@ def build_adjacency(cores: tuple[CoreGeometry, ...]) -> AdjacencyGraph:
     Each core's left, bottom, right (``left + width``) and top edge is read
     into a float64 array once, and all candidate pairs are measured at once
     with array operations, which round as ``min``, ``max`` and ``-`` on
-    Python floats do; the distances are ``math.dist`` of the centers, as
-    ``CoreGeometry.center`` gives them.
+    Python floats do; the distances are ``math.dist`` of the centers
+    ``(left + 0.5 * width, bottom + 0.5 * height)``.
     """
     names = [c.name for c in cores]
     corner, size = np.array([
@@ -301,11 +298,11 @@ def parse_floorplan(source: str | IO[str]) -> Floorplan:
 def _check_test_values(name: str, power: float, duration: float) -> None:
     """Reject a test power that is not finite and >= 0, or a duration that is
     not finite and > 0."""
-    if not (math.isfinite(power) and power >= 0):
+    if not (finite(power) and power >= 0):
         raise PowerProfileError(
             f"core {name!r} has invalid test power {power}; need a finite value >= 0"
         )
-    if not (math.isfinite(duration) and duration > 0):
+    if not (finite(duration) and duration > 0):
         raise PowerProfileError(
             f"core {name!r} has invalid test duration {duration}; need a finite value > 0"
         )

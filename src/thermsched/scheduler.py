@@ -53,7 +53,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from collections.abc import Set
 from decimal import ROUND_CEILING, Decimal, localcontext
 from typing import Mapping, Sequence
 
@@ -61,8 +60,8 @@ import numpy as np
 import orjson
 
 from . import thermal_sim
-from .floorplan import Floorplan, PowerProfile
-from .thermal_model import ThermalParams, escape_paths, session_stc
+from .floorplan import Floorplan, PowerProfile, finite
+from .thermal_model import ThermalParams, candidate_term, session_stc
 from .thermal_sim import (
     RESIDUAL_RTOL,
     NetworkSolveError,
@@ -83,11 +82,11 @@ class SchedulerConfig:
     stcl: float                # session thermal characteristic limit, K*W
 
     def __post_init__(self):
-        if not math.isfinite(self.tl):
+        if not finite(self.tl):
             raise ValueError(f"tl must be finite, got {self.tl}")
         # an unbounded STCL would disable the weight feedback entirely:
         # weights steer packing only through the STC <= STCL test
-        if not (math.isfinite(self.stcl) and self.stcl > 0):
+        if not (finite(self.stcl) and self.stcl > 0):
             raise ValueError(f"stcl must be positive and finite, got {self.stcl}")
 
 
@@ -266,7 +265,7 @@ def build_session(
     stcl: float,
     net: ThermalNetwork,
     powers: Sequence[float],
-    margins: list[float] | None = None,
+    margins: list[float],
 ) -> list[int]:
     """Greedily grow one session from candidates given in packing order.
 
@@ -276,10 +275,9 @@ def build_session(
     admitted nodes in the order they joined.
 
     Candidates are tried in the order given; ``generate_schedule`` sorts
-    them again only at a discard.  A set has no fixed order, so passing one
-    raises ``TypeError`` rather than packing in hash order.  Each candidate
-    is kept only if the enlarged session's STC stays within ``stcl``.  The
-    first candidate is always admitted -- see the module docstring.
+    them again only at a discard.  Each candidate is kept only if the
+    enlarged session's STC stays within ``stcl``.  The first candidate is
+    always admitted -- see the module docstring.
 
     The session is a ``bytearray`` of membership flags, and its STC is
     kept incrementally.  A joining core ``c`` only removes passive escape
@@ -293,38 +291,28 @@ def build_session(
     of ``c`` and the terms of its neighbors in the session, each priced
     within the enlarged session, and every ``<= stcl`` decision matches a
     full recompute.  One scan of ``c``'s escape paths
-    (``thermal_model.escape_paths``) gives both its own R_eq and the
+    (``thermal_model.candidate_term``) gives both its own term and the
     neighbors it touches; only those neighbors are re-priced, through
-    ``session_stc``.
+    ``session_stc``.  Packing only compares the terms these two return.
 
     One shortcut skips evaluations and keeps the decisions exact: the STC
     never falls, and only the exempt first core can take it past ``stcl``.
     Once it has, every later candidate's enlarged STC is above ``stcl``
     too, so the singleton is returned at once.
 
-    ``margins``, if given, is a list that receives this call's
-    ``[admitted, rejected]``: the largest STC found within ``stcl``, -inf
-    if none, and the smallest found above it, the early exit's included,
-    inf if none.  The admitted STCs are the session's STC after each
-    admission, which never falls, so the largest is the final one.
+    ``margins`` is a list that receives this call's ``[admitted,
+    rejected]``: the largest STC found within ``stcl``, -inf if none, and
+    the smallest found above it, the early exit's included, inf if none.
+    The admitted STCs are the session's STC after each admission, which
+    never falls, so the largest is the final one.
     """
-    if isinstance(candidates, Set):
-        raise TypeError(
-            "build_session tries candidates in the order given; pass a sequence "
-            "in packing order, not a set"
-        )
-    if not candidates:
-        raise ValueError("no cores available to build a session from")
     active = bytearray(len(net.nodes))
     admitted: list[int] = []
     stc = 0.0
     rejected = math.inf
     for i in candidates:
-        g, touched = escape_paths(i, active, net)
+        term, touched = candidate_term(i, powers, weights, net, active)
         active[i] = 1
-        p = powers[i]
-        # the candidate's own term, evaluated as session_stc evaluates one
-        term = p * (1.0 / g) * p * weights[i]
         enlarged = term if term > stc else stc
         if touched:
             neighbors = session_stc(touched, powers, weights, net, active)
@@ -339,9 +327,8 @@ def build_session(
             active[i] = 0
             if enlarged < rejected:
                 rejected = enlarged
-    if margins is not None:
-        # over the limit, the exempt first core ended the attempt at once
-        margins[:] = (stc, rejected) if stc <= stcl else (-math.inf, stc)
+    # over the limit, the exempt first core ended the attempt at once
+    margins[:] = (stc, rejected) if stc <= stcl else (-math.inf, stc)
     return admitted
 
 

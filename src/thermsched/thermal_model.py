@@ -19,19 +19,22 @@ The path resistances exist only as conductances: ``thermal_sim.build_network``
 derives them from the floorplan geometry once per floorplan and parameter
 set.  The model works on node indices into that network: a session is a
 ``bytearray`` of membership flags, and powers and weights are sequences in
-node order, so pricing a term reads lists only.  ``escape_paths`` applies
-the usable-path rule to one node, and ``session_stc`` prices a list of
-nodes with the same rule in one flat loop.  A core's R_eq depends only on
-which of its own neighbors are in the session, so ``session_stc`` can
-evaluate just the members whose terms a change touched; packing uses this
-to price a candidate in O(degree).
+node order, so pricing a term reads lists only.  ``candidate_term`` prices
+one node as it joins a session and lists the members it touches, and
+``session_stc`` prices a list of nodes with the same rule in one flat loop;
+both evaluate every term the same way, so this module is the one owner of
+the pricing rule.  A core's R_eq depends only on which of its own neighbors
+are in the session, so ``session_stc`` can evaluate just the members whose
+terms a change touched; packing uses this to price a candidate in
+O(degree).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
+
+from .floorplan import finite
 
 if TYPE_CHECKING:
     from .thermal_sim import ThermalNetwork
@@ -60,14 +63,20 @@ class ThermalParams:
     def __post_init__(self):
         for name in ("k_silicon", "die_thickness", "r_vertical_per_area"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if not (finite(value) and value > 0):
                 raise ValueError(f"{name} must be strictly positive and finite")
-        if not math.isfinite(self.t_ambient):
+        if not finite(self.t_ambient):
             raise ValueError("t_ambient must be finite")
 
 
-def escape_paths(i: int, active: bytearray, net: ThermalNetwork) -> tuple[float, list[int]]:
-    """Node ``i``'s usable escape conductance within a session, and the
+def candidate_term(
+    i: int,
+    powers: Sequence[float],
+    weights: Sequence[float],
+    net: ThermalNetwork,
+    active: bytearray,
+) -> tuple[float, list[int]]:
+    """Node ``i``'s ``TC * P * W`` term as it joins a session, and the
     session's nodes it touches.
 
     ``active[j]`` is nonzero exactly when node ``j`` is in the session.
@@ -76,7 +85,8 @@ def escape_paths(i: int, active: bytearray, net: ThermalNetwork) -> tuple[float,
     other active nodes are dropped.  Both are taken in one pass over the
     node's laterals, in floorplan order: the conductance is summed in that
     order, and the touched neighbors are listed in it.  Node ``i``'s own
-    flag is not read.
+    flag is not read, so the term is the one ``session_stc`` gives ``i``
+    once it has joined, bit for bit.
     """
     g = net.vertical[i]
     touched = []
@@ -85,7 +95,8 @@ def escape_paths(i: int, active: bytearray, net: ThermalNetwork) -> tuple[float,
             touched.append(j)
         else:
             g += lateral
-    return g, touched
+    p = powers[i]
+    return p * (1.0 / g) * p * weights[i], touched
 
 
 def session_stc(
@@ -99,11 +110,11 @@ def session_stc(
 
     Nodes are indices into ``net.nodes``, and ``powers`` and ``weights``
     hold each node's test power and packing weight in node order.
-    ``active`` flags the session, as in ``escape_paths``; when it flags
+    ``active`` flags the session, as in ``candidate_term``; when it flags
     exactly ``members`` the value is the session thermal characteristic
     (STC) of ``members``, and flagging more evaluates only some of its
     members' terms.  Each term is ``P * (1 / g) * P * W``, evaluated left
-    to right with ``g`` summed as ``escape_paths`` sums it.  No members
+    to right with ``g`` summed as ``candidate_term`` sums it.  No members
     give 0.
     """
     vertical, lateral = net.vertical, net.lateral

@@ -101,7 +101,7 @@ class ThermalNetwork:
     of node ``i``'s path to ambient, and ``lateral[i]`` lists its neighbors
     as ``(node index, lateral conductance)`` pairs in floorplan order; both
     are derived by ``build_network`` and read, on node indices, by
-    ``thermal_model.escape_paths`` and ``session_stc``.  ``position`` maps
+    ``thermal_model.candidate_term`` and ``session_stc``.  ``position`` maps
     a name to its index, for callers that start from names.
     ``conductance`` is ``G`` as a ``scipy.sparse.csr_array``, symmetric
     positive definite: off-diagonals are the negated lateral conductances,
@@ -201,7 +201,8 @@ def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
     g[np.diag_indices(n)] = diagonal
     try:
         with _one_blas_thread():
-            factor = cho_factor(g)
+            # every conductance and diagonal was checked finite above
+            factor = cho_factor(g, check_finite=False)
     except np.linalg.LinAlgError as exc:
         # every vertical conductance is positive, so G is positive definite
         # in exact arithmetic; only rounding can lose it
@@ -237,7 +238,8 @@ def solve_columns(net: ThermalNetwork, injections: np.ndarray) -> list[Simulatio
     p = np.asarray(injections, dtype=float)
     tolerance = RESIDUAL_RTOL * np.maximum(1.0, np.abs(p).max(axis=0))
     with _one_blas_thread():
-        rise = cho_solve(net.factor, p)
+        # the factor is G's, and a NaN or inf solve fails the residual test
+        rise = cho_solve(net.factor, p, check_finite=False)
     # G @ dT - P for every column at once, formed in place
     r = net.conductance @ rise
     r -= p

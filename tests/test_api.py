@@ -9,6 +9,15 @@ from pathlib import Path
 import pytest
 
 import thermsched
+from thermsched import (
+    CoreGeometry,
+    Floorplan,
+    FloorplanError,
+    PowerProfile,
+    PowerProfileError,
+    SchedulerConfig,
+    ThermalParams,
+)
 from thermsched.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -92,3 +101,21 @@ def test_every_third_party_import_is_a_declared_dependency():
     third_party = imported - set(sys.stdlib_module_names) - {"thermsched"}
     assert "numpy" in third_party  # the walk sees the package's imports
     assert third_party - declared == set()
+
+
+@pytest.mark.parametrize("value", [10**400, -10**400], ids=["huge", "-huge"])
+@pytest.mark.parametrize("build, error, message", [
+    (lambda v: SchedulerConfig(v, 1.0), ValueError, "tl must be finite, got {}"),
+    (lambda v: ThermalParams(k_silicon=v), ValueError,
+     "k_silicon must be strictly positive and finite"),
+    (lambda v: CoreGeometry("a", v, 1.0, 0.0, 0.0), FloorplanError,
+     "core 'a' has non-finite geometry"),
+    (lambda v: PowerProfile({"a": (v, 1.0)}, Floorplan([CoreGeometry("a", 1.0, 1.0, 0.0, 0.0)])),
+     PowerProfileError, "core 'a' has invalid test power {}; need a finite value >= 0"),
+], ids=["SchedulerConfig", "ThermalParams", "CoreGeometry", "PowerProfile"])
+def test_ints_beyond_float_range_are_not_finite(build, error, message, value):
+    # math.isfinite raises OverflowError on such an int; library callers get
+    # the ValueError subclass and the message any non-finite value gets
+    with pytest.raises(error) as err:
+        build(value)
+    assert str(err.value) == message.format(value)

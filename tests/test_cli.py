@@ -884,9 +884,9 @@ def test_sweep_compiles_screens_and_validates_each_session_once(tmp_path, monkey
     real_build = scheduler.build_session
     real_compile = cli.compile_die
 
-    def solve(factor, injections):
+    def solve(factor, injections, **kwargs):
         solves.append(np.shape(injections))
-        return real_solve(factor, injections)
+        return real_solve(factor, injections, **kwargs)
 
     def simulate(members, *args):
         validated.append(frozenset(members))
@@ -902,7 +902,10 @@ def test_sweep_compiles_screens_and_validates_each_session_once(tmp_path, monkey
         solves_at_compile.append(len(solves))
         return die
 
-    monkeypatch.setattr(thermal_sim, "cho_factor", lambda g: factors.append(g) or real_factor(g))
+    monkeypatch.setattr(
+        thermal_sim, "cho_factor",
+        lambda g, **kwargs: factors.append(g) or real_factor(g, **kwargs),
+    )
     monkeypatch.setattr(thermal_sim, "cho_solve", solve)
     monkeypatch.setattr(scheduler, "simulate_session", simulate)
     monkeypatch.setattr(scheduler, "build_session", build)

@@ -23,7 +23,7 @@ from thermsched.floorplan import (
 )
 from thermsched.thermal_model import ThermalParams
 from thermsched.thermal_sim import build_network
-from util import random_floorplan, shared_edge_length, strip_floorplan
+from util import core_center, core_edges, random_floorplan, shared_edge_length, strip_floorplan
 
 
 # ── parsing ──────────────────────────────────────────────────────────────
@@ -325,8 +325,10 @@ def brute_force_scan(cores):
     for i in range(len(cores)):
         for j in range(i + 1, len(cores)):
             a, b = cores[i], cores[j]
-            w = min(a.right_x, b.right_x) - max(a.left_x, b.left_x)
-            h = min(a.top_y, b.top_y) - max(a.bottom_y, b.bottom_y)
+            a_left, a_bottom, a_right, a_top = core_edges(a)
+            b_left, b_bottom, b_right, b_top = core_edges(b)
+            w = min(a_right, b_right) - max(a_left, b_left)
+            h = min(a_top, b_top) - max(a_bottom, b_bottom)
             if w > EPSILON and h > EPSILON:
                 return (
                     f"cores {a.name!r} and {b.name!r} overlap "
@@ -338,7 +340,7 @@ def brute_force_scan(cores):
             a, b = cores[i], cores[j]
             length = shared_edge_length(a, b)
             if length > EPSILON:
-                pairs.append((a.name, b.name, length, math.dist(a.center, b.center)))
+                pairs.append((a.name, b.name, length, math.dist(core_center(a), core_center(b))))
     return pairs
 
 
@@ -370,8 +372,7 @@ def perturbed_dies(draw):
 
     cores = []
     for c in fp:
-        left, bottom = nudged(c.left_x + offset), nudged(c.bottom_y + offset)
-        right, top = nudged(c.right_x + offset), nudged(c.top_y + offset)
+        left, bottom, right, top = (nudged(v + offset) for v in core_edges(c))
         cores.append(CoreGeometry(c.name, right - left, top - bottom, left, bottom))
     overlap = draw(st.sampled_from([None, None, "grow", "add"]))
     if overlap is not None:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermsched.floorplan import CoreGeometry, Floorplan, PowerProfile, parse_floorplan
-from thermsched.thermal_model import ThermalParams, escape_paths, session_stc
+from thermsched.thermal_model import ThermalParams, candidate_term, session_stc
 from thermsched.thermal_sim import build_network
 from util import (
     equivalent_resistance,
@@ -205,12 +205,10 @@ def test_indexed_pricing_matches_the_name_level_reference_bit_for_bit(case):
     active = session_flags(session, net)
     powers, weight_list = packing_inputs(net, profile, weights)
     for i, name in enumerate(net.nodes):
-        g, touched = escape_paths(i, active, net)
-        expected_g, expected_touched = reference_escape(name, session, net)
-        assert g == expected_g
-        assert [net.nodes[j] for j in touched] == expected_touched
-        # a candidate's scan before it joins matches its R_eq once it has
-        assert 1.0 / g == equivalent_resistance(name, session | {name}, net)
+        term, touched = candidate_term(i, powers, weight_list, net, active)
+        assert [net.nodes[j] for j in touched] == reference_escape(name, session, net)[1]
+        # a candidate's term before it joins matches its term once it has
+        assert term == reference_stc([name], profile, weights, net, session | {name})
     indices = [net.position[n] for n in members]
     assert session_stc(indices, powers, weight_list, net, active) == reference_stc(
         members, profile, weights, net, session

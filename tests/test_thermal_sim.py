@@ -135,7 +135,9 @@ def test_non_positive_definite_raises():
 def test_factor_once_per_schedule(monkeypatch):
     calls = []
     real = thermal_sim.cho_factor
-    monkeypatch.setattr(thermal_sim, "cho_factor", lambda g: calls.append(1) or real(g))
+    monkeypatch.setattr(
+        thermal_sim, "cho_factor", lambda g, **kwargs: calls.append(1) or real(g, **kwargs)
+    )
     rng = np.random.default_rng(59)
     fp = random_floorplan(rng, 10)
     profile = random_profile(rng, fp)
@@ -165,7 +167,7 @@ def test_compiled_paths_never_reach_the_adjacency_graph(monkeypatch):
         equivalent_resistance(name, session, net)
     simulate_session(session, net, profile)
     screen_cores(net, profile)
-    build_session(list(range(len(net.nodes))), weights, 10.0, net, powers)
+    build_session(list(range(len(net.nodes))), weights, 10.0, net, powers, [])
     with pytest.raises(AssertionError, match="geometry"):
         build_network(fp, ThermalParams())  # the compile step does read them
 

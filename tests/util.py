@@ -27,7 +27,7 @@ from thermsched.scheduler import (
     TestSession,
     check_tl,
 )
-from thermsched.thermal_model import ThermalParams, escape_paths, session_stc
+from thermsched.thermal_model import ThermalParams, session_stc
 from thermsched.thermal_sim import (
     RESIDUAL_RTOL,
     ThermalNetwork,
@@ -101,12 +101,24 @@ def random_session(rng, fp: Floorplan) -> frozenset[str]:
     return frozenset(members)
 
 
+def core_edges(core: CoreGeometry) -> tuple[float, float, float, float]:
+    """A core's left, bottom, right and top edges, from its four fields."""
+    return core.left_x, core.bottom_y, core.left_x + core.width, core.bottom_y + core.height
+
+
+def core_center(core: CoreGeometry) -> tuple[float, float]:
+    """A core's center, from its four fields."""
+    return core.left_x + 0.5 * core.width, core.bottom_y + 0.5 * core.height
+
+
 def shared_edge_length(a: CoreGeometry, b: CoreGeometry) -> float:
     """Length of the boundary segment two non-overlapping rectangles share,
     from their gaps: 0.0 when they do not abut, and for corner contact.
     Facing edges within EPSILON of each other count as touching."""
-    x_gap = max(a.left_x, b.left_x) - min(a.right_x, b.right_x)
-    y_gap = max(a.bottom_y, b.bottom_y) - min(a.top_y, b.top_y)
+    a_left, a_bottom, a_right, a_top = core_edges(a)
+    b_left, b_bottom, b_right, b_top = core_edges(b)
+    x_gap = max(a_left, b_left) - min(a_right, b_right)
+    y_gap = max(a_bottom, b_bottom) - min(a_top, b_top)
     if abs(x_gap) <= EPSILON:  # touching along a vertical edge
         return max(0.0, -y_gap)
     if abs(y_gap) <= EPSILON:  # touching along a horizontal edge
@@ -145,7 +157,7 @@ def grounded_rise_oracle(core: str, session, fp: Floorplan, params: ThermalParam
                 params.k_silicon
                 * params.die_thickness
                 * shared
-                / math.dist(here.center, other.center)
+                / math.dist(core_center(here), core_center(other))
             )
             a[i, i] += g
             a[i, index[other.name]] -= g
@@ -161,11 +173,13 @@ def session_flags(session, net: ThermalNetwork) -> bytearray:
 
 
 def equivalent_resistance(name: str, session, net: ThermalNetwork) -> float:
-    """A member's R_eq within a session given by names: the reciprocal of
-    the library's ``escape_paths`` conductance."""
+    """A member's R_eq within a session given by names: the library's
+    ``session_stc`` of the member alone at unit power and weight, exactly
+    ``1 / g``, since multiplying by 1.0 is exact."""
     if name not in session:
         raise ValueError(f"core {name!r} is not in the session")
-    return 1.0 / escape_paths(net.position[name], session_flags(session, net), net)[0]
+    ones = [1.0] * len(net.nodes)
+    return session_stc([net.position[name]], ones, ones, net, session_flags(session, net))
 
 
 def packing_inputs(
