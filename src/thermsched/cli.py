@@ -40,10 +40,10 @@ from .scheduler import (
     Schedule,
     SchedulerConfig,
     ScreeningError,
+    _json_bytes,
     check_tl,
     compile_die,
     generate_schedule,
-    schedule_to_json,
 )
 from .thermal_model import ThermalParams
 from .thermal_sim import NetworkSolveError
@@ -173,15 +173,16 @@ def _load_inputs(args) -> tuple[Floorplan, PowerProfile, ThermalParams]:
     )
 
 
-def _write(payload: str, out: str | None) -> None:
+def _write(payload: bytes, out: str | None) -> None:
+    """Write the output's UTF-8 bytes to ``out``, or else to stdout."""
     if out:
         with open(out, "wb") as fh:
-            fh.write(payload.encode())
+            fh.write(payload)
     elif hasattr(sys.stdout, "buffer"):  # UTF-8, whatever stdout's encoding
         sys.stdout.flush()
-        sys.stdout.buffer.write(payload.encode())
+        sys.stdout.buffer.write(payload)
     else:  # a stream of text alone, such as a StringIO, takes the text
-        sys.stdout.write(payload)
+        sys.stdout.write(payload.decode())
 
 
 def run_single(args) -> int:
@@ -189,7 +190,7 @@ def run_single(args) -> int:
     config = SchedulerConfig(args.tl, args.stcl)
     check_tl(config.tl, params.t_ambient)
     schedule = generate_schedule(compile_die(fp, power, params), config)
-    _write(schedule_to_json(schedule, config, params), args.out)
+    _write(_json_bytes(schedule, config, params), args.out)
     return 0
 
 
@@ -240,7 +241,7 @@ def run_sweep(args) -> int:
             # this TL cannot host any schedule; its grid rows are skipped
             print(f"skipping TL={tl_text}: {exc}", file=sys.stderr)
         above = row_runs
-    _write("\n".join(lines) + "\n", args.out)
+    _write(("\n".join(lines) + "\n").encode(), args.out)
     return 0 if len(lines) > 1 else 2
 
 

@@ -459,6 +459,26 @@ def schedule_to_json(
     characters raw, where json escapes them, and ``1e16`` or ``0.00001``
     for ``1e+16`` or ``1e-05``.  Only a value orjson refuses (an int beyond
     64 bits, a numpy scalar, a lone surrogate) is written by ``json.dumps``.
+    Either encoder builds a session's temperature map only when it reaches
+    the session, so the writer holds one map at a time; the text is the
+    decoding of ``_json_bytes``, whose bytes the CLI writes as they are.
+    """
+    return _json_bytes(schedule, config, params).decode()
+
+
+def _temperature_map(result: SimulationResult) -> dict[str, float]:
+    return dict(zip(result.nodes, result.temperatures.tolist()))
+
+
+def _json_bytes(
+    schedule: Schedule, config: SchedulerConfig, params: ThermalParams
+) -> bytes:
+    """``schedule_to_json``'s document as UTF-8 bytes, never held as text.
+
+    Each session's ``"temps_c"`` holds its ``SimulationResult``, and the
+    encoder's ``default`` hook, ``_temperature_map``, builds that session's
+    map when it reaches it, so one map is alive at a time beside the bytes
+    written so far.
     """
     document = {
         "config": {
@@ -475,7 +495,7 @@ def schedule_to_json(
             {
                 "cores": sorted(s.cores),
                 "duration_s": s.duration,
-                "temps_c": dict(zip(s.result.nodes, s.result.temperatures.tolist())),
+                "temps_c": s.result,
                 "peak": {"core": s.result.peak[0], "temperature_c": s.result.peak[1]},
             }
             for s in schedule.sessions
@@ -485,8 +505,13 @@ def schedule_to_json(
         "max_temperature_c": schedule.max_temperature,
     }
     try:
-        data = orjson.dumps(document, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE)
+        # without OPT_PASSTHROUGH_DATACLASS orjson writes a dataclass's
+        # fields itself and never calls the hook
+        return orjson.dumps(
+            document,
+            default=_temperature_map,
+            option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE
+            | orjson.OPT_PASSTHROUGH_DATACLASS,
+        )
     except orjson.JSONEncodeError:
-        return json.dumps(document, indent=2) + "\n"
-    del document  # release the temperatures before decoding the text
-    return data.decode()
+        return (json.dumps(document, indent=2, default=_temperature_map) + "\n").encode()

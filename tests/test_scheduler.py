@@ -5,8 +5,9 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,6 +39,8 @@ from util import (
     packing_order,
     random_floorplan,
     random_profile,
+    reference_document,
+    reference_json,
     reference_schedule,
     reference_stc,
     strip_floorplan,
@@ -768,7 +771,10 @@ def discard_cases(draw):
 def test_discarding_runs_on_a_shared_die_match_fresh_and_reference_runs():
     discarded = []
 
-    @settings(max_examples=30, deadline=None)
+    # the same 30 cases on every run, 24 of which discard under Hypothesis
+    # 6.155: random draws discarded in 14 to 27 of 30, so the coverage guard
+    # below failed now and then on correct code
+    @settings(max_examples=30, deadline=None, derandomize=True)
     @given(discard_cases())
     def check(case):
         fp, profile, configs = case
@@ -901,6 +907,24 @@ def test_schedule_document_is_json_ready():
         assert s["peak"]["temperature_c"] < 150.0
 
 
+def test_json_writer_holds_one_temperature_map_beside_its_bytes():
+    # orjson 3.8.3 writes the golden tight document, 203 sessions of 400
+    # temperatures, at a traced peak of 1.5 times its length when each
+    # session's map is built as the encoder reaches it, of 3.0 times when
+    # every map is built first, and of 4.0 times when the bytes of that
+    # whole dict are also decoded to text
+    schedule = generate_schedule(golden_synth400_die(), SYNTH400_TIGHT)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        data = scheduler._json_bytes(schedule, SYNTH400_TIGHT, ThermalParams())
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(data), (peak, len(data))
+
+
 # names that json must escape: quotes, backslashes and control characters,
 # and characters outside ASCII, including one beyond the BMP
 ASCII_NAME_CHARS = ['"', "\\", "\n", "\t", "\x1f", "/", "a", " "]
@@ -1006,32 +1030,20 @@ def floats_in(value):
 
 def written_text(schedule, config, params):
     """The schedule's JSON text, checked against the writer's contract:
-    ``json.loads`` gives back every key, in order, and every float bit for
-    bit; and with every core name in ASCII without DEL and every float zero
-    or of magnitude within ``[1e-4, 1e16)``, where orjson escapes and spells
-    as json does, the text is exactly json's own indented rendering."""
+    ``_json_bytes`` gives the whole-document writer's bytes and
+    ``schedule_to_json`` their text, byte for byte; ``json.loads`` gives
+    back every key, in order, and every float bit for bit; and with every
+    core name in ASCII without DEL and every float zero or of magnitude
+    within ``[1e-4, 1e16)``, where orjson escapes and spells as json does,
+    the text is exactly json's own indented rendering."""
+    data = scheduler._json_bytes(schedule, config, params)
     text = schedule_to_json(schedule, config, params)
+    reference = reference_json(schedule, config, params)
+    assert data == reference.encode()
+    assert text == data.decode()
+    assert text == reference
     doc = json.loads(text)
-    assert exact(doc) == exact({
-        "config": {
-            "tl_c": config.tl, "stcl": config.stcl,
-            "weight_factor": scheduler.WEIGHT_FACTOR, "core_order": "power_weight_desc",
-        },
-        "thermal_params": asdict(params),
-        "stage1_bcmt_c": schedule.stage1_report,
-        "sessions": [
-            {
-                "cores": sorted(session.cores),
-                "duration_s": session.duration,
-                "temps_c": dict(zip(session.result.nodes, session.result.temperatures.tolist())),
-                "peak": {"core": session.result.peak[0], "temperature_c": session.result.peak[1]},
-            }
-            for session in schedule.sessions
-        ],
-        "total_length_s": schedule.total_length,
-        "simulation_effort_s": schedule.simulation_effort,
-        "max_temperature_c": schedule.max_temperature,
-    })
+    assert exact(doc) == exact(reference_document(schedule, config, params))
     names_escaped_alike = all(n.isascii() and "\x7f" not in n for n in schedule.stage1_report)
     if names_escaped_alike and all(x == 0 or 1e-4 <= abs(x) < 1e16 for x in floats_in(doc)):
         assert text == json.dumps(doc, indent=2) + "\n"
@@ -1108,7 +1120,7 @@ def strip_schedule(config, fp=None):
 ])
 def test_values_orjson_refuses_are_written_as_json_writes_them(config, params, written):
     # the writer echoes the params it is given; the schedule's die is the strip's
-    text = schedule_to_json(strip_schedule(config), config, params)
+    text = written_text(strip_schedule(config), config, params)
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
     assert written in text
 
@@ -1118,7 +1130,7 @@ def test_a_lone_surrogate_core_name_is_written_as_json_writes_it():
         CoreGeometry("\ud800", 1.0, 1.0, 0.0, 0.0), CoreGeometry("s2", 1.0, 1.0, 1.0, 0.0)
     ])
     config = SchedulerConfig(tl=150.0, stcl=10.0)
-    text = schedule_to_json(strip_schedule(config, fp), config, STRIP_PARAMS)
+    text = written_text(strip_schedule(config, fp), config, STRIP_PARAMS)
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
     assert '"\\ud800": ' in text
 

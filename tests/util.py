@@ -2,14 +2,17 @@
 pairwise shared-edge reference, the grounded-network nodal oracle used
 to cross-check equivalent resistances, the packing order, a name-level
 STC that shares no code with the library's pricing, a paper-literal
-schedule run, and a sweep row."""
+schedule run, a whole-document JSON writer, and a sweep row."""
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from thermsched.cli import _limit, _totals
 from thermsched.floorplan import (
@@ -21,6 +24,7 @@ from thermsched.floorplan import (
     parse_power_profile,
 )
 from thermsched.scheduler import (
+    WEIGHT_FACTOR,
     Schedule,
     SchedulerConfig,
     ScreeningError,
@@ -305,6 +309,45 @@ def reference_schedule(
         tl_range=(math.nan, math.nan),
         stcl_range=(math.nan, math.nan),
     )
+
+
+def reference_document(schedule: Schedule, config: SchedulerConfig, params: ThermalParams) -> dict:
+    """The schedule document as a plain dict, every session's temperature
+    map built up front."""
+    return {
+        "config": {
+            "tl_c": config.tl,
+            "stcl": config.stcl,
+            "weight_factor": WEIGHT_FACTOR,
+            "core_order": "power_weight_desc",
+        },
+        "thermal_params": asdict(params),
+        "stage1_bcmt_c": dict(schedule.stage1_report),
+        "sessions": [
+            {
+                "cores": sorted(s.cores),
+                "duration_s": s.duration,
+                "temps_c": dict(zip(s.result.nodes, s.result.temperatures.tolist())),
+                "peak": {"core": s.result.peak[0], "temperature_c": s.result.peak[1]},
+            }
+            for s in schedule.sessions
+        ],
+        "total_length_s": schedule.total_length,
+        "simulation_effort_s": schedule.simulation_effort,
+        "max_temperature_c": schedule.max_temperature,
+    }
+
+
+def reference_json(schedule: Schedule, config: SchedulerConfig, params: ThermalParams) -> str:
+    """The schedule document's text, written whole: an oracle for
+    ``scheduler._json_bytes``.  ``reference_document`` goes to one
+    ``orjson.dumps``, or to ``json.dumps`` where orjson refuses a value."""
+    document = reference_document(schedule, config, params)
+    try:
+        data = orjson.dumps(document, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE)
+    except orjson.JSONEncodeError:
+        return json.dumps(document, indent=2) + "\n"
+    return data.decode()
 
 
 def sweep_row(tl: float, stcl: float, schedule) -> str:
