@@ -21,6 +21,9 @@ instead of a run of its own.
 
 Either mode writes UTF-8 bytes, to stdout or to ``--out``, whatever the
 encoding of stdout, so a core name holding "é" exits 0 under any locale.
+A sweep writes each TL row's lines when the row ends, the header with the
+first of them; ``--out`` is created at the first write, so a run that
+fails before it leaves no file.
 
 Exit codes: 0 success; 1 input error, unsolvable thermal network, or a
 weight or simulation effort that overflows in double precision; 2 screening
@@ -33,7 +36,8 @@ import argparse
 import math
 import re
 import sys
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 from .floorplan import Floorplan, PowerProfile, parse_floorplan, parse_power_profile
 from .scheduler import (
@@ -49,12 +53,11 @@ from .thermal_model import ThermalParams
 from .thermal_sim import NetworkSolveError
 
 SWEEP_HEADER = "tl_C,stcl,schedule_length_s,simulation_effort_s,max_temperature_C"
-# A sweep holds one CSV row per grid point until it writes its output:
-# about 120 bytes a point at its peak (tracemalloc, 10^6 points on a
-# one-core die), where a point also runs fastest, about 3 us on a 2-vCPU
-# host.  A grid at this cap would hold some 1.2 TB, so no sweep that can
-# finish is refused, while a range with a tiny step is counted and refused
-# instead of built.
+# A sweep writes each TL row as it ends, so what it holds grows with its
+# axes, each built as a list, and not with its grid.  A point runs in about
+# 3 us at its fastest (a one-core die, a 2-vCPU host), so a grid at this cap
+# would run for some 30,000 s: no sweep that can finish is refused, while a
+# range with a tiny step is counted and refused instead of built.
 MAX_SWEEP_POINTS = 10_000_000_000
 
 
@@ -173,16 +176,31 @@ def _load_inputs(args) -> tuple[Floorplan, PowerProfile, ThermalParams]:
     )
 
 
-def _write(payload: bytes, out: str | None) -> None:
-    """Write the output's UTF-8 bytes to ``out``, or else to stdout."""
-    if out:
-        with open(out, "wb") as fh:
+@contextmanager
+def _output(out: str | None) -> Iterator[Callable[[bytes], None]]:
+    """A function that writes UTF-8 bytes of the output to ``out``, or else
+    to stdout.  ``out`` is created at the first write; stdout is flushed at
+    every write, so lines on stderr keep their order relative to it."""
+    fh = None
+
+    def write(payload: bytes) -> None:
+        nonlocal fh
+        if out:
+            if fh is None:
+                fh = open(out, "wb")
             fh.write(payload)
-    elif hasattr(sys.stdout, "buffer"):  # UTF-8, whatever stdout's encoding
-        sys.stdout.flush()
-        sys.stdout.buffer.write(payload)
-    else:  # a stream of text alone, such as a StringIO, takes the text
-        sys.stdout.write(payload.decode())
+        elif hasattr(sys.stdout, "buffer"):  # UTF-8, whatever stdout's encoding
+            sys.stdout.flush()
+            sys.stdout.buffer.write(payload)
+            sys.stdout.buffer.flush()
+        else:  # a stream of text alone, such as a StringIO, takes the text
+            sys.stdout.write(payload.decode())
+
+    try:
+        yield write
+    finally:
+        if fh is not None:
+            fh.close()
 
 
 def run_single(args) -> int:
@@ -190,7 +208,8 @@ def run_single(args) -> int:
     config = SchedulerConfig(args.tl, args.stcl)
     check_tl(config.tl, params.t_ambient)
     schedule = generate_schedule(compile_die(fp, power, params), config)
-    _write(_json_bytes(schedule, config, params), args.out)
+    with _output(args.out) as write:
+        write(_json_bytes(schedule, config, params))
     return 0
 
 
@@ -215,34 +234,42 @@ def run_sweep(args) -> int:
     for stcl in stcl_values:
         SchedulerConfig(tl_values[0], stcl)
     die = compile_die(fp, power, params)
-    lines = [SWEEP_HEADER]
     # each row is `tl,stcl,totals` in SWEEP_HEADER's columns, each limit
     # formatted once and each run's totals once
     stcl_texts = [_limit(stcl) for stcl in stcl_values]
     # the run behind each point of the previous TL row, with its totals'
     # text; None where it failed
     above: list[tuple[Schedule, str] | None] = [None] * len(stcl_values)
-    for tl in tl_values:
-        tl_text = _limit(tl)
-        row_runs: list[tuple[Schedule, str] | None] = [None] * len(stcl_values)
-        left = None
-        try:
-            for j, stcl in enumerate(stcl_values):
-                if left is not None and left[0].covers(tl, stcl):
-                    run = left
-                elif above[j] is not None and above[j][0].covers(tl, stcl):
-                    run = above[j]
-                else:
-                    schedule = generate_schedule(die, SchedulerConfig(tl, stcl))
-                    run = (schedule, _totals(schedule))
-                row_runs[j] = left = run
-                lines.append(f"{tl_text},{stcl_texts[j]},{run[1]}")
-        except ScreeningError as exc:
-            # this TL cannot host any schedule; its grid rows are skipped
-            print(f"skipping TL={tl_text}: {exc}", file=sys.stderr)
-        above = row_runs
-    _write(("\n".join(lines) + "\n").encode(), args.out)
-    return 0 if len(lines) > 1 else 2
+    # written with the first row's lines, or alone if every TL fails
+    header = SWEEP_HEADER + "\n"
+    with _output(args.out) as write:
+        for tl in tl_values:
+            tl_text = _limit(tl)
+            row_runs: list[tuple[Schedule, str] | None] = [None] * len(stcl_values)
+            left = None
+            lines = [header]
+            try:
+                for j, stcl in enumerate(stcl_values):
+                    if left is not None and left[0].covers(tl, stcl):
+                        run = left
+                    elif above[j] is not None and above[j][0].covers(tl, stcl):
+                        run = above[j]
+                    else:
+                        schedule = generate_schedule(die, SchedulerConfig(tl, stcl))
+                        run = (schedule, _totals(schedule))
+                    row_runs[j] = left = run
+                    lines.append(f"{tl_text},{stcl_texts[j]},{run[1]}\n")
+            except ScreeningError as exc:
+                # this TL cannot host any schedule; its grid rows are skipped
+                print(f"skipping TL={tl_text}: {exc}", file=sys.stderr)
+            above = row_runs
+            if len(lines) > 1:
+                write("".join(lines).encode())
+                header = ""
+        if header:
+            write(header.encode())
+            return 2
+    return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

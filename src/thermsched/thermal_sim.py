@@ -7,14 +7,18 @@ which the guiding session model reads, and the nodal conductance matrix
 ``G`` with its Cholesky factor, which the validator reads.  ``G`` does not
 depend on the test session, so it is assembled and factored once; a session
 only changes the injection vector ``P``.  ``G`` itself is held sparse,
-with N diagonal entries and two per adjacent pair, for the residual check;
-the factor is the only dense N x N array the network holds.
+with N diagonal entries and two per adjacent pair, for the residual check.
+The dense ``G`` is assembled in Fortran order and factored in its own
+buffer, so the factor is the only dense N x N array the network holds,
+and building it never holds a second.
 
 Unlike the guiding session model, the validator keeps every core in play:
 all adjacent pairs are coupled (active or not), every node has its own
 vertical path to ambient, and passive cores are free nodes that warm up.
 ``solve_columns`` is the one solve of ``G dT = P``, for a single session
-and for the scheduler's batched screening alike; every solve failure sets
+and for the scheduler's screening blocks alike; a column's solve does not
+depend on the other columns, and its temperatures are the solution's own
+buffer plus ambient.  Every solve failure sets
 ``NetworkSolveError.column``, which is None only when the network cannot
 be built or factored.
 
@@ -167,7 +171,8 @@ def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
     names = fp.names
     n = len(names)
     position = {name: i for i, name in enumerate(names)}
-    g = np.zeros((n, n))
+    # in Fortran order, so that LAPACK factors G in its own buffer
+    g = np.zeros((n, n), order="F")
     # G's diagonal is summed in Python floats, which overflow to inf quietly
     diagonal = [0.0] * n
     lateral: list[list[tuple[int, float]]] = [[] for _ in names]
@@ -199,10 +204,13 @@ def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
                 f"precision; {_KNOBS}"
             )
     g[np.diag_indices(n)] = diagonal
+    # taken before the factor overwrites g
+    conductance = csr_array(g)
     try:
         with _one_blas_thread():
-            # every conductance and diagonal was checked finite above
-            factor = cho_factor(g, check_finite=False)
+            # every conductance and diagonal was checked finite above; G is
+            # symmetric, so its Fortran buffer is LAPACK's input unchanged
+            factor = cho_factor(g, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         # every vertical conductance is positive, so G is positive definite
         # in exact arithmetic; only rounding can lose it
@@ -215,7 +223,7 @@ def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
         position=position,
         vertical=vertical,
         lateral=tuple(map(tuple, lateral)),
-        conductance=csr_array(g),
+        conductance=conductance,
         factor=factor,
         ambient=params.t_ambient,
     )
@@ -229,14 +237,18 @@ def solve_columns(net: ThermalNetwork, injections: np.ndarray) -> list[Simulatio
     the first failing column, unless every column's inf-norm residual is
     within RESIDUAL_RTOL * max(1, ||P_col||_inf); a NaN residual fails too.
 
-    Temps = ambient + dT.  Result ``j``'s temperatures are row ``j`` of one
-    read-only ``(k, N)`` array, so no column is copied.  Its peak is the
-    first node where column ``j`` of ``dT`` is largest, so a tied peak goes
-    to the first node; ``ambient + max(dT)`` is ``max(ambient + dT)``,
-    since rounding is monotone.
+    Temps = ambient + dT, added in the solution's own buffer.  Result
+    ``j``'s temperatures are row ``j`` of one read-only ``(k, N)`` array,
+    so no column is copied.  Its peak is the first node where column ``j``
+    of ``dT`` is largest, so a tied peak goes to the first node;
+    ``ambient + max(dT)`` is ``max(ambient + dT)``, since rounding is
+    monotone.
     """
     p = np.asarray(injections, dtype=float)
-    tolerance = RESIDUAL_RTOL * np.maximum(1.0, np.abs(p).max(axis=0))
+    # ||P_col||_inf from two reductions, without an |P| copy; NaN propagates
+    tolerance = RESIDUAL_RTOL * np.maximum(
+        1.0, np.maximum(p.max(axis=0), -p.min(axis=0))
+    )
     with _one_blas_thread():
         # the factor is G's, and a NaN or inf solve fails the residual test
         rise = cho_solve(net.factor, p, check_finite=False)
@@ -244,8 +256,6 @@ def solve_columns(net: ThermalNetwork, injections: np.ndarray) -> list[Simulatio
     r = net.conductance @ rise
     r -= p
     error = np.abs(r, out=r).max(axis=0)
-    # freed before the temperatures are allocated, so they can reuse its block
-    del r
     failed = np.flatnonzero(~(error <= tolerance))
     if failed.size:
         k = int(failed[0])
@@ -260,13 +270,15 @@ def solve_columns(net: ThermalNetwork, injections: np.ndarray) -> list[Simulatio
             f"tolerance {tolerance[k]:.3e}{cause}",
             k,
         )
-    temperatures = net.ambient + rise.T
+    peaks = rise.argmax(axis=0).tolist()
+    rise += net.ambient
+    temperatures = rise.T
     temperatures.flags.writeable = False
     return [
         SimulationResult(
             nodes=net.nodes, temperatures=row, peak=(net.nodes[i], float(row[i]))
         )
-        for row, i in zip(temperatures, rise.argmax(axis=0).tolist())
+        for row, i in zip(temperatures, peaks)
     ]
 
 

@@ -29,6 +29,7 @@ from util import (
     reference_schedule,
     reference_stc,
     sweep_row,
+    traced_peak,
 )
 
 
@@ -551,6 +552,45 @@ def test_sweep_all_tls_failing_exit_2(three_core_files, capsys):
     assert lines == [SWEEP_HEADER]
 
 
+def test_sweep_skip_lines_keep_their_order_among_the_rows(three_core_files):
+    # stderr merged into stdout: each TL row is written, and flushed, when
+    # it ends, so a skipped TL's line lands between the rows around it
+    flp, power = three_core_files
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    merged = subprocess.run(
+        [sys.executable, "-m", "thermsched", "--floorplan", str(flp), "--power", str(power),
+         "--sweep-tl", "46,200,47,201", "--sweep-stcl", "500"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env, timeout=120, check=False,
+    )
+    assert merged.returncode == 0
+    lines = merged.stdout.decode().splitlines()
+    assert [line.split(":")[0].split(",")[0] for line in lines] == [
+        "skipping TL=46", SWEEP_HEADER.split(",")[0], "200", "skipping TL=47", "201",
+    ]
+
+
+def test_sweep_failing_partway_keeps_the_rows_written_before(tmp_path, capsys):
+    # two 0.6e308 s tests share one session at any STCL; at the lower TL the
+    # pair is too hot, and its discards overflow the effort in the second row
+    flp = tmp_path / "strip.flp"
+    flp.write_text("a 0.001 0.001 0 0\nb 0.001 0.001 0.001 0\n")
+    power = tmp_path / "strip.csv"
+    power.write_text("a,1,0.6e308\nb,1,0.6e308\n")
+    fp, profile = load_inputs("strip", tmp_path)
+    die = compile_die(fp, profile, ThermalParams())
+    pair = thermal_sim.simulate_session(fp.names, die.net, profile).peak[1]
+    hot = (max(die.bcmt.values()) + pair) / 2
+    out = tmp_path / "sweep.csv"
+    code = main(["--floorplan", str(flp), "--power", str(power), "--out", str(out),
+                 "--sweep-tl", f"{pair + 1!r},{hot!r}", "--sweep-stcl", "1e300"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: simulation effort overflowed")
+    schedule = generate_schedule(die, SchedulerConfig(tl=pair + 1, stcl=1e300))
+    assert out.read_text() == f"{SWEEP_HEADER}\n{sweep_row(pair + 1, 1e300, schedule)}\n"
+
+
 @pytest.mark.parametrize(
     "sweep_tl, sweep_stcl, message",
     [
@@ -806,6 +846,23 @@ def test_dense_demo_sweep_runs_once_per_decision_box(tmp_path, monkeypatch):
     assert sum(runs) == 4616
     # the busiest run makes one attempt per core
     assert max(runs) == 15
+
+
+def test_dense_demo_sweep_holds_far_less_than_its_output(tmp_path, monkeypatch):
+    # 25,921 rows, a 601,462-byte CSV: written a TL row at a time, the rows
+    # never pile up; the die and its memos, kept alive here, are not counted
+    dies = []
+    real = cli.compile_die
+    monkeypatch.setattr(cli, "compile_die", lambda *a: dies.append(real(*a)) or dies[-1])
+    out = tmp_path / "sweep.csv"
+    code, peak = traced_peak(lambda: main(
+        ["--floorplan", str(DATA / "demo15.flp"), "--power", str(DATA / "demo15.csv"),
+         "--sweep-tl", "145:185:0.25", "--sweep-stcl", "20:100:0.5", "--out", str(out)]
+    ))
+    assert code == 0
+    size = out.stat().st_size
+    assert size == 601_462
+    assert peak < 0.5 * size, (peak, size)
 
 
 def test_dense_demo_sweep_keeps_one_memo_entry_per_member_set(tmp_path, monkeypatch):

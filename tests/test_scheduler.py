@@ -5,7 +5,6 @@ import json
 import math
 import re
 import sys
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -44,6 +43,7 @@ from util import (
     reference_schedule,
     reference_stc,
     strip_floorplan,
+    traced_peak,
     uniform_profile,
 )
 
@@ -914,15 +914,12 @@ def test_json_writer_holds_one_temperature_map_beside_its_bytes():
     # every map is built first, and of 4.0 times when the bytes of that
     # whole dict are also decoded to text
     schedule = generate_schedule(golden_synth400_die(), SYNTH400_TIGHT)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        held = tracemalloc.get_traced_memory()[0]
-        data = scheduler._json_bytes(schedule, SYNTH400_TIGHT, ThermalParams())
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.5 * len(data), (peak, len(data))
+    data, peak = traced_peak(
+        lambda: scheduler._json_bytes(schedule, SYNTH400_TIGHT, ThermalParams())
+    )
+    # below 2.5 times the length above what was held before the call, where
+    # the bytes themselves are held after it
+    assert peak + len(data) < 2.5 * len(data), (peak, len(data))
 
 
 # names that json must escape: quotes, backslashes and control characters,

@@ -9,7 +9,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermsched import thermal_sim
+from thermsched import scheduler, thermal_sim
 from thermsched.floorplan import AdjacencyGraph, CoreGeometry, Floorplan, PowerProfile
 from thermsched.scheduler import (
     SchedulerConfig,
@@ -36,6 +36,7 @@ from util import (
     random_session,
     session_flags,
     strip_floorplan,
+    traced_peak,
     uniform_profile,
 )
 
@@ -395,6 +396,36 @@ def test_screened_singletons_equal_per_core_solves(load):
         assert session.duration == profile.duration(name)
         assert not session.result.temperatures.flags.writeable
         assert die.bcmt[name] == session.result.peak[1]
+
+
+def test_screening_blocks_match_one_batched_solve():
+    # the N=400 die spans four blocks; the rows on each side of every block
+    # boundary, and all the others, are those of one batched solve
+    fp, profile = load_synth400()
+    die = compile_die(fp, profile, ThermalParams())
+    block = scheduler._SCREEN_BLOCK
+    assert 2 * block < len(fp)
+    injections = np.diag([profile.power(name) for name in fp.names])
+    batched = thermal_sim.solve_columns(die.net, injections)
+    for i, result in enumerate(batched):
+        session = die._sessions[frozenset((i,))][0]
+        assert session.result.temperatures.tobytes() == result.temperatures.tobytes(), i
+        assert session.result.peak == result.peak, i
+    edges = {0, len(fp) - 1}
+    for start in range(block, len(fp), block):
+        edges |= {start - 1, start}
+    for i in sorted(edges):
+        (one,) = thermal_sim.solve_columns(die.net, injections[:, [i]])
+        assert batched[i].temperatures.tobytes() == one.temperatures.tobytes(), i
+
+
+def test_compile_die_holds_no_transient_square_array():
+    # G is factored in its own buffer and screening solves a block of columns
+    # at a time, so beyond the factor and the singletons' temperatures that
+    # the die keeps, compiling it never holds another N x N array
+    fp, profile = load_synth400()
+    _, peak = traced_peak(lambda: compile_die(fp, profile, ThermalParams()))
+    assert peak <= len(fp) ** 2 * 8, peak
 
 
 def test_solve_columns_checks_every_column():

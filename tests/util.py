@@ -2,12 +2,14 @@
 pairwise shared-edge reference, the grounded-network nodal oracle used
 to cross-check equivalent resistances, the packing order, a name-level
 STC that shares no code with the library's pricing, a paper-literal
-schedule run, a whole-document JSON writer, and a sweep row."""
+schedule run, a whole-document JSON writer, a sweep row, and a traced
+memory peak."""
 
 from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -354,3 +356,16 @@ def sweep_row(tl: float, stcl: float, schedule) -> str:
     """One grid point's sweep CSV row, in SWEEP_HEADER's columns, built from
     the CLI's limit and totals formats."""
     return f"{_limit(tl)},{_limit(stcl)},{_totals(schedule)}"
+
+
+def traced_peak(fn):
+    """Call ``fn()`` under tracemalloc and return its result and the traced
+    peak, in bytes, above what is still traced when it returns: the memory
+    the call held only while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - held
