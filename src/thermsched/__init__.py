@@ -16,42 +16,26 @@ from .floorplan import (
     parse_power_profile,
 )
 from .scheduler import (
-    CompiledDie,
-    Schedule,
     SchedulerConfig,
     ScreeningError,
-    TestSession,
     compile_die,
     generate_schedule,
     schedule_to_json,
 )
 from .thermal_model import ThermalParams
-from .thermal_sim import (
-    RESIDUAL_RTOL,
-    NetworkSolveError,
-    SimulationResult,
-    ThermalNetwork,
-    build_network,
-    simulate_session,
-)
+from .thermal_sim import NetworkSolveError, build_network, simulate_session
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "RESIDUAL_RTOL",
-    "CompiledDie",
     "CoreGeometry",
     "Floorplan",
     "FloorplanError",
     "NetworkSolveError",
     "PowerProfile",
     "PowerProfileError",
-    "Schedule",
     "SchedulerConfig",
     "ScreeningError",
-    "SimulationResult",
-    "TestSession",
-    "ThermalNetwork",
     "ThermalParams",
     "build_network",
     "compile_die",

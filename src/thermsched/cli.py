@@ -1,6 +1,6 @@
 """Command-line front end: single schedule runs and TL x STCL sweeps.
 
-Single run (writes a JSON schedule document, ``scheduler.schedule_to_json``):
+Single run (writes the JSON schedule document's bytes, ``scheduler._json_bytes``):
 
     thermsched --floorplan die.flp --power tests.csv --tl 145 --stcl 40
 
@@ -16,8 +16,8 @@ not packed again (``CompiledDie``).
 Each run reports the rectangle of limits over which it makes the same
 decisions (``Schedule.covers``), so a point inside the rectangle of the
 run behind the previous point in its TL row, or behind the point at the
-same STCL in the previous TL row, gets that run's row with its own limits
-instead of a run of its own.
+same STCL in the last TL row that ran, gets that run's row with its own
+limits instead of a run of its own.
 
 Either mode writes UTF-8 bytes, to stdout or to ``--out``, whatever the
 encoding of stdout, so a core name holding "é" exits 0 under any locale.
@@ -237,15 +237,15 @@ def run_sweep(args) -> int:
     # each row is `tl,stcl,totals` in SWEEP_HEADER's columns, each limit
     # formatted once and each run's totals once
     stcl_texts = [_limit(stcl) for stcl in stcl_values]
-    # the run behind each point of the previous TL row, with its totals'
-    # text; None where it failed
+    # the run behind each point of the last TL row that ran, with its
+    # totals' text; None before the first.  A row overwrites each entry
+    # after reading it, so a screened-out TL row leaves the list as it was
     above: list[tuple[Schedule, str] | None] = [None] * len(stcl_values)
     # written with the first row's lines, or alone if every TL fails
     header = SWEEP_HEADER + "\n"
     with _output(args.out) as write:
         for tl in tl_values:
             tl_text = _limit(tl)
-            row_runs: list[tuple[Schedule, str] | None] = [None] * len(stcl_values)
             left = None
             lines = [header]
             try:
@@ -257,12 +257,11 @@ def run_sweep(args) -> int:
                     else:
                         schedule = generate_schedule(die, SchedulerConfig(tl, stcl))
                         run = (schedule, _totals(schedule))
-                    row_runs[j] = left = run
+                    above[j] = left = run
                     lines.append(f"{tl_text},{stcl_texts[j]},{run[1]}\n")
             except ScreeningError as exc:
                 # this TL cannot host any schedule; its grid rows are skipped
                 print(f"skipping TL={tl_text}: {exc}", file=sys.stderr)
-            above = row_runs
             if len(lines) > 1:
                 write("".join(lines).encode())
                 header = ""

@@ -205,7 +205,6 @@ class CompiledDie:
     _powers: tuple[float, ...] = field(repr=False)  # W, per node
     _keys: tuple[tuple[float, str], ...] = field(repr=False)  # (-P, name), per node
     _start: tuple[int, ...] = field(repr=False)  # node indices sorted by _keys
-    _hottest: float = field(repr=False)  # the largest BCMT, deg C
     _sessions: dict[frozenset[int], tuple] = field(repr=False)
     _attempts: list[tuple] = field(default_factory=list, repr=False)
 
@@ -270,7 +269,6 @@ def compile_die(fp: Floorplan, power: PowerProfile, params: ThermalParams) -> Co
         _powers=powers,
         _keys=keys,
         _start=tuple(sorted(range(len(keys)), key=keys.__getitem__)),
-        _hottest=max(s.result.peak[1] for s in singletons.values()),
         _sessions={
             frozenset((i,)): (s, [i], [float(s.result.temperatures[i])])
             for i, s in enumerate(singletons.values())
@@ -366,7 +364,7 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
     net, power, powers = die.net, die.power, die._powers
     names = net.nodes
     check_tl(config.tl, net.ambient)
-    hottest = die._hottest
+    hottest = max(die.bcmt.values())
     if hottest >= config.tl:
         violations = [(name, temp) for name, temp in die.bcmt.items() if temp >= config.tl]
         raise ScreeningError(violations, hottest + RESIDUAL_RTOL * max(1.0, abs(hottest)))

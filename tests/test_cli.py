@@ -848,6 +848,34 @@ def test_dense_demo_sweep_runs_once_per_decision_box(tmp_path, monkeypatch):
     assert max(runs) == 15
 
 
+def test_sweep_row_after_a_screened_out_tl_reuses_the_last_row_that_ran(
+    tmp_path, monkeypatch, capsys
+):
+    # the middle TL fails screening; the third row repeats the first row's
+    # TL, so the first row's runs, still the runs above it, cover every point
+    die = compile_die(*load_inputs("demo15"), ThermalParams())
+    failing = max(die.bcmt.values()) - 1
+    runs = []
+    real_generate = cli.generate_schedule
+    monkeypatch.setattr(
+        cli, "generate_schedule", lambda *args: runs.append(args[1].tl) or real_generate(*args)
+    )
+    out = tmp_path / "sweep.csv"
+    code = main(
+        ["--floorplan", str(DATA / "demo15.flp"), "--power", str(DATA / "demo15.csv"),
+         "--sweep-tl", f"170,{failing!r},170", "--sweep-stcl", "20:100:2", "--out", str(out)]
+    )
+    assert code == 0
+    assert capsys.readouterr().err.count("skipping TL") == 1
+    rows = out.read_bytes().splitlines()[1:]
+    assert len(rows) == 2 * 41
+    assert rows[41:] == rows[:41]
+    # the first row's runs, then the screened-out TL's one call; the third
+    # row calls nothing
+    assert runs[-1] == failing
+    assert runs.count(failing) == 1 and len(runs) > 1
+
+
 def test_dense_demo_sweep_holds_far_less_than_its_output(tmp_path, monkeypatch):
     # 25,921 rows, a 601,462-byte CSV: written a TL row at a time, the rows
     # never pile up; the die and its memos, kept alive here, are not counted
