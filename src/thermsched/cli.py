@@ -54,10 +54,14 @@ from .thermal_sim import NetworkSolveError
 
 SWEEP_HEADER = "tl_C,stcl,schedule_length_s,simulation_effort_s,max_temperature_C"
 # A sweep writes each TL row as it ends, so what it holds grows with its
-# axes, each built as a list, and not with its grid.  A point runs in about
-# 3 us at its fastest (a one-core die, a 2-vCPU host), so a grid at this cap
-# would run for some 30,000 s: no sweep that can finish is refused, while a
-# range with a tiny step is counted and refused instead of built.
+# axes, each built as a list, and not with its grid.  An STCL value costs
+# about 100 bytes before the first run (its float, its text and its slot
+# in the row above), so an axis at this cap holds about 100 MB.
+MAX_AXIS_POINTS = 1_000_000
+# A point runs in about 3 us at its fastest (a one-core die, a 2-vCPU
+# host), so a grid at this cap would run for some 30,000 s: no sweep that
+# can finish is refused, while a range with a tiny step is counted and
+# refused instead of built.
 MAX_SWEEP_POINTS = 10_000_000_000
 
 
@@ -147,15 +151,21 @@ def _parse_axis(text: str) -> tuple[int, Callable[[], list[float]]]:
             # inf when the quotient overflows
             steps = (stop - start) / step + 1e-9
             count = math.floor(steps) + 1 if math.isfinite(steps) else math.inf
-            if count > MAX_SWEEP_POINTS:
+            if count > MAX_AXIS_POINTS:
                 raise _UsageError(
-                    f"bad range {text!r}: {count} points; a sweep holds "
-                    f"at most {MAX_SWEEP_POINTS}"
+                    f"bad range {text!r}: {count} points; an axis holds "
+                    f"at most {MAX_AXIS_POINTS}"
                 )
             return count, lambda: [start + k * step for k in range(count)]
         values = [float(p) for p in text.split(",") if p.strip()]
         if not values:
             raise _UsageError(f"empty value list {text!r}")
+        if len(values) > MAX_AXIS_POINTS:
+            # the text itself is not repeated: it is longer than any message
+            raise _UsageError(
+                f"value list has {len(values)} values; an axis holds "
+                f"at most {MAX_AXIS_POINTS}"
+            )
         if not all(math.isfinite(v) for v in values):
             raise _UsageError(f"bad value list {text!r}: values must be finite")
         return len(values), lambda: values

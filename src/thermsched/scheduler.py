@@ -30,10 +30,13 @@ every validation it has solved, keyed by the member set's node indices,
 screening's singletons first, and a TL x STCL sweep solves each distinct
 larger session once.  A run's state after k attempts -- its packing order
 and weights -- depends only on which cores each earlier attempt admitted
-and which it found too hot.  So a compiled die also remembers the attempts
-runs made along each such path, each with the STCLs it holds for, and a
-sweep packs a run's early attempts only where no earlier run made them,
-reading each session's member temperatures once.
+and which it found too hot, and for one packed session the cores too hot
+are those at or above TL, so their number names them.  So a compiled die
+also remembers the attempts runs made along each such path, each with the
+STCLs it holds for and its next states keyed by that number, and a sweep
+packs a run's early attempts only where no earlier run made them, reading
+each session's member temperatures once.  A run records its first N
+attempts on N cores and no state after its last.
 
 The first core entering a session is exempt from the STCL test: screening
 already proved every single-core session safe, and without the exemption a
@@ -131,7 +134,11 @@ class TestSession:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Sequential list of thermal-safe sessions covering every core once."""
+    """Sequential list of thermal-safe sessions covering every core once.
+
+    ``stage1_report`` is the compiled die's ``bcmt`` itself, shared by
+    every run on the die: read it, do not change it.
+    """
 
     sessions: tuple[TestSession, ...]
     total_length: float        # s, sum of session durations
@@ -166,11 +173,13 @@ class CompiledDie:
     """One floorplan, parameter set and power profile, compiled for scheduling.
 
     Holds what every schedule run on the die reads and no limit changes:
-    the compiled network, the test powers and every core's BCMT.  Packing
-    works on node indices: ``_powers`` holds the test powers in node order,
-    ``_keys`` the packing keys ``(-P * W, name)`` at weights all one, and
-    ``_start`` the nodes sorted by them, every run's start order.  Two
-    private memos let runs that share a die reuse each other's work:
+    the compiled network, the test powers and every core's BCMT.  ``bcmt``
+    is every run's ``stage1_report``, shared, not copied, so it is
+    read-only.  Packing works on node indices: ``_powers`` holds the test
+    powers in node order, ``_keys`` the packing keys ``(-P * W, name)`` at
+    weights all one, and ``_start`` the nodes sorted by them, every run's
+    start order.  Two private memos let runs that share a die reuse each
+    other's work:
 
     * ``_sessions`` maps each validated member set, a frozenset of node
       indices, to ``(session, indices, temperatures)``: its
@@ -186,12 +195,14 @@ class CompiledDie:
       ``build_session`` call made from that state, where ``[admitted,
       rejected)`` are the call's STCL margins, ``validated`` the session's
       ``_sessions`` value, the same object, and ``children`` maps the
-      violators' node indices in name order, empty when the session was
-      accepted, to the next node.
+      number of violators, 0 when the session was accepted, to the next
+      node.  The violators are the members at or above TL, an upper set of
+      the session's fixed temperatures, so their count names them.
       At any STCL within the margins the call makes every comparison the
       same way, so it packs the same session.  A run records only its first
       ``len(net.nodes)`` attempts, as many as a run without discards makes
-      at most, so a run with many discards adds at most N entries.
+      at most, so a run with many discards adds at most N entries, and it
+      adds no node after its last attempt: every node holds an entry.
 
     The memos only gain entries, each by one ``dict.setdefault`` or
     ``list.append``, and a run changes only the weights, keys and pool it
@@ -380,12 +391,12 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
     # STCs closest to STCL, folded from each attempt's margins
     below_tl, above_tl = hottest, math.inf
     lo_stcl, hi_stcl = -math.inf, math.inf
-    # this run's node in the die's attempt memo; None once the run has made
-    # as many attempts as the die has cores
+    # this run's node in the die's attempt memo; once the run has made as
+    # many attempts as the die has cores, a fresh list no other run reads
     node, attempts = die._attempts, 0
     while remaining:
         attempts += 1
-        for entry in node or ():
+        for entry in node:
             if entry[0] <= config.stcl < entry[1]:
                 break
         else:
@@ -408,8 +419,7 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
                     (session, indices, session.result.temperatures[indices].tolist()),
                 )
             entry = (margins[0], margins[1], validated, {})
-            if node is not None:
-                node.append(entry)
+            node.append(entry)
         admitted, rejected, (session, indices, temperatures), children = entry
         lo_stcl, hi_stcl = max(lo_stcl, admitted), min(hi_stcl, rejected)
         effort += session.duration
@@ -428,10 +438,6 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
                     above_tl = temp
             elif temp > below_tl:
                 below_tl = temp
-        if attempts < len(names):
-            node = children.setdefault(tuple(violators), [])
-        else:
-            node = None
         if violators:
             # session discarded; its simulated time still counts as effort
             for i in violators:
@@ -446,19 +452,23 @@ def generate_schedule(die: CompiledDie, config: SchedulerConfig) -> Schedule:
                 keys[i] = (-powers[i] * weights[i], names[i])
             # the keys order the nodes totally, so any order sorts the same
             remaining.sort(key=keys.__getitem__)
-            continue
-        sessions.append(session)
-        total_length += session.duration
-        if len(indices) == 1:
-            remaining.remove(indices[0])
         else:
-            taken = set(indices)
-            remaining = [i for i in remaining if i not in taken]
+            sessions.append(session)
+            total_length += session.duration
+            if len(indices) == 1:
+                remaining.remove(indices[0])
+            else:
+                taken = set(indices)
+                remaining = [i for i in remaining if i not in taken]
+        if remaining:
+            # the violators are the members at or above TL, an upper set of
+            # the session's fixed temperatures, so their count names them
+            node = children.setdefault(len(violators), []) if attempts < len(names) else []
     return Schedule(
         sessions=tuple(sessions),
         total_length=total_length,
         simulation_effort=effort,
-        stage1_report=dict(die.bcmt),
+        stage1_report=die.bcmt,
         tl_range=(below_tl, above_tl),
         stcl_range=(lo_stcl, hi_stcl),
     )

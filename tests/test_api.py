@@ -19,6 +19,7 @@ from thermsched import (
     ThermalParams,
 )
 from thermsched.cli import build_parser
+from util import DATA
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -66,17 +67,47 @@ def test_every_public_name_resolves():
         assert getattr(thermsched, name) is not None, name
 
 
+def library_use() -> str:
+    """The README's "Library use" section."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+
+
 def test_every_public_name_is_named_in_the_readme_library_use():
     # a root export earns its place in the README's "Library use" section,
     # which imports it, constructs it or says to catch it; a type a caller
     # only receives is named there by its full module path instead
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    section = library_use()
     unqualified = re.sub(r"thermsched\.\w+\.\w+", "", section)
     missing = [
         name for name in thermsched.__all__ if not re.search(rf"\b{name}\b", unqualified)
     ]
     assert missing == []
+
+
+def test_readme_library_use_runs_on_the_demo_die(capsys):
+    # the section's code blocks run in order in one namespace, on the
+    # bundled demo15 files and two of its cores, so a renamed or deleted
+    # name fails here instead of drifting in the README
+    blocks = re.findall(r"^```python\n(.*?)^```$", library_use(), re.M | re.S)
+    assert len(blocks) == 3
+    stand_ins = {
+        '"die.flp"': repr(str(DATA / "demo15.flp")),
+        '"tests.csv"': repr(str(DATA / "demo15.csv")),
+        '{"cpu0", "cpu1"}': '{"c01", "c02"}',
+    }
+    namespace, replaced = {}, set()
+    for block in blocks:
+        for text, stand_in in stand_ins.items():
+            if text in block:
+                replaced.add(text)
+                block = block.replace(text, stand_in)
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert replaced == set(stand_ins)
+    # the README's limits schedule the demo die in three sessions
+    assert len(namespace["schedule"].sessions) == 3
+    assert namespace["text"].startswith("{")
+    assert capsys.readouterr().out
 
 
 def test_every_source_file_parses_as_python_3_10():

@@ -18,12 +18,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermsched import cli, scheduler, thermal_sim
-from thermsched.cli import MAX_SWEEP_POINTS, SWEEP_HEADER, _limit, _parse_axis, main
+from thermsched.cli import (
+    MAX_AXIS_POINTS,
+    MAX_SWEEP_POINTS,
+    SWEEP_HEADER,
+    _limit,
+    _parse_axis,
+    main,
+)
 from thermsched.scheduler import SchedulerConfig, ScreeningError, compile_die, generate_schedule
 from thermsched.thermal_model import ThermalParams
 from util import (
     DATA,
     load_inputs,
+    memo_entries,
     random_floorplan,
     random_profile,
     reference_schedule,
@@ -106,16 +114,30 @@ def test_parse_axis_counts_a_range_before_building_it(monkeypatch):
     )
     assert axis_values("0:2.5:1") == [] and counts == [3]
     # at the limit, also when stop is not a whole number of steps from start
-    for text in (f"0:{MAX_SWEEP_POINTS - 1}:1", f"0.5:{MAX_SWEEP_POINTS}:1"):
+    for text in (f"0:{MAX_AXIS_POINTS - 1}:1", f"0.5:{MAX_AXIS_POINTS}:1"):
         counts.clear()
         axis_values(text)
-        assert counts == [MAX_SWEEP_POINTS], text
+        assert counts == [MAX_AXIS_POINTS], text
     # one past it: the exact count, in full digits
-    for text in (f"0:{MAX_SWEEP_POINTS}:1", f"0:{MAX_SWEEP_POINTS}.5:1"):
+    for text in (f"0:{MAX_AXIS_POINTS}:1", f"0:{MAX_AXIS_POINTS}.5:1"):
         counts.clear()
-        with pytest.raises(_UsageError, match=f": {MAX_SWEEP_POINTS + 1} points;"):
+        with pytest.raises(
+            _UsageError, match=f": {MAX_AXIS_POINTS + 1} points; an axis holds at most "
+        ):
             axis_values(text)
         assert counts == [], text
+
+
+def test_parse_axis_bounds_a_value_list(monkeypatch):
+    from thermsched.cli import _UsageError
+
+    # a list at the real limit is megabytes of text, so the limit is lowered
+    monkeypatch.setattr(cli, "MAX_AXIS_POINTS", 3)
+    assert _parse_axis("1,2,3")[0] == 3
+    with pytest.raises(
+        _UsageError, match="^value list has 4 values; an axis holds at most 3$"
+    ):
+        _parse_axis("1,2,3,4")
 
 
 def test_sweep_row_format():
@@ -620,15 +642,23 @@ def test_sweep_bad_grid_point_fails_before_any_run(
     assert message in capsys.readouterr().err
 
 
+AXIS_CAP = f"; an axis holds at most {MAX_AXIS_POINTS}"
+
+
 @pytest.mark.parametrize(
     "sweep_tl, sweep_stcl, message",
     [
         # the quotient overflows to inf
-        ("0:1e300:1e-300", "40", "error: bad range '0:1e300:1e-300': inf points"),
+        ("0:1e300:1e-300", "40", f"error: bad range '0:1e300:1e-300': inf points{AXIS_CAP}"),
         ("145:1e12:1e-3", "40",
-         "error: bad range '145:1e12:1e-3': 999999999855001 points"),
+         f"error: bad range '145:1e12:1e-3': 999999999855001 points{AXIS_CAP}"),
+        # one STCL value past the cap, whose grid would fit
+        ("150", f"1:{MAX_AXIS_POINTS + 1}:1",
+         f"error: bad range '1:{MAX_AXIS_POINTS + 1}:1': {MAX_AXIS_POINTS + 1} points"
+         f"{AXIS_CAP}"),
         # each axis fits, their product does not
-        ("145:100145:1", "20:100019:1", "error: sweep grid has 10000100000 points"),
+        ("145:100145:1", "20:100019:1",
+         f"error: sweep grid has 10000100000 points; a sweep holds at most {MAX_SWEEP_POINTS}"),
     ],
 )
 def test_sweep_grid_is_bounded_by_its_count_before_it_is_built(
@@ -654,7 +684,7 @@ def test_sweep_grid_is_bounded_by_its_count_before_it_is_built(
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"{message}; a sweep holds at most {MAX_SWEEP_POINTS}\n"
+    assert captured.err == f"{message}\n"
     # the counts of both axes refuse the grid before either axis is built
     assert built == []
 
@@ -893,16 +923,24 @@ def test_dense_demo_sweep_holds_far_less_than_its_output(tmp_path, monkeypatch):
     assert peak < 0.5 * size, (peak, size)
 
 
-def test_dense_demo_sweep_keeps_one_memo_entry_per_member_set(tmp_path, monkeypatch):
-    # the benchmark's demo-sweep grid on its one die
+@pytest.fixture(scope="module")
+def demo_grid_die(tmp_path_factory):
+    """The one die of a sweep over the benchmark's demo-sweep grid, after it."""
     dies, real_compile = [], cli.compile_die
-    monkeypatch.setattr(cli, "compile_die", lambda *a: dies.append(real_compile(*a)) or dies[-1])
-    code = main(
-        ["--floorplan", str(DATA / "demo15.flp"), "--power", str(DATA / "demo15.csv"),
-         "--sweep-tl", "145:185:1", "--sweep-stcl", "20:100:2", "--out", str(tmp_path / "s.csv")]
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "compile_die", lambda *a: dies.append(real_compile(*a)) or dies[-1])
+        code = main(
+            ["--floorplan", str(DATA / "demo15.flp"), "--power", str(DATA / "demo15.csv"),
+             "--sweep-tl", "145:185:1", "--sweep-stcl", "20:100:2",
+             "--out", str(tmp_path_factory.mktemp("sweep") / "s.csv")]
+        )
     assert code == 0
     [die] = dies
+    return die
+
+
+def test_dense_demo_sweep_keeps_one_memo_entry_per_member_set(demo_grid_die):
+    die = demo_grid_die
     names = die.net.nodes
     # 15 singletons from screening and 89 sessions the runs solved
     assert len(die._sessions) == 104
@@ -912,13 +950,25 @@ def test_dense_demo_sweep_keeps_one_memo_entry_per_member_set(tmp_path, monkeypa
         assert [names[i] for i in indices] == sorted(session.cores)
         assert np.array(temperatures).tobytes() == session.result.temperatures[indices].tobytes()
     # every attempt the runs packed shares its member set's memo value
-    entries, nodes = 0, [die._attempts]
-    while nodes:
-        for _, _, validated, children in nodes.pop():
-            entries += 1
-            assert validated is die._sessions[frozenset(validated[1])]
-            nodes.extend(children.values())
-    assert entries == 2485
+    entries = memo_entries(die)
+    assert len(entries) == 2485
+    for _, _, validated, _ in entries:
+        assert validated is die._sessions[frozenset(validated[1])]
+
+
+def test_dense_demo_sweep_leaves_no_empty_memo_node(demo_grid_die):
+    # a run descends into the memo only before another attempt, so every
+    # node holds an entry; a child is keyed by its attempt's violator count
+    entries = memo_entries(demo_grid_die)
+    assert len(entries) == 2485
+    children = [
+        (violators, child, len(indices))
+        for _, _, (_, indices, _), kids in entries for violators, child in kids.items()
+    ]
+    assert demo_grid_die._attempts
+    assert sum(not child for _, child, _ in children) == 0
+    assert all(type(violators) is int and 0 <= violators <= members
+               for violators, _, members in children)
 
 
 def test_dense_demo_sweep_builds_configs_for_its_axes_and_runs_only(tmp_path, monkeypatch):

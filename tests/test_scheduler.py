@@ -34,6 +34,7 @@ from thermsched.thermal_sim import (
 from util import (
     load_inputs,
     load_synth400,
+    memo_entries,
     packing_inputs,
     packing_order,
     random_floorplan,
@@ -491,6 +492,18 @@ def test_schedule_is_deterministic():
     assert a.stage1_report == b.stage1_report
 
 
+def test_runs_on_one_die_share_its_bcmt_map():
+    # a run's stage-1 report is the die's map itself, not a copy of N entries
+    fp, profile = load_inputs("demo15")
+    die = compile_die(fp, profile, ThermalParams())
+    hottest = max(die.bcmt.values())
+    runs = [
+        generate_schedule(die, SchedulerConfig(tl=hottest + 10.0, stcl=stcl))
+        for stcl in (20.0, 100.0)
+    ]
+    assert all(run.stage1_report is die.bcmt for run in runs)
+
+
 def test_runs_on_one_die_share_each_validated_session(monkeypatch):
     # the die's memo owns each member set's TestSession: a later run gets
     # the same object, duration included, without solving it again
@@ -630,17 +643,6 @@ def _counting_attempts(mp):
     return attempts
 
 
-def _memo_entries(die):
-    """Every entry of the die's attempt memo."""
-    stack, entries = [die._attempts], []
-    while stack:
-        node = stack.pop()
-        entries += node
-        for *_, children in node:
-            stack.extend(children.values())
-    return entries
-
-
 def _attempt_bound(n_cores):
     """The most attempts a run on ``n_cores`` cores can make.  Each discard
     multiplies some violator's weight by 1.1, and the bump that takes a
@@ -670,7 +672,7 @@ def test_a_huge_stcl_with_discards_stays_within_the_overflow_bound():
     assert len(schedule.sessions) == 2
     assert 7000 < len(attempts) <= _attempt_bound(2)
     # the run records only its first attempts in the die's memo, one per core
-    assert len(_memo_entries(die)) == len(die.net.nodes) == 2
+    assert len(memo_entries(die)) == len(die.net.nodes) == 2
 
 
 def test_weight_overflow_ends_a_run_within_the_bound():
@@ -794,7 +796,7 @@ def test_discarding_runs_on_a_shared_die_match_fresh_and_reference_runs():
 
     check()
     # most cases discard (on 2-core dies a pair is often never packed), so
-    # the property covers re-keyed sorts and index-keyed memo children
+    # the property covers re-keyed sorts and count-keyed memo children
     assert sum(discarded) > len(discarded) / 2
 
 
@@ -847,7 +849,7 @@ def test_threads_sharing_a_die_get_the_runs_of_fresh_dies():
         assert outcome == _outcome(generate_schedule, fresh, config), config
     # racing runs may pack an attempt twice, but every entry holds its member
     # set's one validated value
-    for *_, validated, _ in _memo_entries(die):
+    for *_, validated, _ in memo_entries(die):
         assert validated is die._sessions[frozenset(validated[1])]
 
 

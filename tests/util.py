@@ -2,8 +2,8 @@
 pairwise shared-edge reference, the grounded-network nodal oracle used
 to cross-check equivalent resistances, the packing order, a name-level
 STC that shares no code with the library's pricing, a paper-literal
-schedule run, a whole-document JSON writer, a sweep row, and a traced
-memory peak."""
+schedule run, a whole-document JSON writer, a sweep row, a traced
+memory peak, and a walk of a compiled die's attempt memo."""
 
 from __future__ import annotations
 
@@ -369,3 +369,15 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return result, peak - held
+
+
+def memo_entries(die) -> list[tuple]:
+    """Every entry of the die's attempt memo, ``(admitted, rejected,
+    validated, children)``, from the root node down."""
+    stack, entries = [die._attempts], []
+    while stack:
+        node = stack.pop()
+        entries += node
+        for *_, children in node:
+            stack.extend(children.values())
+    return entries
