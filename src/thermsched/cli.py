@@ -25,9 +25,10 @@ A sweep writes each TL row's lines when the row ends, the header with the
 first of them; ``--out`` is created at the first write, so a run that
 fails before it leaves no file.
 
-Exit codes: 0 success; 1 input error, unsolvable thermal network, or a
-weight or simulation effort that overflows in double precision; 2 screening
-failure (for a sweep, at every TL).
+Exit codes: 0 success; 1 input error, unsolvable thermal network, a
+weight or simulation effort that overflows in double precision, or an
+allocation that fails for want of memory (such as the two N x N float64
+arrays of a die too large); 2 screening failure (for a sweep, at every TL).
 """
 
 from __future__ import annotations
@@ -152,8 +153,10 @@ def _parse_axis(text: str) -> tuple[int, Callable[[], list[float]]]:
             steps = (stop - start) / step + 1e-9
             count = math.floor(steps) + 1 if math.isfinite(steps) else math.inf
             if count > MAX_AXIS_POINTS:
+                # exact up to 15 digits; a longer count or inf in short form
+                shown = count if count < 10**15 else f"{count:.3g}"
                 raise _UsageError(
-                    f"bad range {text!r}: {count} points; an axis holds "
+                    f"bad range {text!r}: {shown} points; an axis holds "
                     f"at most {MAX_AXIS_POINTS}"
                 )
             return count, lambda: [start + k * step for k in range(count)]
@@ -302,6 +305,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except (_UsageError, OSError, ValueError, NetworkSolveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy's message names the size and shape it could not allocate
+        print(f"error: out of memory: {exc}".removesuffix(": "), file=sys.stderr)
         return 1
 
 

@@ -4,14 +4,18 @@ A floorplan is an ordered collection of named, axis-aligned rectangles on a
 die, positioned by their lower-left corner, in meters.  Cores must not
 overlap; abutment is legal.  Two cores are thermally adjacent when they
 share an edge segment longer than EPSILON; corner contact never counts.
-A floorplan checks for overlaps and finds its adjacent pairs in one scan
-when it is built (``build_adjacency``).  The scan reads the cores' edges
-into float64 arrays once, finds the pairs of cores that share a cell of a
-uniform grid with array operations (``_near_pairs``), and tests all of
-those pairs at once; a die of at most 64 cores skips the grid and tests
-all its pairs.  The cost is linear in the number of cores when they are
-about as wide as they are tall; long, thin cores crowd the cells, and the
-candidate pairs grow toward N^2 / 2.
+A floorplan holds its geometry as one float64 array in node order, with
+rows left, bottom, width and height (``Floorplan.geometry``); the parser
+fills it straight from the text, checking every row's values at once, and
+the ``CoreGeometry`` records of ``Floorplan.cores`` are built only when
+they are asked for.  A floorplan checks for overlaps and finds its
+adjacent pairs in one scan of that array when it is built
+(``build_adjacency``).  The scan finds the pairs of cores that share a
+cell of a uniform grid with array operations (``_near_pairs``), and tests
+all of those pairs at once; a die of at most 64 cores skips the grid and
+tests all its pairs.  The cost is linear in the number of cores when they
+are about as wide as they are tall; long, thin cores crowd the cells, and
+the candidate pairs grow toward N^2 / 2.
 
 File formats (UTF-8, '#' starts a comment, blank lines ignored):
 
@@ -91,45 +95,81 @@ class AdjacencyGraph:
 
 class Floorplan:
     """Ordered collection of uniquely named, non-overlapping cores and the
-    adjacency graph they form, both checked and found at construction."""
+    adjacency graph they form, both checked and found at construction.
+
+    The geometry is one read-only float64 array of shape ``(4, N)`` in node
+    order, with rows left, bottom, width and height (``geometry``).
+    ``Floorplan(cores)`` reads the given records into it; a parsed
+    floorplan builds its ``CoreGeometry`` records from it only when
+    ``cores``, or iteration, first asks for them.
+    """
 
     def __init__(self, cores: Iterable[CoreGeometry]):
         cores = tuple(cores)
-        if not cores:
+        self._build(tuple(core.name for core in cores), np.array([
+            [c.left_x for c in cores], [c.bottom_y for c in cores],
+            [c.width for c in cores], [c.height for c in cores],
+        ], dtype=float), cores)
+
+    @classmethod
+    def _from_geometry(cls, names: tuple[str, ...], geometry: np.ndarray) -> Floorplan:
+        """A floorplan of checked geometry rows, whose records are built on
+        request."""
+        fp = cls.__new__(cls)
+        fp._build(names, geometry, None)
+        return fp
+
+    def _build(self, names: tuple[str, ...], geometry: np.ndarray,
+               cores: tuple[CoreGeometry, ...] | None) -> None:
+        if not names:
             raise FloorplanError("floorplan has no cores")
-        names: set[str] = set()
-        for core in cores:
-            if core.name in names:
-                raise FloorplanError(f"duplicate core id {core.name!r}")
-            names.add(core.name)
+        name_set: set[str] = set()
+        for name in names:
+            if name in name_set:
+                raise FloorplanError(f"duplicate core id {name!r}")
+            name_set.add(name)
+        geometry.flags.writeable = False
+        self._names = names
+        self._name_set = name_set
+        self._geometry = geometry
         self._cores = cores
-        self._names = tuple(core.name for core in cores)
-        self._name_set = names
-        self._adjacency = build_adjacency(cores)
+        self._adjacency = build_adjacency(names, geometry)
 
     @property
     def cores(self) -> tuple[CoreGeometry, ...]:
-        return self._cores
+        # threads sharing a floorplan may race here and build equal tuples
+        cores = self._cores
+        if cores is None:
+            left, bottom, width, height = self._geometry.tolist()
+            cores = self._cores = tuple(
+                map(CoreGeometry, self._names, width, height, left, bottom)
+            )
+        return cores
 
     @property
     def names(self) -> tuple[str, ...]:
         return self._names
+
+    @property
+    def geometry(self) -> np.ndarray:
+        """Rows left, bottom, width and height, in meters, in node order."""
+        return self._geometry
 
     def adjacency(self) -> AdjacencyGraph:
         """The adjacency graph found at construction."""
         return self._adjacency
 
     def __len__(self) -> int:
-        return len(self._cores)
+        return len(self._names)
 
     def __iter__(self) -> Iterator[CoreGeometry]:
-        return iter(self._cores)
+        return iter(self.cores)
 
     def __contains__(self, name: object) -> bool:
         return name in self._name_set
 
     def __repr__(self) -> str:
-        return f"Floorplan({len(self._cores)} cores)"
+        return f"Floorplan({len(self._names)} cores)"
 
 
 _ALL_PAIRS_MAX = 64
@@ -206,9 +246,11 @@ def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return run, np.arange(run.size) - (counts.cumsum() - counts)[run]
 
 
-def build_adjacency(cores: tuple[CoreGeometry, ...]) -> AdjacencyGraph:
+def build_adjacency(names: tuple[str, ...], geometry: np.ndarray) -> AdjacencyGraph:
     """Check that no two cores overlap and find the pairs that share more
     than EPSILON of edge, in one scan of the pairs ``_near_pairs`` finds.
+    ``geometry`` holds the cores' left, bottom, width and height as rows,
+    as ``Floorplan.geometry`` does.
 
     Two cores overlap when their intersection is wider AND taller than
     EPSILON; mere abutment, or a floating-point seam, is legal.  The first
@@ -218,17 +260,13 @@ def build_adjacency(cores: tuple[CoreGeometry, ...]) -> AdjacencyGraph:
     Each adjacent pair carries its shared edge length and the distance
     between the two core centers.
 
-    Each core's left, bottom, right (``left + width``) and top edge is read
-    into a float64 array once, and all candidate pairs are measured at once
-    with array operations, which round as ``min``, ``max`` and ``-`` on
-    Python floats do; the distances are ``math.dist`` of the centers
-    ``(left + 0.5 * width, bottom + 0.5 * height)``.
+    Each core's right (``left + width``) and top edge is formed once, and
+    all candidate pairs are measured at once with array operations, which
+    round as ``min``, ``max`` and ``-`` on Python floats do; the distances
+    are ``math.dist`` of the centers ``(left + 0.5 * width, bottom + 0.5 *
+    height)``.
     """
-    names = [c.name for c in cores]
-    corner, size = np.array([
-        [[c.left_x for c in cores], [c.bottom_y for c in cores]],
-        [[c.width for c in cores], [c.height for c in cores]],
-    ], dtype=float)
+    corner, size = geometry[:2], geometry[2:]
     # numpy warns where Python floats overflow to inf quietly
     with np.errstate(all="ignore"):
         edges = np.concatenate((corner, corner + size))
@@ -274,25 +312,43 @@ def parse_floorplan(source: str | IO[str]) -> Floorplan:
 
     Raises FloorplanError with a line number for malformed records and
     invalid core geometry, and without one for duplicate ids or overlapping
-    rectangles, which only the whole floorplan can show.
+    rectangles, which only the whole floorplan can show.  The first error
+    in file order is raised: the records are read first, up to the first
+    malformed one, and their geometry is checked in one array expression,
+    whose first failing row raises ``CoreGeometry``'s message.
     """
-    cores: list[CoreGeometry] = []
+    names: list[str] = []
+    values: list[float] = []  # width, height, left_x, bottom_y per record
+    linenos: list[int] = []
+    malformed = None
     for lineno, raw, line in _records(source):
         fields = line.split()
         if len(fields) != 5:
-            raise FloorplanError(
+            malformed = FloorplanError(
                 f"line {lineno}: expected 'name width height left_x bottom_y', "
                 f"got {raw!r}"
             )
+            break
         try:
-            width, height, left_x, bottom_y = (float(v) for v in fields[1:])
+            values += [float(fields[1]), float(fields[2]), float(fields[3]), float(fields[4])]
         except ValueError:
-            raise FloorplanError(f"line {lineno}: non-numeric field in {raw!r}") from None
+            malformed = FloorplanError(f"line {lineno}: non-numeric field in {raw!r}")
+            break
+        names.append(fields[0])
+        linenos.append(lineno)
+    rows = np.array(values).reshape(-1, 4)
+    # comparisons with NaN are False, and warn on some numpy builds
+    with np.errstate(invalid="ignore"):
+        valid = np.isfinite(rows).all(axis=1) & (rows[:, 0] > 0) & (rows[:, 1] > 0)
+    if not valid.all():
+        k = int(valid.argmin())
         try:
-            cores.append(CoreGeometry(fields[0], width, height, left_x, bottom_y))
+            CoreGeometry(names[k], *values[4 * k:4 * k + 4])
         except FloorplanError as exc:
-            raise FloorplanError(f"line {lineno}: {exc}") from None
-    return Floorplan(cores)
+            raise FloorplanError(f"line {linenos[k]}: {exc}") from None
+    if malformed is not None:
+        raise malformed
+    return Floorplan._from_geometry(tuple(names), rows.T[[2, 3, 0, 1]])
 
 
 def _check_test_values(name: str, power: float, duration: float) -> None:

@@ -191,10 +191,14 @@ def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
         g[i, j] = g[j, i] = -gl
         lateral[i].append((j, gl))
         lateral[j].append((i, gl))
+    # width * height, as CoreGeometry.area has it for float fields; an area
+    # beyond the float range is inf, whose conductance is refused below
+    with np.errstate(over="ignore"):
+        areas = (fp.geometry[2] * fp.geometry[3]).tolist()
     vertical = tuple(
-        _conductance(params.r_vertical_per_area, core.area,
-                     "r_vertical_per_area", "vertical conductance of {}", core.name)
-        for core in fp.cores
+        _conductance(params.r_vertical_per_area, area,
+                     "r_vertical_per_area", "vertical conductance of {}", name)
+        for name, area in zip(names, areas)
     )
     for i, gv in enumerate(vertical):
         diagonal[i] += gv

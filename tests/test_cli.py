@@ -26,6 +26,7 @@ from thermsched.cli import (
     _parse_axis,
     main,
 )
+from thermsched.floorplan import CoreGeometry
 from thermsched.scheduler import SchedulerConfig, ScreeningError, compile_die, generate_schedule
 from thermsched.thermal_model import ThermalParams
 from util import (
@@ -409,6 +410,26 @@ def test_overflowing_totals_exit_1(limits, tmp_path, capsys):
     assert str(err.value) == message
 
 
+def test_out_of_memory_exit_1(monkeypatch, capsys):
+    message = (
+        "Unable to allocate 1.19 TiB for an array with shape (400000, 400000) "
+        "and data type float64"
+    )
+
+    def no_memory(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "compile_die", no_memory)
+    code = main(
+        ["--floorplan", str(DATA / "demo15.flp"), "--power", str(DATA / "demo15.csv"),
+         "--tl", "165", "--stcl", "60"]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: out of memory: {message}"]
+
+
 def test_missing_floorplan_exit_1(capsys):
     code = main(
         ["--floorplan", "no/such/file.flp", "--power", "also_missing.csv",
@@ -652,6 +673,8 @@ AXIS_CAP = f"; an axis holds at most {MAX_AXIS_POINTS}"
         ("0:1e300:1e-300", "40", f"error: bad range '0:1e300:1e-300': inf points{AXIS_CAP}"),
         ("145:1e12:1e-3", "40",
          f"error: bad range '145:1e12:1e-3': 999999999855001 points{AXIS_CAP}"),
+        # a count of more than 15 digits is printed in short form
+        ("150:151:1e-300", "60", f"error: bad range '150:151:1e-300': 1e+300 points{AXIS_CAP}"),
         # one STCL value past the cap, whose grid would fit
         ("150", f"1:{MAX_AXIS_POINTS + 1}:1",
          f"error: bad range '1:{MAX_AXIS_POINTS + 1}:1': {MAX_AXIS_POINTS + 1} points"
@@ -701,6 +724,23 @@ def test_byte_order_marked_inputs_give_the_plain_files_document(tmp_path):
                      "--tl", "165", "--stcl", "100", "--out", str(outs[-1])])
         assert code == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_cli_runs_build_no_core_geometry(tmp_path, monkeypatch):
+    # the floorplan reaches the factor as one geometry array; its
+    # CoreGeometry records are built only when asked for
+    built = []
+    real = CoreGeometry.__post_init__
+    monkeypatch.setattr(
+        CoreGeometry, "__post_init__", lambda core: built.append(core.name) or real(core)
+    )
+    inputs = ["--floorplan", str(DATA / "demo15.flp"), "--power", str(DATA / "demo15.csv")]
+    for limits in (["--tl", "165", "--stcl", "100"],
+                   ["--sweep-tl", "145:185:1", "--sweep-stcl", "20:100:2"]):
+        assert main([*inputs, *limits, "--out", str(tmp_path / "out")]) == 0
+    assert built == []
+    # the count sees the records that are built
+    assert len(load_inputs("demo15")[0].cores) == len(built) == 15
 
 
 def test_sweep_deterministic_bytes(three_core_files, tmp_path):

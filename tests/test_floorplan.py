@@ -3,7 +3,11 @@
 import heapq
 import io
 import math
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +27,15 @@ from thermsched.floorplan import (
 )
 from thermsched.thermal_model import ThermalParams
 from thermsched.thermal_sim import build_network
-from util import core_center, core_edges, random_floorplan, shared_edge_length, strip_floorplan
+from util import (
+    DATA,
+    core_center,
+    core_edges,
+    random_floorplan,
+    reference_parse_floorplan,
+    shared_edge_length,
+    strip_floorplan,
+)
 
 
 # ── parsing ──────────────────────────────────────────────────────────────
@@ -127,6 +139,114 @@ def test_abutment_is_legal():
 def test_empty_floorplan_rejected():
     with pytest.raises(FloorplanError, match="no cores"):
         parse_floorplan("# only a comment\n")
+
+
+# ── the array parser against the per-record parser ───────────────────────
+
+
+def parse_outcome(parse, text):
+    """What a parser makes of ``text``: the error message, or the names, the
+    cores and the adjacent pairs, floats compared through ``repr``."""
+    try:
+        fp = parse(text)
+    except FloorplanError as exc:
+        return str(exc)
+    return fp.names, repr(fp.cores), repr(list(fp.adjacency().pairs()))
+
+
+BAD_FIELDS = ["nan", "inf", "-inf", "1e309", "0", "-0.0", "-1e-3", "one", "0x1", "1..2"]
+
+
+@st.composite
+def floorplan_texts(draw):
+    """A random guillotine die as floorplan text, with comments, blank lines,
+    malformed records, bad geometry, duplicate ids and overlapping cores
+    mixed in."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fp = random_floorplan(rng, draw(st.integers(1, 12)))
+    lines = [f"{c.name} {c.width!r} {c.height!r} {c.left_x!r} {c.bottom_y!r}" for c in fp]
+    for k in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(
+            ["comment", "blank", "fields", "field", "duplicate", "overlap", "far"]
+        ))
+        if kind == "comment":
+            line = draw(st.sampled_from(["# note", "   # 1 2 3 4", "x 1 1 0 0 # was"]))
+        elif kind == "blank":
+            line = draw(st.sampled_from(["", "   ", "\t"]))
+        elif kind == "fields":
+            line = " ".join(["x", "1", "1", "0", "0", "0"][:draw(st.sampled_from([1, 3, 4, 6]))])
+        elif kind == "field":
+            fields = [f"bad{k}", "0.001", "0.001", "9.0", f"{k}.0"]
+            fields[draw(st.integers(1, 4))] = draw(st.sampled_from(BAD_FIELDS))
+            line = " ".join(fields)
+        elif kind == "duplicate":
+            line = draw(st.sampled_from(lines)).split("#")[0].strip() or "x 1 1 0 0"
+        elif kind == "overlap":
+            line = f"over{k} 0.002 0.002 0.001 0.001"
+        else:
+            line = f"far{k} 0.001 0.002 {20 + k}.0 -5"
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(floorplan_texts())
+def test_array_parser_matches_the_per_record_parser(text):
+    assert parse_outcome(parse_floorplan, text) == parse_outcome(reference_parse_floorplan, text)
+
+
+def test_first_error_in_file_order_is_reported():
+    # bad geometry on line 3 comes before a four-field record on line 7
+    lines = ["a 1 1 0 0", "b 1 1 1 0", "c 0 1 2 0", "d 1 1 3 0", "# note", "", "e 1 1 4"]
+    text = "\n".join(lines)
+    message = "line 3: core 'c' has non-positive dimensions (0.0 x 1.0)"
+    for parse in (parse_floorplan, reference_parse_floorplan):
+        with pytest.raises(FloorplanError) as err:
+            parse(text)
+        assert str(err.value) == message
+    # with line 3 mended, line 7 is the first error; a bad value after it,
+    # and a duplicate id before it, are never reached
+    lines[2] = "a 1 1 2 0"
+    lines.append("f nan 1 5 0")
+    with pytest.raises(FloorplanError, match=r"^line 7: expected 'name .*, got 'e 1 1 4'$"):
+        parse_floorplan("\n".join(lines))
+
+
+@pytest.mark.parametrize("stem", ["demo15", "density_contrast", "synth400"])
+def test_parsed_cores_are_the_per_record_parsers_field_for_field(stem):
+    path = (Path(__file__).resolve().parent / "golden" if stem == "synth400" else DATA)
+    text = (path / f"{stem}.flp").read_text(encoding="utf-8")
+    fp, reference = parse_floorplan(text), reference_parse_floorplan(text)
+    assert fp.cores == reference.cores
+    assert [tuple(map(float.hex, astuple(c)[1:])) for c in fp.cores] == [
+        tuple(map(float.hex, astuple(c)[1:])) for c in reference.cores
+    ]
+    # built once, on request, and iterated in node order
+    assert fp.cores is fp.cores and list(fp) == list(fp.cores)
+    assert fp.geometry.shape == (4, len(fp)) and not fp.geometry.flags.writeable
+    assert fp.geometry.tolist() == [
+        [c.left_x for c in fp], [c.bottom_y for c in fp], [c.width for c in fp],
+        [c.height for c in fp],
+    ]
+
+
+def test_threads_sharing_a_parsed_floorplan_read_equal_cores():
+    # the records are built on first request without a lock: threads that
+    # race there build equal tuples, and each gets a whole one
+    text = (Path(__file__).resolve().parent / "golden" / "synth400.flp").read_text()
+    reference = reference_parse_floorplan(text).cores
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            fp = parse_floorplan(text)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(lambda: fp.cores) for _ in range(8)]
+                seen = [future.result(timeout=60) for future in futures]
+            assert all(cores == reference for cores in seen)
+            assert fp.cores == reference
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ── power profiles ───────────────────────────────────────────────────────
@@ -510,5 +630,5 @@ def test_ten_thousand_core_die_parses_and_scans_quickly():
     assert len(fp) == 10_000
     # a guillotine tiling is planar: at least N - 1 and fewer than 3N contacts
     assert len(fp) - 1 <= len(pairs) < 3 * len(fp)
-    # 0.10-0.20 s on 2 vCPUs; all-pairs scans took 4.2 s already at N = 1600
+    # 0.05-0.09 s on 2 vCPUs; all-pairs scans took 4.2 s already at N = 1600
     assert elapsed < 10.0

@@ -133,6 +133,18 @@ def test_non_positive_definite_raises():
         build_network(fp, params)
 
 
+def test_area_beyond_float_range_raises_network_solve_error():
+    # an int-sized core whose area overflows a float: the area read from the
+    # floorplan's float64 array is inf, and its conductance 0
+    fp = Floorplan([CoreGeometry("a", 10**200, 10**200, 0, 0)])
+    with pytest.raises(
+        NetworkSolveError,
+        match=r"^vertical conductance of 'a' is zero or not finite in double precision; "
+              r"check r_vertical_per_area$",
+    ):
+        build_network(fp, ThermalParams())
+
+
 def test_factor_once_per_schedule(monkeypatch):
     calls = []
     real = thermal_sim.cho_factor

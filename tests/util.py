@@ -1,9 +1,10 @@
 """Shared test helpers: tiny floorplan builders, random generators, a
-pairwise shared-edge reference, the grounded-network nodal oracle used
-to cross-check equivalent resistances, the packing order, a name-level
-STC that shares no code with the library's pricing, a paper-literal
-schedule run, a whole-document JSON writer, a sweep row, a traced
-memory peak, and a walk of a compiled die's attempt memo."""
+per-record floorplan parser, a pairwise shared-edge reference, the
+grounded-network nodal oracle used to cross-check equivalent resistances,
+the packing order, a name-level STC that shares no code with the library's
+pricing, a paper-literal schedule run, a whole-document JSON writer, a
+sweep row, a traced memory peak, and a walk of a compiled die's attempt
+memo."""
 
 from __future__ import annotations
 
@@ -21,7 +22,9 @@ from thermsched.floorplan import (
     EPSILON,
     CoreGeometry,
     Floorplan,
+    FloorplanError,
     PowerProfile,
+    _records,
     parse_floorplan,
     parse_power_profile,
 )
@@ -105,6 +108,29 @@ def random_session(rng, fp: Floorplan) -> frozenset[str]:
     if not members:
         members = [fp.names[int(rng.integers(len(fp)))]]
     return frozenset(members)
+
+
+def reference_parse_floorplan(source) -> Floorplan:
+    """The per-record floorplan parser: each record becomes a CoreGeometry
+    as it is read, so the first error in file order stops the loop, and the
+    records are handed to Floorplan(cores)."""
+    cores = []
+    for lineno, raw, line in _records(source):
+        fields = line.split()
+        if len(fields) != 5:
+            raise FloorplanError(
+                f"line {lineno}: expected 'name width height left_x bottom_y', "
+                f"got {raw!r}"
+            )
+        try:
+            width, height, left_x, bottom_y = (float(v) for v in fields[1:])
+        except ValueError:
+            raise FloorplanError(f"line {lineno}: non-numeric field in {raw!r}") from None
+        try:
+            cores.append(CoreGeometry(fields[0], width, height, left_x, bottom_y))
+        except FloorplanError as exc:
+            raise FloorplanError(f"line {lineno}: {exc}") from None
+    return Floorplan(cores)
 
 
 def core_edges(core: CoreGeometry) -> tuple[float, float, float, float]:
