@@ -4,18 +4,17 @@ A floorplan is an ordered collection of named, axis-aligned rectangles on a
 die, positioned by their lower-left corner, in meters.  Cores must not
 overlap; abutment is legal.  Two cores are thermally adjacent when they
 share an edge segment longer than EPSILON; corner contact never counts.
-A floorplan holds its geometry as one float64 array in node order, with
-rows left, bottom, width and height (``Floorplan.geometry``); the parser
-fills it straight from the text, checking every row's values at once, and
-the ``CoreGeometry`` records of ``Floorplan.cores`` are built only when
-they are asked for.  A floorplan checks for overlaps and finds its
-adjacent pairs in one scan of that array when it is built
-(``build_adjacency``).  The scan finds the pairs of cores that share a
-cell of a uniform grid with array operations (``_near_pairs``), and tests
-all of those pairs at once; a die of at most 64 cores skips the grid and
-tests all its pairs.  The cost is linear in the number of cores when they
-are about as wide as they are tall; long, thin cores crowd the cells, and
-the candidate pairs grow toward N^2 / 2.
+A floorplan holds its geometry as one read-only float64 array in node
+order, with rows left, bottom, width and height (``Floorplan.geometry``);
+the parser checks each record as it reads it and fills that array straight
+from the text.  A floorplan checks for overlaps and finds its adjacent
+pairs in one scan of that array when it is built (``build_adjacency``).
+The scan finds the pairs of cores that share a cell of a uniform grid with
+array operations (``_near_pairs``), and tests all of those pairs at once;
+a die of at most 64 cores skips the grid and tests all its pairs.  The
+cost is linear in the number of cores when they are about as wide as they
+are tall; long, thin cores crowd the cells, and the candidate pairs grow
+toward N^2 / 2.
 
 File formats (UTF-8, '#' starts a comment, blank lines ignored):
 
@@ -97,11 +96,11 @@ class Floorplan:
     """Ordered collection of uniquely named, non-overlapping cores and the
     adjacency graph they form, both checked and found at construction.
 
-    The geometry is one read-only float64 array of shape ``(4, N)`` in node
-    order, with rows left, bottom, width and height (``geometry``).
-    ``Floorplan(cores)`` reads the given records into it; a parsed
-    floorplan builds its ``CoreGeometry`` records from it only when
-    ``cores``, or iteration, first asks for them.
+    A floorplan is its ``names``, its ``geometry`` and its ``adjacency()``,
+    all set when it is built and never changed.  The geometry is one
+    read-only float64 array of shape ``(4, N)`` in node order, with rows
+    left, bottom, width and height.  ``Floorplan(cores)`` reads the given
+    ``CoreGeometry`` records into it.
     """
 
     def __init__(self, cores: Iterable[CoreGeometry]):
@@ -109,18 +108,16 @@ class Floorplan:
         self._build(tuple(core.name for core in cores), np.array([
             [c.left_x for c in cores], [c.bottom_y for c in cores],
             [c.width for c in cores], [c.height for c in cores],
-        ], dtype=float), cores)
+        ], dtype=float))
 
     @classmethod
     def _from_geometry(cls, names: tuple[str, ...], geometry: np.ndarray) -> Floorplan:
-        """A floorplan of checked geometry rows, whose records are built on
-        request."""
+        """A floorplan of checked geometry rows, held in ``geometry`` itself."""
         fp = cls.__new__(cls)
-        fp._build(names, geometry, None)
+        fp._build(names, geometry)
         return fp
 
-    def _build(self, names: tuple[str, ...], geometry: np.ndarray,
-               cores: tuple[CoreGeometry, ...] | None) -> None:
+    def _build(self, names: tuple[str, ...], geometry: np.ndarray) -> None:
         if not names:
             raise FloorplanError("floorplan has no cores")
         name_set: set[str] = set()
@@ -132,19 +129,7 @@ class Floorplan:
         self._names = names
         self._name_set = name_set
         self._geometry = geometry
-        self._cores = cores
         self._adjacency = build_adjacency(names, geometry)
-
-    @property
-    def cores(self) -> tuple[CoreGeometry, ...]:
-        # threads sharing a floorplan may race here and build equal tuples
-        cores = self._cores
-        if cores is None:
-            left, bottom, width, height = self._geometry.tolist()
-            cores = self._cores = tuple(
-                map(CoreGeometry, self._names, width, height, left, bottom)
-            )
-        return cores
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -161,9 +146,6 @@ class Floorplan:
 
     def __len__(self) -> int:
         return len(self._names)
-
-    def __iter__(self) -> Iterator[CoreGeometry]:
-        return iter(self.cores)
 
     def __contains__(self, name: object) -> bool:
         return name in self._name_set
@@ -312,43 +294,34 @@ def parse_floorplan(source: str | IO[str]) -> Floorplan:
 
     Raises FloorplanError with a line number for malformed records and
     invalid core geometry, and without one for duplicate ids or overlapping
-    rectangles, which only the whole floorplan can show.  The first error
-    in file order is raised: the records are read first, up to the first
-    malformed one, and their geometry is checked in one array expression,
-    whose first failing row raises ``CoreGeometry``'s message.
+    rectangles, which only the whole floorplan can show.  Each record is
+    checked as it is read, so the first error in file order is raised; a
+    record whose geometry fails raises ``CoreGeometry``'s message.
     """
     names: list[str] = []
-    values: list[float] = []  # width, height, left_x, bottom_y per record
-    linenos: list[int] = []
-    malformed = None
+    values: list[float] = []  # left, bottom, width and height per record
     for lineno, raw, line in _records(source):
         fields = line.split()
         if len(fields) != 5:
-            malformed = FloorplanError(
+            raise FloorplanError(
                 f"line {lineno}: expected 'name width height left_x bottom_y', "
                 f"got {raw!r}"
             )
-            break
         try:
-            values += [float(fields[1]), float(fields[2]), float(fields[3]), float(fields[4])]
+            w, h, x, y = float(fields[1]), float(fields[2]), float(fields[3]), float(fields[4])
         except ValueError:
-            malformed = FloorplanError(f"line {lineno}: non-numeric field in {raw!r}")
-            break
+            raise FloorplanError(f"line {lineno}: non-numeric field in {raw!r}") from None
+        # finite, with a positive width and height; NaN fails every comparison
+        if not (0.0 < w < math.inf and 0.0 < h < math.inf
+                and -math.inf < x < math.inf and -math.inf < y < math.inf):
+            try:
+                CoreGeometry(fields[0], w, h, x, y)
+            except FloorplanError as exc:
+                raise FloorplanError(f"line {lineno}: {exc}") from None
         names.append(fields[0])
-        linenos.append(lineno)
-    rows = np.array(values).reshape(-1, 4)
-    # comparisons with NaN are False, and warn on some numpy builds
-    with np.errstate(invalid="ignore"):
-        valid = np.isfinite(rows).all(axis=1) & (rows[:, 0] > 0) & (rows[:, 1] > 0)
-    if not valid.all():
-        k = int(valid.argmin())
-        try:
-            CoreGeometry(names[k], *values[4 * k:4 * k + 4])
-        except FloorplanError as exc:
-            raise FloorplanError(f"line {linenos[k]}: {exc}") from None
-    if malformed is not None:
-        raise malformed
-    return Floorplan._from_geometry(tuple(names), rows.T[[2, 3, 0, 1]])
+        values += (x, y, w, h)
+    # a copy in rows, so that the floorplan's array owns its memory
+    return Floorplan._from_geometry(tuple(names), np.array(values).reshape(-1, 4).T.copy())
 
 
 def _check_test_values(name: str, power: float, duration: float) -> None:

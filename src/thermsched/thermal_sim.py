@@ -7,10 +7,10 @@ which the guiding session model reads, and the nodal conductance matrix
 ``G`` with its Cholesky factor, which the validator reads.  ``G`` does not
 depend on the test session, so it is assembled and factored once; a session
 only changes the injection vector ``P``.  ``G`` itself is held sparse,
-with N diagonal entries and two per adjacent pair, for the residual check.
-The dense ``G`` is assembled in Fortran order and factored in its own
-buffer, so the factor is the only dense N x N array the network holds,
-and building it never holds a second.
+with N diagonal entries and two per adjacent pair, for the residual check;
+it is assembled from those entries.  Its dense copy is taken in Fortran
+order and factored in its own buffer, so the factor is the only dense
+N x N array the network holds, and building it never holds a second.
 
 Unlike the guiding session model, the validator keeps every core in play:
 all adjacent pairs are coupled (active or not), every node has its own
@@ -171,8 +171,6 @@ def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
     names = fp.names
     n = len(names)
     position = {name: i for i, name in enumerate(names)}
-    # in Fortran order, so that LAPACK factors G in its own buffer
-    g = np.zeros((n, n), order="F")
     # G's diagonal is summed in Python floats, which overflow to inf quietly
     diagonal = [0.0] * n
     lateral: list[list[tuple[int, float]]] = [[] for _ in names]
@@ -188,7 +186,6 @@ def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
         i, j = position[a], position[b]
         diagonal[i] += gl
         diagonal[j] += gl
-        g[i, j] = g[j, i] = -gl
         lateral[i].append((j, gl))
         lateral[j].append((i, gl))
     # width * height, as CoreGeometry.area has it for float fields; an area
@@ -207,9 +204,13 @@ def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
                 f"total conductance of {names[i]!r} is not finite in double "
                 f"precision; {_KNOBS}"
             )
-    g[np.diag_indices(n)] = diagonal
-    # taken before the factor overwrites g
-    conductance = csr_array(g)
+    # G from its entries, each node's laterals negated and its diagonal; scipy
+    # sorts each row by column, as csr_array of the dense G has it
+    rows, columns, values = zip(*[(i, j, -gl) for i, row in enumerate(lateral) for j, gl in row],
+                                *[(i, i, d) for i, d in enumerate(diagonal)])
+    conductance = csr_array((values, (rows, columns)), shape=(n, n))
+    # in Fortran order, so that LAPACK factors G in its own buffer
+    g = conductance.toarray(order="F")
     try:
         with _one_blas_thread():
             # every conductance and diagonal was checked finite above; G is

@@ -24,6 +24,7 @@ from thermsched.thermal_sim import (
 )
 from util import (
     DATA,
+    core_records,
     equivalent_resistance,
     grounded_rise_oracle,
     load_inputs,
@@ -110,7 +111,7 @@ def test_criterion_3_power_density_contrast():
         assert sum(power.power(n) for n in dense) == pytest.approx(
             sum(power.power(n) for n in sparse)
         )
-        areas = {c.name: c.area for c in fp}
+        areas = {c.name: c.area for c in core_records(fp)}
         density = lambda n: power.power(n) / areas[n]
         ratio = min(density(n) for n in dense) / max(density(n) for n in sparse)
         assert ratio == pytest.approx(4.0, rel=1e-12)

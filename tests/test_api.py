@@ -2,6 +2,7 @@
 option, listed on purpose, and every third-party import, declared."""
 
 import ast
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -17,9 +18,10 @@ from thermsched import (
     PowerProfileError,
     SchedulerConfig,
     ThermalParams,
+    build_network,
 )
 from thermsched.cli import build_parser
-from util import DATA
+from util import DATA, load_inputs
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -65,6 +67,27 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in thermsched.__all__:
         assert getattr(thermsched, name) is not None, name
+
+
+def test_reading_inputs_and_networks_changes_none_of_their_attributes():
+    # README calls them immutable after construction: reading every public
+    # attribute, and calling every method that takes no argument, leaves
+    # each attribute the very object it was
+    fp, power = load_inputs("demo15")
+    objects = (fp, power, build_network(fp, ThermalParams()))
+    before = [dict(vars(obj)) for obj in objects]
+    assert len(fp) == 15 and "c01" in fp
+    for obj in objects:
+        repr(obj)
+        for name in dir(obj):
+            value = getattr(obj, name)
+            if not name.startswith("_") and inspect.ismethod(value):
+                if not inspect.signature(value).parameters:
+                    value()
+    for obj, attributes in zip(objects, before):
+        after = vars(obj)
+        assert after.keys() == attributes.keys(), type(obj)
+        assert [k for k in attributes if after[k] is not attributes[k]] == [], type(obj)
 
 
 def library_use() -> str:

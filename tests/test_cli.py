@@ -31,6 +31,7 @@ from thermsched.scheduler import SchedulerConfig, ScreeningError, compile_die, g
 from thermsched.thermal_model import ThermalParams
 from util import (
     DATA,
+    core_records,
     load_inputs,
     memo_entries,
     random_floorplan,
@@ -727,8 +728,8 @@ def test_byte_order_marked_inputs_give_the_plain_files_document(tmp_path):
 
 
 def test_cli_runs_build_no_core_geometry(tmp_path, monkeypatch):
-    # the floorplan reaches the factor as one geometry array; its
-    # CoreGeometry records are built only when asked for
+    # the floorplan reaches the factor as one geometry array, and a run
+    # builds no CoreGeometry record
     built = []
     real = CoreGeometry.__post_init__
     monkeypatch.setattr(
@@ -740,7 +741,7 @@ def test_cli_runs_build_no_core_geometry(tmp_path, monkeypatch):
         assert main([*inputs, *limits, "--out", str(tmp_path / "out")]) == 0
     assert built == []
     # the count sees the records that are built
-    assert len(load_inputs("demo15")[0].cores) == len(built) == 15
+    assert len(core_records(load_inputs("demo15")[0])) == len(built) == 15
 
 
 def test_sweep_deterministic_bytes(three_core_files, tmp_path):
@@ -818,7 +819,8 @@ def _sweep(fp, profile, tl_axis, stcl_axis):
     with tempfile.TemporaryDirectory() as tmp:
         flp, power, out = Path(tmp) / "die.flp", Path(tmp) / "power.csv", Path(tmp) / "sweep.csv"
         flp.write_text("".join(
-            f"{c.name} {c.width!r} {c.height!r} {c.left_x!r} {c.bottom_y!r}\n" for c in fp
+            f"{c.name} {c.width!r} {c.height!r} {c.left_x!r} {c.bottom_y!r}\n"
+            for c in core_records(fp)
         ))
         power.write_text("".join(
             f"{n},{profile.power(n)!r},{profile.duration(n)!r}\n" for n in fp.names

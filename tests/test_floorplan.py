@@ -3,10 +3,7 @@
 import heapq
 import io
 import math
-import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +28,7 @@ from util import (
     DATA,
     core_center,
     core_edges,
+    core_records,
     random_floorplan,
     reference_parse_floorplan,
     shared_edge_length,
@@ -44,7 +42,7 @@ from util import (
 def test_parse_single_core():
     fp = parse_floorplan("c1 0.01 0.01 0.0 0.0")
     assert fp.names == ("c1",)
-    (core,) = fp.cores
+    (core,) = core_records(fp)
     assert core.width == 0.01
     assert core.height == 0.01
     assert core.left_x == 0.0
@@ -141,17 +139,22 @@ def test_empty_floorplan_rejected():
         parse_floorplan("# only a comment\n")
 
 
-# ── the array parser against the per-record parser ───────────────────────
+# ── the parser against the reference parser ─────────────────────────────
+
+
+def geometry_hex(fp):
+    """A floorplan's geometry rows, every value by ``float.hex``."""
+    return [list(map(float.hex, row)) for row in fp.geometry.tolist()]
 
 
 def parse_outcome(parse, text):
     """What a parser makes of ``text``: the error message, or the names, the
-    cores and the adjacent pairs, floats compared through ``repr``."""
+    geometry and the adjacent pairs, floats compared bit for bit."""
     try:
         fp = parse(text)
     except FloorplanError as exc:
         return str(exc)
-    return fp.names, repr(fp.cores), repr(list(fp.adjacency().pairs()))
+    return fp.names, geometry_hex(fp), repr(list(fp.adjacency().pairs()))
 
 
 BAD_FIELDS = ["nan", "inf", "-inf", "1e309", "0", "-0.0", "-1e-3", "one", "0x1", "1..2"]
@@ -164,7 +167,9 @@ def floorplan_texts(draw):
     mixed in."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     fp = random_floorplan(rng, draw(st.integers(1, 12)))
-    lines = [f"{c.name} {c.width!r} {c.height!r} {c.left_x!r} {c.bottom_y!r}" for c in fp]
+    lines = [
+        f"{c.name} {c.width!r} {c.height!r} {c.left_x!r} {c.bottom_y!r}" for c in core_records(fp)
+    ]
     for k in range(draw(st.integers(0, 4))):
         kind = draw(st.sampled_from(
             ["comment", "blank", "fields", "field", "duplicate", "overlap", "far"]
@@ -191,7 +196,7 @@ def floorplan_texts(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(floorplan_texts())
-def test_array_parser_matches_the_per_record_parser(text):
+def test_parser_matches_the_reference_parser(text):
     assert parse_outcome(parse_floorplan, text) == parse_outcome(reference_parse_floorplan, text)
 
 
@@ -217,36 +222,26 @@ def test_parsed_cores_are_the_per_record_parsers_field_for_field(stem):
     path = (Path(__file__).resolve().parent / "golden" if stem == "synth400" else DATA)
     text = (path / f"{stem}.flp").read_text(encoding="utf-8")
     fp, reference = parse_floorplan(text), reference_parse_floorplan(text)
-    assert fp.cores == reference.cores
-    assert [tuple(map(float.hex, astuple(c)[1:])) for c in fp.cores] == [
-        tuple(map(float.hex, astuple(c)[1:])) for c in reference.cores
-    ]
-    # built once, on request, and iterated in node order
-    assert fp.cores is fp.cores and list(fp) == list(fp.cores)
-    assert fp.geometry.shape == (4, len(fp)) and not fp.geometry.flags.writeable
-    assert fp.geometry.tolist() == [
-        [c.left_x for c in fp], [c.bottom_y for c in fp], [c.width for c in fp],
-        [c.height for c in fp],
-    ]
+    assert fp.names == reference.names
+    assert geometry_hex(fp) == geometry_hex(reference)
+    assert core_records(fp) == core_records(reference)
+    # rows left, bottom, width and height, as the first record gives them
+    first = next(filter(None, (line.split("#")[0].strip() for line in text.splitlines())))
+    name, width, height, left, bottom = first.split()
+    assert fp.names[0] == name
+    assert fp.geometry[:, 0].tolist() == list(map(float, (left, bottom, width, height)))
 
 
-def test_threads_sharing_a_parsed_floorplan_read_equal_cores():
-    # the records are built on first request without a lock: threads that
-    # race there build equal tuples, and each gets a whole one
-    text = (Path(__file__).resolve().parent / "golden" / "synth400.flp").read_text()
-    reference = reference_parse_floorplan(text).cores
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            fp = parse_floorplan(text)
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(lambda: fp.cores) for _ in range(8)]
-                seen = [future.result(timeout=60) for future in futures]
-            assert all(cores == reference for cores in seen)
-            assert fp.cores == reference
-    finally:
-        sys.setswitchinterval(interval)
+@pytest.mark.parametrize("build", [
+    lambda: parse_floorplan("a 1 1 0 0\nb 1 1 1 0\n"),
+    lambda: Floorplan([CoreGeometry("a", 1, 1, 0, 0), CoreGeometry("b", 1, 1, 1, 0)]),
+])
+def test_geometry_owns_its_memory_and_is_read_only(build):
+    geometry = build().geometry
+    assert geometry.base is None and not geometry.flags.writeable
+    assert geometry.shape == (4, 2) and geometry.dtype == np.float64
+    with pytest.raises(ValueError):
+        geometry[0, 0] = 5.0
 
 
 # ── power profiles ───────────────────────────────────────────────────────
@@ -361,8 +356,9 @@ def test_shared_edge_horizontal_seam():
 def test_shared_edge_symmetry_random():
     rng = np.random.default_rng(11)
     fp = random_floorplan(rng, 12)
-    for a in fp:
-        for b in fp:
+    cores = core_records(fp)
+    for a in cores:
+        for b in cores:
             if a.name != b.name:
                 assert shared_edge(a, b) == shared_edge(b, a)
 
@@ -416,7 +412,7 @@ def test_translation_invariance():
     moved = Floorplan(
         [
             CoreGeometry(c.name, c.width, c.height, c.left_x + 0.5, c.bottom_y - 1.25)
-            for c in fp
+            for c in core_records(fp)
         ]
     )
     pairs = list(fp.adjacency().pairs())
@@ -491,7 +487,7 @@ def perturbed_dies(draw):
         return v
 
     cores = []
-    for c in fp:
+    for c in core_records(fp):
         left, bottom, right, top = (nudged(v + offset) for v in core_edges(c))
         cores.append(CoreGeometry(c.name, right - left, top - bottom, left, bottom))
     overlap = draw(st.sampled_from([None, None, "grow", "add"]))
@@ -544,7 +540,7 @@ def test_bucketed_scans_on_hand_built_dies():
     ):
         assert bucketed_scan(cores) == brute_force_scan(cores) != []
     rng = np.random.default_rng(41)
-    cores = list(random_floorplan(rng, 30))
+    cores = list(core_records(random_floorplan(rng, 30)))
     c = cores[7]
     cores.insert(3, CoreGeometry("intruder", c.width / 2, c.height / 2, c.left_x, c.bottom_y))
     message = brute_force_scan(cores)
@@ -609,7 +605,7 @@ def test_bucketed_scans_on_a_benchmark_sized_die():
     # 400 cores, as on the benchmark's dies: cells with several cores and
     # long candidate lists; repr compares every float bit for bit
     text = heap_guillotine_text(np.random.default_rng(44), 400)
-    cores = parse_floorplan(text).cores
+    cores = core_records(parse_floorplan(text))
     assert repr(bucketed_scan(cores)) == repr(brute_force_scan(cores))
     # the same die with a core appended last that overlaps an early one and
     # its neighbors

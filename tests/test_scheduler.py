@@ -32,6 +32,7 @@ from thermsched.thermal_sim import (
     simulate_session,
 )
 from util import (
+    core_records,
     load_inputs,
     load_synth400,
     memo_entries,
@@ -954,7 +955,7 @@ def written_schedules(draw):
     names = [draw(st.text(st.sampled_from(chars), max_size=4)) + f"{suffix}{i}" for i in range(len(base))]
     fp = Floorplan([
         CoreGeometry(name, c.width, c.height, c.left_x, c.bottom_y)
-        for name, c in zip(names, base)
+        for name, c in zip(names, core_records(base))
     ])
     profile = random_profile(rng, fp, p_range=(0.3 * scale, 3.0 * scale))
     params = ThermalParams(t_ambient=ambient)

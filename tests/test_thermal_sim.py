@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 import scipy.sparse
-
+from scipy.linalg import cho_factor
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -91,7 +91,7 @@ def test_network_invariants_random():
         pairs = list(fp.adjacency().pairs())
         assert isinstance(net.conductance, scipy.sparse.csr_array)
         assert net.conductance.nnz == len(fp) + 2 * len(pairs)
-        dense = np.zeros((len(fp), len(fp)))
+        dense = np.zeros((len(fp), len(fp)), order="F")
         for i, row in enumerate(net.lateral):
             diagonal = 0.0
             for j, gl in row:
@@ -100,6 +100,14 @@ def test_network_invariants_random():
             dense[i, i] = diagonal + net.vertical[i]
         g = net.conductance.toarray()
         assert np.array_equal(g, dense)
+        # assembled from its entries, G holds the CSR arrays that csr_array
+        # takes from the dense G, and its factor is the dense G's, bit for bit
+        expected = scipy.sparse.csr_array(dense)
+        for part in ("data", "indices", "indptr"):
+            assert getattr(net.conductance, part).tolist() == getattr(expected, part).tolist()
+        with thermal_sim._one_blas_thread():
+            factor = cho_factor(dense, check_finite=False)
+        assert net.factor[0].tobytes() == factor[0].tobytes() and net.factor[1] == factor[1]
         assert np.array_equal(g, g.T)
         off = g - np.diag(np.diag(g))
         assert np.all(off <= 0.0)

@@ -1,10 +1,10 @@
-"""Shared test helpers: tiny floorplan builders, random generators, a
-per-record floorplan parser, a pairwise shared-edge reference, the
-grounded-network nodal oracle used to cross-check equivalent resistances,
-the packing order, a name-level STC that shares no code with the library's
-pricing, a paper-literal schedule run, a whole-document JSON writer, a
-sweep row, a traced memory peak, and a walk of a compiled die's attempt
-memo."""
+"""Shared test helpers: tiny floorplan builders, a floorplan's records,
+random generators, a per-record floorplan parser, a pairwise shared-edge
+reference, the grounded-network nodal oracle used to cross-check
+equivalent resistances, the packing order, a name-level STC that shares
+no code with the library's pricing, a paper-literal schedule run, a
+whole-document JSON writer, a sweep row, a traced memory peak, and a walk
+of a compiled die's attempt memo."""
 
 from __future__ import annotations
 
@@ -50,6 +50,13 @@ def strip_floorplan(n: int = 3, size: float = 1.0) -> Floorplan:
     return Floorplan(
         [CoreGeometry(f"s{i + 1}", size, size, i * size, 0.0) for i in range(n)]
     )
+
+
+def core_records(fp: Floorplan) -> tuple[CoreGeometry, ...]:
+    """A floorplan's cores as ``CoreGeometry`` records in node order, from its
+    names and its geometry rows left, bottom, width and height."""
+    left, bottom, width, height = fp.geometry.tolist()
+    return tuple(map(CoreGeometry, fp.names, width, height, left, bottom))
 
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "thermsched" / "data"
@@ -170,7 +177,8 @@ def grounded_rise_oracle(core: str, session, fp: Floorplan, params: ThermalParam
     """
     names = fp.names
     index = {name: i for i, name in enumerate(names)}
-    cores = {c.name: c for c in fp}
+    records = core_records(fp)
+    cores = {c.name: c for c in records}
     a = np.zeros((len(names), len(names)))
     b = np.zeros(len(names))
     for i, name in enumerate(names):
@@ -179,7 +187,7 @@ def grounded_rise_oracle(core: str, session, fp: Floorplan, params: ThermalParam
             continue
         here = cores[name]
         a[i, i] = here.area / params.r_vertical_per_area
-        for other in fp:
+        for other in records:
             if other.name in session:
                 continue  # active-active paths removed (and the core itself)
             shared = shared_edge_length(here, other)
