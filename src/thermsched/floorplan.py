@@ -72,23 +72,19 @@ class CoreGeometry:
                 f"({self.width} x {self.height})"
             )
 
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
 
 class AdjacencyGraph:
     """Adjacent core pairs of a floorplan and the geometry of each contact.
 
-    ``pairs()`` yields ``(a, b, shared_edge, center_distance)`` once for
-    every pair of cores sharing more than EPSILON of edge, in floorplan
-    order: by the index of ``a``, then of ``b``, with ``a`` before ``b``.
+    ``pairs()`` yields ``(i, j, shared_edge, center_distance)`` once for
+    every pair of cores sharing more than EPSILON of edge, where ``i < j``
+    are their node indices in ``Floorplan.names``, sorted by ``(i, j)``.
     """
 
-    def __init__(self, pairs: Iterable[tuple[str, str, float, float]]):
+    def __init__(self, pairs: Iterable[tuple[int, int, float, float]]):
         self._pairs = tuple(pairs)
 
-    def pairs(self) -> Iterator[tuple[str, str, float, float]]:
+    def pairs(self) -> Iterator[tuple[int, int, float, float]]:
         return iter(self._pairs)
 
 
@@ -239,8 +235,8 @@ def build_adjacency(names: tuple[str, ...], geometry: np.ndarray) -> AdjacencyGr
     overlapping pair in floorplan order raises FloorplanError.  Cores whose
     facing edges lie within EPSILON of each other touch, and share the
     overlap of their other sides as an edge; corner contact shares none.
-    Each adjacent pair carries its shared edge length and the distance
-    between the two core centers.
+    Each adjacent pair is its two node indices, its shared edge length and
+    the distance between the core centers; ``names`` name only overlaps.
 
     Each core's right (``left + width``) and top edge is formed once, and
     all candidate pairs are measured at once with array operations, which
@@ -268,7 +264,7 @@ def build_adjacency(names: tuple[str, ...], geometry: np.ndarray) -> AdjacencyGr
     edge = np.where(vertical, h, w)
     keep = ((vertical | (np.abs(h) <= EPSILON)) & (edge > EPSILON)).nonzero()[0]
     return AdjacencyGraph(
-        (names[p], names[q], e, math.dist(centers[p], centers[q]))
+        (p, q, e, math.dist(centers[p], centers[q]))
         for p, q, e in zip(i[keep].tolist(), j[keep].tolist(), edge[keep].tolist())
     )
 
@@ -341,15 +337,15 @@ class PowerProfile:
     """Per-core test power (W) and test duration (s), complete over a floorplan."""
 
     def __init__(self, entries: Mapping[str, tuple[float, float]], floorplan: Floorplan):
-        unknown = sorted(name for name in entries if name not in floorplan)
+        unknown = sorted(str(name) for name in entries if name not in floorplan)
         if unknown:
             raise PowerProfileError(f"unknown core id(s): {', '.join(unknown)}")
-        missing = [name for name in floorplan.names if name not in entries]
+        missing = [str(name) for name in floorplan.names if name not in entries]
         if missing:
             raise PowerProfileError(f"no power entry for core(s): {', '.join(missing)}")
         for name, (power, duration) in entries.items():
             _check_test_values(name, power, duration)
-        # store in floorplan order for deterministic iteration
+        # rebuilt, in floorplan order, to hold each value as a float
         self._entries = {
             name: (float(entries[name][0]), float(entries[name][1]))
             for name in floorplan.names

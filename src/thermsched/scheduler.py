@@ -226,8 +226,8 @@ def check_tl(tl: float, ambient: float) -> None:
         raise ValueError(f"temperature limit {tl} C must exceed ambient {ambient} C")
 
 
-def screen_cores(net: ThermalNetwork, power: PowerProfile) -> dict[str, TestSession]:
-    """Simulate every core alone and return its singleton session, in node order.
+def screen_cores(net: ThermalNetwork, power: PowerProfile) -> list[TestSession]:
+    """Simulate every core alone; return the singleton sessions in node order.
 
     Cores are solved in blocks of ``_SCREEN_BLOCK`` consecutive nodes, one
     ``solve_columns`` call per block: column ``j`` of a block's ``P``
@@ -255,18 +255,19 @@ def screen_cores(net: ThermalNetwork, power: PowerProfile) -> dict[str, TestSess
             raise NetworkSolveError(
                 f"{exc} (screening core {net.nodes[exc.column]!r} alone)"
             ) from exc
-    return {
-        name: TestSession(frozenset((name,)), power.duration(name), result)
+    return [
+        TestSession(frozenset((name,)), power.duration(name), result)
         for name, result in zip(net.nodes, results)
-    }
+    ]
 
 
 def compile_die(fp: Floorplan, power: PowerProfile, params: ThermalParams) -> CompiledDie:
     """Compile the thermal network and screen every core, once per die.
 
-    The screened singleton sessions seed the die's validation memo, so no
-    run solves a singleton again.  Raises NetworkSolveError when the network
-    cannot be factored or a screening solve misses its tolerance.
+    The screened singleton sessions, in node order, give ``bcmt`` and seed
+    the die's validation memo, so no run solves a singleton again.  Raises
+    NetworkSolveError when the network cannot be factored or a screening
+    solve misses its tolerance.
     """
     # looked up on the module, so a wrapper installed there sees every compile
     net = thermal_sim.build_network(fp, params)
@@ -276,13 +277,13 @@ def compile_die(fp: Floorplan, power: PowerProfile, params: ThermalParams) -> Co
     return CompiledDie(
         net=net,
         power=power,
-        bcmt={name: s.result.peak[1] for name, s in singletons.items()},
+        bcmt={name: s.result.peak[1] for name, s in zip(net.nodes, singletons)},
         _powers=powers,
         _keys=keys,
         _start=tuple(sorted(range(len(keys)), key=keys.__getitem__)),
         _sessions={
             frozenset((i,)): (s, [i], [float(s.result.temperatures[i])])
-            for i, s in enumerate(singletons.values())
+            for i, s in enumerate(singletons)
         },
     )
 

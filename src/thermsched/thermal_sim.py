@@ -25,7 +25,9 @@ be built or factored.
 With scipy's bundled OpenBLAS, every factor and solve runs on one BLAS
 thread, set for the calling thread only: the blocking of the Cholesky
 factor depends on the thread count, and so would the last bits of every
-temperature.  Another BLAS build runs with its own thread count.
+temperature.  The pin looks only for ``libscipy_openblas*``: another BLAS
+build, and scipy 1.10, pyproject's floor, whose wheel ships
+``libopenblas*``, run every solve on the library's own thread count.
 """
 
 from __future__ import annotations
@@ -161,35 +163,33 @@ def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
     """Compile the conductances of a floorplan, assemble ``G`` and factor it.
 
     A core's vertical path lumps the package stack above it into
-    ``r_vertical_per_area`` over its area.  Every adjacent pair is coupled by
-    1-D in-die conduction: center distance over (conductivity * die
-    thickness * shared edge length).  Each conductance is the reciprocal of
-    its path resistance.  Raises NetworkSolveError when a conductance or a
-    node's conductance total is zero or not finite, or when ``G`` is not
-    positive definite (a vertical path too weak to ground the network).
+    ``r_vertical_per_area`` over its area.  Every adjacent pair of node
+    indices is coupled by 1-D in-die conduction: center distance over
+    (conductivity * die thickness * shared edge length).  Each conductance
+    is the reciprocal of its path resistance.  Raises NetworkSolveError
+    when a conductance or a node's conductance total is zero or not finite,
+    or when ``G`` is not positive definite (a vertical path too weak to
+    ground the network).
     """
     names = fp.names
     n = len(names)
-    position = {name: i for i, name in enumerate(names)}
     # G's diagonal is summed in Python floats, which overflow to inf quietly
     diagonal = [0.0] * n
     lateral: list[list[tuple[int, float]]] = [[] for _ in names]
     # pairs arrive sorted by (i, j), so every neighbor list stays in floorplan
     # order, the order in which thermal_model's pricing sums it
-    for a, b, shared_edge, center_distance in fp.adjacency().pairs():
+    for i, j, shared_edge, center_distance in fp.adjacency().pairs():
         gl = _conductance(
             center_distance,
             params.k_silicon * params.die_thickness * shared_edge,
             "k_silicon and die_thickness",
-            "lateral conductance between {} and {}", a, b,
+            "lateral conductance between {} and {}", names[i], names[j],
         )
-        i, j = position[a], position[b]
         diagonal[i] += gl
         diagonal[j] += gl
         lateral[i].append((j, gl))
         lateral[j].append((i, gl))
-    # width * height, as CoreGeometry.area has it for float fields; an area
-    # beyond the float range is inf, whose conductance is refused below
+    # an area beyond the float range is inf, whose conductance is refused below
     with np.errstate(over="ignore"):
         areas = (fp.geometry[2] * fp.geometry[3]).tolist()
     vertical = tuple(
@@ -225,7 +225,7 @@ def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
         ) from exc
     return ThermalNetwork(
         nodes=names,
-        position=position,
+        position={name: i for i, name in enumerate(names)},
         vertical=vertical,
         lateral=tuple(map(tuple, lateral)),
         conductance=conductance,

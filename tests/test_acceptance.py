@@ -111,7 +111,7 @@ def test_criterion_3_power_density_contrast():
         assert sum(power.power(n) for n in dense) == pytest.approx(
             sum(power.power(n) for n in sparse)
         )
-        areas = {c.name: c.area for c in core_records(fp)}
+        areas = {c.name: c.width * c.height for c in core_records(fp)}
         density = lambda n: power.power(n) / areas[n]
         ratio = min(density(n) for n in dense) / max(density(n) for n in sparse)
         assert ratio == pytest.approx(4.0, rel=1e-12)

@@ -182,7 +182,13 @@ def test_every_third_party_import_is_a_declared_dependency():
      "core 'a' has non-finite geometry"),
     (lambda v: PowerProfile({"a": (v, 1.0)}, Floorplan([CoreGeometry("a", 1.0, 1.0, 0.0, 0.0)])),
      PowerProfileError, "core 'a' has invalid test power {}; need a finite value >= 0"),
-], ids=["SchedulerConfig", "ThermalParams", "CoreGeometry", "PowerProfile"])
+    # the int as a core name: the profile lists names that are not str too
+    (lambda v: PowerProfile({v: (1.0, 1.0)}, Floorplan([CoreGeometry("a", 1.0, 1.0, 0.0, 0.0)])),
+     PowerProfileError, "unknown core id(s): {}"),
+    (lambda v: PowerProfile({}, Floorplan([CoreGeometry(v, 1.0, 1.0, 0.0, 0.0)])),
+     PowerProfileError, "no power entry for core(s): {}"),
+], ids=["SchedulerConfig", "ThermalParams", "CoreGeometry", "PowerProfile",
+        "PowerProfile-unknown-name", "PowerProfile-missing-name"])
 def test_ints_beyond_float_range_are_not_finite(build, error, message, value):
     # math.isfinite raises OverflowError on such an int; library callers get
     # the ValueError subclass and the message any non-finite value gets

@@ -47,7 +47,6 @@ def test_parse_single_core():
     assert core.height == 0.01
     assert core.left_x == 0.0
     assert core.bottom_y == 0.0
-    assert core.area == pytest.approx(1e-4)
 
 
 def test_parse_accepts_stream():
@@ -306,6 +305,25 @@ def test_power_profile_comments_and_blanks():
     assert profile.duration("c1") == 3.0
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda fp: parse_power_profile("a,1", fp), PowerProfileError,
+     "line 1: expected 'core_id,power_watts,duration_s', got 'a,1'"),
+    (lambda fp: parse_power_profile("a,x,1", fp), PowerProfileError,
+     "line 1: non-numeric field in 'a,x,1'"),
+    (lambda fp: PowerProfile({"zz": (1.0, 1.0), "a": (1.0, 1.0), "yy": (1.0, 1.0)}, fp),
+     PowerProfileError, "unknown core id(s): yy, zz"),
+    (lambda fp: PowerProfile({"a": (1.0, 1.0)}, fp).power("zz"), KeyError,
+     "no power entry for core 'zz'"),
+    (lambda fp: PowerProfile({"a": (1.0, 1.0)}, fp).duration("zz"), KeyError,
+     "no power entry for core 'zz'"),
+], ids=["field-count", "non-numeric", "unknown-ids", "power", "duration"])
+def test_power_profile_error_messages(call, error, message):
+    fp = parse_floorplan("a 1 1 0 0")
+    with pytest.raises(error) as err:
+        call(fp)
+    assert err.value.args == (message,)
+
+
 def test_power_profile_zero_power_allowed():
     fp = parse_floorplan("c1 1 1 0 0")
     profile = PowerProfile({"c1": (0.0, 1.0)}, fp)
@@ -318,7 +336,7 @@ def test_power_profile_zero_power_allowed():
 def shared_edge(a, b):
     """The edge ``a`` and ``b`` share, as the floorplan of the two finds it."""
     pairs = list(Floorplan([a, b]).adjacency().pairs())
-    assert [p[:2] for p in pairs] in ([], [(a.name, b.name)])
+    assert [p[:2] for p in pairs] in ([], [(0, 1)])
     return pairs[0][2] if pairs else 0.0
 
 
@@ -376,7 +394,7 @@ def test_strip_adjacency():
     fp = strip_floorplan(3)
     adj = fp.adjacency()
     pairs = list(adj.pairs())
-    assert [(a, b) for a, b, _, _ in pairs] == [("s1", "s2"), ("s2", "s3")]
+    assert [(i, j) for i, j, _, _ in pairs] == [(0, 1), (1, 2)]
     assert pairs[0][2] == 1.0  # shared edge of s1 and s2
     assert pairs[1][3] == pytest.approx(1.0)  # center distance of s2 and s3
 
@@ -397,7 +415,7 @@ def test_grid_2x2_has_four_edges_no_diagonals():
         ]
     )
     adj = fp.adjacency()
-    pairs = {frozenset((a, b)) for a, b, _, _ in adj.pairs()}
+    pairs = {frozenset((fp.names[i], fp.names[j])) for i, j, _, _ in adj.pairs()}
     assert pairs == {
         frozenset({"sw", "se"}),
         frozenset({"sw", "nw"}),
@@ -456,7 +474,7 @@ def brute_force_scan(cores):
             a, b = cores[i], cores[j]
             length = shared_edge_length(a, b)
             if length > EPSILON:
-                pairs.append((a.name, b.name, length, math.dist(core_center(a), core_center(b))))
+                pairs.append((i, j, length, math.dist(core_center(a), core_center(b))))
     return pairs
 
 

@@ -77,8 +77,7 @@ def test_screen_all_cores_pass():
     fp = strip_floorplan(3)
     net = build_network(fp, STRIP_PARAMS)
     report = screen_cores(net, uniform_profile(fp, power=1.0, duration=2.0))
-    assert list(report) == ["s1", "s2", "s3"]
-    for name, session in report.items():
+    for name, session in zip(["s1", "s2", "s3"], report, strict=True):
         assert session.cores == {name}
         assert session.duration == 2.0
         assert session.result.peak[1] < 100.0
@@ -88,7 +87,8 @@ def test_screen_zero_power_cores_sit_at_ambient():
     fp = strip_floorplan(3)
     net = build_network(fp, STRIP_PARAMS)
     report = screen_cores(net, uniform_profile(fp, power=0.0))
-    for session in report.values():
+    for name, session in zip(fp.names, report, strict=True):
+        assert session.cores == {name}
         assert session.result.peak == ("s1", STRIP_PARAMS.t_ambient)  # ties go first
         assert (session.result.temperatures == STRIP_PARAMS.t_ambient).all()
 

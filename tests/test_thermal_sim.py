@@ -1,6 +1,7 @@
 """Compiled thermal network and full-network steady-state simulator tests."""
 
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -532,3 +533,15 @@ def test_blas_pin_restores_the_thread_count_and_a_missing_setter_runs_unpinned(m
     monkeypatch.setattr(thermal_sim, "_blas_thread_setter", lambda: None)
     unpinned = simulate_session(fp.names, build_network(fp, ThermalParams()), profile)
     assert unpinned.temperatures.tobytes() == pinned.temperatures.tobytes()
+
+
+def test_blas_pin_finds_no_setter_beside_a_scipy_without_its_openblas(monkeypatch, tmp_path):
+    # as beside scipy 1.10's wheel, whose scipy.libs holds libopenblas*, not
+    # libscipy_openblas*; __wrapped__ bypasses the lookup's cache
+    package = tmp_path / "scipy"
+    package.mkdir()
+    monkeypatch.setattr(thermal_sim, "scipy", SimpleNamespace(__file__=str(package / "__init__.py")))
+    assert thermal_sim._blas_thread_setter.__wrapped__() is None  # no scipy.libs
+    (tmp_path / "scipy.libs").mkdir()
+    (tmp_path / "scipy.libs" / "libscipy_openblas-x.so").write_bytes(b"")
+    assert thermal_sim._blas_thread_setter.__wrapped__() is None  # CDLL raises OSError

@@ -186,7 +186,7 @@ def grounded_rise_oracle(core: str, session, fp: Floorplan, params: ThermalParam
             a[i, i] = 1.0  # rise pinned to zero: core sits at ambient
             continue
         here = cores[name]
-        a[i, i] = here.area / params.r_vertical_per_area
+        a[i, i] = here.width * here.height / params.r_vertical_per_area
         for other in records:
             if other.name in session:
                 continue  # active-active paths removed (and the core itself)
