@@ -8,12 +8,13 @@ A floorplan holds its geometry as one read-only float64 array in node
 order, with rows left, bottom, width and height (``Floorplan.geometry``);
 the parser checks each record as it reads it and fills that array straight
 from the text.  A floorplan checks for overlaps and finds its adjacent
-pairs in one scan of that array when it is built (``build_adjacency``).
-The scan finds the pairs of cores that share a cell of a uniform grid with
-array operations (``_near_pairs``), and tests all of those pairs at once;
-a die of at most 64 cores skips the grid and tests all its pairs.  The
-cost is linear in the number of cores when they are about as wide as they
-are tall; long, thin cores crowd the cells, and the candidate pairs grow
+pairs in one scan of that array when it is built (``build_adjacency``),
+which keeps them as node-order arrays (``AdjacencyGraph``).  The scan
+finds the pairs of cores that share a cell of a uniform grid with array
+operations (``_near_pairs``), and tests all of those pairs at once; a die
+of at most 64 cores skips the grid and tests all its pairs.  The cost is
+linear in the number of cores when they are about as wide as they are
+tall; long, thin cores crowd the cells, and the candidate pairs grow
 toward N^2 / 2.
 
 File formats (UTF-8, '#' starts a comment, blank lines ignored):
@@ -76,16 +77,23 @@ class CoreGeometry:
 class AdjacencyGraph:
     """Adjacent core pairs of a floorplan and the geometry of each contact.
 
-    ``pairs()`` yields ``(i, j, shared_edge, center_distance)`` once for
-    every pair of cores sharing more than EPSILON of edge, where ``i < j``
-    are their node indices in ``Floorplan.names``, sorted by ``(i, j)``.
+    The graph is four read-only arrays with one entry for every pair of
+    cores sharing more than EPSILON of edge, sorted by ``(i, j)``: the node
+    indices ``i < j`` of the two cores in ``Floorplan.names``, the length
+    of the edge they share and the distance between their centers.
+    ``build_network`` reads the arrays as they are; ``pairs()`` yields each
+    entry as a tuple ``(i, j, shared_edge, center_distance)`` of Python
+    ints and floats.
     """
 
-    def __init__(self, pairs: Iterable[tuple[int, int, float, float]]):
-        self._pairs = tuple(pairs)
+    def __init__(self, i: np.ndarray, j: np.ndarray, shared_edge: np.ndarray,
+                 center_distance: np.ndarray):
+        self._arrays = (i, j, shared_edge, center_distance)
+        for array in self._arrays:
+            array.flags.writeable = False
 
     def pairs(self) -> Iterator[tuple[int, int, float, float]]:
-        return iter(self._pairs)
+        return zip(*(array.tolist() for array in self._arrays))
 
 
 class Floorplan:
@@ -235,14 +243,15 @@ def build_adjacency(names: tuple[str, ...], geometry: np.ndarray) -> AdjacencyGr
     overlapping pair in floorplan order raises FloorplanError.  Cores whose
     facing edges lie within EPSILON of each other touch, and share the
     overlap of their other sides as an edge; corner contact shares none.
-    Each adjacent pair is its two node indices, its shared edge length and
-    the distance between the core centers; ``names`` name only overlaps.
+    The graph keeps the adjacent pairs as node-order arrays of their two
+    node indices, their shared edge lengths and the distances between the
+    core centers, with no tuple per pair; ``names`` name only overlaps.
 
     Each core's right (``left + width``) and top edge is formed once, and
     all candidate pairs are measured at once with array operations, which
     round as ``min``, ``max`` and ``-`` on Python floats do; the distances
     are ``math.dist`` of the centers ``(left + 0.5 * width, bottom + 0.5 *
-    height)``.
+    height)``, one call per adjacent pair.
     """
     corner, size = geometry[:2], geometry[2:]
     # numpy warns where Python floats overflow to inf quietly
@@ -263,10 +272,10 @@ def build_adjacency(names: tuple[str, ...], geometry: np.ndarray) -> AdjacencyGr
     vertical = np.abs(w) <= EPSILON  # touching along a vertical edge
     edge = np.where(vertical, h, w)
     keep = ((vertical | (np.abs(h) <= EPSILON)) & (edge > EPSILON)).nonzero()[0]
-    return AdjacencyGraph(
-        (p, q, e, math.dist(centers[p], centers[q]))
-        for p, q, e in zip(i[keep].tolist(), j[keep].tolist(), edge[keep].tolist())
-    )
+    i, j = i[keep], j[keep]
+    distance = map(math.dist, map(centers.__getitem__, i.tolist()),
+                   map(centers.__getitem__, j.tolist()))
+    return AdjacencyGraph(i, j, edge[keep], np.fromiter(distance, float, keep.size))
 
 
 def _records(source: str | IO[str]) -> Iterator[tuple[int, str, str]]:
@@ -334,7 +343,14 @@ def _check_test_values(name: str, power: float, duration: float) -> None:
 
 
 class PowerProfile:
-    """Per-core test power (W) and test duration (s), complete over a floorplan."""
+    """Per-core test power (W) and test duration (s), complete over a floorplan.
+
+    ``PowerProfile(entries, floorplan)`` checks every entry: each name must
+    be a floorplan core, each core must have an entry, each power must be
+    finite and >= 0 and each duration finite and > 0.  ``parse_power_profile``
+    makes these checks as it reads each record and builds the profile from
+    its checked values without repeating them.
+    """
 
     def __init__(self, entries: Mapping[str, tuple[float, float]], floorplan: Floorplan):
         unknown = sorted(str(name) for name in entries if name not in floorplan)
@@ -350,6 +366,13 @@ class PowerProfile:
             name: (float(entries[name][0]), float(entries[name][1]))
             for name in floorplan.names
         }
+
+    @classmethod
+    def _from_checked(cls, entries: dict[str, tuple[float, float]]) -> PowerProfile:
+        """A profile of checked float entries, in floorplan order, held as given."""
+        profile = cls.__new__(cls)
+        profile._entries = entries
+        return profile
 
     def power(self, name: str) -> float:
         try:
@@ -370,29 +393,42 @@ class PowerProfile:
 def parse_power_profile(source: str | IO[str], floorplan: Floorplan) -> PowerProfile:
     """Parse ``core_id,power_watts,duration_s`` CSV against a floorplan.
 
-    Every floorplan core must appear exactly once.
+    Every floorplan core must appear exactly once.  Each record is checked
+    once, on the line that holds it, so the first error in file order is
+    raised with its line number: the field count, a known and unique id,
+    numeric fields, and the power and duration ranges of ``PowerProfile``.
+    Cores with no record are then named without a line number, and the
+    profile is built in floorplan order from the checked values.
     """
     entries: dict[str, tuple[float, float]] = {}
     for lineno, raw, line in _records(source):
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 3:
+        try:
+            name, power, duration = line.split(",")
+        except ValueError:
             raise PowerProfileError(
                 f"line {lineno}: expected 'core_id,power_watts,duration_s', got {raw!r}"
-            )
-        name = fields[0]
+            ) from None
+        name = name.strip()
         if name not in floorplan:
             raise PowerProfileError(f"line {lineno}: unknown core id {name!r}")
         if name in entries:
             raise PowerProfileError(f"line {lineno}: duplicate entry for core {name!r}")
         try:
-            power, duration = float(fields[1]), float(fields[2])
+            # float() ignores the whitespace around a field
+            power, duration = float(power), float(duration)
         except ValueError:
             raise PowerProfileError(
                 f"line {lineno}: non-numeric field in {raw!r}"
             ) from None
-        try:
-            _check_test_values(name, power, duration)
-        except PowerProfileError as exc:
-            raise PowerProfileError(f"line {lineno}: {exc}") from None
+        # a finite power >= 0 and a finite duration > 0; NaN fails every comparison
+        if not (0.0 <= power < math.inf and 0.0 < duration < math.inf):
+            try:
+                _check_test_values(name, power, duration)
+            except PowerProfileError as exc:
+                raise PowerProfileError(f"line {lineno}: {exc}") from None
         entries[name] = (power, duration)
-    return PowerProfile(entries, floorplan)
+    # every entry names a distinct core, so a core is missing only if fewer
+    if len(entries) < len(floorplan):
+        missing = [str(name) for name in floorplan.names if name not in entries]
+        raise PowerProfileError(f"no power entry for core(s): {', '.join(missing)}")
+    return PowerProfile._from_checked({name: entries[name] for name in floorplan.names})

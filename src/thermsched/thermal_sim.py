@@ -37,6 +37,7 @@ import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Collection, Mapping
 
@@ -137,26 +138,13 @@ class SimulationResult:
     peak: tuple[str, float]             # hottest core and its temperature
 
 
-def _conductance(numerator: float, denominator: float, knobs: str, path: str,
-                 *names: str) -> float:
-    """``1 / (numerator / denominator)``: the reciprocal of a path resistance.
-
-    Positive, finite parameters can still underflow or overflow either
-    division, so raises NetworkSolveError naming the path and the
-    parameters behind it unless the conductance is positive and finite.
-    The path's label is ``path`` with the reprs of ``names`` filled in,
-    formatted only for that message.
-    """
-    try:
-        conductance = 1.0 / (numerator / denominator)
-    except ZeroDivisionError:
-        conductance = math.nan
-    if not 0.0 < conductance < math.inf:
-        raise NetworkSolveError(
-            f"{path.format(*map(repr, names))} is zero or not finite in double "
-            f"precision; check {knobs}"
-        )
-    return conductance
+def _not_finite(path: str, knobs: str) -> NetworkSolveError:
+    """The error for a conductance that is zero or not finite: positive,
+    finite parameters can still underflow or overflow either division of
+    its path resistance."""
+    return NetworkSolveError(
+        f"{path} is zero or not finite in double precision; check {knobs}"
+    )
 
 
 def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
@@ -166,49 +154,62 @@ def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
     ``r_vertical_per_area`` over its area.  Every adjacent pair of node
     indices is coupled by 1-D in-die conduction: center distance over
     (conductivity * die thickness * shared edge length).  Each conductance
-    is the reciprocal of its path resistance.  Raises NetworkSolveError
-    when a conductance or a node's conductance total is zero or not finite,
-    or when ``G`` is not positive definite (a vertical path too weak to
-    ground the network).
+    is the reciprocal of its path resistance, ``1 / (numerator /
+    denominator)``.  Raises NetworkSolveError when a conductance or a
+    node's conductance total is zero or not finite, naming the first
+    failing pair in ``(i, j)`` order, then the first failing core, then the
+    first failing total, or when ``G`` is not positive definite (a vertical
+    path too weak to ground the network).
+
+    Every conductance and diagonal is computed from the adjacency graph's
+    arrays and the geometry array at once, with the float operations of a
+    per-pair loop in the same order, and ``G``'s CSR arrays are taken from
+    its entries sorted by row and then by column.
     """
     names = fp.names
     n = len(names)
-    # G's diagonal is summed in Python floats, which overflow to inf quietly
-    diagonal = [0.0] * n
-    lateral: list[list[tuple[int, float]]] = [[] for _ in names]
-    # pairs arrive sorted by (i, j), so every neighbor list stays in floorplan
-    # order, the order in which thermal_model's pricing sums it
-    for i, j, shared_edge, center_distance in fp.adjacency().pairs():
-        gl = _conductance(
-            center_distance,
-            params.k_silicon * params.die_thickness * shared_edge,
-            "k_silicon and die_thickness",
-            "lateral conductance between {} and {}", names[i], names[j],
+    i, j, shared_edge, center_distance = fp.adjacency()._arrays
+    # G's entries, the laterals of both directions and then the diagonal,
+    # sorted by row and then by column: each node's laterals by neighbor,
+    # the order in which thermal_model's pricing and G's diagonal sum them
+    node = np.arange(n)
+    rows, columns = np.concatenate((i, j, node)), np.concatenate((j, i, node))
+    order = (rows * n + columns).argsort()
+    # numpy warns, and with pyproject's filters raises, where these divisions
+    # and sums overflow or divide by zero; the checks below refuse the results
+    with np.errstate(all="ignore"):
+        gl = 1.0 / (center_distance / (params.k_silicon * params.die_thickness * shared_edge))
+        gv = 1.0 / (params.r_vertical_per_area / (fp.geometry[2] * fp.geometry[3]))
+        laterals = np.concatenate((gl, gl))
+        lateral_order = order[order < laterals.size]
+        neighbors, lateral_values = columns[lateral_order], laterals[lateral_order]
+        # each diagonal sums its node's laterals one by one in neighbor
+        # order, from 0.0, then adds the vertical; ufunc.at adds in order
+        diagonal = np.zeros(n)
+        np.add.at(diagonal, rows[lateral_order], lateral_values)
+        diagonal += gv
+    failed = np.flatnonzero(~((0.0 < gl) & (gl < math.inf)))
+    if failed.size:
+        k = failed[0]
+        raise _not_finite(f"lateral conductance between {names[i[k]]!r} and {names[j[k]]!r}",
+                          "k_silicon and die_thickness")
+    failed = np.flatnonzero(~((0.0 < gv) & (gv < math.inf)))
+    if failed.size:
+        raise _not_finite(f"vertical conductance of {names[failed[0]]!r}",
+                          "r_vertical_per_area")
+    failed = np.flatnonzero(diagonal == math.inf)
+    if failed.size:
+        raise NetworkSolveError(
+            f"total conductance of {names[failed[0]]!r} is not finite in double "
+            f"precision; {_KNOBS}"
         )
-        diagonal[i] += gl
-        diagonal[j] += gl
-        lateral[i].append((j, gl))
-        lateral[j].append((i, gl))
-    # an area beyond the float range is inf, whose conductance is refused below
-    with np.errstate(over="ignore"):
-        areas = (fp.geometry[2] * fp.geometry[3]).tolist()
-    vertical = tuple(
-        _conductance(params.r_vertical_per_area, area,
-                     "r_vertical_per_area", "vertical conductance of {}", name)
-        for name, area in zip(names, areas)
+    # each row of G holds its node's laterals and its diagonal
+    row_sizes = np.bincount(rows, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(row_sizes, out=indptr[1:])
+    conductance = csr_array(
+        (np.concatenate((-laterals, diagonal))[order], columns[order], indptr), shape=(n, n)
     )
-    for i, gv in enumerate(vertical):
-        diagonal[i] += gv
-        if diagonal[i] == math.inf:
-            raise NetworkSolveError(
-                f"total conductance of {names[i]!r} is not finite in double "
-                f"precision; {_KNOBS}"
-            )
-    # G from its entries, each node's laterals negated and its diagonal; scipy
-    # sorts each row by column, as csr_array of the dense G has it
-    rows, columns, values = zip(*[(i, j, -gl) for i, row in enumerate(lateral) for j, gl in row],
-                                *[(i, i, d) for i, d in enumerate(diagonal)])
-    conductance = csr_array((values, (rows, columns)), shape=(n, n))
     # in Fortran order, so that LAPACK factors G in its own buffer
     g = conductance.toarray(order="F")
     try:
@@ -223,11 +224,13 @@ def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
             "conductance matrix is not positive definite in double precision: "
             f"the lateral conductances swamp the vertical ones; {_KNOBS}"
         ) from exc
+    # each node's (neighbor, lateral conductance) pairs, in neighbor order
+    entries = zip(neighbors.tolist(), lateral_values.tolist())
     return ThermalNetwork(
         nodes=names,
-        position={name: i for i, name in enumerate(names)},
-        vertical=vertical,
-        lateral=tuple(map(tuple, lateral)),
+        position={name: k for k, name in enumerate(names)},
+        vertical=tuple(gv.tolist()),
+        lateral=tuple(tuple(islice(entries, size - 1)) for size in row_sizes.tolist()),
         conductance=conductance,
         factor=factor,
         ambient=params.t_ambient,

@@ -31,6 +31,7 @@ from util import (
     core_records,
     random_floorplan,
     reference_parse_floorplan,
+    reference_parse_power_profile,
     shared_edge_length,
     strip_floorplan,
 )
@@ -310,13 +311,22 @@ def test_power_profile_comments_and_blanks():
      "line 1: expected 'core_id,power_watts,duration_s', got 'a,1'"),
     (lambda fp: parse_power_profile("a,x,1", fp), PowerProfileError,
      "line 1: non-numeric field in 'a,x,1'"),
+    (lambda fp: parse_power_profile("# none\n", fp), PowerProfileError,
+     "no power entry for core(s): a"),
+    (lambda fp: parse_power_profile("a,1,1\na,2,1", fp), PowerProfileError,
+     "line 2: duplicate entry for core 'a'"),
+    (lambda fp: parse_power_profile("\na , -0.5 ,1", fp), PowerProfileError,
+     "line 2: core 'a' has invalid test power -0.5; need a finite value >= 0"),
+    (lambda fp: parse_power_profile("a,0,-0.0", fp), PowerProfileError,
+     "line 1: core 'a' has invalid test duration -0.0; need a finite value > 0"),
     (lambda fp: PowerProfile({"zz": (1.0, 1.0), "a": (1.0, 1.0), "yy": (1.0, 1.0)}, fp),
      PowerProfileError, "unknown core id(s): yy, zz"),
     (lambda fp: PowerProfile({"a": (1.0, 1.0)}, fp).power("zz"), KeyError,
      "no power entry for core 'zz'"),
     (lambda fp: PowerProfile({"a": (1.0, 1.0)}, fp).duration("zz"), KeyError,
      "no power entry for core 'zz'"),
-], ids=["field-count", "non-numeric", "unknown-ids", "power", "duration"])
+], ids=["field-count", "non-numeric", "missing", "duplicate", "negative-power",
+        "zero-duration", "unknown-ids", "power", "duration"])
 def test_power_profile_error_messages(call, error, message):
     fp = parse_floorplan("a 1 1 0 0")
     with pytest.raises(error) as err:
@@ -328,6 +338,81 @@ def test_power_profile_zero_power_allowed():
     fp = parse_floorplan("c1 1 1 0 0")
     profile = PowerProfile({"c1": (0.0, 1.0)}, fp)
     assert profile.power("c1") == 0.0
+
+
+# ── the power-profile parser against the reference parser ───────────────
+
+
+def profile_outcome(parse, text, fp):
+    """What a parser makes of ``text``: the error type and message, or every
+    core's power and duration bit for bit."""
+    try:
+        profile = parse(text, fp)
+    except PowerProfileError as exc:
+        return type(exc), str(exc)
+    return [(profile.power(n).hex(), profile.duration(n).hex()) for n in fp.names]
+
+
+POWER_FAULTS = {
+    "fields": None,
+    "unknown": None,
+    "duplicate": None,
+    "non-numeric": ["x", "", "1..2", "0x1", "1,"],
+    "negative": ["-1e-3", "-5"],
+    "nan-power": ["nan", "-nan"],
+    "inf-power": ["inf", "-inf", "1e309"],
+    "zero-duration": ["0", "-0.0", "0e5"],
+    "nan-duration": ["nan"],
+    "missing": None,
+}
+
+
+@st.composite
+def power_profile_texts(draw):
+    """A random guillotine die and a power profile of it as CSV text: the
+    records in any order, spaces around fields, -0.0 powers, a byte-order
+    mark, LF, CR LF or CR line ends, comments and blank lines, and at most
+    one fault."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fp = random_floorplan(rng, draw(st.integers(1, 12)))
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    records = []
+    for name in draw(st.permutations(fp.names)):
+        power = draw(st.sampled_from([repr(rng.uniform(0.0, 5.0)), "-0.0", "0", "2e-3", "1_5"]))
+        duration = draw(st.sampled_from([repr(rng.uniform(0.1, 3.0)), "1", "2.5E-1"]))
+        records.append([name, power, duration])
+    fault = draw(st.sampled_from([None, None, *POWER_FAULTS]))
+    k = draw(st.integers(0, len(records) - 1))
+    if fault == "fields":
+        records[k] = records[k][:draw(st.sampled_from([1, 2]))] + ["1"] * draw(st.sampled_from([0, 2]))
+    elif fault == "unknown":
+        records.insert(k, ["zz", "1", "1"])
+    elif fault == "duplicate":
+        records.insert(draw(st.integers(k + 1, len(records))), [records[k][0], "3", "1"])
+    elif fault == "missing":
+        del records[k]
+    elif fault is not None:
+        column = 2 if fault.endswith("duration") else draw(st.sampled_from([1, 2]))
+        if fault in ("negative", "nan-power", "inf-power"):
+            column = 1
+        records[k][column] = draw(st.sampled_from(POWER_FAULTS[fault]))
+    lines = [",".join(draw(pad) + field + draw(pad) for field in fields) for fields in records]
+    for _ in range(draw(st.integers(0, 3))):
+        extra = draw(st.sampled_from(["# core,power,duration", "", "   ", "\t# note"]))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    if lines and draw(st.booleans()):
+        lines[-1] += "  # last record"
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    return fp, draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+@settings(max_examples=300, deadline=None)
+@given(power_profile_texts())
+def test_power_profile_parser_matches_the_reference_parser(case):
+    fp, text = case
+    outcome = profile_outcome(parse_power_profile, text, fp)
+    assert outcome == profile_outcome(reference_parse_power_profile, text, fp)
 
 
 # ── shared edges ─────────────────────────────────────────────────────────
@@ -395,6 +480,8 @@ def test_strip_adjacency():
     adj = fp.adjacency()
     pairs = list(adj.pairs())
     assert [(i, j) for i, j, _, _ in pairs] == [(0, 1), (1, 2)]
+    # Python ints and floats, not numpy scalars, whose repr differs
+    assert {tuple(map(type, pair)) for pair in pairs} == {(int, int, float, float)}
     assert pairs[0][2] == 1.0  # shared edge of s1 and s2
     assert pairs[1][3] == pytest.approx(1.0)  # center distance of s2 and s3
 

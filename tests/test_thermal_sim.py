@@ -35,6 +35,7 @@ from util import (
     random_floorplan,
     random_profile,
     random_session,
+    reference_network,
     session_flags,
     strip_floorplan,
     traced_peak,
@@ -123,6 +124,93 @@ def test_network_invariants_random():
             assert {j: gl for j, gl in row} == {
                 j: -g[i, j] for j in range(len(fp)) if g[i, j] != 0.0 and j != i
             }
+
+
+def network_outcome(build, fp, params):
+    """What ``build`` compiles: the error type and message, or every value
+    of the network, floats by their bits and Python types checked."""
+    try:
+        net = build(fp, params)
+    except NetworkSolveError as exc:
+        return type(exc), str(exc)
+    assert all(type(v) is float for v in net.vertical)
+    assert all(type(j) is int and type(g) is float for row in net.lateral for j, g in row)
+    g = net.conductance
+    return (
+        net.nodes, net.position, net.ambient,
+        [v.hex() for v in net.vertical],
+        [[(j, gl.hex()) for j, gl in row] for row in net.lateral],
+        g.shape, g.indptr.tolist(), g.indices.tolist(), g.data.dtype, g.data.tobytes(),
+        net.factor[0].flags.f_contiguous, net.factor[0].tobytes(), net.factor[1],
+    )
+
+
+def row_die(cores):
+    """Cores of width 1 side by side from x = 0, bottoms at 0: ``cores``
+    lists ``(name, height)`` from left to right, in node order by name."""
+    placed = [CoreGeometry(name, 1.0, height, float(x), 0.0)
+              for x, (name, height) in enumerate(cores)]
+    return Floorplan(sorted(placed, key=lambda c: c.name))
+
+
+# k * t = 1e300: a shared edge above about 1.8e8 m overflows k * t * edge,
+# so the pairs whose two cores are both 1e9 m tall have no lateral
+# conductance; the rest do.  From left to right the tall pairs are (1, 2)
+# and (0, 3) in node order, and (0, 3) comes first in (i, j) order.
+TWO_FAILING_PAIRS = [("p1", 1e9), ("p2", 1e9), ("p4", 1.0), ("p0", 1e9), ("p3", 1e9)]
+STRONG = ThermalParams(k_silicon=1e300, die_thickness=1.0)
+
+
+@pytest.mark.parametrize("die, params", [
+    (lambda: strip_floorplan(1), ThermalParams()),
+    (lambda: strip_floorplan(2, 0.01), ThermalParams()),
+    (lambda: strip_floorplan(7), ThermalParams(k_silicon=1.0, die_thickness=1.0,
+                                               r_vertical_per_area=2.0)),
+    (lambda: load_inputs("demo15")[0], ThermalParams()),
+    (lambda: load_inputs("density_contrast")[0], ThermalParams()),
+    (lambda: load_synth400()[0], ThermalParams()),
+    (lambda: load_synth400()[0], ThermalParams(k_silicon=150.0, die_thickness=7e-4,
+                                               r_vertical_per_area=2e-4)),
+    # degenerate: the first failing pair, core or total is named, or G is
+    # not positive definite
+    (lambda: row_die(TWO_FAILING_PAIRS), STRONG),
+    (lambda: strip_floorplan(3), ThermalParams(k_silicon=1e-320)),
+    (lambda: row_die([("b", 1.0), ("a", 1e9), ("c", 1e9)]),
+     ThermalParams(r_vertical_per_area=1e-300)),
+    (lambda: strip_floorplan(3), ThermalParams(k_silicon=1e300, die_thickness=1e8)),
+    (lambda: strip_floorplan(2), ThermalParams(k_silicon=1.0, die_thickness=1.0,
+                                               r_vertical_per_area=1e300)),
+], ids=["one-core", "strip-2", "strip-7", "demo15", "density_contrast", "synth400",
+        "synth400-params", "two-failing-pairs", "lateral-underflow", "failing-verticals",
+        "infinite-total", "not-positive-definite"])
+def test_network_matches_the_per_pair_assembly(die, params):
+    fp = die()
+    assert network_outcome(build_network, fp, params) == network_outcome(
+        reference_network, fp, params
+    )
+
+
+def test_first_failing_pair_in_pair_order_is_named():
+    fp = row_die(TWO_FAILING_PAIRS)
+    failing = [(i, j) for i, j, edge, _ in fp.adjacency().pairs() if edge > 1e8]
+    assert failing == [(0, 3), (1, 2)]
+    with pytest.raises(NetworkSolveError) as err:
+        build_network(fp, STRONG)
+    assert str(err.value) == (
+        "lateral conductance between 'p0' and 'p3' is zero or not finite in double "
+        "precision; check k_silicon and die_thickness"
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 90))
+def test_random_networks_match_the_per_pair_assembly(seed, n_cores):
+    # past 64 cores the floorplan scan runs on its grid
+    fp = random_floorplan(np.random.default_rng(seed), n_cores)
+    for params in (ThermalParams(), ThermalParams(k_silicon=1.0, die_thickness=1.0)):
+        assert network_outcome(build_network, fp, params) == network_outcome(
+            reference_network, fp, params
+        )
 
 
 def test_unknown_active_core_rejected():

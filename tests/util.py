@@ -1,6 +1,7 @@
 """Shared test helpers: tiny floorplan builders, a floorplan's records,
-random generators, a per-record floorplan parser, a pairwise shared-edge
-reference, the grounded-network nodal oracle used to cross-check
+random generators, per-record floorplan and power-profile parsers, a
+per-pair network assembly, a pairwise shared-edge reference, the
+grounded-network nodal oracle used to cross-check
 equivalent resistances, the packing order, a name-level STC that shares
 no code with the library's pricing, a paper-literal schedule run, a
 whole-document JSON writer, a sweep row, a traced memory peak, and a walk
@@ -16,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import orjson
+from scipy.linalg import cho_factor
+from scipy.sparse import csr_array
 
 from thermsched.cli import _limit, _totals
 from thermsched.floorplan import (
@@ -24,6 +27,8 @@ from thermsched.floorplan import (
     Floorplan,
     FloorplanError,
     PowerProfile,
+    PowerProfileError,
+    _check_test_values,
     _records,
     parse_floorplan,
     parse_power_profile,
@@ -38,8 +43,11 @@ from thermsched.scheduler import (
 )
 from thermsched.thermal_model import ThermalParams, session_stc
 from thermsched.thermal_sim import (
+    _KNOBS,
     RESIDUAL_RTOL,
+    NetworkSolveError,
     ThermalNetwork,
+    _one_blas_thread,
     build_network,
     simulate_session,
 )
@@ -138,6 +146,109 @@ def reference_parse_floorplan(source) -> Floorplan:
         except FloorplanError as exc:
             raise FloorplanError(f"line {lineno}: {exc}") from None
     return Floorplan(cores)
+
+
+def reference_parse_power_profile(source, floorplan: Floorplan) -> PowerProfile:
+    """The per-record power-profile parser: each record is checked as it is
+    read, and the entries are handed to ``PowerProfile(entries, floorplan)``,
+    which checks them all again."""
+    entries: dict[str, tuple[float, float]] = {}
+    for lineno, raw, line in _records(source):
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != 3:
+            raise PowerProfileError(
+                f"line {lineno}: expected 'core_id,power_watts,duration_s', got {raw!r}"
+            )
+        name = fields[0]
+        if name not in floorplan:
+            raise PowerProfileError(f"line {lineno}: unknown core id {name!r}")
+        if name in entries:
+            raise PowerProfileError(f"line {lineno}: duplicate entry for core {name!r}")
+        try:
+            power, duration = float(fields[1]), float(fields[2])
+        except ValueError:
+            raise PowerProfileError(
+                f"line {lineno}: non-numeric field in {raw!r}"
+            ) from None
+        try:
+            _check_test_values(name, power, duration)
+        except PowerProfileError as exc:
+            raise PowerProfileError(f"line {lineno}: {exc}") from None
+        entries[name] = (power, duration)
+    return PowerProfile(entries, floorplan)
+
+
+def _reference_conductance(numerator: float, denominator: float, knobs: str, path: str,
+                           *names: str) -> float:
+    """``1 / (numerator / denominator)`` in Python floats, or the
+    NetworkSolveError naming ``path`` unless it is positive and finite."""
+    try:
+        conductance = 1.0 / (numerator / denominator)
+    except ZeroDivisionError:
+        conductance = math.nan
+    if not 0.0 < conductance < math.inf:
+        raise NetworkSolveError(
+            f"{path.format(*map(repr, names))} is zero or not finite in double "
+            f"precision; check {knobs}"
+        )
+    return conductance
+
+
+def reference_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
+    """``build_network`` one pair and one core at a time, in Python floats:
+    each lateral conductance is checked as its pair is read from
+    ``pairs()``, each diagonal is summed in pair order and then gets its
+    vertical, and ``G``'s CSR is converted from a list of its entries."""
+    names = fp.names
+    n = len(names)
+    diagonal = [0.0] * n
+    lateral: list[list[tuple[int, float]]] = [[] for _ in names]
+    for i, j, shared_edge, center_distance in fp.adjacency().pairs():
+        gl = _reference_conductance(
+            center_distance,
+            params.k_silicon * params.die_thickness * shared_edge,
+            "k_silicon and die_thickness",
+            "lateral conductance between {} and {}", names[i], names[j],
+        )
+        diagonal[i] += gl
+        diagonal[j] += gl
+        lateral[i].append((j, gl))
+        lateral[j].append((i, gl))
+    with np.errstate(over="ignore"):
+        areas = (fp.geometry[2] * fp.geometry[3]).tolist()
+    vertical = tuple(
+        _reference_conductance(params.r_vertical_per_area, area,
+                               "r_vertical_per_area", "vertical conductance of {}", name)
+        for name, area in zip(names, areas)
+    )
+    for i, gv in enumerate(vertical):
+        diagonal[i] += gv
+        if diagonal[i] == math.inf:
+            raise NetworkSolveError(
+                f"total conductance of {names[i]!r} is not finite in double "
+                f"precision; {_KNOBS}"
+            )
+    rows, columns, values = zip(*[(i, j, -gl) for i, row in enumerate(lateral) for j, gl in row],
+                                *[(i, i, d) for i, d in enumerate(diagonal)])
+    conductance = csr_array((values, (rows, columns)), shape=(n, n))
+    g = conductance.toarray(order="F")
+    try:
+        with _one_blas_thread():
+            factor = cho_factor(g, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NetworkSolveError(
+            "conductance matrix is not positive definite in double precision: "
+            f"the lateral conductances swamp the vertical ones; {_KNOBS}"
+        ) from exc
+    return ThermalNetwork(
+        nodes=names,
+        position={name: i for i, name in enumerate(names)},
+        vertical=vertical,
+        lateral=tuple(map(tuple, lateral)),
+        conductance=conductance,
+        factor=factor,
+        ambient=params.t_ambient,
+    )
 
 
 def core_edges(core: CoreGeometry) -> tuple[float, float, float, float]:
