@@ -7,7 +7,6 @@ before it is accepted.
 """
 
 from .floorplan import (
-    CoreGeometry,
     Floorplan,
     FloorplanError,
     PowerProfile,
@@ -28,7 +27,6 @@ from .thermal_sim import NetworkSolveError, build_network, simulate_session
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoreGeometry",
     "Floorplan",
     "FloorplanError",
     "NetworkSolveError",

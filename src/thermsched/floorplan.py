@@ -3,19 +3,19 @@
 A floorplan is an ordered collection of named, axis-aligned rectangles on a
 die, positioned by their lower-left corner, in meters.  Cores must not
 overlap; abutment is legal.  Two cores are thermally adjacent when they
-share an edge segment longer than EPSILON; corner contact never counts.
-A floorplan holds its geometry as one read-only float64 array in node
-order, with rows left, bottom, width and height (``Floorplan.geometry``);
-the parser checks each record as it reads it and fills that array straight
-from the text.  A floorplan checks for overlaps and finds its adjacent
-pairs in one scan of that array when it is built (``build_adjacency``),
-which keeps them as node-order arrays (``AdjacencyGraph``).  The scan
-finds the pairs of cores that share a cell of a uniform grid with array
-operations (``_near_pairs``), and tests all of those pairs at once; a die
-of at most 64 cores skips the grid and tests all its pairs.  The cost is
-linear in the number of cores when they are about as wide as they are
-tall; long, thin cores crowd the cells, and the candidate pairs grow
-toward N^2 / 2.
+share an edge segment longer than EPSILON; corner contact never counts.  A
+core record is the five fields of its line, checked by ``_check_core``.  A
+floorplan holds its geometry as one read-only float64 array in node order,
+with rows left, bottom, width and height (``Floorplan.geometry``); the
+parser checks each record as it reads it and fills that array straight from
+the text.  A floorplan checks for overlaps and finds its adjacent pairs in
+one scan of that array when it is built (``build_adjacency``), which keeps
+them as four node-order arrays (``AdjacencyGraph``).  The scan finds the
+pairs of cores that share a cell of a uniform grid with array operations
+(``_near_pairs``), and tests all of those pairs at once; a die of at most
+64 cores skips the grid and tests all its pairs.  The cost is linear in the
+number of cores when they are about as wide as they are tall; long, thin
+cores crowd the cells, and the candidate pairs grow toward N^2 / 2.
 
 File formats (UTF-8, '#' starts a comment, blank lines ignored):
 
@@ -26,8 +26,7 @@ File formats (UTF-8, '#' starts a comment, blank lines ignored):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,47 +52,33 @@ class PowerProfileError(ValueError):
     """Malformed or incomplete power profile input."""
 
 
-@dataclass(frozen=True)
-class CoreGeometry:
-    """Axis-aligned core rectangle, positioned by its lower-left corner."""
-
-    name: str
-    width: float
-    height: float
-    left_x: float
-    bottom_y: float
-
-    def __post_init__(self):
-        values = (self.width, self.height, self.left_x, self.bottom_y)
-        if not all(map(finite, values)):
-            raise FloorplanError(f"core {self.name!r} has non-finite geometry")
-        if not (self.width > 0 and self.height > 0):
-            raise FloorplanError(
-                f"core {self.name!r} has non-positive dimensions "
-                f"({self.width} x {self.height})"
-            )
+def _check_core(name: str, width: float, height: float, left_x: float, bottom_y: float):
+    """Reject a core record whose geometry is not finite or whose size is not positive."""
+    if not all(map(finite, (width, height, left_x, bottom_y))):
+        raise FloorplanError(f"core {name!r} has non-finite geometry")
+    if not (width > 0 and height > 0):
+        raise FloorplanError(f"core {name!r} has non-positive dimensions ({width} x {height})")
 
 
-class AdjacencyGraph:
+class AdjacencyGraph(NamedTuple):
     """Adjacent core pairs of a floorplan and the geometry of each contact.
 
     The graph is four read-only arrays with one entry for every pair of
     cores sharing more than EPSILON of edge, sorted by ``(i, j)``: the node
     indices ``i < j`` of the two cores in ``Floorplan.names``, the length
     of the edge they share and the distance between their centers.
-    ``build_network`` reads the arrays as they are; ``pairs()`` yields each
-    entry as a tuple ``(i, j, shared_edge, center_distance)`` of Python
-    ints and floats.
+    ``build_network`` unpacks the arrays as they are; ``pairs()`` yields
+    each entry as a tuple ``(i, j, shared_edge, center_distance)`` of
+    Python ints and floats.
     """
 
-    def __init__(self, i: np.ndarray, j: np.ndarray, shared_edge: np.ndarray,
-                 center_distance: np.ndarray):
-        self._arrays = (i, j, shared_edge, center_distance)
-        for array in self._arrays:
-            array.flags.writeable = False
+    i: np.ndarray
+    j: np.ndarray
+    shared_edge: np.ndarray
+    center_distance: np.ndarray
 
     def pairs(self) -> Iterator[tuple[int, int, float, float]]:
-        return zip(*(array.tolist() for array in self._arrays))
+        return zip(*(array.tolist() for array in self))
 
 
 class Floorplan:
@@ -103,25 +88,27 @@ class Floorplan:
     A floorplan is its ``names``, its ``geometry`` and its ``adjacency()``,
     all set when it is built and never changed.  The geometry is one
     read-only float64 array of shape ``(4, N)`` in node order, with rows
-    left, bottom, width and height.  ``Floorplan(cores)`` reads the given
-    ``CoreGeometry`` records into it.
+    left, bottom, width and height.  ``Floorplan(records)`` checks each
+    record ``(name, width, height, left_x, bottom_y)`` and reads it in.
     """
 
-    def __init__(self, cores: Iterable[CoreGeometry]):
-        cores = tuple(cores)
-        self._build(tuple(core.name for core in cores), np.array([
-            [c.left_x for c in cores], [c.bottom_y for c in cores],
-            [c.width for c in cores], [c.height for c in cores],
-        ], dtype=float))
+    def __init__(self, records: Iterable[Sequence]):
+        names, values = [], []  # values: left, bottom, width and height per record
+        for name, width, height, left_x, bottom_y in records:
+            _check_core(name, width, height, left_x, bottom_y)
+            names.append(name)
+            values += (left_x, bottom_y, width, height)
+        self._build(tuple(names), values)
 
     @classmethod
-    def _from_geometry(cls, names: tuple[str, ...], geometry: np.ndarray) -> Floorplan:
-        """A floorplan of checked geometry rows, held in ``geometry`` itself."""
+    def _from_checked(cls, names: tuple[str, ...], values: list[float]) -> Floorplan:
+        """A floorplan of checked records: ``values`` holds each record's
+        left, bottom, width and height in turn."""
         fp = cls.__new__(cls)
-        fp._build(names, geometry)
+        fp._build(names, values)
         return fp
 
-    def _build(self, names: tuple[str, ...], geometry: np.ndarray) -> None:
+    def _build(self, names: tuple[str, ...], values: list[float]) -> None:
         if not names:
             raise FloorplanError("floorplan has no cores")
         name_set: set[str] = set()
@@ -129,6 +116,8 @@ class Floorplan:
             if name in name_set:
                 raise FloorplanError(f"duplicate core id {name!r}")
             name_set.add(name)
+        # a copy in rows, so that the floorplan's array owns its memory
+        geometry = np.array(values, dtype=float).reshape(-1, 4).T.copy()
         geometry.flags.writeable = False
         self._names = names
         self._name_set = name_set
@@ -145,7 +134,7 @@ class Floorplan:
         return self._geometry
 
     def adjacency(self) -> AdjacencyGraph:
-        """The adjacency graph found at construction."""
+        """The adjacency graph found at construction, as four arrays."""
         return self._adjacency
 
     def __len__(self) -> int:
@@ -275,7 +264,10 @@ def build_adjacency(names: tuple[str, ...], geometry: np.ndarray) -> AdjacencyGr
     i, j = i[keep], j[keep]
     distance = map(math.dist, map(centers.__getitem__, i.tolist()),
                    map(centers.__getitem__, j.tolist()))
-    return AdjacencyGraph(i, j, edge[keep], np.fromiter(distance, float, keep.size))
+    graph = AdjacencyGraph(i, j, edge[keep], np.fromiter(distance, float, keep.size))
+    for array in graph:
+        array.flags.writeable = False
+    return graph
 
 
 def _records(source: str | IO[str]) -> Iterator[tuple[int, str, str]]:
@@ -300,8 +292,8 @@ def parse_floorplan(source: str | IO[str]) -> Floorplan:
     Raises FloorplanError with a line number for malformed records and
     invalid core geometry, and without one for duplicate ids or overlapping
     rectangles, which only the whole floorplan can show.  Each record is
-    checked as it is read, so the first error in file order is raised; a
-    record whose geometry fails raises ``CoreGeometry``'s message.
+    checked as it is read, so the first error in file order is raised; only
+    a record that fails the inline comparison goes to ``_check_core``.
     """
     names: list[str] = []
     values: list[float] = []  # left, bottom, width and height per record
@@ -320,13 +312,12 @@ def parse_floorplan(source: str | IO[str]) -> Floorplan:
         if not (0.0 < w < math.inf and 0.0 < h < math.inf
                 and -math.inf < x < math.inf and -math.inf < y < math.inf):
             try:
-                CoreGeometry(fields[0], w, h, x, y)
+                _check_core(fields[0], w, h, x, y)
             except FloorplanError as exc:
                 raise FloorplanError(f"line {lineno}: {exc}") from None
         names.append(fields[0])
         values += (x, y, w, h)
-    # a copy in rows, so that the floorplan's array owns its memory
-    return Floorplan._from_geometry(tuple(names), np.array(values).reshape(-1, 4).T.copy())
+    return Floorplan._from_checked(tuple(names), values)
 
 
 def _check_test_values(name: str, power: float, duration: float) -> None:
@@ -340,6 +331,13 @@ def _check_test_values(name: str, power: float, duration: float) -> None:
         raise PowerProfileError(
             f"core {name!r} has invalid test duration {duration}; need a finite value > 0"
         )
+
+
+def _check_complete(entries: Container[str], names: Iterable[str]) -> None:
+    """Raise PowerProfileError naming each of ``names``, in order, with no entry."""
+    missing = [str(name) for name in names if name not in entries]
+    if missing:
+        raise PowerProfileError(f"no power entry for core(s): {', '.join(missing)}")
 
 
 class PowerProfile:
@@ -356,9 +354,7 @@ class PowerProfile:
         unknown = sorted(str(name) for name in entries if name not in floorplan)
         if unknown:
             raise PowerProfileError(f"unknown core id(s): {', '.join(unknown)}")
-        missing = [str(name) for name in floorplan.names if name not in entries]
-        if missing:
-            raise PowerProfileError(f"no power entry for core(s): {', '.join(missing)}")
+        _check_complete(entries, floorplan.names)
         for name, (power, duration) in entries.items():
             _check_test_values(name, power, duration)
         # rebuilt, in floorplan order, to hold each value as a float
@@ -373,6 +369,10 @@ class PowerProfile:
         profile = cls.__new__(cls)
         profile._entries = entries
         return profile
+
+    def _check_covers(self, names: Iterable[str]) -> None:
+        """Raise PowerProfileError naming each of ``names`` with no entry here."""
+        _check_complete(self._entries, names)
 
     def power(self, name: str) -> float:
         try:
@@ -429,6 +429,5 @@ def parse_power_profile(source: str | IO[str], floorplan: Floorplan) -> PowerPro
         entries[name] = (power, duration)
     # every entry names a distinct core, so a core is missing only if fewer
     if len(entries) < len(floorplan):
-        missing = [str(name) for name in floorplan.names if name not in entries]
-        raise PowerProfileError(f"no power entry for core(s): {', '.join(missing)}")
+        _check_complete(entries, floorplan.names)
     return PowerProfile._from_checked({name: entries[name] for name in floorplan.names})

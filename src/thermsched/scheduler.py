@@ -238,8 +238,8 @@ def screen_cores(net: ThermalNetwork, power: PowerProfile) -> list[TestSession]:
     solves.  A session's temperatures are a row of its block's read-only
     ``(k, N)`` array, and ``P`` is never N x N.  A session's peak is the
     core's BCMT.  A column that misses its residual tolerance raises
-    NetworkSolveError naming its core; its cause's ``column`` is the core's
-    node index.
+    NetworkSolveError naming its core; its ``column``, and its cause's, is
+    the core's node index.
     """
     n = len(net.nodes)
     powers = [power.power(name) for name in net.nodes]
@@ -253,7 +253,7 @@ def screen_cores(net: ThermalNetwork, power: PowerProfile) -> list[TestSession]:
         except NetworkSolveError as exc:
             exc.column += start
             raise NetworkSolveError(
-                f"{exc} (screening core {net.nodes[exc.column]!r} alone)"
+                f"{exc} (screening core {net.nodes[exc.column]!r} alone)", exc.column
             ) from exc
     return [
         TestSession(frozenset((name,)), power.duration(name), result)
@@ -267,8 +267,10 @@ def compile_die(fp: Floorplan, power: PowerProfile, params: ThermalParams) -> Co
     The screened singleton sessions, in node order, give ``bcmt`` and seed
     the die's validation memo, so no run solves a singleton again.  Raises
     NetworkSolveError when the network cannot be factored or a screening
-    solve misses its tolerance.
+    solve misses its tolerance, and PowerProfileError, before any of that
+    work, when ``power`` has no entry for a core of ``fp``.
     """
+    power._check_covers(fp.names)
     # looked up on the module, so a wrapper installed there sees every compile
     net = thermal_sim.build_network(fp, params)
     singletons = screen_cores(net, power)

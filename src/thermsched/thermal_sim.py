@@ -161,14 +161,14 @@ def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
     first failing total, or when ``G`` is not positive definite (a vertical
     path too weak to ground the network).
 
-    Every conductance and diagonal is computed from the adjacency graph's
-    arrays and the geometry array at once, with the float operations of a
-    per-pair loop in the same order, and ``G``'s CSR arrays are taken from
-    its entries sorted by row and then by column.
+    Every conductance and diagonal is computed at once from the geometry
+    array and the four arrays ``fp.adjacency()`` unpacks to, with the float
+    operations of a per-pair loop in the same order, and ``G``'s CSR arrays
+    are taken from its entries sorted by row and then by column.
     """
     names = fp.names
     n = len(names)
-    i, j, shared_edge, center_distance = fp.adjacency()._arrays
+    i, j, shared_edge, center_distance = fp.adjacency()
     # G's entries, the laterals of both directions and then the diagonal,
     # sorted by row and then by column: each node's laterals by neighbor,
     # the order in which thermal_model's pricing and G's diagonal sum them
@@ -310,7 +310,7 @@ def simulate_session(
     """Simulate one test session on the full network.
 
     Injections are the test powers of the session's cores and zero
-    elsewhere.
+    elsewhere; a core ``power`` has no entry for raises PowerProfileError.
     """
     session = frozenset(session)
     if not session:
@@ -318,6 +318,7 @@ def simulate_session(
     unknown = sorted(name for name in session if name not in net.position)
     if unknown:
         raise ValueError(f"active cores not in floorplan: {', '.join(unknown)}")
+    power._check_covers(sorted(session))
     injections = np.zeros(len(net.nodes))
     for name in session:
         injections[net.position[name]] = power.power(name)

@@ -11,7 +11,6 @@ import pytest
 
 import thermsched
 from thermsched import (
-    CoreGeometry,
     Floorplan,
     FloorplanError,
     PowerProfile,
@@ -26,7 +25,6 @@ from util import DATA, load_inputs
 ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC_NAMES = [
-    "CoreGeometry",
     "Floorplan",
     "FloorplanError",
     "NetworkSolveError",
@@ -178,16 +176,16 @@ def test_every_third_party_import_is_a_declared_dependency():
     (lambda v: SchedulerConfig(v, 1.0), ValueError, "tl must be finite, got {}"),
     (lambda v: ThermalParams(k_silicon=v), ValueError,
      "k_silicon must be strictly positive and finite"),
-    (lambda v: CoreGeometry("a", v, 1.0, 0.0, 0.0), FloorplanError,
+    (lambda v: Floorplan([("a", v, 1.0, 0.0, 0.0)]), FloorplanError,
      "core 'a' has non-finite geometry"),
-    (lambda v: PowerProfile({"a": (v, 1.0)}, Floorplan([CoreGeometry("a", 1.0, 1.0, 0.0, 0.0)])),
+    (lambda v: PowerProfile({"a": (v, 1.0)}, Floorplan([("a", 1.0, 1.0, 0.0, 0.0)])),
      PowerProfileError, "core 'a' has invalid test power {}; need a finite value >= 0"),
     # the int as a core name: the profile lists names that are not str too
-    (lambda v: PowerProfile({v: (1.0, 1.0)}, Floorplan([CoreGeometry("a", 1.0, 1.0, 0.0, 0.0)])),
+    (lambda v: PowerProfile({v: (1.0, 1.0)}, Floorplan([("a", 1.0, 1.0, 0.0, 0.0)])),
      PowerProfileError, "unknown core id(s): {}"),
-    (lambda v: PowerProfile({}, Floorplan([CoreGeometry(v, 1.0, 1.0, 0.0, 0.0)])),
+    (lambda v: PowerProfile({}, Floorplan([(v, 1.0, 1.0, 0.0, 0.0)])),
      PowerProfileError, "no power entry for core(s): {}"),
-], ids=["SchedulerConfig", "ThermalParams", "CoreGeometry", "PowerProfile",
+], ids=["SchedulerConfig", "ThermalParams", "Floorplan", "PowerProfile",
         "PowerProfile-unknown-name", "PowerProfile-missing-name"])
 def test_ints_beyond_float_range_are_not_finite(build, error, message, value):
     # math.isfinite raises OverflowError on such an int; library callers get

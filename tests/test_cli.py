@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermsched import cli, scheduler, thermal_sim
+from thermsched import cli, floorplan, scheduler, thermal_sim
 from thermsched.cli import (
     MAX_AXIS_POINTS,
     MAX_SWEEP_POINTS,
@@ -26,7 +26,7 @@ from thermsched.cli import (
     _parse_axis,
     main,
 )
-from thermsched.floorplan import CoreGeometry
+from thermsched.floorplan import Floorplan
 from thermsched.scheduler import SchedulerConfig, ScreeningError, compile_die, generate_schedule
 from thermsched.thermal_model import ThermalParams
 from util import (
@@ -728,20 +728,22 @@ def test_byte_order_marked_inputs_give_the_plain_files_document(tmp_path):
 
 
 def test_cli_runs_build_no_core_geometry(tmp_path, monkeypatch):
-    # the floorplan reaches the factor as one geometry array, and a run
-    # builds no CoreGeometry record
-    built = []
-    real = CoreGeometry.__post_init__
+    # the parser compares each record's geometry inline and fills the
+    # floorplan's array straight from the text: a valid file's records never
+    # reach the per-record check
+    checked = []
+    real = floorplan._check_core
     monkeypatch.setattr(
-        CoreGeometry, "__post_init__", lambda core: built.append(core.name) or real(core)
+        floorplan, "_check_core", lambda name, *values: checked.append(name) or real(name, *values)
     )
     inputs = ["--floorplan", str(DATA / "demo15.flp"), "--power", str(DATA / "demo15.csv")]
     for limits in (["--tl", "165", "--stcl", "100"],
                    ["--sweep-tl", "145:185:1", "--sweep-stcl", "20:100:2"]):
         assert main([*inputs, *limits, "--out", str(tmp_path / "out")]) == 0
-    assert built == []
-    # the count sees the records that are built
-    assert len(core_records(load_inputs("demo15")[0])) == len(built) == 15
+    assert checked == []
+    # the spy sees the records Floorplan(records) checks
+    Floorplan(core_records(load_inputs("demo15")[0]))
+    assert len(checked) == 15
 
 
 def test_sweep_deterministic_bytes(three_core_files, tmp_path):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from thermsched import floorplan
 from thermsched.floorplan import (
     EPSILON,
-    CoreGeometry,
     Floorplan,
     FloorplanError,
     PowerProfile,
@@ -26,6 +25,7 @@ from thermsched.thermal_model import ThermalParams
 from thermsched.thermal_sim import build_network
 from util import (
     DATA,
+    Core,
     core_center,
     core_edges,
     core_records,
@@ -234,7 +234,7 @@ def test_parsed_cores_are_the_per_record_parsers_field_for_field(stem):
 
 @pytest.mark.parametrize("build", [
     lambda: parse_floorplan("a 1 1 0 0\nb 1 1 1 0\n"),
-    lambda: Floorplan([CoreGeometry("a", 1, 1, 0, 0), CoreGeometry("b", 1, 1, 1, 0)]),
+    lambda: Floorplan([Core("a", 1, 1, 0, 0), Core("b", 1, 1, 1, 0)]),
 ])
 def test_geometry_owns_its_memory_and_is_read_only(build):
     geometry = build().geometry
@@ -242,6 +242,26 @@ def test_geometry_owns_its_memory_and_is_read_only(build):
     assert geometry.shape == (4, 2) and geometry.dtype == np.float64
     with pytest.raises(ValueError):
         geometry[0, 0] = 5.0
+
+
+def test_floorplan_reads_five_field_records_as_tuples_or_lists():
+    records = [("a", 1, 2, 0, 0), ("b", 1.5, 2.0, 1.0, 0.0)]
+    built = [Floorplan(records), Floorplan(map(list, records)), Floorplan(Core(*r) for r in records)]
+    for fp in built:
+        assert fp.names == ("a", "b")
+        assert fp.geometry.tolist() == [[0.0, 1.0], [0.0, 0.0], [1.0, 1.5], [2.0, 2.0]]
+        assert repr(list(fp.adjacency().pairs())) == repr(list(built[0].adjacency().pairs()))
+    # each record is checked with the parser's messages, less the line number
+    for record, message in [
+        (["c", 0.0, 1.0, 2.0, 0.0], "core 'c' has non-positive dimensions (0.0 x 1.0)"),
+        (("c", 1.0, 1.0, math.nan, 0.0), "core 'c' has non-finite geometry"),
+    ]:
+        with pytest.raises(FloorplanError) as err:
+            Floorplan([records[0], record])
+        assert str(err.value) == message
+        with pytest.raises(FloorplanError) as err:
+            parse_floorplan(" ".join(map(str, record)))
+        assert str(err.value) == f"line 1: {message}"
 
 
 # ── power profiles ───────────────────────────────────────────────────────
@@ -426,33 +446,33 @@ def shared_edge(a, b):
 
 
 def test_shared_edge_full_side():
-    a = CoreGeometry("a", 1, 1, 0, 0)
-    b = CoreGeometry("b", 1, 1, 1, 0)
+    a = Core("a", 1, 1, 0, 0)
+    b = Core("b", 1, 1, 1, 0)
     assert shared_edge(a, b) == 1.0
 
 
 def test_shared_edge_corner_contact_is_zero():
-    a = CoreGeometry("a", 1, 1, 0, 0)
-    b = CoreGeometry("b", 1, 1, 1, 1)
+    a = Core("a", 1, 1, 0, 0)
+    b = Core("b", 1, 1, 1, 1)
     assert shared_edge(a, b) == 0.0
 
 
 def test_shared_edge_partial_overlap():
     # y-intervals [0.4, 1.4] and [0, 1] intersect in [0.4, 1.0]
-    a = CoreGeometry("a", 1, 1, 0, 0)
-    b = CoreGeometry("b", 1, 1, 1, 0.4)
+    a = Core("a", 1, 1, 0, 0)
+    b = Core("b", 1, 1, 1, 0.4)
     assert shared_edge(a, b) == pytest.approx(0.6, abs=1e-15)
 
 
 def test_shared_edge_separated_is_zero():
-    a = CoreGeometry("a", 1, 1, 0, 0)
-    b = CoreGeometry("b", 1, 1, 2.5, 0)
+    a = Core("a", 1, 1, 0, 0)
+    b = Core("b", 1, 1, 2.5, 0)
     assert shared_edge(a, b) == 0.0
 
 
 def test_shared_edge_horizontal_seam():
-    a = CoreGeometry("a", 2, 1, 0, 0)
-    b = CoreGeometry("b", 1, 1, 0.5, 1)
+    a = Core("a", 2, 1, 0, 0)
+    b = Core("b", 1, 1, 0.5, 1)
     assert shared_edge(a, b) == pytest.approx(1.0)
 
 
@@ -467,8 +487,8 @@ def test_shared_edge_symmetry_random():
 
 
 def test_shared_edge_tolerates_seam_error():
-    a = CoreGeometry("a", 1.0, 1.0, 0.0, 0.0)
-    b = CoreGeometry("b", 1.0, 1.0, 1.0 + 1e-12, 0.0)
+    a = Core("a", 1.0, 1.0, 0.0, 0.0)
+    b = Core("b", 1.0, 1.0, 1.0 + 1e-12, 0.0)
     assert shared_edge(a, b) == pytest.approx(1.0)
 
 
@@ -486,6 +506,17 @@ def test_strip_adjacency():
     assert pairs[1][3] == pytest.approx(1.0)  # center distance of s2 and s3
 
 
+def test_adjacency_unpacks_to_four_read_only_arrays():
+    fp = random_floorplan(np.random.default_rng(3), 12)
+    i, j, edge, dist = fp.adjacency()
+    assert [a.dtype for a in (i, j, edge, dist)] == [np.int64, np.int64, np.float64, np.float64]
+    assert len({a.size for a in (i, j, edge, dist)}) == 1 and i.size > 0
+    assert list(zip(i, j, edge, dist)) == list(fp.adjacency().pairs())
+    for array in (i, j, edge, dist):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
 def test_single_core_graph_is_empty():
     fp = parse_floorplan("c1 1 1 0 0")
     adj = fp.adjacency()
@@ -495,10 +526,10 @@ def test_single_core_graph_is_empty():
 def test_grid_2x2_has_four_edges_no_diagonals():
     fp = Floorplan(
         [
-            CoreGeometry("sw", 1, 1, 0, 0),
-            CoreGeometry("se", 1, 1, 1, 0),
-            CoreGeometry("nw", 1, 1, 0, 1),
-            CoreGeometry("ne", 1, 1, 1, 1),
+            Core("sw", 1, 1, 0, 0),
+            Core("se", 1, 1, 1, 0),
+            Core("nw", 1, 1, 0, 1),
+            Core("ne", 1, 1, 1, 1),
         ]
     )
     adj = fp.adjacency()
@@ -516,7 +547,7 @@ def test_translation_invariance():
     fp = random_floorplan(rng, 9)
     moved = Floorplan(
         [
-            CoreGeometry(c.name, c.width, c.height, c.left_x + 0.5, c.bottom_y - 1.25)
+            Core(c.name, c.width, c.height, c.left_x + 0.5, c.bottom_y - 1.25)
             for c in core_records(fp)
         ]
     )
@@ -594,15 +625,15 @@ def perturbed_dies(draw):
     cores = []
     for c in core_records(fp):
         left, bottom, right, top = (nudged(v + offset) for v in core_edges(c))
-        cores.append(CoreGeometry(c.name, right - left, top - bottom, left, bottom))
+        cores.append(Core(c.name, right - left, top - bottom, left, bottom))
     overlap = draw(st.sampled_from([None, None, "grow", "add"]))
     if overlap is not None:
         k = int(rng.integers(len(cores)))
         c = cores[k]
         if overlap == "grow":
-            cores[k] = CoreGeometry(c.name, c.width * 1.3, c.height * 1.2, c.left_x, c.bottom_y)
+            cores[k] = Core(c.name, c.width * 1.3, c.height * 1.2, c.left_x, c.bottom_y)
         else:
-            cores.append(CoreGeometry(
+            cores.append(Core(
                 "extra", c.width, c.height, c.left_x + 0.3 * c.width, c.bottom_y + 0.4 * c.height
             ))
     rng.shuffle(cores)
@@ -618,7 +649,7 @@ def test_bucketed_scans_match_all_pairs_scan(cores):
 def test_bucketed_scans_on_hand_built_dies():
     # a seam just under EPSILON wide still touches; one just over does not
     for gap, touching in ((0.9 * EPSILON, True), (1.1 * EPSILON, False)):
-        cores = [CoreGeometry("a", 1.0, 1.0, 0.0, 0.0), CoreGeometry("b", 1.0, 1.0, 1.0 + gap, 0.0)]
+        cores = [Core("a", 1.0, 1.0, 0.0, 0.0), Core("b", 1.0, 1.0, 1.0 + gap, 0.0)]
         assert bucketed_scan(cores) == brute_force_scan(cores)
         assert bool(bucketed_scan(cores)) == touching
     # 2 x 2 cores with seam gaps under EPSILON, sized so that the grid's one
@@ -628,26 +659,26 @@ def test_bucketed_scans_on_hand_built_dies():
         gap = 2.0**-30
         big = unit + gap
         cores = [
-            CoreGeometry("sw", unit, unit, 0.0, 0.0),
-            CoreGeometry("se", big, unit, big, 0.0),
-            CoreGeometry("nw", unit, big, 0.0, big),
-            CoreGeometry("ne", big, big, big, big),
+            Core("sw", unit, unit, 0.0, 0.0),
+            Core("se", big, unit, big, 0.0),
+            Core("nw", unit, big, 0.0, big),
+            Core("ne", big, big, big, big),
         ]
         assert len(bucketed_scan(cores)) == 4
         assert bucketed_scan(cores) == brute_force_scan(cores)
     # a right edge that overflows to inf leaves no finite grid: all pairs
     # are scanned; huge finite coordinates still get one
     for cores in (
-        [CoreGeometry("a", 1e307, 1.0, 1.7e308, 0.0), CoreGeometry("b", 1e307, 1.0, 1.6e308, 0.0),
-         CoreGeometry("c", 1.0, 1.0, 0.0, 0.0)],
-        [CoreGeometry("a", 1e300, 1.0, 1e300, 0.0), CoreGeometry("b", 1e300, 1.0, 0.0, 0.0),
-         CoreGeometry("c", 1e300, 1.0, -1e300, 0.0)],
+        [Core("a", 1e307, 1.0, 1.7e308, 0.0), Core("b", 1e307, 1.0, 1.6e308, 0.0),
+         Core("c", 1.0, 1.0, 0.0, 0.0)],
+        [Core("a", 1e300, 1.0, 1e300, 0.0), Core("b", 1e300, 1.0, 0.0, 0.0),
+         Core("c", 1e300, 1.0, -1e300, 0.0)],
     ):
         assert bucketed_scan(cores) == brute_force_scan(cores) != []
     rng = np.random.default_rng(41)
     cores = list(core_records(random_floorplan(rng, 30)))
     c = cores[7]
-    cores.insert(3, CoreGeometry("intruder", c.width / 2, c.height / 2, c.left_x, c.bottom_y))
+    cores.insert(3, Core("intruder", c.width / 2, c.height / 2, c.left_x, c.bottom_y))
     message = brute_force_scan(cores)
     assert "'intruder'" in message
     assert bucketed_scan(cores) == message
@@ -715,7 +746,7 @@ def test_bucketed_scans_on_a_benchmark_sized_die():
     # the same die with a core appended last that overlaps an early one and
     # its neighbors
     c = cores[3]
-    cores += (CoreGeometry("intruder", 2 * c.width, 2 * c.height,
+    cores += (Core("intruder", 2 * c.width, 2 * c.height,
                            c.left_x + 0.5 * c.width, c.bottom_y + 0.5 * c.height),)
     message = brute_force_scan(cores)
     assert "'intruder'" in message

@@ -14,7 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermsched import scheduler, thermal_sim
-from thermsched.floorplan import CoreGeometry, Floorplan, PowerProfile
+from thermsched.floorplan import (
+    Floorplan,
+    PowerProfile,
+    PowerProfileError,
+    parse_floorplan,
+    parse_power_profile,
+)
 from thermsched.scheduler import (
     SchedulerConfig,
     ScreeningError,
@@ -32,6 +38,7 @@ from thermsched.thermal_sim import (
     simulate_session,
 )
 from util import (
+    Core,
     core_records,
     load_inputs,
     load_synth400,
@@ -64,8 +71,8 @@ def isolated_pair_floorplan() -> Floorplan:
     """Two cores with a gap between them: no lateral paths at all."""
     return Floorplan(
         [
-            CoreGeometry("cool", 1.0, 1.0, 0.0, 0.0),
-            CoreGeometry("hot", 1.0, 1.0, 5.0, 0.0),
+            Core("cool", 1.0, 1.0, 0.0, 0.0),
+            Core("hot", 1.0, 1.0, 5.0, 0.0),
         ]
     )
 
@@ -113,7 +120,7 @@ def test_screening_message_suggests_a_limit_that_passes():
     # the hottest BCMT here is 299.90196078431325 C, which printed to the
     # nearest hundredth, 299.90, still fails
     fp = Floorplan(
-        [CoreGeometry("a", 1e-3, 1e-3, 0.0, 0.0), CoreGeometry("b", 1e-3, 1e-3, 1e-3, 0.0)]
+        [Core("a", 1e-3, 1e-3, 0.0, 0.0), Core("b", 1e-3, 1e-3, 1e-3, 0.0)]
     )
     dies = [compile_die(fp, PowerProfile({"a": (1.0, 1.0), "b": (0.5, 1.0)}, fp), ThermalParams())]
     rng = np.random.default_rng(18)
@@ -219,7 +226,7 @@ def test_build_session_tries_candidates_in_the_order_given():
     assert packing_order(range(3), powers, [1.0, 1.0, 6.0], net.nodes) == [2, 1, 0]
     # ties go by name, not by node index
     assert packing_order(range(3), [1.0] * 3, [1.0] * 3, ("c", "b", "a")) == [2, 1, 0]
-    named = Floorplan([CoreGeometry(n, 1.0, 1.0, float(k), 0.0) for k, n in enumerate("cba")])
+    named = Floorplan([Core(n, 1.0, 1.0, float(k), 0.0) for k, n in enumerate("cba")])
     assert compile_die(named, uniform_profile(named), STRIP_PARAMS)._start == (2, 1, 0)
     # candidates are tried in the order given, file order included
     assert build_session(by_power, weights, tiny, net, powers, []) == [1]
@@ -679,8 +686,8 @@ def test_a_huge_stcl_with_discards_stays_within_the_overflow_bound():
 def test_weight_overflow_ends_a_run_within_the_bound():
     # at a microwatt a core's STC term lies so far below STCL that its weight,
     # bumped at every discard of the too-hot pair, overflows first
-    fp = Floorplan([CoreGeometry("a", 0.001, 0.001, 0.0, 0.0),
-                    CoreGeometry("b", 0.001, 0.001, 0.001, 0.0)])
+    fp = Floorplan([Core("a", 0.001, 0.001, 0.0, 0.0),
+                    Core("b", 0.001, 0.001, 0.001, 0.0)])
     profile = PowerProfile({"a": (1e-6, 1.0), "b": (1e-6, 1.0)}, fp)
     die = compile_die(fp, profile, ThermalParams())
     with pytest.MonkeyPatch.context() as mp:
@@ -865,7 +872,27 @@ def test_screening_solve_failure_names_the_core():
         compile_die(fp, huge, ThermalParams())
     assert str(err.value).startswith("solve residual nan is not within ")
     assert str(err.value).endswith(f" (screening core {name!r} alone)")
-    assert err.value.__cause__.column == 5
+    assert err.value.column == err.value.__cause__.column == 5
+
+
+def test_a_profile_read_for_another_floorplan_is_a_power_profile_error(monkeypatch):
+    fp = parse_floorplan("a 1 1 0 0\nb 1 1 1 0\n")
+    other = parse_floorplan("a 1 1 0 0\nc 1 1 1 0\n")
+    profile = parse_power_profile("a,1,1\nc,1,1\n", other)
+    message = "no power entry for core(s): b"
+    net = build_network(fp, ThermalParams())
+    built = []
+    monkeypatch.setattr(thermal_sim, "build_network", lambda *args: built.append(args))
+    with pytest.raises(PowerProfileError) as err:
+        compile_die(fp, profile, ThermalParams())
+    assert str(err.value) == message
+    assert built == []  # refused before the network is built
+    for session in ({"b"}, {"a", "b"}):
+        with pytest.raises(PowerProfileError) as err:
+            simulate_session(session, net, profile)
+        assert str(err.value) == message
+    # a profile that covers the floorplan's cores still serves its sessions
+    assert simulate_session({"a"}, net, profile).peak[0] == "a"
 
 
 # ── config validation ────────────────────────────────────────────────────
@@ -954,7 +981,7 @@ def written_schedules(draw):
     chars, suffix = draw(st.sampled_from([(ASCII_NAME_CHARS, '"\\'), (NAME_CHARS, '"\\é')]))
     names = [draw(st.text(st.sampled_from(chars), max_size=4)) + f"{suffix}{i}" for i in range(len(base))]
     fp = Floorplan([
-        CoreGeometry(name, c.width, c.height, c.left_x, c.bottom_y)
+        Core(name, c.width, c.height, c.left_x, c.bottom_y)
         for name, c in zip(names, core_records(base))
     ])
     profile = random_profile(rng, fp, p_range=(0.3 * scale, 3.0 * scale))
@@ -1127,7 +1154,7 @@ def test_values_orjson_refuses_are_written_as_json_writes_them(config, params, w
 
 def test_a_lone_surrogate_core_name_is_written_as_json_writes_it():
     fp = Floorplan([
-        CoreGeometry("\ud800", 1.0, 1.0, 0.0, 0.0), CoreGeometry("s2", 1.0, 1.0, 1.0, 0.0)
+        Core("\ud800", 1.0, 1.0, 0.0, 0.0), Core("s2", 1.0, 1.0, 1.0, 0.0)
     ])
     config = SchedulerConfig(tl=150.0, stcl=10.0)
     text = written_text(strip_schedule(config, fp), config, STRIP_PARAMS)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermsched.floorplan import CoreGeometry, Floorplan, PowerProfile, parse_floorplan
+from thermsched.floorplan import Floorplan, PowerProfile, parse_floorplan
 from thermsched.thermal_model import ThermalParams, candidate_term, session_stc
 from thermsched.thermal_sim import build_network
 from util import (
+    Core,
     equivalent_resistance,
     grounded_rise_oracle,
     packing_inputs,
@@ -67,10 +68,10 @@ def test_lateral_resistance_all_ones():
 def test_lateral_resistance_halves_when_edge_doubles():
     params = ThermalParams(k_silicon=1.0, die_thickness=1.0)
     narrow = Floorplan(
-        [CoreGeometry("a", 1, 1, 0, 0), CoreGeometry("b", 1, 1, 1, 0)]
+        [Core("a", 1, 1, 0, 0), Core("b", 1, 1, 1, 0)]
     )
     wide = Floorplan(
-        [CoreGeometry("a", 1, 2, 0, 0), CoreGeometry("b", 1, 2, 1, 0)]
+        [Core("a", 1, 2, 0, 0), Core("b", 1, 2, 1, 0)]
     )
     r_narrow = lateral_resistance("a", "b", narrow, params)
     r_wide = lateral_resistance("a", "b", wide, params)
@@ -114,8 +115,8 @@ def test_vertical_resistance_unit_area():
 
 def test_vertical_resistance_doubles_when_area_halves():
     params = ThermalParams()
-    big = Floorplan([CoreGeometry("c", 1.0, 1.0, 0, 0)])
-    small = Floorplan([CoreGeometry("c", 1.0, 0.5, 0, 0)])
+    big = Floorplan([Core("c", 1.0, 1.0, 0, 0)])
+    small = Floorplan([Core("c", 1.0, 0.5, 0, 0)])
     assert vertical_resistance("c", small, params) == pytest.approx(
         2.0 * vertical_resistance("c", big, params)
     )

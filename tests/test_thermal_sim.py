@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermsched import scheduler, thermal_sim
-from thermsched.floorplan import AdjacencyGraph, CoreGeometry, Floorplan, PowerProfile
+from thermsched.floorplan import AdjacencyGraph, Floorplan, PowerProfile
 from thermsched.scheduler import (
     SchedulerConfig,
     build_session,
@@ -28,6 +28,7 @@ from thermsched.thermal_sim import (
     solve_steady_state,
 )
 from util import (
+    Core,
     equivalent_resistance,
     load_inputs,
     load_synth400,
@@ -148,7 +149,7 @@ def network_outcome(build, fp, params):
 def row_die(cores):
     """Cores of width 1 side by side from x = 0, bottoms at 0: ``cores``
     lists ``(name, height)`` from left to right, in node order by name."""
-    placed = [CoreGeometry(name, 1.0, height, float(x), 0.0)
+    placed = [Core(name, 1.0, height, float(x), 0.0)
               for x, (name, height) in enumerate(cores)]
     return Floorplan(sorted(placed, key=lambda c: c.name))
 
@@ -233,7 +234,7 @@ def test_non_positive_definite_raises():
 def test_area_beyond_float_range_raises_network_solve_error():
     # an int-sized core whose area overflows a float: the area read from the
     # floorplan's float64 array is inf, and its conductance 0
-    fp = Floorplan([CoreGeometry("a", 10**200, 10**200, 0, 0)])
+    fp = Floorplan([Core("a", 10**200, 10**200, 0, 0)])
     with pytest.raises(
         NetworkSolveError,
         match=r"^vertical conductance of 'a' is zero or not finite in double precision; "
@@ -433,10 +434,10 @@ def test_far_apart_cores_decouple():
     # session reproduces each island's solo temperatures exactly
     fp = Floorplan(
         [
-            CoreGeometry("w1", 0.001, 0.001, 0.0, 0.0),
-            CoreGeometry("w2", 0.001, 0.001, 0.001, 0.0),
-            CoreGeometry("e1", 0.001, 0.001, 0.005, 0.0),
-            CoreGeometry("e2", 0.001, 0.001, 0.006, 0.0),
+            Core("w1", 0.001, 0.001, 0.0, 0.0),
+            Core("w2", 0.001, 0.001, 0.001, 0.0),
+            Core("e1", 0.001, 0.001, 0.005, 0.0),
+            Core("e2", 0.001, 0.001, 0.006, 0.0),
         ]
     )
     net = build_network(fp, ThermalParams())
@@ -570,7 +571,7 @@ def test_solve_columns_checks_every_column():
             compile_die(fp, huge, ThermalParams())
         assert str(err.value).startswith("solve residual nan is not within ")
         assert str(err.value).endswith(f" (screening core {name!r} alone)")
-        assert err.value.__cause__.column == column
+        assert err.value.column == err.value.__cause__.column == column
 
 
 def test_validation_solve_failure_names_its_column():

@@ -14,6 +14,7 @@ import math
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import orjson
@@ -23,11 +24,11 @@ from scipy.sparse import csr_array
 from thermsched.cli import _limit, _totals
 from thermsched.floorplan import (
     EPSILON,
-    CoreGeometry,
     Floorplan,
     FloorplanError,
     PowerProfile,
     PowerProfileError,
+    _check_core,
     _check_test_values,
     _records,
     parse_floorplan,
@@ -53,18 +54,29 @@ from thermsched.thermal_sim import (
 )
 
 
+class Core(NamedTuple):
+    """A core record with named fields, in the order of a floorplan line;
+    ``Floorplan`` reads it as the plain five-field record it is."""
+
+    name: str
+    width: float
+    height: float
+    left_x: float
+    bottom_y: float
+
+
 def strip_floorplan(n: int = 3, size: float = 1.0) -> Floorplan:
     """Horizontal 1 x n strip of size x size squares named s1..sn."""
     return Floorplan(
-        [CoreGeometry(f"s{i + 1}", size, size, i * size, 0.0) for i in range(n)]
+        [Core(f"s{i + 1}", size, size, i * size, 0.0) for i in range(n)]
     )
 
 
-def core_records(fp: Floorplan) -> tuple[CoreGeometry, ...]:
-    """A floorplan's cores as ``CoreGeometry`` records in node order, from its
+def core_records(fp: Floorplan) -> tuple[Core, ...]:
+    """A floorplan's cores as ``Core`` records in node order, from its
     names and its geometry rows left, bottom, width and height."""
     left, bottom, width, height = fp.geometry.tolist()
-    return tuple(map(CoreGeometry, fp.names, width, height, left, bottom))
+    return tuple(map(Core, fp.names, width, height, left, bottom))
 
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "thermsched" / "data"
@@ -103,7 +115,7 @@ def random_floorplan(rng, n_cores: int, die_w: float = 0.008, die_h: float = 0.0
             rects.append((x, y, w, cut - y))
             rects.append((x, cut, w, y + h - cut))
     return Floorplan(
-        [CoreGeometry(f"r{i:02d}", w, h, x, y) for i, (x, y, w, h) in enumerate(rects)]
+        [Core(f"r{i:02d}", w, h, x, y) for i, (x, y, w, h) in enumerate(rects)]
     )
 
 
@@ -126,9 +138,10 @@ def random_session(rng, fp: Floorplan) -> frozenset[str]:
 
 
 def reference_parse_floorplan(source) -> Floorplan:
-    """The per-record floorplan parser: each record becomes a CoreGeometry
-    as it is read, so the first error in file order stops the loop, and the
-    records are handed to Floorplan(cores)."""
+    """The per-record floorplan parser: each record is checked by
+    ``_check_core`` as it is read, so the first error in file order stops
+    the loop, and the records are handed to ``Floorplan(records)``, which
+    checks them all again."""
     cores = []
     for lineno, raw, line in _records(source):
         fields = line.split()
@@ -142,9 +155,10 @@ def reference_parse_floorplan(source) -> Floorplan:
         except ValueError:
             raise FloorplanError(f"line {lineno}: non-numeric field in {raw!r}") from None
         try:
-            cores.append(CoreGeometry(fields[0], width, height, left_x, bottom_y))
+            _check_core(fields[0], width, height, left_x, bottom_y)
         except FloorplanError as exc:
             raise FloorplanError(f"line {lineno}: {exc}") from None
+        cores.append(Core(fields[0], width, height, left_x, bottom_y))
     return Floorplan(cores)
 
 
@@ -251,17 +265,17 @@ def reference_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
     )
 
 
-def core_edges(core: CoreGeometry) -> tuple[float, float, float, float]:
+def core_edges(core: Core) -> tuple[float, float, float, float]:
     """A core's left, bottom, right and top edges, from its four fields."""
     return core.left_x, core.bottom_y, core.left_x + core.width, core.bottom_y + core.height
 
 
-def core_center(core: CoreGeometry) -> tuple[float, float]:
+def core_center(core: Core) -> tuple[float, float]:
     """A core's center, from its four fields."""
     return core.left_x + 0.5 * core.width, core.bottom_y + 0.5 * core.height
 
 
-def shared_edge_length(a: CoreGeometry, b: CoreGeometry) -> float:
+def shared_edge_length(a: Core, b: Core) -> float:
     """Length of the boundary segment two non-overlapping rectangles share,
     from their gaps: 0.0 when they do not abut, and for corner contact.
     Facing edges within EPSILON of each other count as touching."""
