@@ -4,18 +4,9 @@ A floorplan is an ordered collection of named, axis-aligned rectangles on a
 die, positioned by their lower-left corner, in meters.  Cores must not
 overlap; abutment is legal.  Two cores are thermally adjacent when they
 share an edge segment longer than EPSILON; corner contact never counts.  A
-core record is the five fields of its line, checked by ``_check_core``.  A
-floorplan holds its geometry as one read-only float64 array in node order,
-with rows left, bottom, width and height (``Floorplan.geometry``); the
-parser checks each record as it reads it and fills that array straight from
-the text.  A floorplan checks for overlaps and finds its adjacent pairs in
-one scan of that array when it is built (``build_adjacency``), which keeps
-them as four node-order arrays (``AdjacencyGraph``).  The scan finds the
-pairs of cores that share a cell of a uniform grid with array operations
-(``_near_pairs``), and tests all of those pairs at once; a die of at most
-64 cores skips the grid and tests all its pairs.  The cost is linear in the
-number of cores when they are about as wide as they are tall; long, thin
-cores crowd the cells, and the candidate pairs grow toward N^2 / 2.
+core record is the five fields of its line: a name, a non-empty ``str``
+that encodes as UTF-8, and four real numbers (``as_float``), stored as
+floats.  The adjacent pairs are found in one scan (``build_adjacency``).
 
 File formats (UTF-8, '#' starts a comment, blank lines ignored):
 
@@ -26,6 +17,7 @@ File formats (UTF-8, '#' starts a comment, blank lines ignored):
 from __future__ import annotations
 
 import math
+import numbers
 from typing import IO, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -35,13 +27,18 @@ EPSILON = 1e-9
 generated floorplans."""
 
 
-def finite(value: float) -> bool:
-    """Whether ``value`` is finite as a float: an int too large to convert
-    to one is not, where ``math.isfinite`` would raise OverflowError."""
+def as_float(value: object) -> float | None:
+    """``value`` as a float if it is a ``numbers.Real`` other than a bool (a
+    numpy scalar or a fraction, not a ``Decimal``, ``np.bool_`` or ``str``),
+    else None; a number too large for a float, such as ``10**400``, is NaN."""
+    if type(value) is float:
+        return value
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return None
     try:
-        return math.isfinite(value)
+        return float(value)
     except OverflowError:
-        return False
+        return math.nan
 
 
 class FloorplanError(ValueError):
@@ -52,12 +49,25 @@ class PowerProfileError(ValueError):
     """Malformed or incomplete power profile input."""
 
 
-def _check_core(name: str, width: float, height: float, left_x: float, bottom_y: float):
-    """Reject a core record whose geometry is not finite or whose size is not positive."""
-    if not all(map(finite, (width, height, left_x, bottom_y))):
+def _check_core(name, width, height, left_x, bottom_y) -> tuple[str, float, float, float, float]:
+    """A core record as its name, a plain ``str`` that encodes as UTF-8 (no
+    lone surrogate), and its left_x, bottom_y, width and height, finite
+    floats in the order of the geometry's rows, the size positive."""
+    try:
+        valid = isinstance(name, str) and name and name.encode()
+    except UnicodeEncodeError:
+        valid = False
+    if not valid:
+        raise FloorplanError(f"core name must be a non-empty str that encodes as UTF-8, "
+                             f"got {name!r}")
+    w, h, x, y = values = tuple(map(as_float, (width, height, left_x, bottom_y)))
+    if None in values:
+        raise FloorplanError(f"core {name!r} has non-numeric geometry")
+    if not all(map(math.isfinite, values)):
         raise FloorplanError(f"core {name!r} has non-finite geometry")
-    if not (width > 0 and height > 0):
+    if not (w > 0 and h > 0):
         raise FloorplanError(f"core {name!r} has non-positive dimensions ({width} x {height})")
+    return str.__str__(name), x, y, w, h  # a str subclass, such as np.str_, as a str
 
 
 class AdjacencyGraph(NamedTuple):
@@ -89,15 +99,19 @@ class Floorplan:
     all set when it is built and never changed.  The geometry is one
     read-only float64 array of shape ``(4, N)`` in node order, with rows
     left, bottom, width and height.  ``Floorplan(records)`` checks each
-    record ``(name, width, height, left_x, bottom_y)`` and reads it in.
+    record, a tuple or list ``(name, width, height, left_x, bottom_y)``, and
+    reads it in; an error names the record's index or its core.
     """
 
     def __init__(self, records: Iterable[Sequence]):
         names, values = [], []  # values: left, bottom, width and height per record
-        for name, width, height, left_x, bottom_y in records:
-            _check_core(name, width, height, left_x, bottom_y)
+        for index, record in enumerate(records):
+            if not (isinstance(record, (tuple, list)) and len(record) == 5):
+                raise FloorplanError(f"record {index}: expected (name, width, height, "
+                                     f"left_x, bottom_y), got {record!r}")
+            name, *geometry = _check_core(*record)
             names.append(name)
-            values += (left_x, bottom_y, width, height)
+            values += geometry
         self._build(tuple(names), values)
 
     @classmethod
@@ -308,8 +322,8 @@ def parse_floorplan(source: str | IO[str]) -> Floorplan:
             w, h, x, y = float(fields[1]), float(fields[2]), float(fields[3]), float(fields[4])
         except ValueError:
             raise FloorplanError(f"line {lineno}: non-numeric field in {raw!r}") from None
-        # finite, with a positive width and height; NaN fails every comparison
-        if not (0.0 < w < math.inf and 0.0 < h < math.inf
+        # finite, a positive size, an ASCII name (no lone surrogate); NaN fails all
+        if not (0.0 < w < math.inf and 0.0 < h < math.inf and fields[0].isascii()
                 and -math.inf < x < math.inf and -math.inf < y < math.inf):
             try:
                 _check_core(fields[0], w, h, x, y)
@@ -320,22 +334,24 @@ def parse_floorplan(source: str | IO[str]) -> Floorplan:
     return Floorplan._from_checked(tuple(names), values)
 
 
-def _check_test_values(name: str, power: float, duration: float) -> None:
-    """Reject a test power that is not finite and >= 0, or a duration that is
-    not finite and > 0."""
-    if not (finite(power) and power >= 0):
+def _check_test_values(name: str, power, duration) -> tuple[float, float]:
+    """A test's power and duration as floats: finite real numbers
+    (``as_float``), the power >= 0 and the duration > 0."""
+    p, d = as_float(power), as_float(duration)
+    if not (p is not None and math.isfinite(p) and p >= 0):
         raise PowerProfileError(
-            f"core {name!r} has invalid test power {power}; need a finite value >= 0"
+            f"core {name!r} has invalid test power {power!r}; need a finite value >= 0"
         )
-    if not (finite(duration) and duration > 0):
+    if not (d is not None and math.isfinite(d) and d > 0):
         raise PowerProfileError(
-            f"core {name!r} has invalid test duration {duration}; need a finite value > 0"
+            f"core {name!r} has invalid test duration {duration!r}; need a finite value > 0"
         )
+    return p, d
 
 
 def _check_complete(entries: Container[str], names: Iterable[str]) -> None:
     """Raise PowerProfileError naming each of ``names``, in order, with no entry."""
-    missing = [str(name) for name in names if name not in entries]
+    missing = [name for name in names if name not in entries]
     if missing:
         raise PowerProfileError(f"no power entry for core(s): {', '.join(missing)}")
 
@@ -344,10 +360,10 @@ class PowerProfile:
     """Per-core test power (W) and test duration (s), complete over a floorplan.
 
     ``PowerProfile(entries, floorplan)`` checks every entry: each name must
-    be a floorplan core, each core must have an entry, each power must be
-    finite and >= 0 and each duration finite and > 0.  ``parse_power_profile``
-    makes these checks as it reads each record and builds the profile from
-    its checked values without repeating them.
+    be a floorplan core, each core must have an entry, and each entry must
+    be a pair ``(power_w, duration_s)`` (``_check_test_values``), stored as
+    floats.  ``parse_power_profile`` makes these checks as it reads each
+    record, and builds the profile from its checked values.
     """
 
     def __init__(self, entries: Mapping[str, tuple[float, float]], floorplan: Floorplan):
@@ -355,13 +371,15 @@ class PowerProfile:
         if unknown:
             raise PowerProfileError(f"unknown core id(s): {', '.join(unknown)}")
         _check_complete(entries, floorplan.names)
-        for name, (power, duration) in entries.items():
-            _check_test_values(name, power, duration)
-        # rebuilt, in floorplan order, to hold each value as a float
-        self._entries = {
-            name: (float(entries[name][0]), float(entries[name][1]))
-            for name in floorplan.names
-        }
+        self._entries = {}  # in floorplan order, keyed by the floorplan's own names
+        for name in floorplan.names:
+            entry = entries[name]
+            try:
+                power, duration = entry
+            except (TypeError, ValueError):
+                raise PowerProfileError(f"core {name!r}: expected (power_w, duration_s), "
+                                        f"got {entry!r}") from None
+            self._entries[name] = _check_test_values(name, power, duration)
 
     @classmethod
     def _from_checked(cls, entries: dict[str, tuple[float, float]]) -> PowerProfile:

@@ -55,7 +55,6 @@ records the rectangle of limits it holds for (``Schedule.covers``).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from decimal import ROUND_CEILING, Decimal, localcontext
@@ -65,7 +64,7 @@ import numpy as np
 import orjson
 
 from . import thermal_sim
-from .floorplan import Floorplan, PowerProfile, finite
+from .floorplan import Floorplan, PowerProfile, as_float
 from .thermal_model import ThermalParams, candidate_term, session_stc
 from .thermal_sim import (
     RESIDUAL_RTOL,
@@ -88,18 +87,23 @@ _SCREEN_BLOCK = 128
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    """Limits for schedule generation."""
+    """Limits for schedule generation, real numbers stored as floats."""
 
     tl: float                  # max allowable core temperature, deg C
     stcl: float                # session thermal characteristic limit, K*W
 
     def __post_init__(self):
-        if not finite(self.tl):
+        tl, stcl = as_float(self.tl), as_float(self.stcl)
+        if tl is None or stcl is None:
+            raise ValueError(f"tl and stcl must be real numbers, got {self.tl!r}, {self.stcl!r}")
+        if not math.isfinite(tl):
             raise ValueError(f"tl must be finite, got {self.tl}")
         # an unbounded STCL would disable the weight feedback entirely:
         # weights steer packing only through the STC <= STCL test
-        if not (finite(self.stcl) and self.stcl > 0):
+        if not (math.isfinite(stcl) and stcl > 0):
             raise ValueError(f"stcl must be positive and finite, got {self.stcl}")
+        object.__setattr__(self, "tl", tl)
+        object.__setattr__(self, "stcl", stcl)
 
 
 class ScreeningError(RuntimeError):
@@ -482,16 +486,12 @@ def schedule_to_json(
 ) -> str:
     """The schedule as an indented JSON document, with config and params echoed.
 
-    The text is orjson's indented rendering, which ``json.loads`` reads back
-    key for key and float for float.  With names in ASCII without DEL and
-    floats zero or of magnitude within ``[1e-4, 1e16)`` it is exactly
-    ``json.dumps(document, indent=2) + "\n"``; elsewhere orjson writes other
-    characters raw, where json escapes them, and ``1e16`` or ``0.00001``
-    for ``1e+16`` or ``1e-05``.  Only a value orjson refuses (an int beyond
-    64 bits, a numpy scalar, a lone surrogate) is written by ``json.dumps``.
-    Either encoder builds a session's temperature map only when it reaches
-    the session, so the writer holds one map at a time; the text is the
-    decoding of ``_json_bytes``, whose bytes the CLI writes as they are.
+    The text is the decoding of ``_json_bytes``, whose bytes the CLI writes:
+    orjson's indented rendering, which ``json.loads`` reads back key for key
+    and float for float.  With names in ASCII without DEL and floats zero or
+    of magnitude within ``[1e-4, 1e16)`` it is the ``json`` module's with
+    ``indent=2``, plus a newline; elsewhere orjson writes other characters
+    raw, and ``1e16`` or ``0.00001`` for ``1e+16`` or ``1e-05``.
     """
     return _json_bytes(schedule, config, params).decode()
 
@@ -508,7 +508,7 @@ def _json_bytes(
     Each session's ``"temps_c"`` holds its ``SimulationResult``, and the
     encoder's ``default`` hook, ``_temperature_map``, builds that session's
     map when it reaches it, so one map is alive at a time beside the bytes
-    written so far.
+    written so far.  orjson writes every value that the constructors let in.
     """
     document = {
         "config": {
@@ -534,14 +534,11 @@ def _json_bytes(
         "simulation_effort_s": schedule.simulation_effort,
         "max_temperature_c": schedule.max_temperature,
     }
-    try:
-        # without OPT_PASSTHROUGH_DATACLASS orjson writes a dataclass's
-        # fields itself and never calls the hook
-        return orjson.dumps(
-            document,
-            default=_temperature_map,
-            option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE
-            | orjson.OPT_PASSTHROUGH_DATACLASS,
-        )
-    except orjson.JSONEncodeError:
-        return (json.dumps(document, indent=2, default=_temperature_map) + "\n").encode()
+    # without OPT_PASSTHROUGH_DATACLASS orjson writes a dataclass's fields
+    # itself and never calls the hook
+    return orjson.dumps(
+        document,
+        default=_temperature_map,
+        option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE
+        | orjson.OPT_PASSTHROUGH_DATACLASS,
+    )

@@ -31,10 +31,11 @@ O(degree).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .floorplan import finite
+from .floorplan import as_float
 
 if TYPE_CHECKING:
     from .thermal_sim import ThermalNetwork
@@ -52,7 +53,7 @@ class ThermalParams:
     temperatures into the regime of interest.  ``k_silicon``,
     ``die_thickness`` and ``r_vertical_per_area`` must be strictly positive
     and finite; ``t_ambient``, in Celsius and only ever an offset, may be
-    any finite value.
+    any finite value.  Each is a real number (``as_float``), stored as a float.
     """
 
     k_silicon: float = 100.0            # thermal conductivity, W/(m*K)
@@ -61,12 +62,15 @@ class ThermalParams:
     t_ambient: float = 45.0             # deg C
 
     def __post_init__(self):
-        for name in ("k_silicon", "die_thickness", "r_vertical_per_area"):
-            value = getattr(self, name)
-            if not (finite(value) and value > 0):
+        for name, given in vars(self).items():
+            value = as_float(given)
+            if value is None:
+                raise ValueError(f"{name} must be a real number, got {given!r}")
+            if name == "t_ambient" and not math.isfinite(value):
+                raise ValueError("t_ambient must be finite")
+            if name != "t_ambient" and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be strictly positive and finite")
-        if not finite(self.t_ambient):
-            raise ValueError("t_ambient must be finite")
+            object.__setattr__(self, name, value)
 
 
 def candidate_term(

@@ -310,12 +310,15 @@ def simulate_session(
     """Simulate one test session on the full network.
 
     Injections are the test powers of the session's cores and zero
-    elsewhere; a core ``power`` has no entry for raises PowerProfileError.
+    elsewhere; a core ``power`` has no entry for raises PowerProfileError,
+    and a bare ``str``, an empty session or an unknown core ValueError.
     """
+    if isinstance(session, str):
+        raise ValueError(f"test session is a collection of core names, not the str {session!r}")
     session = frozenset(session)
     if not session:
         raise ValueError("test session is empty")
-    unknown = sorted(name for name in session if name not in net.position)
+    unknown = sorted(str(name) for name in session if name not in net.position)
     if unknown:
         raise ValueError(f"active cores not in floorplan: {', '.join(unknown)}")
     power._check_covers(sorted(session))

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from thermsched import cli, floorplan, scheduler, thermal_sim
@@ -1107,3 +1107,69 @@ def test_sweep_compiles_screens_and_validates_each_session_once(tmp_path, monkey
     assert sorted(validated, key=sorted) == sorted(larger, key=sorted)
     assert solves[1:] == [(15, 1)] * len(validated)
     assert len(built) > len(validated)
+
+
+# ── edge-valued inputs ───────────────────────────────────────────────────
+
+# number tokens at and beyond the edges of what each field accepts
+EDGE_NUMBERS = ["0", "-0", "1", "-1", "1e-3", "nan", "inf", "-inf", "1e308", "1e400",
+                "5e-324", "1e16", "x", "0x10", "1_0", ""]
+EDGE_NAMES = ["a", "b", "é", "a,b", "#a", " "]
+
+
+@st.composite
+def edge_cli_cases(draw):
+    """A floorplan's and a power profile's bytes for a row of up to three
+    4 mm cores of 1 W each, and the argument list of a single run or a sweep
+    over them, with up to three fields or options set to edge tokens, now
+    and then a line of a field too few or too many, and a byte that is not
+    UTF-8."""
+    n = draw(st.integers(1, 3))
+    floorplan = [["abc"[k], "0.004", "0.004", repr(0.004 * k), "0"] for k in range(n)]
+    profile = [["abc"[k], "1.0", "1.0"] for k in range(n)]
+    # TL 46 fails screening at these powers, and TL 45 is the ambient
+    options = [["--tl", "165"], ["--stcl", "60"], ["--ambient", "45"], ["--k-silicon", "100"]]
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from(floorplan + profile + options))
+        # an option's value, or any field of a line: a name or a number
+        k = draw(st.integers(int(row[0].startswith("--")), len(row) - 1))
+        row[k] = draw(st.sampled_from(EDGE_NAMES if k == 0 else EDGE_NUMBERS + ["46"]))
+    for row in draw(st.lists(st.sampled_from(floorplan + profile), max_size=1)):
+        row[:] = row[:-1] if draw(st.booleans()) else [*row, "1"]
+    args = [word for option in options[2:] for word in option]
+    if draw(st.booleans()):
+        args += options[0] + options[1]
+    else:
+        args += ["--sweep-tl", draw(st.sampled_from(["145:185:20", "46,165", "46", "nan", "1:0:1"])),
+                 "--sweep-stcl", draw(st.sampled_from(["20:100:40", "50", "0", "-1,inf", "1e400"]))]
+    flp = "".join(" ".join(row) + "\n" for row in floorplan).encode()
+    if draw(st.integers(0, 19)) == 19:
+        flp = b"\xff" + flp
+    return flp, "".join(",".join(row) + "\n" for row in profile).encode(), args
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_cli_cases())
+def test_edge_valued_inputs_exit_0_1_or_2_with_one_error_line(case):
+    floorplan, profile, args = case
+    with tempfile.TemporaryDirectory() as tmp:
+        flp, power, out = Path(tmp) / "die.flp", Path(tmp) / "power.csv", Path(tmp) / "out"
+        flp.write_bytes(floorplan)
+        power.write_bytes(profile)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            # any exception that escapes main fails the example
+            code = main(["--floorplan", str(flp), "--power", str(power), "--out", str(out), *args])
+        lines = err.getvalue().splitlines()
+        event(f"{'single run' if '--tl' in args else 'sweep'} exit {code}")
+        assert code in (0, 1, 2)
+        if "--tl" in args:
+            if code:
+                assert len(lines) == 1 and lines[0].startswith("error: ")
+            else:
+                assert lines == [] and json.loads(out.read_bytes())["sessions"]
+        else:
+            # a sweep reports each TL row that screening refuses, and then
+            # at most one error
+            assert all(line.startswith(("skipping TL=", "error: ")) for line in lines)
+            assert sum(line.startswith("error: ") for line in lines) == (code == 1)

@@ -221,6 +221,22 @@ def test_unknown_active_core_rejected():
         simulate_session({"nope"}, net, uniform_profile(fp))
 
 
+def test_unknown_names_of_mixed_types_are_listed_as_str():
+    # sorting the unknown names themselves raised TypeError
+    fp = strip_floorplan(2)
+    with pytest.raises(ValueError) as err:
+        simulate_session({"zz", 5}, build_network(fp, ThermalParams()), uniform_profile(fp))
+    assert str(err.value) == "active cores not in floorplan: 5, zz"
+
+
+def test_a_bare_str_session_is_refused():
+    # a str is a collection of its characters, and was taken as one
+    fp = strip_floorplan(2)
+    with pytest.raises(ValueError) as err:
+        simulate_session("s1", build_network(fp, ThermalParams()), uniform_profile(fp))
+    assert str(err.value) == "test session is a collection of core names, not the str 's1'"
+
+
 def test_non_positive_definite_raises():
     # a vertical conductance 300 orders of magnitude below the lateral one
     # vanishes from the diagonal in floating point: the network floats, and

@@ -9,7 +9,6 @@ of a compiled die's attempt memo."""
 
 from __future__ import annotations
 
-import json
 import math
 import tracemalloc
 from dataclasses import asdict
@@ -502,13 +501,9 @@ def reference_document(schedule: Schedule, config: SchedulerConfig, params: Ther
 def reference_json(schedule: Schedule, config: SchedulerConfig, params: ThermalParams) -> str:
     """The schedule document's text, written whole: an oracle for
     ``scheduler._json_bytes``.  ``reference_document`` goes to one
-    ``orjson.dumps``, or to ``json.dumps`` where orjson refuses a value."""
+    ``orjson.dumps``, which raises if the document holds a value it refuses."""
     document = reference_document(schedule, config, params)
-    try:
-        data = orjson.dumps(document, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE)
-    except orjson.JSONEncodeError:
-        return json.dumps(document, indent=2) + "\n"
-    return data.decode()
+    return orjson.dumps(document, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE).decode()
 
 
 def sweep_row(tl: float, stcl: float, schedule) -> str:
