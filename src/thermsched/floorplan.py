@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from types import MappingProxyType
 from typing import IO, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -100,7 +101,9 @@ class Floorplan:
     read-only float64 array of shape ``(4, N)`` in node order, with rows
     left, bottom, width and height.  ``Floorplan(records)`` checks each
     record, a tuple or list ``(name, width, height, left_x, bottom_y)``, and
-    reads it in; an error names the record's index or its core.
+    reads it in; an error names the record's index or its core.  The one
+    name -> node index map, a read-only ``types.MappingProxyType``, answers
+    ``in`` and is every network's ``position``.
     """
 
     def __init__(self, records: Iterable[Sequence]):
@@ -125,16 +128,15 @@ class Floorplan:
     def _build(self, names: tuple[str, ...], values: list[float]) -> None:
         if not names:
             raise FloorplanError("floorplan has no cores")
-        name_set: set[str] = set()
-        for name in names:
-            if name in name_set:
+        position: dict[str, int] = {}
+        for k, name in enumerate(names):
+            if position.setdefault(name, k) != k:
                 raise FloorplanError(f"duplicate core id {name!r}")
-            name_set.add(name)
         # a copy in rows, so that the floorplan's array owns its memory
         geometry = np.array(values, dtype=float).reshape(-1, 4).T.copy()
         geometry.flags.writeable = False
         self._names = names
-        self._name_set = name_set
+        self._position = MappingProxyType(position)
         self._geometry = geometry
         self._adjacency = build_adjacency(names, geometry)
 
@@ -155,7 +157,7 @@ class Floorplan:
         return len(self._names)
 
     def __contains__(self, name: object) -> bool:
-        return name in self._name_set
+        return name in self._position
 
     def __repr__(self) -> str:
         return f"Floorplan({len(self._names)} cores)"

@@ -58,6 +58,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from decimal import ROUND_CEILING, Decimal, localcontext
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -140,8 +141,8 @@ class TestSession:
 class Schedule:
     """Sequential list of thermal-safe sessions covering every core once.
 
-    ``stage1_report`` is the compiled die's ``bcmt`` itself, shared by
-    every run on the die: read it, do not change it.
+    ``stage1_report`` is the compiled die's ``bcmt`` itself, a read-only
+    map shared by every run on the die: writing to it raises TypeError.
     """
 
     sessions: tuple[TestSession, ...]
@@ -178,12 +179,12 @@ class CompiledDie:
 
     Holds what every schedule run on the die reads and no limit changes:
     the compiled network, the test powers and every core's BCMT.  ``bcmt``
-    is every run's ``stage1_report``, shared, not copied, so it is
-    read-only.  Packing works on node indices: ``_powers`` holds the test
-    powers in node order, ``_keys`` the packing keys ``(-P * W, name)`` at
-    weights all one, and ``_start`` the nodes sorted by them, every run's
-    start order.  Two private memos let runs that share a die reuse each
-    other's work:
+    is every run's ``stage1_report``, shared, not copied, so it is a
+    read-only ``types.MappingProxyType``.  Packing works on node indices:
+    ``_powers`` holds the test powers in node order, ``_keys`` the packing
+    keys ``(-P * W, name)`` at weights all one, and ``_start`` the nodes
+    sorted by them, every run's start order.  Two private memos let runs
+    that share a die reuse each other's work:
 
     * ``_sessions`` maps each validated member set, a frozenset of node
       indices, to ``(session, indices, temperatures)``: its
@@ -283,7 +284,7 @@ def compile_die(fp: Floorplan, power: PowerProfile, params: ThermalParams) -> Co
     return CompiledDie(
         net=net,
         power=power,
-        bcmt={name: s.result.peak[1] for name, s in zip(net.nodes, singletons)},
+        bcmt=MappingProxyType({n: s.result.peak[1] for n, s in zip(net.nodes, singletons)}),
         _powers=powers,
         _keys=keys,
         _start=tuple(sorted(range(len(keys)), key=keys.__getitem__)),

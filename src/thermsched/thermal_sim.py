@@ -109,11 +109,13 @@ class ThermalNetwork:
     as ``(node index, lateral conductance)`` pairs in floorplan order; both
     are derived by ``build_network`` and read, on node indices, by
     ``thermal_model.candidate_term`` and ``session_stc``.  ``position`` maps
-    a name to its index, for callers that start from names.
+    a name to its index, for callers that start from names; it is the
+    floorplan's own read-only map, shared by every network built from it.
     ``conductance`` is ``G`` as a ``scipy.sparse.csr_array``, symmetric
     positive definite: off-diagonals are the negated lateral conductances,
     and each diagonal adds the node's vertical conductance to ambient on top
     of its lateral total.  ``factor`` is the dense Cholesky factor of ``G``.
+    Both are read-only, ``G`` in its ``data``, ``indices`` and ``indptr``.
     """
 
     nodes: tuple[str, ...]
@@ -224,11 +226,14 @@ def build_network(fp: Floorplan, params: ThermalParams) -> ThermalNetwork:
             "conductance matrix is not positive definite in double precision: "
             f"the lateral conductances swamp the vertical ones; {_KNOBS}"
         ) from exc
+    # shared by every run on the network, so read-only
+    for array in (factor[0], conductance.data, conductance.indices, conductance.indptr):
+        array.flags.writeable = False
     # each node's (neighbor, lateral conductance) pairs, in neighbor order
     entries = zip(neighbors.tolist(), lateral_values.tolist())
     return ThermalNetwork(
         nodes=names,
-        position={name: k for k, name in enumerate(names)},
+        position=fp._position,
         vertical=tuple(gv.tolist()),
         lateral=tuple(tuple(islice(entries, size - 1)) for size in row_sizes.tolist()),
         conductance=conductance,

@@ -114,6 +114,14 @@ def test_parse_duplicate_id():
         parse_floorplan("c1 1 1 0 0\nc1 1 1 1 0")
 
 
+def test_duplicate_error_names_the_first_record_that_repeats_a_name():
+    # 'b' comes first, but the first record that repeats a name is the
+    # second 'a'; the same rectangle thrice would also overlap, later
+    square = (1.0, 1.0, 0.0, 0.0)
+    with pytest.raises(FloorplanError, match="^duplicate core id 'a'$"):
+        Floorplan([("b", *square), ("a", *square), ("a", *square), ("b", *square)])
+
+
 def test_parse_non_positive_dimensions():
     with pytest.raises(FloorplanError, match="non-positive"):
         parse_floorplan("c1 0 1 0 0")

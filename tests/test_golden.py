@@ -10,9 +10,12 @@ The last bits of the N=400 temperatures would depend on the BLAS thread
 count (the Cholesky factor is blocked differently), so the program runs its
 factor and solves on one thread of scipy's bundled OpenBLAS.  Every case
 runs with one BLAS thread, as the benchmark does, and the N=400 cases run
-again with two, which gives the same bytes.
+again with two, which gives the same bytes.  Those bits are the SkylakeX
+kernel's, which the bundled OpenBLAS picks on an AVX-512 CPU; on another
+kernel five cases fail (ROADMAP item 6), so a failure names the kernel.
 """
 
+import ctypes
 import hashlib
 import os
 import subprocess
@@ -20,6 +23,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -50,6 +54,25 @@ CASES = {
 }
 
 
+def _kernel_note() -> str:
+    """A failure's note: the kernel that scipy's bundled OpenBLAS picked for
+    this CPU, as its ``scipy_openblas_get_corename`` reports it, or
+    "unknown" without one."""
+    kernel = "unknown"
+    for path in sorted((Path(scipy.__file__).parent.parent / "scipy.libs").glob(
+        "libscipy_openblas*"
+    )):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        kernel = corename().decode()
+        break
+    return (f"OpenBLAS kernel {kernel}; the goldens hold the SkylakeX kernel's bits "
+            "(ROADMAP item 6)")
+
+
 def _run_cli(argv: list[str], blas_threads: int = 1) -> bytes:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -70,13 +93,13 @@ def test_cli_output_matches_golden(golden):
     output = _run_cli(CASES[golden])
     expected = (GOLDEN / golden).read_bytes()
     if golden.endswith(".sha256"):
-        assert hashlib.sha256(output).hexdigest() == expected.decode().strip()
+        assert hashlib.sha256(output).hexdigest() == expected.decode().strip(), _kernel_note()
     else:
-        assert output == expected
+        assert output == expected, _kernel_note()
 
 
 @pytest.mark.parametrize("golden", [g for g in sorted(CASES) if g.startswith("synth400")])
 def test_n400_documents_do_not_depend_on_the_blas_thread_count(golden):
     output = _run_cli(CASES[golden], blas_threads=2)
     expected = (GOLDEN / golden).read_text().strip()
-    assert hashlib.sha256(output).hexdigest() == expected
+    assert hashlib.sha256(output).hexdigest() == expected, _kernel_note()

@@ -698,6 +698,26 @@ def test_weight_overflow_ends_a_run_within_the_bound():
     assert 7000 < len(attempts) <= _attempt_bound(2)
 
 
+@pytest.mark.parametrize("smaller", ["a", "b"])
+def test_weight_overflow_names_the_first_violator_in_name_order(smaller):
+    # two abutting cores at a microwatt each: the slightly smaller one has
+    # the weaker vertical path and runs hotter, so temperature order and
+    # name order disagree when 'b' is smaller; both violate at every
+    # discard, their weights overflow at the same bump, and the error names
+    # the first violator in name order either way
+    height = {"a": 0.001, "b": 0.001}
+    height[smaller] = 0.0009
+    fp = Floorplan([Core("a", 0.001, height["a"], 0.0, 0.0),
+                    Core("b", 0.001, height["b"], 0.001, 0.0)])
+    profile = PowerProfile({"a": (1e-6, 1.0), "b": (1e-6, 1.0)}, fp)
+    die = compile_die(fp, profile, ThermalParams())
+    pair = simulate_session(fp.names, die.net, profile).temperatures.tolist()
+    assert max(pair) == pair[fp.names.index(smaller)] > min(pair)
+    config = SchedulerConfig(tl=(max(die.bcmt.values()) + min(pair)) / 2, stcl=1e300)
+    with pytest.raises(ValueError, match="^weight for 'a' overflowed at weight factor 1.1 "):
+        generate_schedule(die, config)
+
+
 # ── attempt memo ─────────────────────────────────────────────────────────
 
 

@@ -127,6 +127,31 @@ def test_network_invariants_random():
             }
 
 
+def test_what_a_compiled_die_shares_is_read_only():
+    # one compiled die serves every run of a sweep, so each fact it hands
+    # out is one read-only copy: every write raises, and a later run on the
+    # die screens and packs as the first did
+    fp, profile = load_inputs("demo15")
+    die = compile_die(fp, profile, ThermalParams())
+    net = die.net
+    # the floorplan's one name index serves every network built from it
+    assert build_network(fp, ThermalParams(t_ambient=30.0)).position is net.position
+    config = SchedulerConfig(tl=165.0, stcl=100.0)
+    schedule = generate_schedule(die, config)
+    assert schedule.stage1_report is die.bcmt
+    for mapping in (die.bcmt, schedule.stage1_report, net.position):
+        with pytest.raises(TypeError):
+            mapping["c01"] = 1e9
+        with pytest.raises(TypeError):
+            del mapping["c01"]
+    g = net.conductance
+    for array in (net.factor[0], g.data, g.indices, g.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert generate_schedule(die, config) == schedule
+    assert "c01" in fp and net.position["c01"] == net.nodes.index("c01")
+
+
 def network_outcome(build, fp, params):
     """What ``build`` compiles: the error type and message, or every value
     of the network, floats by their bits and Python types checked."""
